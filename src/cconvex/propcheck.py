@@ -12,12 +12,19 @@ Conventions shared by all checks:
 * Vacuous sweeps (no qualifying pairs) hold with a ``vacuous`` note.
 * Pair sweeps are capped (seeded sampling); ``exhaustive=True`` removes
   the cap.
+
+Sampling contract of the pair sweeps, which fixes every verdict byte: a
+check seeds one generator, draws all its pairs first, then (for the
+set-valued check) draws one member per endpoint in pair order, x1 before
+x2, as ``rng.choice`` over that row's members would.  Pairs are swept in
+blocks of ``PAIR_BLOCK``, and the witness is the first (pair, lambda)
+position of the maximum excess, set only when that maximum is positive.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -47,6 +54,9 @@ __all__ = [
 
 DEFAULT_LAMBDAS = (0.0, 0.25, 0.5, 0.75, 1.0)
 F_FAMILIES = ("random_piecewise_linear", "random_smooth_fourier", "cconvexified_random")
+# Pair sweeps run in blocks of this many pairs, so every temporary holds at
+# most PAIR_BLOCK x m elements whatever the pair cap.
+PAIR_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -125,10 +135,42 @@ def _float_margin(*arrays: np.ndarray) -> float:
     return 1e-12 * (1.0 + scale)
 
 
-def _max_slope(values: np.ndarray, h: float) -> float:
-    d = np.abs(np.diff(values)) / h
-    d = d[np.isfinite(d)]
-    return float(d.max()) if d.size else 0.0
+def _lipschitz(f: GridFunction, cost: CostMatrix) -> tuple[float, float, float]:
+    """Max difference quotients of f, and of the cost along x and along y:
+    the slopes that scale the grid-snapping allowances."""
+    lcx = float(np.abs(np.diff(cost.entries, axis=0)).max()) / f.grid.h
+    lcy = float(np.abs(np.diff(cost.entries, axis=1)).max()) / cost.grid_j.h
+    return f.max_slope(), lcx, lcy
+
+
+def _nearest_indices(grid: Grid, x: np.ndarray) -> np.ndarray:
+    """``Grid.nearest_index`` over an array; ``rint`` rounds half to even,
+    as ``round`` does."""
+    i = np.rint((x - grid.interval.lo) / grid.h)
+    return np.clip(i, 0, grid.n - 1).astype(np.int64)
+
+
+def _fold(worst: float, witness: Optional[tuple], excess: np.ndarray,
+          witness_at: Callable[[int], tuple]) -> tuple[float, Optional[tuple]]:
+    """Fold a block of excesses, in sweep order, into the running maximum.
+
+    Same result as visiting the entries one by one with ``if e > worst:
+    worst = e`` and taking ``witness_at(k)`` of each such ``e > 0``: NaN
+    never wins, and the witness is the first position of the maximum.
+    """
+    flat = excess.ravel()
+    if flat.size == 0:
+        return worst, witness
+    k = int(np.argmax(flat))
+    if np.isnan(flat[k]):
+        flat = np.where(np.isnan(flat), -np.inf, flat)
+        k = int(np.argmax(flat))
+    best = float(flat[k])
+    if best > worst:
+        worst = best
+        if best > 0:
+            witness = witness_at(k)
+    return worst, witness
 
 
 def _sample_pairs(rng: np.random.Generator, pool: np.ndarray, cap: int,
@@ -220,6 +262,28 @@ def check_order_propagation(f: GridFunction, g: GridFunction, cost: CostMatrix,
     return Verdict(check_id, worst <= 0.0, worst, witness, notes=f"u-gap=4*tol; tol={tol}")
 
 
+def _subdiff_convexity_sweep(member: np.ndarray, grid_j: Grid, tol: float,
+                             i1: np.ndarray, i2: np.ndarray) -> tuple[float, Optional[tuple]]:
+    """Gaps inside each nonempty row of ``member``, then the y diameter of
+    the common members of each pair (i1[k], i2[k]) beyond one step."""
+    m = member.shape[1]
+    counts = member.sum(axis=1)
+    first = member.argmax(axis=1)
+    last = m - 1 - member[:, ::-1].argmax(axis=1)
+    gaps = np.where(counts > 0, (last - first + 1 - counts).astype(float), -np.inf)
+    worst, witness = _fold(-np.inf, None, gaps,
+                           lambda i: (i, int(first[i]), int(last[i])))
+    yv = grid_j.points
+    for s in range(0, i1.size, PAIR_BLOCK):
+        a, b = i1[s:s + PAIR_BLOCK], i2[s:s + PAIR_BLOCK]
+        both = member[a] & member[b]
+        lo = both.argmax(axis=1)
+        hi = m - 1 - both[:, ::-1].argmax(axis=1)
+        excess = np.where(both.any(axis=1), (yv[hi] - yv[lo]) - (grid_j.h + tol), -np.inf)
+        worst, witness = _fold(worst, witness, excess, lambda q: (int(a[q]), int(b[q])))
+    return worst, witness
+
+
 def check_subdiff_convexity(f: GridFunction, cost: CostMatrix, tol: float = 1e-9,
                             pair_cap: int = 10000, seed: int = 0,
                             exhaustive: bool = False) -> Verdict:
@@ -234,43 +298,50 @@ def check_subdiff_convexity(f: GridFunction, cost: CostMatrix, tol: float = 1e-9
     if not ok:
         return _hypothesis_verdict(check_id, f"f not c-convex (deviation {dev})")
     member = membership_slack(f, cost) >= -tol
-    worst = -np.inf
-    witness = None
-    for i in range(f.grid.n):
-        idx = np.flatnonzero(member[i])
-        if idx.size == 0:
-            continue
-        gaps = float(idx[-1] - idx[0] + 1 - idx.size)  # zero iff contiguous
-        if gaps > worst:
-            worst = gaps
-            witness = (i, int(idx[0]), int(idx[-1])) if gaps > 0 else witness
-    if worst == -np.inf:
+    if not member.any():
         return _vacuous(check_id, "vacuous: every subdifferential empty")
     rng = np.random.default_rng(seed)
     interior = np.arange(1, f.grid.n - 1)
     i1, i2 = _sample_pairs(rng, interior, pair_cap, exhaustive)
-    hj = cost.grid_j.h
-    yv = cost.grid_j.points
-    for a, b in zip(i1, i2):
-        both = member[a] & member[b]
-        if not both.any():
-            continue
-        ys = yv[both]
-        excess = (ys[-1] - ys[0]) - (hj + tol)
-        if excess > worst:
-            worst = float(excess)
-            if excess > 0:
-                witness = (int(a), int(b))
+    worst, witness = _subdiff_convexity_sweep(member, cost.grid_j, tol, i1, i2)
     return Verdict(check_id, worst <= 0.0, float(worst), witness,
                    notes=f"pairs={i1.size}; tol={tol}")
 
 
-def _snap_allowance(f: GridFunction, cost: CostMatrix, tol: float,
-                    dx: float, dy: float) -> float:
-    lf = _max_slope(f.values, f.grid.h)
-    lcx = float(np.abs(np.diff(cost.entries, axis=0)).max()) / f.grid.h
-    lcy = float(np.abs(np.diff(cost.entries, axis=1)).max()) / cost.grid_j.h
-    return tol + 2.0 * (lf + lcx) * dx + 2.0 * lcy * dy
+def _set_valued_sweep(slack: np.ndarray, member: np.ndarray, grid_i: Grid, grid_j: Grid,
+                      lambdas: Sequence[float], tol: float, lipschitz: tuple[float, float, float],
+                      rng: np.random.Generator, i1s: np.ndarray,
+                      i2s: np.ndarray) -> tuple[float, Optional[tuple]]:
+    """Snap each mixture of a drawn member at x1 and one at x2 to the grids
+    and measure its non-membership beyond the snapping allowance."""
+    lf, lcx, lcy = lipschitz
+    xv, yv = grid_i.points, grid_j.points
+    counts = member.sum(axis=1)
+    starts = np.cumsum(counts) - counts   # row x's members start here in ys
+    ys = np.flatnonzero(member)
+    ys %= member.shape[1]
+    worst, witness = -np.inf, None
+    for s in range(0, i1s.size, PAIR_BLOCK):
+        x1, x2 = i1s[s:s + PAIR_BLOCK], i2s[s:s + PAIR_BLOCK]
+        highs = np.empty(2 * x1.size, dtype=np.int64)
+        highs[0::2] = counts[x1]
+        highs[1::2] = counts[x2]
+        draws = rng.integers(0, highs)
+        a = ys[starts[x1] + draws[0::2]]
+        b = ys[starts[x2] + draws[1::2]]
+        excess = np.empty((x1.size, len(lambdas)))
+        for k, lam in enumerate(lambdas):
+            xm = (1.0 - lam) * xv[x1] + lam * xv[x2]
+            ym = (1.0 - lam) * yv[a] + lam * yv[b]
+            im = _nearest_indices(grid_i, xm)
+            jm = _nearest_indices(grid_j, ym)
+            allow = (tol + 2.0 * (lf + lcx) * np.abs(xv[im] - xm)
+                     + 2.0 * lcy * np.abs(yv[jm] - ym))
+            excess[:, k] = -slack[im, jm] - allow
+        worst, witness = _fold(worst, witness, excess, lambda q: (
+            int(x1[q // len(lambdas)]), int(x2[q // len(lambdas)]),
+            float(lambdas[q % len(lambdas)])))
+    return worst, witness
 
 
 def check_set_valued_convexity(f: GridFunction, cost: CostMatrix,
@@ -298,6 +369,7 @@ def check_set_valued_convexity(f: GridFunction, cost: CostMatrix,
     if not ok:
         return _hypothesis_verdict(check_id, f"f not c-convex (deviation {dev})")
 
+    lipschitz = _lipschitz(f, cost)
     slack = membership_slack(f, cost)
     member = slack >= -tol
     dom = np.flatnonzero(member.any(axis=1))
@@ -305,25 +377,44 @@ def check_set_valued_convexity(f: GridFunction, cost: CostMatrix,
         return _vacuous(check_id, "vacuous: effective domain has fewer than two points")
     rng = np.random.default_rng(seed)
     i1s, i2s = _sample_pairs(rng, dom, pair_cap, exhaustive)
-    xv, yv = f.grid.points, cost.grid_j.points
-    worst = -np.inf
-    witness = None
-    for x1, x2 in zip(i1s, i2s):
-        a = int(rng.choice(np.flatnonzero(member[x1])))
-        b = int(rng.choice(np.flatnonzero(member[x2])))
-        for lam in lambdas:
-            xm = (1.0 - lam) * xv[x1] + lam * xv[x2]
-            ym = (1.0 - lam) * yv[a] + lam * yv[b]
-            im = f.grid.nearest_index(xm)
-            jm = cost.grid_j.nearest_index(ym)
-            allow = _snap_allowance(f, cost, tol, abs(xv[im] - xm), abs(yv[jm] - ym))
-            excess = -slack[im, jm] - allow
-            if excess > worst:
-                worst = float(excess)
-                if excess > 0:
-                    witness = (int(x1), int(x2), float(lam))
+    worst, witness = _set_valued_sweep(slack, member, f.grid, cost.grid_j, lambdas, tol,
+                                       lipschitz, rng, i1s, i2s)
     return Verdict(check_id, worst <= 0.0, float(worst), witness,
                    notes=f"pairs={i1s.size}; concavity=segment-tested; tol={tol}")
+
+
+def _intersection_sweep(slack: np.ndarray, member: np.ndarray, grid_i: Grid,
+                        lambdas: Sequence[float], tol: float,
+                        lipschitz: tuple[float, float, float], i1s: np.ndarray,
+                        i2s: np.ndarray) -> tuple[float, Optional[tuple], bool]:
+    """Worst non-membership of a common member of x1 and x2 at the snapped
+    mixture points; also reports whether any pair had a common member."""
+    lf, lcx, lcy = lipschitz
+    xv = grid_i.points
+    worst, witness, any_intersection = -np.inf, None, False
+    for s in range(0, i1s.size, PAIR_BLOCK):
+        x1, x2 = i1s[s:s + PAIR_BLOCK], i2s[s:s + PAIR_BLOCK]
+        outside = ~(member[x1] & member[x2])
+        meet = ~outside.all(axis=1)
+        if not meet.any():
+            continue
+        any_intersection = True
+        # pairs without common members never count; dropping them keeps the
+        # gathered slack rows below small
+        x1, x2, outside = x1[meet], x2[meet], outside[meet]
+        excess = np.empty((x1.size, len(lambdas)))
+        for k, lam in enumerate(lambdas):
+            xm = (1.0 - lam) * xv[x1] + lam * xv[x2]
+            im = _nearest_indices(grid_i, xm)
+            allow = tol + 2.0 * (lf + lcx) * np.abs(xv[im] - xm) + 2.0 * lcy * 0.0
+            rows = slack[im]
+            np.negative(rows, out=rows)
+            rows[outside] = -np.inf   # only common members count
+            excess[:, k] = rows.max(axis=1) - allow
+        worst, witness = _fold(worst, witness, excess, lambda q: (
+            int(x1[q // len(lambdas)]), int(x2[q // len(lambdas)]),
+            float(lambdas[q % len(lambdas)])))
+    return worst, witness, any_intersection
 
 
 def check_intersection_inclusion(f: GridFunction, cost: CostMatrix,
@@ -342,6 +433,7 @@ def check_intersection_inclusion(f: GridFunction, cost: CostMatrix,
     if not ok:
         return _hypothesis_verdict(check_id, f"f not c-convex (deviation {dev})")
 
+    lipschitz = _lipschitz(f, cost)
     slack = membership_slack(f, cost)
     member = slack >= -tol
     dom = np.flatnonzero(member.any(axis=1))
@@ -350,28 +442,30 @@ def check_intersection_inclusion(f: GridFunction, cost: CostMatrix,
         return _vacuous(check_id)
     rng = np.random.default_rng(seed)
     i1s, i2s = _sample_pairs(rng, interior, pair_cap, exhaustive)
-    xv = f.grid.points
-    worst = -np.inf
-    witness = None
-    any_intersection = False
-    for x1, x2 in zip(i1s, i2s):
-        inter = np.flatnonzero(member[x1] & member[x2])
-        if inter.size == 0:
-            continue
-        any_intersection = True
-        for lam in lambdas:
-            xm = (1.0 - lam) * xv[x1] + lam * xv[x2]
-            im = f.grid.nearest_index(xm)
-            allow = _snap_allowance(f, cost, tol, abs(xv[im] - xm), 0.0)
-            excess = float((-slack[im, inter]).max() - allow)
-            if excess > worst:
-                worst = excess
-                if excess > 0:
-                    witness = (int(x1), int(x2), float(lam))
+    worst, witness, any_intersection = _intersection_sweep(
+        slack, member, f.grid, lambdas, tol, lipschitz, i1s, i2s)
     if not any_intersection:
         return _vacuous(check_id, "vacuous: no intersecting pairs found")
     return Verdict(check_id, worst <= 0.0, float(worst), witness,
                    notes=f"pairs={i1s.size}; tol={tol}")
+
+
+def _domain_interval_sweep(member: np.ndarray, dom_relaxed: np.ndarray, i1s: np.ndarray,
+                           i2s: np.ndarray) -> tuple[float, Optional[tuple], bool]:
+    """Count the grid points outside ``dom_relaxed`` between each pair with
+    a common member; also reports whether any pair had one."""
+    missing_below = np.concatenate(([0], np.cumsum(~dom_relaxed)))
+    worst, witness, any_intersection = -np.inf, None, False
+    for s in range(0, i1s.size, PAIR_BLOCK):
+        a, b = i1s[s:s + PAIR_BLOCK], i2s[s:s + PAIR_BLOCK]
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        meet = (member[lo] & member[hi]).any(axis=1)
+        any_intersection |= bool(meet.any())
+        missing = (missing_below[hi + 1] - missing_below[lo]).astype(float)
+        excess = np.where(meet, missing, -np.inf)
+        worst, witness = _fold(worst, witness, excess, lambda q: (
+            int(lo[q]), int(hi[q]), int(lo[q] + np.argmin(dom_relaxed[lo[q]:hi[q] + 1]))))
+    return worst, witness, any_intersection
 
 
 def check_domain_interval(f: GridFunction, cost: CostMatrix, tol: float = 1e-9,
@@ -396,21 +490,7 @@ def check_domain_interval(f: GridFunction, cost: CostMatrix, tol: float = 1e-9,
         return _vacuous(check_id)
     rng = np.random.default_rng(seed)
     i1s, i2s = _sample_pairs(rng, idx, pair_cap, exhaustive)
-    worst = -np.inf
-    witness = None
-    any_intersection = False
-    for x1, x2 in zip(i1s, i2s):
-        if x1 > x2:
-            x1, x2 = x2, x1
-        if not (member[x1] & member[x2]).any():
-            continue
-        any_intersection = True
-        missing = np.flatnonzero(~dom_relaxed[x1:x2 + 1])
-        excess = float(missing.size)
-        if excess > worst:
-            worst = excess
-            if excess > 0:
-                witness = (int(x1), int(x2), int(x1 + missing[0]))
+    worst, witness, any_intersection = _domain_interval_sweep(member, dom_relaxed, i1s, i2s)
     if not any_intersection:
         return _vacuous(check_id, "vacuous: no intersecting pairs found")
     return Verdict(check_id, worst <= 0.0, float(worst), witness,
@@ -456,16 +536,12 @@ def check_cost_self_subdiff(cost: CostMatrix, tol: float = 0.0) -> Verdict:
     """Every cost slice supports itself: with f = c(., y_j), y_j belongs to
     the subdifferential at every x with slack exactly zero."""
     check_id = "cost_self_subdiff"
-    worst = -np.inf
-    witness = None
-    for j in range(cost.grid_j.n):
-        f = GridFunction(cost.grid_i, cost.entries[:, j])
-        slack_col = membership_slack(f, cost)[:, j]
-        excess = float(np.abs(slack_col).max() - tol)
-        if excess > worst:
-            worst = excess
-            if excess > 0:
-                witness = (int(np.argmax(np.abs(slack_col))), j)
+    # column j of membership_slack(c(., y_j), cost), for every j in one pass
+    dev = cost.entries - cost.entries
+    dev -= dev.max(axis=0)
+    np.abs(dev, out=dev)
+    excess = dev.max(axis=0) - tol
+    worst, witness = _fold(-np.inf, None, excess, lambda j: (int(np.argmax(dev[:, j])), j))
     return Verdict(check_id, worst <= 0.0, float(worst), witness,
                    notes=f"tol={tol} (identity; slack must vanish exactly)")
 
@@ -508,6 +584,10 @@ def run_suite(seed: int = 0, tol: float = 1e-9, pair_cap: int = 10000,
     checks with raw random functions, demonstrating that hypothesis
     failures are reported as such and never as conclusion failures.
     """
+    if pair_cap < 0:
+        raise ValueError(f"pair_cap must be >= 0, got {pair_cap}")
+    if not (np.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
     verdicts: list[Verdict] = []
     n = m = 101
     gated_family = "random_smooth_fourier" if falsify else "cconvexified_random"

@@ -10,6 +10,9 @@ import math
 
 import numpy as np
 
+from cconvex.grids import GridFunction
+from cconvex.subdiff import membership_slack
+
 
 def brute_c_transform(f_vals, entries):
     """f^c(y_j) = max_i entries[i][j] - f_i, skipping +inf, first argmax."""
@@ -100,3 +103,117 @@ def chunked_bilinear_conjugate(x, f_vals, ys, chunk=512):
         values[start:start + chunk] = d.max(axis=0)
         argmax[start:start + chunk] = d.argmax(axis=0)
     return values, argmax
+
+
+# ---------------------------------------------------------------------------
+# Reference pair sweeps of the proposition checks: one Python iteration per
+# sampled pair, with the same signatures and results as the blocked sweeps
+# in ``cconvex.propcheck``.
+
+def loop_subdiff_convexity_sweep(member, grid_j, tol, i1, i2):
+    worst = -np.inf
+    witness = None
+    for i in range(member.shape[0]):
+        idx = np.flatnonzero(member[i])
+        if idx.size == 0:
+            continue
+        gaps = float(idx[-1] - idx[0] + 1 - idx.size)  # zero iff contiguous
+        if gaps > worst:
+            worst = gaps
+            witness = (i, int(idx[0]), int(idx[-1])) if gaps > 0 else witness
+    hj = grid_j.h
+    yv = grid_j.points
+    for a, b in zip(i1, i2):
+        both = member[a] & member[b]
+        if not both.any():
+            continue
+        ys = yv[both]
+        excess = (ys[-1] - ys[0]) - (hj + tol)
+        if excess > worst:
+            worst = float(excess)
+            if excess > 0:
+                witness = (int(a), int(b))
+    return worst, witness
+
+
+def loop_set_valued_sweep(slack, member, grid_i, grid_j, lambdas, tol, lipschitz,
+                          rng, i1s, i2s):
+    """One ``rng.choice`` per endpoint, then the snapping allowance
+    tol + 2(lf + lcx)|dx| + 2 lcy |dy| per mixture."""
+    lf, lcx, lcy = lipschitz
+    xv, yv = grid_i.points, grid_j.points
+    worst = -np.inf
+    witness = None
+    for x1, x2 in zip(i1s, i2s):
+        a = int(rng.choice(np.flatnonzero(member[x1])))
+        b = int(rng.choice(np.flatnonzero(member[x2])))
+        for lam in lambdas:
+            xm = (1.0 - lam) * xv[x1] + lam * xv[x2]
+            ym = (1.0 - lam) * yv[a] + lam * yv[b]
+            im = grid_i.nearest_index(xm)
+            jm = grid_j.nearest_index(ym)
+            allow = tol + 2.0 * (lf + lcx) * abs(xv[im] - xm) + 2.0 * lcy * abs(yv[jm] - ym)
+            excess = -slack[im, jm] - allow
+            if excess > worst:
+                worst = float(excess)
+                if excess > 0:
+                    witness = (int(x1), int(x2), float(lam))
+    return worst, witness
+
+
+def loop_intersection_sweep(slack, member, grid_i, lambdas, tol, lipschitz, i1s, i2s):
+    lf, lcx, lcy = lipschitz
+    xv = grid_i.points
+    worst = -np.inf
+    witness = None
+    any_intersection = False
+    for x1, x2 in zip(i1s, i2s):
+        inter = np.flatnonzero(member[x1] & member[x2])
+        if inter.size == 0:
+            continue
+        any_intersection = True
+        for lam in lambdas:
+            xm = (1.0 - lam) * xv[x1] + lam * xv[x2]
+            im = grid_i.nearest_index(xm)
+            allow = tol + 2.0 * (lf + lcx) * abs(xv[im] - xm) + 2.0 * lcy * 0.0
+            excess = float((-slack[im, inter]).max() - allow)
+            if excess > worst:
+                worst = excess
+                if excess > 0:
+                    witness = (int(x1), int(x2), float(lam))
+    return worst, witness, any_intersection
+
+
+def loop_domain_interval_sweep(member, dom_relaxed, i1s, i2s):
+    worst = -np.inf
+    witness = None
+    any_intersection = False
+    for x1, x2 in zip(i1s, i2s):
+        if x1 > x2:
+            x1, x2 = x2, x1
+        if not (member[x1] & member[x2]).any():
+            continue
+        any_intersection = True
+        missing = np.flatnonzero(~dom_relaxed[x1:x2 + 1])
+        excess = float(missing.size)
+        if excess > worst:
+            worst = excess
+            if excess > 0:
+                witness = (int(x1), int(x2), int(x1 + missing[0]))
+    return worst, witness, any_intersection
+
+
+def loop_cost_self_subdiff(cost, tol):
+    """(worst, witness) of the self-support identity, one membership
+    slack matrix per column."""
+    worst = -np.inf
+    witness = None
+    for j in range(cost.grid_j.n):
+        f = GridFunction(cost.grid_i, cost.entries[:, j])
+        slack_col = membership_slack(f, cost)[:, j]
+        excess = float(np.abs(slack_col).max() - tol)
+        if excess > worst:
+            worst = excess
+            if excess > 0:
+                witness = (int(np.argmax(np.abs(slack_col))), j)
+    return worst, witness

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 
 import numpy as np
@@ -178,6 +179,20 @@ class TestSuiteCommand:
         assert ids == sorted(ids)
 
 
+class TestSuiteGolden:
+    """sha256 of `cconvex suite --seed 0 --out F`.  A change to any verdict
+    byte fails here and must be recorded in CHANGES.md with the new hash."""
+
+    @pytest.mark.parametrize("flags, digest", [
+        ([], "f070d2d515f8e5f02dede199a014676b487b45706e59451557e2335b37b87431"),
+        (["--falsify"], "8feb9a0a6510039ad2b744da2b0c97a7d8a0e256d4172d4fbf8d5a7b8cac261f"),
+    ])
+    def test_seed_0_record(self, tmp_path, flags, digest):
+        out = tmp_path / "suite.json"
+        assert run(["suite", "--seed", "0", *flags, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 class TestGenCommand:
     def test_round_trip(self, tmp_path):
         prefix = str(tmp_path / "inst")
@@ -204,6 +219,15 @@ class TestErrors:
     def test_bad_interval(self):
         with pytest.raises(SystemExit, match="interval"):
             run(["transform", "--interval-i", "zero-one"])
+
+    def test_negative_pair_cap(self):
+        with pytest.raises(SystemExit, match="pair_cap must be >= 0, got -5"):
+            run(["suite", "--pair-cap", "-5"])
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1e-9"])
+    def test_bad_suite_tol(self, tol):
+        with pytest.raises(SystemExit, match="tol must be finite and >= 0"):
+            run(["suite", f"--tol={tol}"])
 
     def test_missing_command(self):
         with pytest.raises(SystemExit):
