@@ -15,7 +15,7 @@ from .subdiff import (LocalWindow, SubdifferentialSet, SupportCurve, c_subdiffer
                       envelope_reconstruct, lateral_c_derivatives, local_c_subdifferential,
                       local_double_conjugate, subdifferential_map, support_curve_eval)
 from .transform import (TransformResult, c_transform, double_c_transform,
-                        fenchel_conjugate_fast, is_c_convex, to_concave_problem)
+                        conjugates, is_c_convex, monotone_c_transform, to_concave_problem)
 from .verdicts import Verdict
 
 __version__ = "0.1.0"

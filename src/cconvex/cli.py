@@ -17,12 +17,12 @@ from typing import Optional
 import numpy as np
 
 from . import propcheck
-from .costs import CostDomainError, CostSpec, tabulate_cost, write_cost_csv
-from .grids import (DiscreteMeasure, GridFunction, make_uniform_grid,
-                    read_grid_function_csv, write_grid_function_csv)
+from .costs import parse_cost_spec, write_cost_csv
+from .grids import (DiscreteMeasure, GridFunction, check_tol, make_uniform_grid,
+                    read_grid_function_csv, sup_norm_diff, write_grid_function_csv)
 from .jensen import discrete_jensen_gap, integral_jensen_bound, midpoint_bound, weighted_integral_bound
-from .subdiff import subdifferential_map
-from .transform import c_transform, double_c_transform, is_c_convex
+from .subdiff import membership_triples
+from .transform import conjugates
 
 FUNCTION_CATALOG = ("parabola", "half_parabola", "absolute_value", "neg_parabola",
                     "neg_absolute_value", "constant", "zero", "piecewise_linear")
@@ -34,28 +34,6 @@ def _parse_interval(text: str) -> tuple[float, float]:
     except ValueError:
         raise SystemExit(f"error: expected interval as 'a,b', got {text!r}")
     return lo, hi
-
-
-def parse_cost(text: str) -> CostSpec:
-    """family[:params]; one_affine params are 'a0,a1,...;b0,b1,...'."""
-    family, _, params = text.partition(":")
-    if family == "bilinear":
-        return CostSpec("bilinear")
-    if family == "reflector":
-        return CostSpec("reflector")
-    if family == "neg_quadratic":
-        return CostSpec("neg_quadratic", scale=float(params) if params else 1.0)
-    if family == "one_affine":
-        try:
-            a_txt, b_txt = params.split(";")
-            a = tuple(float(t) for t in a_txt.split(",") if t)
-            b = tuple(float(t) for t in b_txt.split(",") if t)
-        except ValueError:
-            raise SystemExit("error: one_affine needs params 'a0,a1,...;b0,b1,...'")
-        return CostSpec("one_affine", a_coeffs=a, b_coeffs=b)
-    if family == "translation":
-        raise SystemExit("error: the translation family needs a callable; use the API")
-    raise SystemExit(f"error: unknown cost family {family!r}")
 
 
 def parse_function(text: str, grid) -> GridFunction:
@@ -124,27 +102,23 @@ def _build_grids(args):
 
 def cmd_transform(args) -> int:
     gi, gj = _build_grids(args)
-    spec = parse_cost(args.cost)
+    spec = parse_cost_spec(args.cost)
     f = parse_function(args.f, gi)
-    try:
-        cost = tabulate_cost(spec, gi, gj)
-    except CostDomainError as e:
-        raise SystemExit(f"error: {e}")
-    fc = c_transform(f, cost)
-    fcc = double_c_transform(f, cost)
+    fc, fcc = conjugates(f, spec, gj)
     if f.is_finite:
-        holds, deviation = is_c_convex(f, cost, args.tol)
+        deviation = sup_norm_diff(f, fcc.values)
+        holds = deviation <= args.tol
     else:
         holds, deviation = None, None
     if args.format == "json":
         payload = {
             "config": _common_config(args),
-            "f_c": {"points": [float(p) for p in gj.points],
-                    "values": [float(v) for v in fc.values.values],
-                    "argmax_points": [float(gi.points[a]) for a in fc.argmax]},
-            "f_cc": {"points": [float(p) for p in gi.points],
-                     "values": [float(v) for v in fcc.values.values],
-                     "argmax_points": [float(gj.points[a]) for a in fcc.argmax]},
+            "f_c": {"points": gj.points.tolist(),
+                    "values": fc.values.values.tolist(),
+                    "argmax_points": gi.points[fc.argmax].tolist()},
+            "f_cc": {"points": gi.points.tolist(),
+                     "values": fcc.values.values.tolist(),
+                     "argmax_points": gj.points[fcc.argmax].tolist()},
             "c_convex": {"holds": holds, "deviation": deviation, "tol": args.tol},
         }
         payload["config_hash"] = _config_hash(payload["config"])
@@ -162,18 +136,12 @@ def cmd_transform(args) -> int:
 
 def cmd_subdiff(args) -> int:
     gi, gj = _build_grids(args)
-    spec = parse_cost(args.cost)
+    spec = parse_cost_spec(args.cost)
     f = parse_function(args.f, gi)
-    cost = tabulate_cost(spec, gi, gj)
-    from .subdiff import membership_slack
-    slack = membership_slack(f, cost)
-    sets, dom = subdifferential_map(f, cost, args.tol)
-    triples = [(int(s.x0_index), int(j), float(slack[s.x0_index, j]))
-               for s in sets for j in s.y_indices]
+    dom, rows, cols, slack = membership_triples(f, spec, gj, args.tol)
+    triples = [list(t) for t in zip(rows.tolist(), cols.tolist(), slack.tolist())]
     if args.format == "json":
-        payload = {"config": _common_config(args),
-                   "dom": [bool(d) for d in dom],
-                   "triples": [[i, j, sl] for i, j, sl in triples]}
+        payload = {"config": _common_config(args), "dom": dom.tolist(), "triples": triples}
         payload["config_hash"] = _config_hash(payload["config"])
         _dump_json(args.out, payload)
     else:
@@ -207,7 +175,7 @@ def _parse_measure(text: str) -> DiscreteMeasure:
 
 def cmd_jensen(args) -> int:
     gi, gj = _build_grids(args)
-    spec = parse_cost(args.cost)
+    spec = parse_cost_spec(args.cost)
     f = parse_function(args.f, gi)
     y = args.y
     form = args.form
@@ -255,7 +223,7 @@ def cmd_gen(args) -> int:
     cfg = propcheck.InstanceConfig(seed=args.seed, n=args.n, m=args.m,
                                    interval_i=args.interval_i,
                                    interval_j=args.interval_j,
-                                   cost_family=parse_cost(args.cost).family,
+                                   cost_family=args.cost,
                                    f_family=args.f_family,
                                    amplitude=args.amplitude)
     f, cost = propcheck.generate_instance(cfg)
@@ -332,9 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        check_tol(args.tol)
         return args.fn(args)
-    except CostDomainError as e:
-        raise SystemExit(f"error: {e}")
     except (ValueError, OSError) as e:
         raise SystemExit(f"error: {e}")
 

@@ -12,13 +12,14 @@ Families:
 
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .grids import Grid
+from .grids import Grid, grid_through
 
 __all__ = [
     "COST_FAMILIES",
@@ -27,7 +28,9 @@ __all__ = [
     "CostSpec",
     "CostMatrix",
     "StructureVerdict",
+    "parse_cost_spec",
     "evaluate_cost",
+    "twisted_on",
     "cost_dx",
     "tabulate_cost",
     "tabulate_callable",
@@ -75,6 +78,39 @@ class CostSpec:
             raise ValueError("translation needs a callable h")
 
 
+def parse_cost_spec(family: str, params: tuple = ()) -> CostSpec:
+    """The CostSpec of a named family.
+
+    Parameters come either as text after a colon, the CLI's ``--cost``
+    syntax (``neg_quadratic:2.5``, ``one_affine:a0,a1,...;b0,b1,...``), or
+    as ``params``: ``(scale,)`` for neg_quadratic and ``(a_coeffs,
+    b_coeffs)`` for one_affine.
+    """
+    family, _, text = family.partition(":")
+    if text:
+        try:
+            groups = tuple(tuple(float(t) for t in part.split(",") if t)
+                           for part in text.split(";"))
+        except ValueError:
+            raise ValueError(f"cannot parse the {family} parameters {text!r}") from None
+        params = groups[0] if family == "neg_quadratic" and len(groups) == 1 else groups
+    if family == "neg_quadratic":
+        if len(params) > 1:
+            raise ValueError("neg_quadratic takes one parameter, the scale")
+        return CostSpec(family, scale=float(params[0]) if params else 1.0)
+    if family == "one_affine":
+        if len(params) != 2:
+            raise ValueError("one_affine needs params 'a0,a1,...;b0,b1,...'")
+        return CostSpec(family, a_coeffs=tuple(params[0]), b_coeffs=tuple(params[1]))
+    if family == "translation":
+        raise ValueError("the translation family needs a callable h; use the API")
+    return CostSpec(family)
+
+
+def _poly(y: np.ndarray, coeffs: tuple):
+    return npoly.polyval(y, coeffs) if coeffs else np.zeros_like(y)
+
+
 def evaluate_cost(spec: CostSpec, x, y):
     """Evaluate c(x, y); broadcasts over array arguments."""
     x = np.asarray(x, dtype=float)
@@ -83,9 +119,7 @@ def evaluate_cost(spec: CostSpec, x, y):
     if fam == "bilinear":
         out = x * y
     elif fam == "one_affine":
-        a = npoly.polyval(y, spec.a_coeffs) if spec.a_coeffs else np.zeros_like(y)
-        b = npoly.polyval(y, spec.b_coeffs) if spec.b_coeffs else np.zeros_like(y)
-        out = a * x + b
+        out = _poly(y, spec.a_coeffs) * x + _poly(y, spec.b_coeffs)
     elif fam == "neg_quadratic":
         out = -spec.scale * (x - y) ** 2
     elif fam == "reflector":
@@ -114,8 +148,7 @@ def cost_dx(spec: CostSpec, x, y):
     if fam == "bilinear":
         out = y + 0.0 * x
     elif fam == "one_affine":
-        a = npoly.polyval(y, spec.a_coeffs) if spec.a_coeffs else np.zeros_like(y)
-        out = a + 0.0 * x
+        out = _poly(y, spec.a_coeffs) + 0.0 * x
     elif fam == "neg_quadratic":
         out = -2.0 * spec.scale * (x - y)
     elif fam == "reflector":
@@ -125,6 +158,32 @@ def cost_dx(spec: CostSpec, x, y):
     if out.ndim == 0:
         return float(out)
     return out
+
+
+def twisted_on(spec: CostSpec, grid_i: Grid, grid_j: Grid) -> bool:
+    """Whether c_xy >= 0 holds and every tabulated entry is finite and in
+    the domain, so that c(x_i, y_j) - f_i is a Monge matrix.
+
+    True for bilinear, neg_quadratic, reflector, and one_affine with a(y)
+    nondecreasing on grid_j's points.  O(n + m): rounding is monotone, so
+    the largest |c| and the reflector's largest x*y sit at the ends of the
+    x range and, except for one_affine, of the y range.  False means the
+    cost must be tabulated, which raises any domain or finiteness error.
+    """
+    fam, x, y = spec.family, grid_i.points, grid_j.points
+    if fam == "one_affine":
+        if (np.diff(_poly(y, spec.a_coeffs)) < 0).any():
+            return False
+    elif fam not in ("bilinear", "neg_quadratic", "reflector"):
+        return False
+    else:
+        y = np.array([y.min(), y.max()])
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            edges = evaluate_cost(spec, np.array([[x.min()], [x.max()]]), y[None, :])
+    except CostDomainError:
+        return False
+    return bool(np.isfinite(edges).all())
 
 
 @dataclass(frozen=True, eq=False)
@@ -227,11 +286,9 @@ def segment_concavity_excess(matrix: CostMatrix) -> float:
 
 def read_cost_csv(path: str, rel_step_tol: float = 1e-9) -> CostMatrix:
     """CSV matrix: first row is the y grid, first column the x grid."""
-    import csv as _csv
-
     rows = []
     with open(path, newline="") as fh:
-        for row in _csv.reader(fh):
+        for row in csv.reader(fh):
             if row and any(c.strip() for c in row):
                 rows.append(row)
     if len(rows) < 3 or len(rows[0]) < 3:
@@ -239,25 +296,13 @@ def read_cost_csv(path: str, rel_step_tol: float = 1e-9) -> CostMatrix:
     y = np.array([float(c) for c in rows[0][1:]])
     x = np.array([float(r[0]) for r in rows[1:]])
     entries = np.array([[float(c) for c in r[1:]] for r in rows[1:]])
-
-    def _grid(vals, name):
-        steps = np.diff(vals)
-        if (steps <= 0).any():
-            raise ValueError(f"{path}: {name} grid must be strictly increasing")
-        h = (vals[-1] - vals[0]) / (len(vals) - 1)
-        if np.abs(steps - h).max() > rel_step_tol * max(abs(h), 1.0):
-            raise ValueError(f"{path}: {name} grid is not uniform within tolerance")
-        from .grids import make_uniform_grid
-        return make_uniform_grid(vals[0], vals[-1], len(vals))
-
-    return CostMatrix(_grid(x, "x"), _grid(y, "y"), entries)
+    return CostMatrix(grid_through(x, f"{path}: x grid", rel_step_tol),
+                      grid_through(y, f"{path}: y grid", rel_step_tol), entries)
 
 
 def write_cost_csv(path: str, matrix: CostMatrix) -> None:
-    import csv as _csv
-
     with open(path, "w", newline="") as fh:
-        w = _csv.writer(fh)
+        w = csv.writer(fh)
         w.writerow([""] + [repr(float(v)) for v in matrix.grid_j.points])
         for xi, row in zip(matrix.grid_i.points, matrix.entries):
             w.writerow([repr(float(xi))] + [repr(float(v)) for v in row])

@@ -21,8 +21,11 @@ __all__ = [
     "GridFunction",
     "DiscreteMeasure",
     "make_uniform_grid",
+    "grid_through",
     "sample_function",
     "sup_norm_diff",
+    "check_tol",
+    "check_index",
     "quadrature",
     "barycenter",
     "read_grid_function_csv",
@@ -85,6 +88,18 @@ def make_uniform_grid(lo: float, hi: float, n: int) -> Grid:
     return Grid(Interval(float(lo), float(hi)), int(n))
 
 
+def grid_through(x: np.ndarray, what: str, rel_step_tol: float = 1e-9) -> Grid:
+    """The uniform grid through the points ``x`` read from a file, which
+    must increase strictly in steps equal within ``rel_step_tol``."""
+    steps = np.diff(x)
+    if (steps <= 0).any():
+        raise ValueError(f"{what} must be strictly increasing")
+    h = (x[-1] - x[0]) / (len(x) - 1)
+    if np.abs(steps - h).max() > rel_step_tol * max(abs(h), 1.0):
+        raise ValueError(f"{what} is not uniform within tolerance")
+    return make_uniform_grid(x[0], x[-1], len(x))
+
+
 @dataclass(frozen=True, eq=False)
 class GridFunction:
     """Extended-real values on a uniform grid; at least one value finite."""
@@ -136,6 +151,20 @@ def sup_norm_diff(f: GridFunction, g: GridFunction) -> float:
     if not (f.is_finite and g.is_finite):
         raise ValueError("sup_norm_diff requires everywhere-finite functions")
     return float(np.abs(f.values - g.values).max())
+
+
+def check_tol(tol: float) -> float:
+    """A membership or convexity tolerance, rejected unless finite and >= 0."""
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
+    return tol
+
+
+def check_index(index: int, grid: Grid) -> int:
+    """A grid index, rejected unless 0 <= index < grid.n (no wrap-around)."""
+    if not 0 <= index < grid.n:
+        raise ValueError(f"grid index {index} is out of range for a grid of {grid.n} points")
+    return index
 
 
 def quadrature(f: GridFunction, rule: str = "trapezoid") -> float:
@@ -240,14 +269,7 @@ def read_grid_function_csv(path: str, rel_step_tol: float = 1e-9) -> GridFunctio
             vs.append(v)
     if len(xs) < 2:
         raise ValueError(f"{path}: need at least two data rows")
-    x = np.array(xs)
-    steps = np.diff(x)
-    if (steps <= 0).any():
-        raise ValueError(f"{path}: x column must be strictly increasing")
-    h = (x[-1] - x[0]) / (len(x) - 1)
-    if np.abs(steps - h).max() > rel_step_tol * max(abs(h), 1.0):
-        raise ValueError(f"{path}: x column is not uniform within tolerance")
-    grid = make_uniform_grid(x[0], x[-1], len(x))
+    grid = grid_through(np.array(xs), f"{path}: x column", rel_step_tol)
     return GridFunction(grid, np.array(vs))
 
 

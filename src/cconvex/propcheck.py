@@ -28,9 +28,9 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .costs import (CostMatrix, CostSpec, check_structure, cost_dx,
+from .costs import (CostMatrix, CostSpec, check_structure, cost_dx, parse_cost_spec,
                     segment_concavity_excess, tabulate_cost)
-from .grids import Grid, GridFunction, make_uniform_grid
+from .grids import Grid, GridFunction, check_tol, make_uniform_grid
 from .subdiff import LocalWindow, local_c_subdifferential, local_double_conjugate, membership_slack
 from .transform import double_c_transform, is_c_convex
 from .verdicts import Verdict
@@ -81,16 +81,6 @@ class InstanceConfig:
         return d
 
 
-def _cost_spec(cfg: InstanceConfig) -> CostSpec:
-    fam = cfg.cost_family
-    if fam == "neg_quadratic":
-        return CostSpec("neg_quadratic", scale=cfg.cost_params[0] if cfg.cost_params else 1.0)
-    if fam == "one_affine":
-        a, b = cfg.cost_params
-        return CostSpec("one_affine", a_coeffs=tuple(a), b_coeffs=tuple(b))
-    return CostSpec(fam)
-
-
 def _raw_function(cfg: InstanceConfig, grid: Grid, rng: np.random.Generator,
                   family: str) -> np.ndarray:
     lo, hi = grid.interval.lo, grid.interval.hi
@@ -115,7 +105,7 @@ def generate_instance(cfg: InstanceConfig) -> tuple[GridFunction, CostMatrix]:
     """Deterministic seeded instance; same config => bit-identical output."""
     grid_i = make_uniform_grid(*cfg.interval_i, cfg.n)
     grid_j = make_uniform_grid(*cfg.interval_j, cfg.m)
-    cost = tabulate_cost(_cost_spec(cfg), grid_i, grid_j)
+    cost = tabulate_cost(parse_cost_spec(cfg.cost_family, cfg.cost_params), grid_i, grid_j)
     rng = np.random.default_rng(cfg.seed)
     if cfg.f_family == "cconvexified_random":
         raw = GridFunction(grid_i, _raw_function(cfg, grid_i, rng, "random_smooth_fourier"))
@@ -377,6 +367,8 @@ def check_set_valued_convexity(f: GridFunction, cost: CostMatrix,
         return _vacuous(check_id, "vacuous: effective domain has fewer than two points")
     rng = np.random.default_rng(seed)
     i1s, i2s = _sample_pairs(rng, dom, pair_cap, exhaustive)
+    if i1s.size == 0:
+        return _vacuous(check_id, "vacuous: no distinct pairs sampled")
     worst, witness = _set_valued_sweep(slack, member, f.grid, cost.grid_j, lambdas, tol,
                                        lipschitz, rng, i1s, i2s)
     return Verdict(check_id, worst <= 0.0, float(worst), witness,
@@ -586,8 +578,7 @@ def run_suite(seed: int = 0, tol: float = 1e-9, pair_cap: int = 10000,
     """
     if pair_cap < 0:
         raise ValueError(f"pair_cap must be >= 0, got {pair_cap}")
-    if not (np.isfinite(tol) and tol >= 0.0):
-        raise ValueError(f"tol must be finite and >= 0, got {tol}")
+    check_tol(tol)
     verdicts: list[Verdict] = []
     n = m = 101
     gated_family = "random_smooth_fourier" if falsify else "cconvexified_random"

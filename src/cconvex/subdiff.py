@@ -21,8 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import CostMatrix, CostSpec, evaluate_cost
-from .grids import Grid, GridFunction
+from .costs import CostMatrix, CostSpec, evaluate_cost, tabulate_cost, twisted_on
+from .grids import Grid, GridFunction, check_index, check_tol
+from .transform import monotone_c_transform
 
 __all__ = [
     "SubdifferentialSet",
@@ -32,6 +33,7 @@ __all__ = [
     "membership_slack",
     "c_subdifferential",
     "subdifferential_map",
+    "membership_triples",
     "lateral_c_derivatives",
     "support_curve_eval",
     "envelope_reconstruct",
@@ -89,6 +91,7 @@ class LocalWindow:
             raise ValueError("window epsilon must be positive")
 
     def mask(self, grid: Grid) -> np.ndarray:
+        check_index(self.x0_index, grid)
         m = np.abs(grid.points - grid.points[self.x0_index]) < self.epsilon
         m[self.x0_index] = True
         return m
@@ -105,7 +108,8 @@ def membership_slack(f: GridFunction, cost: CostMatrix) -> np.ndarray:
 
 def c_subdifferential(f: GridFunction, cost: CostMatrix, x0_index: int,
                       tol: float = 1e-9) -> SubdifferentialSet:
-    if not np.isfinite(f.values[x0_index]):
+    check_tol(tol)
+    if not np.isfinite(f.values[check_index(x0_index, f.grid)]):
         raise ValueError(f"f is +inf at grid index {x0_index}")
     slack = membership_slack(f, cost)
     members = np.flatnonzero(slack[x0_index] >= -tol)
@@ -115,6 +119,7 @@ def c_subdifferential(f: GridFunction, cost: CostMatrix, x0_index: int,
 def subdifferential_map(f: GridFunction, cost: CostMatrix,
                         tol: float = 1e-9) -> tuple[list[SubdifferentialSet], np.ndarray]:
     """Per-point subdifferential sets plus the effective-domain mask."""
+    check_tol(tol)
     if not f.is_finite:
         raise ValueError("subdifferential_map requires an everywhere-finite f")
     slack = membership_slack(f, cost)
@@ -122,6 +127,46 @@ def subdifferential_map(f: GridFunction, cost: CostMatrix,
     sets = [SubdifferentialSet(i, np.flatnonzero(member[i]), tol) for i in range(f.grid.n)]
     dom = member.any(axis=1)
     return sets, dom
+
+
+# Row blocks of the matrix-free slack hold about this many entries, so each
+# float64 temporary stays near 4 MB whatever the grid sizes.
+SLACK_BLOCK_CELLS = 1 << 19
+
+
+def membership_triples(f: GridFunction, spec: CostSpec, grid_j: Grid, tol: float = 1e-9
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(dom, rows, cols, slack) of every pair with membership slack >= -tol,
+    in row-major order, computing the slack once.
+
+    For a cost ``twisted_on`` the grids the slack (c(x_i, y_j) - f_i) -
+    f^c(y_j) is built in row blocks against the engine's f^c, never as an
+    n x m array; other costs are tabulated.
+    """
+    check_tol(tol)
+    cost = None if twisted_on(spec, f.grid, grid_j) else tabulate_cost(spec, f.grid, grid_j)
+    if not f.is_finite:
+        raise ValueError("subdifferential_map requires an everywhere-finite f")
+    if cost is None:
+        fc = monotone_c_transform(f, spec, grid_j).values.values
+        step = max(1, SLACK_BLOCK_CELLS // grid_j.n)
+    else:
+        step = f.grid.n
+    dom = np.empty(f.grid.n, dtype=bool)
+    parts = []
+    for s in range(0, f.grid.n, step):
+        if cost is None:  # membership_slack's arithmetic, one row block at a time
+            slack = evaluate_cost(spec, f.grid.points[s:s + step, None], grid_j.points[None, :])
+            slack -= f.values[s:s + step, None]
+            slack -= fc
+        else:
+            slack = membership_slack(f, cost)
+        member = slack >= -tol
+        dom[s:s + step] = member.any(axis=1)
+        i, j = np.nonzero(member)
+        parts.append((i + s, j, slack[i, j]))
+    i, j, sl = (np.concatenate(p) for p in zip(*parts))
+    return dom, i, j, sl
 
 
 def lateral_c_derivatives(s: SubdifferentialSet, grid_j: Grid) -> tuple[float, float]:
@@ -165,18 +210,23 @@ def envelope_reconstruct(f: GridFunction, cost: CostMatrix, selection: np.ndarra
     return GridFunction(f.grid, curves.max(axis=1))
 
 
+def _window_members(f: GridFunction, cost: CostMatrix, window: LocalWindow,
+                    tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """max_z in U of c(z, y) - f(z) per y, and the members at x0 against it."""
+    mask = window.mask(f.grid)
+    with np.errstate(invalid="ignore"):
+        d = cost.entries - f.values[:, None]
+    win_max = d[mask].max(axis=0)
+    return win_max, np.flatnonzero(d[window.x0_index] - win_max >= -tol)
+
+
 def local_c_subdifferential(f: GridFunction, cost: CostMatrix, window: LocalWindow,
                             tol: float = 1e-9) -> SubdifferentialSet:
     """Same membership test with x restricted to grid points in the window."""
     x0 = window.x0_index
-    if not np.isfinite(f.values[x0]):
+    if not np.isfinite(f.values[check_index(x0, f.grid)]):
         raise ValueError(f"f is +inf at grid index {x0}")
-    mask = window.mask(f.grid)
-    with np.errstate(invalid="ignore"):
-        d = cost.entries - f.values[:, None]
-    slack = d[x0] - d[mask].max(axis=0)
-    members = np.flatnonzero(slack >= -tol)
-    return SubdifferentialSet(int(x0), members, tol)
+    return SubdifferentialSet(int(x0), _window_members(f, cost, window, tol)[1], tol)
 
 
 @dataclass(frozen=True)
@@ -194,14 +244,8 @@ class LocalBiconjugate:
 
 def local_double_conjugate(f: GridFunction, cost: CostMatrix, window: LocalWindow,
                            tol: float = 1e-9) -> LocalBiconjugate:
-    x0 = window.x0_index
-    mask = window.mask(f.grid)
-    with np.errstate(invalid="ignore"):
-        d = cost.entries - f.values[:, None]
-    win_max = d[mask].max(axis=0)                       # max_z in U of c(z,y) - f(z)
-    inner = cost.entries[x0] - win_max                  # inf_z in U {f(z) + c(x0,y) - c(z,y)}
-    slack = d[x0] - win_max
-    members = np.flatnonzero(slack >= -tol)
+    win_max, members = _window_members(f, cost, window, tol)
+    inner = cost.entries[window.x0_index] - win_max  # inf_z in U {f(z) + c(x0,y) - c(z,y)}
     if members.size:
         return LocalBiconjugate(float(inner[members].max()), False)
     return LocalBiconjugate(float(inner.min()), True)

@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from cconvex.cli import main, parse_cost, parse_function
+from cconvex.cli import main, parse_function
+from cconvex.costs import parse_cost_spec, read_cost_csv, tabulate_cost
 from cconvex.grids import make_uniform_grid, read_grid_function_csv
 
 
@@ -15,18 +16,21 @@ def run(args):
 
 class TestParsing:
     def test_cost_families(self):
-        assert parse_cost("bilinear").family == "bilinear"
-        assert parse_cost("neg_quadratic:2.5").scale == 2.5
-        spec = parse_cost("one_affine:0,1;0.5")
+        assert parse_cost_spec("bilinear").family == "bilinear"
+        assert parse_cost_spec("neg_quadratic:2.5").scale == 2.5
+        spec = parse_cost_spec("one_affine:0,1;0.5")
         assert spec.a_coeffs == (0.0, 1.0) and spec.b_coeffs == (0.5,)
+        # the InstanceConfig spelling (family, params) gives the same specs
+        assert parse_cost_spec("neg_quadratic", (2.5,)) == parse_cost_spec("neg_quadratic:2.5")
+        assert parse_cost_spec("one_affine", ((0.0, 1.0), (0.5,))) == spec
 
     def test_bad_cost(self):
-        with pytest.raises(SystemExit):
-            parse_cost("unknown")
-        with pytest.raises(SystemExit):
-            parse_cost("one_affine:nope")
-        with pytest.raises(SystemExit):
-            parse_cost("translation")
+        for text in ("unknown", "one_affine:nope", "one_affine:1,2", "neg_quadratic:1;2",
+                     "translation"):
+            with pytest.raises(ValueError):
+                parse_cost_spec(text)
+            with pytest.raises(SystemExit, match="^error: "):
+                run(["transform", "--cost", text, "--n", "5", "--m", "5"])
 
     def test_function_catalog(self):
         g = make_uniform_grid(-1, 1, 5)
@@ -172,6 +176,14 @@ class TestSuiteCommand:
         notes = " ".join(v["notes"] for v in payload["verdicts"])
         assert "hypothesis-failed" in notes
 
+    def test_pair_cap_zero_is_vacuous(self, tmp_path, capsys):
+        # no sampled pair: vacuous verdicts with finite violations, valid JSON
+        out = tmp_path / "s.json"
+        assert run(["suite", "--seed", "0", "--pair-cap", "0", "--out", str(out)]) == 0
+        verdicts = {v["check_id"]: v for v in json.loads(out.read_text())["verdicts"]}
+        v = verdicts["set_valued_convexity"]
+        assert v["holds"] and v["max_violation"] == 0.0 and "vacuous" in v["notes"]
+
     def test_verdicts_sorted_by_id(self, tmp_path):
         out = tmp_path / "s.json"
         run(["suite", "--seed", "1", "--pair-cap", "200", "--out", str(out)])
@@ -207,6 +219,14 @@ class TestGenCommand:
         f2 = read_grid_function_csv(prefix + "2_f.csv")
         assert np.array_equal(f.values, f2.values)
 
+    @pytest.mark.parametrize("cost", ["neg_quadratic:2.5", "one_affine:0.2,0.8;0.1"])
+    def test_cost_parameters_reach_the_instance(self, tmp_path, cost):
+        prefix = str(tmp_path / "inst")
+        assert run(["gen", "--n", "9", "--m", "9", "--cost", cost, "--out", prefix]) == 0
+        written = read_cost_csv(prefix + "_cost.csv")
+        want = tabulate_cost(parse_cost_spec(cost), written.grid_i, written.grid_j)
+        assert np.array_equal(written.entries, want.entries)
+
     def test_zero_amplitude(self, tmp_path):
         prefix = str(tmp_path / "flat")
         assert run(["gen", "--n", "17", "--m", "17", "--amplitude", "0",
@@ -228,6 +248,18 @@ class TestErrors:
     def test_bad_suite_tol(self, tol):
         with pytest.raises(SystemExit, match="tol must be finite and >= 0"):
             run(["suite", f"--tol={tol}"])
+
+    @pytest.mark.parametrize("command", ["transform", "subdiff", "jensen", "gen"])
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1e-9"])
+    def test_bad_tol_rejected_before_work(self, monkeypatch, command, tol):
+        def no_work(*args, **kwargs):
+            raise AssertionError("computation started before the tol check")
+
+        for name in ("conjugates", "membership_triples", "discrete_jensen_gap"):
+            monkeypatch.setattr(f"cconvex.cli.{name}", no_work)
+        monkeypatch.setattr("cconvex.cli.propcheck.generate_instance", no_work)
+        with pytest.raises(SystemExit, match="^error: tol must be finite and >= 0"):
+            run([command, f"--tol={tol}"])
 
     def test_missing_command(self):
         with pytest.raises(SystemExit):

@@ -66,6 +66,25 @@ class TestGlobalSubdifferential:
             c_subdifferential(f, cost, 0)
 
 
+    @pytest.mark.parametrize("x0", [-1, 41])
+    def test_out_of_range_index_rejected(self, x0):
+        g, cost = bilinear_on(41)
+        f = GridFunction(g, np.abs(g.points))
+        with pytest.raises(ValueError, match=f"grid index {x0} is out of range"):
+            c_subdifferential(f, cost, x0)
+        with pytest.raises(ValueError, match=f"grid index {x0} is out of range"):
+            local_c_subdifferential(f, cost, LocalWindow(x0, 0.25))
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-9])
+    def test_bad_tol_rejected(self, tol):
+        g, cost = bilinear_on(11)
+        f = GridFunction(g, np.abs(g.points))
+        for call in (lambda: c_subdifferential(f, cost, 5, tol),
+                     lambda: subdifferential_map(f, cost, tol)):
+            with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+                call()
+
+
 class TestDomainMap:
     def test_biconjugate_has_full_domain(self):
         g, cost = bilinear_on(41)

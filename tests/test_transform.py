@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from cconvex.costs import CostSpec, tabulate_cost
 from cconvex.grids import GridFunction, make_uniform_grid, sup_norm_diff
-from cconvex.transform import (c_transform, double_c_transform,
-                               fenchel_conjugate_fast, is_c_convex, to_concave_problem)
+from cconvex.transform import (c_transform, double_c_transform, is_c_convex,
+                               monotone_c_transform, to_concave_problem)
 from oracles import brute_c_transform, brute_double_conjugate
 
 
@@ -202,17 +202,28 @@ class TestIsCConvex:
         with pytest.raises(ValueError, match="finite"):
             is_c_convex(f, cost)
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-12])
+    def test_rejects_bad_tol(self, tol):
+        g, cost = bilinear_on(11)
+        with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+            is_c_convex(GridFunction(g, np.abs(g.points)), cost, tol)
+
+
+BILINEAR = CostSpec("bilinear")
+
 
 class TestFenchelFast:
+    """The monotone-argmax engine on the bilinear (Fenchel) cost."""
+
     def test_zero_function(self):
         g = make_uniform_grid(-1, 1, 41)
-        r = fenchel_conjugate_fast(GridFunction(g, np.zeros(41)), g)
+        r = monotone_c_transform(GridFunction(g, np.zeros(41)), BILINEAR, g)
         assert np.allclose(r.values.values, np.abs(g.points), atol=1e-15)
 
     def test_half_square(self):
         g = make_uniform_grid(-1, 1, 513)
         f = GridFunction(g, 0.5 * g.points**2)
-        r = fenchel_conjugate_fast(f, g)
+        r = monotone_c_transform(f, BILINEAR, g)
         assert np.abs(r.values.values - 0.5 * g.points**2).max() <= 1e-3
 
     def test_matches_brute_force_on_random_instances(self):
@@ -220,7 +231,7 @@ class TestFenchelFast:
         cost = tabulate_cost(CostSpec("bilinear"), g, g)
         for seed in range(200):
             f = random_f(g, seed)
-            fast = fenchel_conjugate_fast(f, g)
+            fast = monotone_c_transform(f, BILINEAR, g)
             brute = c_transform(f, cost)
             assert np.abs(fast.values.values - brute.values.values).max() <= 1e-12
             assert np.array_equal(fast.argmax, brute.argmax)
@@ -230,7 +241,7 @@ class TestFenchelFast:
         gj = make_uniform_grid(-2, 0.5, 77)
         cost = tabulate_cost(CostSpec("bilinear"), gi, gj)
         f = random_f(gi, 11)
-        fast = fenchel_conjugate_fast(f, gj)
+        fast = monotone_c_transform(f, BILINEAR, gj)
         brute = c_transform(f, cost)
         assert np.abs(fast.values.values - brute.values.values).max() <= 1e-12
         assert np.array_equal(fast.argmax, brute.argmax)
