@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import sys
@@ -297,8 +298,12 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# Built on first use rather than at import, and reused by every later call.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         check_tol(args.tol)
         return args.fn(args)

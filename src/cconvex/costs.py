@@ -30,6 +30,7 @@ __all__ = [
     "StructureVerdict",
     "parse_cost_spec",
     "evaluate_cost",
+    "twist_bound",
     "twisted_on",
     "cost_dx",
     "tabulate_cost",
@@ -160,30 +161,73 @@ def cost_dx(spec: CostSpec, x, y):
     return out
 
 
-def twisted_on(spec: CostSpec, grid_i: Grid, grid_j: Grid) -> bool:
-    """Whether c_xy >= 0 holds and every tabulated entry is finite and in
-    the domain, so that c(x_i, y_j) - f_i is a Monge matrix.
+def twist_bound(spec: CostSpec, grid_i: Grid, grid_j: Grid) -> Optional[float]:
+    """A bound eps on the rounding of ``evaluate_cost`` on the grids when
+    c_xy >= 0 holds and every tabulated entry is finite and in the domain,
+    so that c(x_i, y_j) - f_i is a Monge matrix; None otherwise.
 
-    True for bilinear, neg_quadratic, reflector, and one_affine with a(y)
-    nondecreasing on grid_j's points.  O(n + m): rounding is monotone, so
-    the largest |c| and the reflector's largest x*y sit at the ends of the
-    x range and, except for one_affine, of the y range.  False means the
-    cost must be tabulated, which raises any domain or finiteness error.
+    Certified for bilinear, neg_quadratic, reflector, and one_affine with
+    a(y) nondecreasing on grid_j's points.  O(n + m): rounding is monotone,
+    so the largest |c| (C) and the reflector's largest x*y (pmax) and |x*y|
+    (P) sit at the ends of the x range and, except for one_affine, of the y
+    range.  None means the cost must be tabulated, which raises any domain
+    or finiteness error.
+
+    eps >= u * C (u = 2**-53) bounds |evaluate_cost(spec, x_i, y_j) -
+    r(x_i, y_j)| on every grid pair, for a reference cost r whose mixed
+    differences are exactly >= 0:
+
+    * bilinear, r = x*y: one rounding, u*C.
+    * neg_quadratic, r = -s*(x - y)**2: a difference, a square and a
+      product, 4u*C.
+    * reflector, r = -log(1 - x*y): the product's rounding u*|x*y| is
+      amplified by d/dp[-log(1 - p)] = 1/(1 - p) <= 1/(1 - pmax - 2u) (the
+      2u covers pmax being a rounded product), and log1p adds at most 4 ulp,
+      8u*C: u*P / (1 - pmax - 2u) + 8u*C.
+    * one_affine, r = a~(y)*x + b~(y) with a~, b~ the computed polynomial
+      values, Monge because a~ is checked nondecreasing: a product and a
+      sum, u*(max|x| * max|a~| + C).
+
+    Each is doubled to cover the second-order terms, and the smallest
+    normal number is added for a product that underflows.
     """
     fam, x, y = spec.family, grid_i.points, grid_j.points
     if fam == "one_affine":
-        if (np.diff(_poly(y, spec.a_coeffs)) < 0).any():
-            return False
+        a = _poly(y, spec.a_coeffs)
+        if (np.diff(a) < 0).any():
+            return None
     elif fam not in ("bilinear", "neg_quadratic", "reflector"):
-        return False
+        return None
     else:
         y = np.array([y.min(), y.max()])
+    xe = np.array([[x.min()], [x.max()]])
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            edges = evaluate_cost(spec, np.array([[x.min()], [x.max()]]), y[None, :])
+            edges = evaluate_cost(spec, xe, y[None, :])
     except CostDomainError:
-        return False
-    return bool(np.isfinite(edges).all())
+        return None
+    u = np.finfo(float).eps / 2
+    c = float(np.abs(edges).max())
+    if fam == "bilinear":
+        eps = u * c
+    elif fam == "neg_quadratic":
+        eps = 4 * u * c
+    elif fam == "reflector":
+        p = xe * y[None, :]
+        den = 1.0 - float(p.max()) - 2 * u
+        if not den > 0:
+            return None
+        eps = u * float(np.abs(p).max()) / den + 8 * u * c
+    else:
+        with np.errstate(over="ignore"):
+            eps = u * (float(np.abs(xe).max() * np.abs(a).max()) + c)
+    eps = 2 * eps + np.finfo(float).tiny
+    return eps if np.isfinite(eps) else None
+
+
+def twisted_on(spec: CostSpec, grid_i: Grid, grid_j: Grid) -> bool:
+    """Whether c(x_i, y_j) - f_i is certified Monge (see ``twist_bound``)."""
+    return twist_bound(spec, grid_i, grid_j) is not None
 
 
 @dataclass(frozen=True, eq=False)

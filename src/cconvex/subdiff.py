@@ -21,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import CostMatrix, CostSpec, evaluate_cost, tabulate_cost, twisted_on
+from .costs import CostMatrix, CostSpec, evaluate_cost, tabulate_cost, twist_bound
 from .grids import Grid, GridFunction, check_index, check_tol
-from .transform import monotone_c_transform
+from .transform import _index_ranges, monotone_c_transform
 
 __all__ = [
     "SubdifferentialSet",
@@ -46,8 +46,12 @@ __all__ = [
 class SubdifferentialSet:
     """Sorted y-grid indices forming a tolerance-qualified subdifferential.
 
-    Kept as an explicit index list: only 2-affine costs guarantee the set
-    is an interval, so contiguity must not be baked into the type.
+    For a twisted cost (c_xy >= 0: bilinear, neg_quadratic, reflector,
+    one_affine with nondecreasing a(y)) each row of the exact slack is
+    unimodal, so the set is an interval (see ``membership_triples``);
+    rounding can still split it where c_xy = 0, and other costs give any
+    index set.  So it is kept as an explicit index list: contiguity must
+    not be baked into the type.
     """
 
     x0_index: int
@@ -129,44 +133,101 @@ def subdifferential_map(f: GridFunction, cost: CostMatrix,
     return sets, dom
 
 
-# Row blocks of the matrix-free slack hold about this many entries, so each
-# float64 temporary stays near 4 MB whatever the grid sizes.
-SLACK_BLOCK_CELLS = 1 << 19
-
-
 def membership_triples(f: GridFunction, spec: CostSpec, grid_j: Grid, tol: float = 1e-9
                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(dom, rows, cols, slack) of every pair with membership slack >= -tol,
     in row-major order, computing the slack once.
 
-    For a cost ``twisted_on`` the grids the slack (c(x_i, y_j) - f_i) -
-    f^c(y_j) is built in row blocks against the engine's f^c, never as an
-    n x m array; other costs are tabulated.
+    A cost without a ``twist_bound`` on the grids is tabulated and the slack
+    is ``membership_slack``'s.  Otherwise the slack (c(x_i, y_j) - f_i) -
+    f^c(y_j), in that arithmetic and against the engine's f^c, is evaluated
+    only on a band of columns per row that binary searches find, batched
+    over the rows: O((n + m) log m) cost evaluations plus the band, in
+    memory O(n + m) plus the band, never an n x m array.
+
+    Each row's exact members form one interval.  Write D(i, j) = c(x_i, y_j) - f_i
+    and M_j = max_z D(z, j); the slack s(i, j) = D(i, j) - M_j is
+    min(G_i(j), H_i(j)) with G_i(j) = D(i, j) - max_{z <= i} D(z, j) and
+    H_i(j) = D(i, j) - max_{z >= i} D(z, j).  For z < i,
+    D(i, j) - D(z, j) = c(x_i, y_j) - c(x_z, y_j) + f_z - f_i is
+    nondecreasing in j when c_xy >= 0, so G_i is nondecreasing; H_i is
+    nonincreasing likewise.  A minimum of a nondecreasing and a nonincreasing
+    sequence is unimodal, so each of its superlevel sets is an interval.
+
+    Where the peak is.  The engine's first maximisers k_j are nondecreasing
+    in j; let loss_j = M_j - D(k_j, j) >= 0 and p_i = searchsorted(k, i).
+    For j < p_i, k_j < i, so G_i(j) - loss_j <= s(i, j) <= G_i(j): s(i, .)
+    is within loss_j of nondecreasing on [0, p_i), and within loss_j of the
+    nonincreasing H_i on [p_i, m).
+
+    The margin.  Let eps be the ``twist_bound``, C = max|c|, u = 2**-53 and
+    F = max|f|.  Each computed D~ = fl(c~ - f_i) is within E = eps + u*(C + F) <=
+    2*eps + u*F of D, since eps >= u*C.  The engine maximises D~ for column
+    j over [k_a, k_b], a < j < b being columns of earlier levels; for
+    z > k_b, D(z, j) - D(k_b, j) <= D(z, b) - D(k_b, b) <= loss_b (Monge),
+    and alike below k_a, so by induction loss_j <= 2E(t + 1) at level t and
+    every loss_j <= L = 2E * m.bit_length().  f^c_j = D~(k_j, j) is within
+    E + L of M_j, so the computed slack fl(X), X = D~(i, j) - f^c_j, has
+    |X - s(i, j)| <= d = 2E + L.  The search left of p_i keeps columns lo
+    with fl(X_lo) < -tol - margin, so X_lo < -tol - margin, and every
+    j <= lo has X_j <= s(j) + d <= G_i(lo) + d <= s(lo) + L + d
+    <= X_lo + L + 2d.  With margin = 2*(L + 2d) + 4u*tol =
+    E*(8 + 12 * m.bit_length()) + 4u*tol, the factor 2 covering the
+    rounding of -tol - margin, that is X_j < -tol*(1 + 2u), so
+    fl(X_j) < -tol: no column left of the band is a member, and by the
+    mirror argument none right of it.  The band pass then applies
+    ``membership_slack``'s comparison, so the triples equal the dense
+    path's wherever the engine's f^c equals the dense f^c.  margin / u
+    exceeds |c| + |f|; where it overflows, the dense path is taken.
     """
     check_tol(tol)
-    cost = None if twisted_on(spec, f.grid, grid_j) else tabulate_cost(spec, f.grid, grid_j)
     if not f.is_finite:
-        raise ValueError("subdifferential_map requires an everywhere-finite f")
-    if cost is None:
-        fc = monotone_c_transform(f, spec, grid_j).values.values
-        step = max(1, SLACK_BLOCK_CELLS // grid_j.n)
-    else:
-        step = f.grid.n
-    dom = np.empty(f.grid.n, dtype=bool)
-    parts = []
-    for s in range(0, f.grid.n, step):
-        if cost is None:  # membership_slack's arithmetic, one row block at a time
-            slack = evaluate_cost(spec, f.grid.points[s:s + step, None], grid_j.points[None, :])
-            slack -= f.values[s:s + step, None]
-            slack -= fc
-        else:
-            slack = membership_slack(f, cost)
+        raise ValueError("membership_triples requires an everywhere-finite f")
+    n, m = f.grid.n, grid_j.n
+    u = np.finfo(float).eps / 2
+    eps = twist_bound(spec, f.grid, grid_j)
+    if eps is not None:
+        err = 2 * eps + u * float(np.abs(f.values).max())
+        margin = err * (8 + 12 * m.bit_length()) + 4 * u * tol
+    if eps is None or not np.isfinite(margin / u):
+        slack = membership_slack(f, tabulate_cost(spec, f.grid, grid_j))
         member = slack >= -tol
-        dom[s:s + step] = member.any(axis=1)
-        i, j = np.nonzero(member)
-        parts.append((i + s, j, slack[i, j]))
-    i, j, sl = (np.concatenate(p) for p in zip(*parts))
-    return dom, i, j, sl
+        rows, cols = np.nonzero(member)
+        return member.any(axis=1), rows, cols, slack[rows, cols]
+
+    x, y, fv = f.grid.points, grid_j.points, f.values
+    fc = monotone_c_transform(f, spec, grid_j)
+    g = fc.values.values
+
+    def slack_at(i, j):  # membership_slack's arithmetic at index pairs
+        s = evaluate_cost(spec, x[i], y[j])
+        s -= fv[i]
+        s -= g[j]
+        return s
+
+    # Per row, one search on [0, p) and one on [p, m): on the left lo fails
+    # the band threshold and hi passes, on the right the reverse; -1, p - 1,
+    # p and m stand for columns never evaluated.
+    threshold = -tol - margin
+    p = np.searchsorted(fc.argmax, np.arange(n))
+    row = np.tile(np.arange(n), 2)
+    right = np.arange(2 * n) >= n
+    lo = np.concatenate((np.full(n, -1), p - 1))
+    hi = np.concatenate((p, np.full(n, m)))
+    while (act := np.flatnonzero(hi - lo > 1)).size:
+        mid = (lo[act] + hi[act]) // 2
+        up = (slack_at(row[act], mid) >= threshold) == right[act]
+        lo[act[up]] = mid[up]
+        hi[act[~up]] = mid[~up]
+    lens = hi[n:] - hi[:n]
+    rows = np.repeat(np.arange(n), lens)
+    cols = _index_ranges(hi[:n], lens)[1]
+    slack = slack_at(rows, cols)
+    keep = slack >= -tol
+    rows, cols = rows[keep], cols[keep]
+    dom = np.zeros(n, dtype=bool)
+    dom[rows] = True
+    return dom, rows, cols, slack[keep]
 
 
 def lateral_c_derivatives(s: SubdifferentialSet, grid_j: Grid) -> tuple[float, float]:

@@ -72,6 +72,12 @@ def _back_transform(g: GridFunction, cost: CostMatrix) -> TransformResult:
     return TransformResult(GridFunction(cost.grid_i, d.max(axis=1)), d.argmax(axis=1))
 
 
+def _index_ranges(lo: np.ndarray, lens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ranges [lo_s, lo_s + lens_s) concatenated, and where each starts."""
+    starts = np.cumsum(lens) - lens
+    return starts, np.arange(lens.sum()) - np.repeat(starts - lo, lens)
+
+
 def _monotone_argmax(score: Callable[[np.ndarray, np.ndarray], np.ndarray],
                      n_out: int, n_cand: int) -> tuple[np.ndarray, np.ndarray]:
     """First maximum and maximiser over candidates 0..n_cand-1 of each
@@ -91,8 +97,7 @@ def _monotone_argmax(score: Callable[[np.ndarray, np.ndarray], np.ndarray],
     while jlo.size:
         mid = (jlo + jhi) // 2
         lens = hi - lo + 1
-        starts = np.cumsum(lens) - lens
-        cand = np.arange(starts[-1] + lens[-1]) - np.repeat(starts - lo, lens)
+        starts, cand = _index_ranges(lo, lens)
         vals = score(np.repeat(mid, lens), cand)
         best = np.maximum.reduceat(vals, starts)
         hits = np.flatnonzero(vals == np.repeat(best, lens))

@@ -1,6 +1,7 @@
-"""The matrix-free monotone-argmax engine: differential tests against the
-dense sweeps and the loop oracles, dispatch and fallback to the dense path,
-byte identity of the CLI output with the dense public API, and its memory.
+"""The matrix-free monotone-argmax engine and the banded subdifferential:
+differential tests against the dense sweeps and the loop oracles, dispatch
+and fallback to the dense path, byte identity of the CLI output with the
+dense public API, and its memory.
 """
 
 import json
@@ -8,9 +9,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cconvex import cli
-from cconvex.costs import CostDomainError, CostSpec, parse_cost_spec, tabulate_cost, twisted_on
+from cconvex.costs import (CostDomainError, CostSpec, parse_cost_spec, tabulate_cost, twist_bound,
+                           twisted_on)
 from cconvex.grids import GridFunction, make_uniform_grid
 from cconvex.subdiff import membership_slack, membership_triples, subdifferential_map
 from cconvex.transform import (_monotone_argmax, c_transform, conjugates, double_c_transform,
@@ -25,14 +29,25 @@ TWISTED = (
     ("reflector", (-0.9, 0.9), (-0.9, 0.9)),
     ("one_affine:0.2,0.8,0.3;0.1,-1", (-1.0, 1.0), (-1.0, 1.0)),
 )
+# 1 - x*y reaches 2e-7 here, so the reflector's rounding is amplified 5e6-fold
+NEAR_SINGULAR = ("reflector", (-0.9999999, 0.9999999), (-0.9999999, 0.9999999))
 SIZES = ((2, 2), (2, 3), (3, 2), (17, 16), (64, 65), (129, 128))
 F_KINDS = ("random", "random_inf", "cconvexified", "dyadic_piecewise", "constant", "zero")
+SUBDIFF_KINDS = ("normal", "rounded", "cconvexified", "dyadic_piecewise", "zero", "constant",
+                 "abs", "neg_abs")
+TOLS = (0.0, 1e-9, 1e-3, 0.1, 1.0)
 
 
 def make_f(kind, gi, cost, rng):
     n = gi.n
     if kind == "random":
         return GridFunction(gi, rng.uniform(-2, 2, n))
+    if kind == "normal":
+        return GridFunction(gi, rng.normal(size=n))
+    if kind == "rounded":  # quarter steps: many exact ties
+        return GridFunction(gi, np.round(4 * rng.normal(size=n)) / 4)
+    if kind in ("abs", "neg_abs"):
+        return GridFunction(gi, np.abs(gi.points) * (1 if kind == "abs" else -1))
     if kind == "random_inf":
         vals = rng.uniform(-2, 2, n)
         vals[rng.random(n) < 0.4] = np.inf
@@ -95,6 +110,69 @@ class TestDifferential:
             assert np.array_equal(fcc.argmax, back_arg)
 
 
+class TestBandedTriples:
+    @pytest.mark.parametrize("kind", SUBDIFF_KINDS)
+    @pytest.mark.parametrize("family, iv_i, iv_j", TWISTED + (NEAR_SINGULAR,))
+    def test_matches_dense_slack(self, family, iv_i, iv_j, kind):
+        spec = parse_cost_spec(family)
+        rng = np.random.default_rng(len(family) * 37 + SUBDIFF_KINDS.index(kind))
+        for n, m in ((2, 3), (3, 2), (17, 16), (40, 129), (129, 64)):
+            gi, gj = make_uniform_grid(*iv_i, n), make_uniform_grid(*iv_j, m)
+            cost = tabulate_cost(spec, gi, gj)
+            f = make_f(kind, gi, cost, rng)
+            dense = membership_slack(f, cost)
+            # the dense arithmetic against the engine's f^c
+            blocks = (cost.entries - f.values[:, None]) - monotone_c_transform(f, spec, gj).values.values
+            for tol in TOLS:
+                dom, rows, cols, slack = membership_triples(f, spec, gj, tol)
+                member = dense >= -tol
+                want_rows, want_cols = np.nonzero(member)
+                assert np.array_equal(rows, want_rows) and np.array_equal(cols, want_cols)
+                assert np.array_equal(dom, member.any(axis=1))
+                assert np.array_equal(slack.view(np.int64), blocks[rows, cols].view(np.int64))
+                # bit-equal to the dense slack but for the sign of a zero
+                # (the signed-zero f^c of TestSignedZero)
+                want = dense[want_rows, want_cols]
+                differ = slack.view(np.int64) != want.view(np.int64)
+                assert (slack[differ] == 0).all() and (want[differ] == 0).all()
+
+    @pytest.mark.parametrize("tol", [0.0, 1e-16, 2e-16])
+    def test_flat_rows_keep_every_member(self, tol):
+        # a(y) = 1 makes c_xy = 0: every exact slack is 0 and the computed
+        # one is rounding noise, so member rows are not intervals and the
+        # engine's f^c misses the dense maximum by an ulp; only the margin
+        # keeps the band over every member
+        spec = parse_cost_spec("one_affine:1;0.3,1,0.7")
+        for n, m in ((17, 16), (40, 129), (129, 64)):
+            gi, gj = make_uniform_grid(-1, 1, n), make_uniform_grid(-1, 1, m)
+            f = GridFunction(gi, gi.points.copy())
+            fc = monotone_c_transform(f, spec, gj).values.values
+            blocks = (tabulate_cost(spec, gi, gj).entries - f.values[:, None]) - fc
+            member = blocks >= -tol
+            first, last = member.argmax(axis=1), m - 1 - member[:, ::-1].argmax(axis=1)
+            assert (member.sum(axis=1) < last - first + 1).any()
+            dom, rows, cols, slack = membership_triples(f, spec, gj, tol)
+            want_rows, want_cols = np.nonzero(member)
+            assert np.array_equal(rows, want_rows) and np.array_equal(cols, want_cols)
+            assert np.array_equal(slack.view(np.int64), blocks[rows, cols].view(np.int64))
+            assert np.array_equal(dom, member.any(axis=1))
+
+    # c_xy > 0 on these grids; with c_xy = 0 (test above) rounding noise
+    # can split a computed row
+    @settings(max_examples=60, deadline=None)
+    @given(case=st.sampled_from(TWISTED + (NEAR_SINGULAR,)), n=st.integers(2, 40),
+           m=st.integers(2, 40), tol=st.sampled_from(TOLS),
+           values=st.lists(st.floats(-4, 4, allow_subnormal=False), min_size=40, max_size=40))
+    def test_dense_member_rows_are_intervals(self, case, n, m, tol, values):
+        family, iv_i, iv_j = case
+        gi, gj = make_uniform_grid(*iv_i, n), make_uniform_grid(*iv_j, m)
+        f = GridFunction(gi, np.array(values[:n]))
+        member = membership_slack(f, tabulate_cost(parse_cost_spec(family), gi, gj)) >= -tol
+        for i, row in enumerate(member):
+            js = np.flatnonzero(row)
+            assert js.size == 0 or js[-1] - js[0] + 1 == js.size, f"row {i}: {js}"
+
+
 class TestSignedZero:
     def test_zero_tie_keeps_the_first_maximiser_sign(self):
         # f = 0 under x*y: the y = 0 column is all zeros, -0.0 for x < 0;
@@ -145,6 +223,36 @@ class TestFallback:
         with pytest.raises(CostDomainError) as triples:
             membership_triples(f, spec, gj)
         assert str(triples.value) == str(dense.value)
+
+    def test_reflector_bound_and_its_limit(self):
+        # the rounding bound carries 1/(1 - max xy); within 2u of the pole
+        # there is none, and the cost is tabulated like any uncertified one
+        spec = CostSpec("reflector")
+        bound = {r: twist_bound(spec, make_uniform_grid(-r, r, 9), make_uniform_grid(-r, r, 9))
+                 for r in (0.9, 0.9999999, 1 - 2**-53)}
+        assert bound[0.9999999] > 1e5 * bound[0.9] > 0
+        assert bound[1 - 2**-53] is None
+        g = make_uniform_grid(-(1 - 2**-53), 1 - 2**-53, 9)
+        f = GridFunction(g, g.points**2)
+        cost = tabulate_cost(spec, g, g)
+        dom, rows, cols, slack = membership_triples(f, spec, g)
+        dense = membership_slack(f, cost)
+        assert np.array_equal(np.c_[rows, cols], np.argwhere(dense >= -1e-9))
+        assert np.array_equal(slack, dense[rows, cols])
+
+    @pytest.mark.parametrize("spec", [CostSpec("bilinear"),
+                                      CostSpec("translation", h=lambda d: -np.abs(d) ** 1.5)],
+                             ids=["bilinear", "translation"])
+    def test_nonfinite_f_rejected_before_work(self, monkeypatch, spec):
+        def no_work(*args, **kwargs):
+            raise AssertionError("computation started before the f check")
+
+        monkeypatch.setattr("cconvex.subdiff.tabulate_cost", no_work)
+        monkeypatch.setattr("cconvex.subdiff.monotone_c_transform", no_work)
+        g = make_uniform_grid(-1, 1, 9)
+        f = GridFunction(g, np.where(g.points > 0.5, np.inf, 0.0))
+        with pytest.raises(ValueError, match="^membership_triples requires an everywhere-finite f$"):
+            membership_triples(f, spec, g)
 
     @pytest.mark.parametrize("spec, iv", [
         (CostSpec("bilinear"), (-1e200, 1e200)),
@@ -202,6 +310,20 @@ class TestCliByteIdentity:
         assert cli.main([command, *argv, "--out", str(out)]) == 0
         assert out.read_text() == dense_payload(command, argv)
 
+    @pytest.mark.parametrize("options", [["--f", "half_parabola", "--tol", "0"],
+                                         ["--f", "neg_absolute_value", "--tol", "0.1"],
+                                         ["--f", "zero"], ["--f", "constant:0.3"]],
+                             ids=["tol0", "tol0.1", "zero", "constant"])
+    @pytest.mark.parametrize("family, iv_i, iv_j", TWISTED)
+    def test_subdiff_options_match_dense_api(self, tmp_path, options, family, iv_i, iv_j):
+        argv = ["--n", "257", "--m", "257", "--cost", family, *options,
+                f"--interval-i={iv_i[0]},{iv_i[1]}", f"--interval-j={iv_j[0]},{iv_j[1]}"]
+        out = tmp_path / "out.json"
+        assert cli.main(["subdiff", *argv, "--out", str(out)]) == 0
+        got, want = out.read_text(), dense_payload("subdiff", argv)
+        if got != want:  # only a zero slack's sign may differ, as in TestSignedZero
+            assert options == ["--f", "zero"] and json.loads(got) == json.loads(want)
+
 
 class TestMemory:
     @pytest.mark.parametrize("command", ["transform", "subdiff"])
@@ -218,4 +340,6 @@ class TestMemory:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak < n * n * 8, f"peak {peak / 1e6:.1f} MB"
+        # subdiff is banded: O(n + m) besides its output of about n triples
+        bound = n * n * 8 if command == "transform" else 1000 * (n + n)
+        assert peak < bound, f"peak {peak / 1e6:.1f} MB"
