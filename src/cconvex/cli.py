@@ -20,7 +20,8 @@ import numpy as np
 from . import propcheck
 from .costs import parse_cost_spec, write_cost_csv
 from .grids import (DiscreteMeasure, GridFunction, check_tol, make_uniform_grid,
-                    read_grid_function_csv, sup_norm_diff, write_grid_function_csv)
+                    read_grid_function_csv, read_two_column_csv, sup_norm_diff,
+                    write_grid_function_csv)
 from .jensen import discrete_jensen_gap, integral_jensen_bound, midpoint_bound, weighted_integral_bound
 from .subdiff import membership_triples
 from .transform import conjugates
@@ -158,15 +159,10 @@ def cmd_subdiff(args) -> int:
 def _parse_measure(text: str) -> DiscreteMeasure:
     """Inline 'x:p,x:p,...' or 'csv:PATH' with rows x,p."""
     if text.startswith("csv:"):
-        atoms = []
-        with open(text[4:], newline="") as fh:
-            for row in csv.reader(fh):
-                if row and any(c.strip() for c in row):
-                    try:
-                        atoms.append((float(row[0]), float(row[1])))
-                    except ValueError:
-                        continue  # header
-        return DiscreteMeasure.from_atoms(atoms)
+        xs, ps = read_two_column_csv(text[4:], ("x", "p"))
+        if not len(xs):
+            raise ValueError(f"{text[4:]}: no atoms")
+        return DiscreteMeasure(xs, ps)
     atoms = []
     for part in text.split(","):
         x, _, p = part.partition(":")

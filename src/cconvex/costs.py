@@ -122,7 +122,10 @@ def evaluate_cost(spec: CostSpec, x, y):
     elif fam == "one_affine":
         out = _poly(y, spec.a_coeffs) * x + _poly(y, spec.b_coeffs)
     elif fam == "neg_quadratic":
-        out = -spec.scale * (x - y) ** 2
+        # d * d, not d ** 2: a float64 scalar ** 2 goes through pow and can
+        # round one ulp away from the array square, which is d * d exactly
+        d = x - y
+        out = -spec.scale * (d * d)
     elif fam == "reflector":
         p = x * y
         if np.any(p >= 1.0):

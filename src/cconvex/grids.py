@@ -28,6 +28,7 @@ __all__ = [
     "check_index",
     "quadrature",
     "barycenter",
+    "read_two_column_csv",
     "read_grid_function_csv",
     "write_grid_function_csv",
 ]
@@ -167,6 +168,25 @@ def check_index(index: int, grid: Grid) -> int:
     return index
 
 
+def _ordered_sum(terms, axis=0):
+    """Sum along ``axis`` adding strictly left to right, so the result rounds
+    bit for bit as a Python loop ``acc = terms[0]; acc += t`` does (``np.sum``
+    adds pairwise).  A loop that starts from ``acc = 0.0`` needs a leading
+    0.0 term: it turns an all -0.0 sum into +0.0."""
+    return np.add.accumulate(terms, axis=axis).take(-1, axis=axis)
+
+
+def _composite_rule(v: np.ndarray, h: float, rule: str):
+    """Composite quadrature along axis 0 of ``v``: one integral per column."""
+    if rule == "trapezoid":
+        return _ordered_sum(np.concatenate((0.5 * v[:1], v[1:-1], 0.5 * v[-1:]))) * h
+    if rule == "midpoint":
+        if len(v) % 2 == 0:
+            raise ValueError("midpoint rule needs an odd number of grid points")
+        return _ordered_sum(np.concatenate((np.zeros_like(v[:1]), v[1::2]))) * 2.0 * h
+    raise ValueError(f"unknown quadrature rule: {rule!r}")
+
+
 def quadrature(f: GridFunction, rule: str = "trapezoid") -> float:
     """Composite quadrature over the uniform grid, left-to-right summation.
 
@@ -175,22 +195,7 @@ def quadrature(f: GridFunction, rule: str = "trapezoid") -> float:
     """
     if not f.is_finite:
         raise ValueError("quadrature requires everywhere-finite values")
-    v = f.values
-    h = f.grid.h
-    if rule == "trapezoid":
-        acc = 0.5 * v[0]
-        for x in v[1:-1]:
-            acc += x
-        acc += 0.5 * v[-1]
-        return float(acc * h)
-    if rule == "midpoint":
-        if f.grid.n % 2 == 0:
-            raise ValueError("midpoint rule needs an odd number of grid points")
-        acc = 0.0
-        for x in v[1::2]:
-            acc += x
-        return float(acc * 2.0 * h)
-    raise ValueError(f"unknown quadrature rule: {rule!r}")
+    return float(_composite_rule(f.values, f.grid.h, rule))
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,9 +214,7 @@ class DiscreteMeasure:
             raise ValueError("atoms must be finite")
         if (w <= 0).any():
             raise ValueError("weights must be strictly positive")
-        total = 0.0
-        for p in w:
-            total += p
+        total = float(_ordered_sum(np.r_[0.0, w]))
         if abs(total - 1.0) > _MEASURE_MASS_TOL:
             raise ValueError(f"weights must sum to 1 within {_MEASURE_MASS_TOL}, got {total}")
         pos, w = pos.copy(), w.copy()
@@ -231,17 +234,15 @@ class DiscreteMeasure:
 
 
 def barycenter(mu: DiscreteMeasure) -> float:
-    acc = 0.0
-    for x, p in zip(mu.positions, mu.weights):
-        acc += p * x
-    return float(acc)
+    return float(_ordered_sum(np.r_[0.0, mu.weights * mu.positions]))
 
 
-def read_grid_function_csv(path: str, rel_step_tol: float = 1e-9) -> GridFunction:
-    """Two-column CSV (x, f(x)); header optional; ``inf`` means +inf.
+def read_two_column_csv(path: str, names: tuple[str, str]) -> tuple[np.ndarray, np.ndarray]:
+    """The two float columns of a CSV file (``inf`` reads as +inf).
 
-    The x column must be strictly increasing and uniform within the given
-    relative step tolerance.
+    Blank rows are skipped, and so is a first row whose first cell is not a
+    number (a header).  Any other short or non-numeric row is rejected with
+    a ``path:line`` message that names the column by ``names``.
     """
     xs: list[float] = []
     vs: list[float] = []
@@ -251,26 +252,31 @@ def read_grid_function_csv(path: str, rel_step_tol: float = 1e-9) -> GridFunctio
                 continue
             if len(row) < 2:
                 raise ValueError(f"{path}:{lineno}: expected two columns")
-            sx, sv = row[0].strip(), row[1].strip()
             try:
-                x = float(sx)
+                x = float(row[0])
             except ValueError:
                 if lineno == 1:  # header row
                     continue
-                raise ValueError(f"{path}:{lineno}: bad x value {sx!r}") from None
-            if sv.lower() in ("inf", "+inf", "infinity"):
-                v = math.inf
-            else:
-                try:
-                    v = float(sv)
-                except ValueError:
-                    raise ValueError(f"{path}:{lineno}: bad f value {sv!r}") from None
+                raise ValueError(f"{path}:{lineno}: bad {names[0]} value {row[0].strip()!r}") from None
+            try:
+                v = float(row[1])
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: bad {names[1]} value {row[1].strip()!r}") from None
             xs.append(x)
             vs.append(v)
+    return np.array(xs), np.array(vs)
+
+
+def read_grid_function_csv(path: str, rel_step_tol: float = 1e-9) -> GridFunction:
+    """Two-column CSV (x, f(x)); header optional; ``inf`` means +inf.
+
+    The x column must be strictly increasing and uniform within the given
+    relative step tolerance.
+    """
+    xs, vs = read_two_column_csv(path, ("x", "f"))
     if len(xs) < 2:
         raise ValueError(f"{path}: need at least two data rows")
-    grid = grid_through(np.array(xs), f"{path}: x column", rel_step_tol)
-    return GridFunction(grid, np.array(vs))
+    return GridFunction(grid_through(xs, f"{path}: x column", rel_step_tol), vs)
 
 
 def write_grid_function_csv(path: str, f: GridFunction, header=("x", "f")) -> None:

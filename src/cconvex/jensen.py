@@ -20,7 +20,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .costs import CostSpec, check_structure, evaluate_cost, tabulate_cost
-from .grids import DiscreteMeasure, Grid, GridFunction, barycenter, quadrature
+from .grids import (DiscreteMeasure, Grid, GridFunction, _composite_rule, _ordered_sum,
+                    barycenter, quadrature)
 from .verdicts import Verdict
 
 __all__ = [
@@ -63,45 +64,39 @@ class JensenReport:
         }
 
 
-def _f_value(f: GridFunction, x: float, f_eval: Optional[Callable]) -> tuple[float, bool]:
-    """f at a (possibly off-grid) point; returns (value, used_interpolation)."""
+def _f_value(f: GridFunction, xs: np.ndarray,
+             f_eval: Optional[Callable]) -> tuple[np.ndarray, bool]:
+    """f at (possibly off-grid) points; returns (values, used_interpolation).
+    ``f_eval`` is called once per point."""
     if f_eval is not None:
-        return float(f_eval(x)), False
+        return np.array([float(f_eval(x)) for x in xs.tolist()]), False
     if not f.is_finite:
         raise ValueError("interpolated evaluation needs an everywhere-finite f")
-    return float(np.interp(x, f.grid.points, f.values)), True
+    return np.interp(xs, f.grid.points, f.values), True
 
 
-def _witness_slack(f: GridFunction, cost: CostSpec, anchor: float, fb: float, y: float) -> float:
-    """min_x { f(x) - f(anchor) - c(x, y) + c(anchor, y) } over the grid."""
-    c_col = evaluate_cost(cost, f.grid.points, y)
-    gaps = (f.values - fb) - (c_col - evaluate_cost(cost, anchor, y))
-    return float(np.min(gaps))
-
-
-def _pick_witness(f: GridFunction, cost: CostSpec, anchor: float, fb: float,
-                  grid_j: Grid) -> tuple[float, float]:
-    """Best witness over the J grid and its membership slack."""
-    cols = evaluate_cost(cost, f.grid.points[:, None], grid_j.points[None, :])
-    anchor_row = evaluate_cost(cost, anchor, grid_j.points)
+def _witness_slack(f: GridFunction, cost: CostSpec, anchor: float, fb: float,
+                   ys: np.ndarray) -> np.ndarray:
+    """min_x { f(x) - f(anchor) - c(x, y) + c(anchor, y) } over the grid, per y."""
+    cols = evaluate_cost(cost, f.grid.points[:, None], ys[None, :])
+    anchor_row = evaluate_cost(cost, anchor, ys)
     gaps = (f.values[:, None] - fb) - (cols - anchor_row[None, :])
-    slacks = gaps.min(axis=0)
-    j = int(np.argmax(slacks))
-    return float(grid_j.points[j]), float(slacks[j])
+    return gaps.min(axis=0)
 
 
 def _resolve_witness(f, cost, anchor, fb, y, grid_j, eff_tol):
-    if y is None:
-        if grid_j is None:
-            raise ValueError("no witness y supplied and no J grid to search")
-        y, slack = _pick_witness(f, cost, anchor, fb, grid_j)
-        if slack < -eff_tol:
-            raise NoAdmissibleWitnessError(
-                f"no admissible witness: best membership slack {slack} at the anchor "
-                f"{anchor} is below -{eff_tol}")
-        return float(y), True
-    slack = _witness_slack(f, cost, anchor, fb, float(y))
-    return float(y), slack >= -eff_tol
+    if y is not None:
+        slack = _witness_slack(f, cost, anchor, fb, np.array([float(y)]))[0]
+        return float(y), bool(slack >= -eff_tol)
+    if grid_j is None:
+        raise ValueError("no witness y supplied and no J grid to search")
+    slacks = _witness_slack(f, cost, anchor, fb, grid_j.points)
+    j = int(np.argmax(slacks))
+    if slacks[j] < -eff_tol:
+        raise NoAdmissibleWitnessError(
+            f"no admissible witness: best membership slack {float(slacks[j])} at the anchor "
+            f"{anchor} is below -{eff_tol}")
+    return float(grid_j.points[j]), True
 
 
 def _interp_tol(f: GridFunction, tol: float, used_interp: bool) -> float:
@@ -117,11 +112,13 @@ def discrete_jensen_gap(f: GridFunction, cost: CostSpec, mu: DiscreteMeasure,
                         grid_j: Optional[Grid] = None) -> JensenReport:
     """Gap bound sum p_i f(x_i) - f(b) >= sum p_i c(x_i, y) - c(b, y)."""
     iv = f.grid.interval
-    for x in mu.positions:
-        if not iv.contains(float(x)):
-            raise ValueError(f"measure atom {x} lies outside the interval [{iv.lo}, {iv.hi}]")
+    outside = (mu.positions < iv.lo) | (mu.positions > iv.hi)
+    if outside.any():
+        raise ValueError(f"measure atom {mu.positions[outside.argmax()]} lies outside "
+                         f"the interval [{iv.lo}, {iv.hi}]")
     b = barycenter(mu)
-    fb, used_interp = _f_value(f, b, f_eval)
+    f_vals, used_interp = _f_value(f, np.r_[b, mu.positions], f_eval)
+    fb = f_vals[0]
     eff_tol = _interp_tol(f, tol, used_interp)
     notes = []
     if used_interp:
@@ -132,15 +129,10 @@ def discrete_jensen_gap(f: GridFunction, cost: CostSpec, mu: DiscreteMeasure,
     if not hyp_ok:
         notes.append("hypothesis-unverified: y is not a subdifferential member at tol")
 
-    atom_vals = [_f_value(f, float(x), f_eval)[0] for x in mu.positions]
-    lhs = 0.0
-    for p, fx in zip(mu.weights, atom_vals):
-        lhs += p * fx
-    lhs -= fb
-    rhs = 0.0
-    for p, x in zip(mu.weights, mu.positions):
-        rhs += p * evaluate_cost(cost, float(x), y)
-    rhs -= evaluate_cost(cost, b, y)
+    # the leading 0.0 keeps the signed zero of a sum started from 0.0
+    lhs = _ordered_sum(np.r_[0.0, mu.weights * f_vals[1:]]) - fb
+    c_atoms = evaluate_cost(cost, mu.positions, y)
+    rhs = _ordered_sum(np.r_[0.0, mu.weights * c_atoms]) - evaluate_cost(cost, b, y)
     slack = lhs - rhs
     return JensenReport(lhs=float(lhs), rhs=float(rhs), y_witness=y,
                         holds=slack >= -eff_tol, slack=float(slack),
@@ -160,18 +152,12 @@ def support_concavity_check(f: GridFunction, cost: CostSpec, a: float, b: float,
                             y: float, tol: float = 1e-9,
                             f_eval: Optional[Callable] = None) -> Verdict:
     """Midpoint concavity of g(x) = c(x, y) - f(x): g((a+b)/2) >= (g(a)+g(b))/2."""
-    mid = (a + b) / 2.0
-
-    def g(x: float) -> float:
-        fx, interp = _f_value(f, x, f_eval)
-        return float(evaluate_cost(cost, x, y)) - fx, interp
-
-    gm, im = g(mid)
-    ga, ia = g(a)
-    gb, ib = g(b)
-    eff_tol = _interp_tol(f, tol, im or ia or ib)
-    excess = (ga + gb) / 2.0 - gm - eff_tol
-    return Verdict("support_concavity", excess <= 0.0, float(excess),
+    xs = np.array([(a + b) / 2.0, a, b])
+    f_vals, used_interp = _f_value(f, xs, f_eval)
+    gm, ga, gb = evaluate_cost(cost, xs, y) - f_vals
+    eff_tol = _interp_tol(f, tol, used_interp)
+    excess = float((ga + gb) / 2.0 - gm - eff_tol)
+    return Verdict("support_concavity", excess <= 0.0, excess,
                    witness=None if excess <= 0 else (a, b, y),
                    notes=f"tol={eff_tol}")
 
@@ -246,11 +232,8 @@ def classical_reduction_check(f: GridFunction, cost: CostSpec, grid_j: Grid,
     mid = (iv.lo + iv.hi) / 2.0
     idx = f.grid.nearest_index(mid)
     # cost-side gap must vanish within quadrature tolerance for every y column
-    worst = 0.0
-    for j in range(grid_j.n):
-        col = GridFunction(f.grid, matrix.entries[:, j])
-        gap = abs(quadrature(col) - matrix.entries[idx, j] * iv.length)
-        worst = max(worst, gap)
+    col_integrals = _composite_rule(matrix.entries, f.grid.h, "trapezoid")
+    worst = float(np.abs(col_integrals - matrix.entries[idx] * iv.length).max())
     quad_tol = _quadrature_tol(f, matrix.entries[:, 0], tol)
     mean_f = quadrature(f) / iv.length
     classical_excess = float(f.values[idx]) - mean_f

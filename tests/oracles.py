@@ -10,7 +10,9 @@ import math
 
 import numpy as np
 
+from cconvex.costs import evaluate_cost
 from cconvex.grids import GridFunction
+from cconvex.jensen import JensenReport, NoAdmissibleWitnessError
 from cconvex.subdiff import membership_slack
 
 
@@ -217,3 +219,107 @@ def loop_cost_self_subdiff(cost, tol):
             if excess > 0:
                 witness = (int(np.argmax(np.abs(slack_col))), j)
     return worst, witness
+
+
+def loop_quadrature(f, rule="trapezoid"):
+    """Composite quadrature, one left-to-right Python sum."""
+    if not f.is_finite:
+        raise ValueError("quadrature requires everywhere-finite values")
+    v = f.values
+    h = f.grid.h
+    if rule == "trapezoid":
+        acc = 0.5 * v[0]
+        for x in v[1:-1]:
+            acc += x
+        acc += 0.5 * v[-1]
+        return float(acc * h)
+    if rule == "midpoint":
+        if f.grid.n % 2 == 0:
+            raise ValueError("midpoint rule needs an odd number of grid points")
+        acc = 0.0
+        for x in v[1::2]:
+            acc += x
+        return float(acc * 2.0 * h)
+    raise ValueError(f"unknown quadrature rule: {rule!r}")
+
+
+def loop_mass(weights):
+    """Total mass, summed as the measure's validity check sums it."""
+    total = 0.0
+    for p in weights:
+        total += p
+    return total
+
+
+def loop_barycenter(mu):
+    acc = 0.0
+    for x, p in zip(mu.positions, mu.weights):
+        acc += p * x
+    return float(acc)
+
+
+def _loop_f_value(f, x, f_eval):
+    if f_eval is not None:
+        return float(f_eval(x)), False
+    if not f.is_finite:
+        raise ValueError("interpolated evaluation needs an everywhere-finite f")
+    return float(np.interp(x, f.grid.points, f.values)), True
+
+
+def _loop_witness_slack(f, cost, anchor, fb, y):
+    c_col = evaluate_cost(cost, f.grid.points, y)
+    gaps = (f.values - fb) - (c_col - evaluate_cost(cost, anchor, y))
+    return float(np.min(gaps))
+
+
+def _loop_pick_witness(f, cost, anchor, fb, grid_j):
+    cols = evaluate_cost(cost, f.grid.points[:, None], grid_j.points[None, :])
+    anchor_row = evaluate_cost(cost, anchor, grid_j.points)
+    gaps = (f.values[:, None] - fb) - (cols - anchor_row[None, :])
+    slacks = gaps.min(axis=0)
+    j = int(np.argmax(slacks))
+    return float(grid_j.points[j]), float(slacks[j])
+
+
+def loop_discrete_jensen(f, cost, mu, y=None, tol=1e-9, f_eval=None, grid_j=None):
+    """The discrete Jensen report, one point and one atom at a time."""
+    iv = f.grid.interval
+    for x in mu.positions:
+        if not iv.contains(float(x)):
+            raise ValueError(f"measure atom {x} lies outside the interval [{iv.lo}, {iv.hi}]")
+    b = loop_barycenter(mu)
+    fb, used_interp = _loop_f_value(f, b, f_eval)
+    eff_tol = tol + 2.0 * f.max_slope() * f.grid.h if used_interp else tol
+    notes = []
+    if used_interp:
+        notes.append("f interpolated at barycenter")
+    if b in (iv.lo, iv.hi):
+        notes.append("barycenter at an endpoint")
+    if y is None:
+        if grid_j is None:
+            raise ValueError("no witness y supplied and no J grid to search")
+        y, slack = _loop_pick_witness(f, cost, b, fb, grid_j)
+        if slack < -eff_tol:
+            raise NoAdmissibleWitnessError(
+                f"no admissible witness: best membership slack {slack} at the anchor "
+                f"{b} is below -{eff_tol}")
+        hyp_ok = True
+    else:
+        y = float(y)
+        hyp_ok = _loop_witness_slack(f, cost, b, fb, y) >= -eff_tol
+    if not hyp_ok:
+        notes.append("hypothesis-unverified: y is not a subdifferential member at tol")
+
+    atom_vals = [_loop_f_value(f, float(x), f_eval)[0] for x in mu.positions]
+    lhs = 0.0
+    for p, fx in zip(mu.weights, atom_vals):
+        lhs += p * fx
+    lhs -= fb
+    rhs = 0.0
+    for p, x in zip(mu.weights, mu.positions):
+        rhs += p * evaluate_cost(cost, float(x), y)
+    rhs -= evaluate_cost(cost, b, y)
+    slack = lhs - rhs
+    return JensenReport(lhs=float(lhs), rhs=float(rhs), y_witness=y,
+                        holds=slack >= -eff_tol, slack=float(slack),
+                        hypothesis_verified=hyp_ok, tol=eff_tol, notes="; ".join(notes))

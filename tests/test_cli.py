@@ -158,6 +158,20 @@ class TestJensenCommand:
         r = json.loads(out.read_text())["report"]
         assert r["lhs"] == pytest.approx(0.1875, abs=1e-12)
 
+    @pytest.mark.parametrize("rows, message", [
+        ("x,p\n0,0.25\n0.25,O.3\n1,0.45\n", r"mu.csv:3: bad p value 'O.3'$"),
+        ("0,0.25\nzero,0.3\n1,0.45\n", r"mu.csv:2: bad x value 'zero'$"),
+        ("x,p\n0,0.25\n0.5\n1,0.75\n", r"mu.csv:3: expected two columns$"),
+        ("0,0.25\n1,O.75\n", r"mu.csv:2: bad p value 'O.75'$"),
+        ("x,p\n\n", r"mu.csv: no atoms$"),
+    ])
+    def test_measure_csv_bad_rows(self, tmp_path, rows, message):
+        mpath = tmp_path / "mu.csv"
+        mpath.write_text(rows)
+        with pytest.raises(SystemExit, match=message):
+            run(["jensen", "--f", "parabola", "--interval-i", "0,1", "--n", "33", "--m", "33",
+                 "--measure", f"csv:{mpath}", "--y", "1.5"])
+
 
 class TestSuiteCommand:
     def test_byte_identical_reruns(self, tmp_path, capsys):
@@ -202,6 +216,41 @@ class TestSuiteGolden:
     def test_seed_0_record(self, tmp_path, flags, digest):
         out = tmp_path / "suite.json"
         assert run(["suite", "--seed", "0", *flags, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+class TestJensenGolden:
+    """sha256 of `cconvex jensen --form F` per cost family, at off-grid atoms
+    with a searched witness.  A change to any report byte fails here and must
+    be recorded in CHANGES.md with the new hash."""
+
+    J_INTERVAL = {"bilinear": "-2,2", "one_affine:0.2,0.8;0.1": "-2,2",
+                  "neg_quadratic": "-2.5,2.5", "reflector": "-0.9,0.9"}
+
+    @pytest.mark.parametrize("cost, form, digest", [
+        ("bilinear", "discrete", "042d429fca3c8f4b9b61c96cb29b16c9950b9a0b44f7cae9b63236f20e2c3f52"),
+        ("bilinear", "midpoint", "635aa1f84553ce60b264b1bccc0b0aa16397b02f26f95bd07ccb680992a21eac"),
+        ("bilinear", "integral", "9ffde1c0ccb169b5a5b0075fb49e31392a6272563a287770be26b39dca1fa318"),
+        ("bilinear", "weighted", "042d429fca3c8f4b9b61c96cb29b16c9950b9a0b44f7cae9b63236f20e2c3f52"),
+        ("one_affine:0.2,0.8;0.1", "discrete", "0e8fd0f3e3c617eeb6c960f183ef0fee216cddc856f21ffdd05c86704fc254bb"),
+        ("one_affine:0.2,0.8;0.1", "midpoint", "4f048ee7bec02359555a655e58edc5abb76913f759903d33eb5e8d24ba3b0b5a"),
+        ("one_affine:0.2,0.8;0.1", "integral", "d0d11358cd49a64bb58649e6e97f4d0f149dfeb1dc5b06b33b1f8dd090ff3ed3"),
+        ("one_affine:0.2,0.8;0.1", "weighted", "0e8fd0f3e3c617eeb6c960f183ef0fee216cddc856f21ffdd05c86704fc254bb"),
+        ("neg_quadratic", "discrete", "37a5c4a3d640d45e0d9c7e169eaed22958b0e2cccd60c6037c27571aaec326b4"),
+        ("neg_quadratic", "midpoint", "de63b36ea0708ffb8df3e83a1daa3f797192ff13d1c18e9ffe8a876ddcaae0a8"),
+        ("neg_quadratic", "integral", "abbd2dfff145762f5f1b69e54c0fc21a357f25d655fb6c9767dbc5b2c7ea3f04"),
+        ("neg_quadratic", "weighted", "37a5c4a3d640d45e0d9c7e169eaed22958b0e2cccd60c6037c27571aaec326b4"),
+        ("reflector", "discrete", "9b080cbba967947c95952a0ad8ca05fa0750af4459b52d3735467f5134ce2ea9"),
+        ("reflector", "midpoint", "ae0edbdd9985d30e427682b09ba1395e78cafc6069cd3af23250cac5ff757c2c"),
+        ("reflector", "integral", "6ef788511a77531da0f721f1b2abdfbda1671ef44f82a133d74cc2e443277e3d"),
+        ("reflector", "weighted", "9b080cbba967947c95952a0ad8ca05fa0750af4459b52d3735467f5134ce2ea9"),
+    ])
+    def test_record(self, tmp_path, cost, form, digest):
+        out = tmp_path / "jensen.json"
+        assert run(["jensen", "--n", "65", "--m", "65", f"--interval-j={self.J_INTERVAL[cost]}",
+                    "--cost", cost, "--f", "parabola",
+                    "--measure=-0.7:0.25,0.1:0.45,0.63:0.3", "--form", form,
+                    "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 

@@ -39,6 +39,24 @@ class TestEvaluate:
             CostSpec("nope")
 
 
+    @pytest.mark.parametrize("spec", [
+        CostSpec("bilinear"),
+        CostSpec("one_affine", a_coeffs=(0.2, 0.8, -0.3), b_coeffs=(0.1, 1.0)),
+        CostSpec("neg_quadratic", scale=1.7),
+        CostSpec("reflector"),
+    ], ids=lambda s: s.family)
+    def test_scalar_calls_match_array_entries(self, spec):
+        rng = np.random.default_rng(3)
+        # (0.836, 0.461) is a point where a scalar ** 2 rounds one ulp off
+        x = np.r_[0.836, rng.uniform(-0.95, 0.95, 2000)]
+        y = np.r_[0.461, rng.uniform(-0.95, 0.95, 2000)]
+        row = evaluate_cost(spec, x, y)
+        table = evaluate_cost(spec, x[:40, None], y[None, :40])
+        assert [evaluate_cost(spec, float(a), float(b)) for a, b in zip(x, y)] == row.tolist()
+        assert [[evaluate_cost(spec, float(a), float(b)) for b in y[:40]]
+                for a in x[:40]] == table.tolist()
+
+
 class TestTabulate:
     def test_bilinear_two_by_two(self):
         gi = make_uniform_grid(0, 1, 2)

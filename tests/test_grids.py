@@ -1,13 +1,25 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cconvex.grids import (DiscreteMeasure, GridFunction, barycenter,
-                           make_uniform_grid, quadrature, read_grid_function_csv,
+from cconvex.grids import (DiscreteMeasure, GridFunction, _composite_rule, _ordered_sum,
+                           barycenter, make_uniform_grid, quadrature, read_grid_function_csv,
                            sample_function, sup_norm_diff, write_grid_function_csv)
+from oracles import loop_barycenter, loop_mass, loop_quadrature
+
+
+def bits(x) -> str:
+    """The exact float64 value, signed zero included."""
+    return float(x).hex()
+
+
+def wild(rng, size):
+    """Values spread over 16 decades, so the order of summation shows."""
+    return rng.normal(size=size) * 10.0 ** rng.integers(-8, 9, size)
 
 
 class TestGrid:
@@ -177,6 +189,81 @@ class TestDiscreteMeasure:
         b1 = barycenter(DiscreteMeasure(xs, w))
         b2 = barycenter(DiscreteMeasure(xs[perm], w[perm]))
         assert b1 == pytest.approx(b2, abs=1e-12)
+
+
+class TestOrderedSum:
+    """The loop-free sums against the left-to-right loops they replace."""
+
+    def test_adds_left_to_right_not_pairwise(self):
+        rng = np.random.default_rng(0)
+        pairwise_differs = 0
+        for size in range(1, 300):
+            v = wild(rng, size)
+            acc = v[0]
+            for t in v[1:]:
+                acc += t
+            assert bits(_ordered_sum(v)) == bits(acc)
+            pairwise_differs += bits(np.sum(v)) != bits(acc)
+        assert pairwise_differs > 0
+
+    def test_along_an_axis(self):
+        v = wild(np.random.default_rng(1), (7, 5))
+        assert np.array_equal(_ordered_sum(v, axis=1), [_ordered_sum(row) for row in v])
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_quadrature_matches_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        g = make_uniform_grid(-rng.uniform(0, 2), rng.uniform(0.1, 2), 2 + seed)
+        f = GridFunction(g, wild(rng, g.n))
+        for rule in ("trapezoid", "midpoint") if g.n % 2 else ("trapezoid",):
+            assert bits(quadrature(f, rule)) == bits(loop_quadrature(f, rule))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 9])
+    def test_quadrature_of_negative_zeros(self, n):
+        f = GridFunction(make_uniform_grid(0, 1, n), np.full(n, -0.0))
+        for rule in ("trapezoid", "midpoint") if n % 2 else ("trapezoid",):
+            assert bits(quadrature(f, rule)) == bits(loop_quadrature(f, rule))
+        # the trapezoid loop starts from -0.0 * 0.5, the midpoint loop from 0.0
+        assert bits(quadrature(f)) == "-0x0.0p+0"
+
+    @pytest.mark.parametrize("rule, n", [("trapezoid", 2), ("trapezoid", 12), ("midpoint", 3),
+                                         ("midpoint", 13)])
+    def test_quadrature_of_columns(self, rule, n):
+        g = make_uniform_grid(-1, 2, n)
+        entries = wild(np.random.default_rng(n), (n, 6))
+        entries[:, 0] = -0.0
+        got = _composite_rule(entries, g.h, rule)
+        want = [loop_quadrature(GridFunction(g, entries[:, j]), rule) for j in range(6)]
+        assert [bits(v) for v in got] == [bits(v) for v in want]
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_barycenter_and_mass_match_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        k = 1 + seed % 9
+        xs = wild(rng, k)
+        w = rng.uniform(0.1, 1, k)
+        w /= loop_mass(w)
+        mu = DiscreteMeasure(xs, w)
+        assert bits(barycenter(mu)) == bits(loop_barycenter(mu))
+
+    def test_single_atom_and_negative_zero_atoms(self):
+        assert bits(barycenter(DiscreteMeasure.from_atoms([(-0.0, 1.0)]))) == "0x0.0p+0"
+        mu = DiscreteMeasure(np.full(4, -0.0), np.full(4, 0.25))
+        assert bits(barycenter(mu)) == bits(loop_barycenter(mu))
+        mu = DiscreteMeasure.from_atoms([(-0.75, 1.0)])
+        assert bits(barycenter(mu)) == bits(loop_barycenter(mu))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_mass_check_at_the_tolerance_edge(self, seed):
+        rng = np.random.default_rng(seed)
+        w = rng.uniform(0.1, 1, 1 + seed % 7)
+        w = w / w.sum() * (1 + rng.uniform(-2e-12, 2e-12))
+        total = loop_mass(w)
+        if abs(total - 1.0) > 1e-12:
+            with pytest.raises(ValueError, match=re.escape(f"got {total}") + "$"):
+                DiscreteMeasure(np.zeros_like(w), w)
+        else:
+            DiscreteMeasure(np.zeros_like(w), w)
 
 
 class TestCsvRoundTrip:

@@ -1,15 +1,18 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cconvex.costs import CostSpec, evaluate_cost
-from cconvex.grids import (DiscreteMeasure, GridFunction, make_uniform_grid,
+from cconvex.costs import CostSpec, evaluate_cost, tabulate_cost
+from cconvex.grids import (DiscreteMeasure, GridFunction, barycenter, make_uniform_grid,
                            sample_function)
 from cconvex.jensen import (NoAdmissibleWitnessError, classical_reduction_check,
                             discrete_jensen_gap, integral_jensen_bound,
                             midpoint_bound, support_concavity_check,
                             weighted_integral_bound)
+from oracles import loop_discrete_jensen, loop_quadrature
 
 BILINEAR = CostSpec("bilinear")
 
@@ -102,6 +105,113 @@ class TestDiscreteGap:
         mu = DiscreteMeasure.from_atoms([(0.0, 1.0)])
         r = discrete_jensen_gap(f, BILINEAR, mu, y=0.0)
         assert "endpoint" in r.notes
+
+
+class TestExactEvaluator:
+    def test_f_eval_replaces_interpolation(self):
+        f = square_on_unit(5)
+        mu = DiscreteMeasure.from_atoms([(0.1, 0.3), (0.35, 0.3), (0.9, 0.4)])
+        calls = []
+
+        def f_eval(x):
+            calls.append(x)
+            return x * x
+
+        b = barycenter(mu)
+        r = discrete_jensen_gap(f, BILINEAR, mu, y=2 * b, tol=1e-9, f_eval=f_eval)
+        assert len(calls) == 4  # once per atom and once at the barycenter
+        assert "interpolated" not in r.notes
+        assert r.tol == 1e-9
+        acc = 0.0
+        for p, x in zip(mu.weights, mu.positions):
+            acc += p * (x * x)
+        assert r.lhs == acc - b * b
+        assert r.holds and r.hypothesis_verified
+        # the interpolated report on the same grid pays for it in tolerance
+        assert discrete_jensen_gap(f, BILINEAR, mu, y=2 * b, tol=1e-9).tol > 1e-9
+
+
+def report_bits(r):
+    return {k: float(v).hex() if isinstance(v, float) else bool(v) if k == "holds" else v
+            for k, v in dataclasses.asdict(r).items()}
+
+
+def outcome(fn, *args, **kwargs):
+    try:
+        return report_bits(fn(*args, **kwargs))
+    except ValueError as e:
+        return type(e).__name__, str(e)
+
+
+LOOP_FAMILIES = (BILINEAR, CostSpec("one_affine", a_coeffs=(0.2, 0.8, -0.3), b_coeffs=(0.1, 1.0)),
+                 CostSpec("neg_quadratic", scale=1.7), CostSpec("reflector"))
+
+
+class TestLoopIdentity:
+    """discrete_jensen_gap against the atom-at-a-time loop it replaced,
+    bit for bit, errors included."""
+
+    @pytest.mark.parametrize("seed", range(80))
+    def test_discrete_matches_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        spec = LOOP_FAMILIES[seed % 4]
+        g = make_uniform_grid(-rng.uniform(0, 1), rng.uniform(0.1, 1), 2 + seed)
+        gj = make_uniform_grid(-0.9, 0.9, 2 + seed % 30)
+        if seed % 3 == 0:  # c-convex: the max of two shifted cost columns
+            y1, y2 = rng.uniform(-0.9, 0.9, 2)
+            vals = np.maximum(evaluate_cost(spec, g.points, y1), evaluate_cost(spec, g.points, y2) - 0.1)
+        elif seed % 3 == 1:
+            vals = rng.normal(size=g.n)
+        else:
+            vals = np.full(g.n, -0.0)
+        f = GridFunction(g, vals)
+        k = 1 if seed % 5 == 0 else int(rng.integers(2, 7))
+        pos = rng.uniform(g.interval.lo, g.interval.hi, k)
+        if seed % 7 == 0:
+            pos[-1] = g.interval.hi + 0.25
+        w = rng.uniform(0.1, 1, k)
+        mu = DiscreteMeasure(pos, w / w.sum())
+        y = float(rng.uniform(-0.9, 0.9)) if seed % 2 else None
+        f_eval = (lambda x: -0.0 if seed % 3 == 2 else x * x) if seed % 4 == 1 else None
+        args = (f, spec, mu)
+        kwargs = dict(y=y, tol=1e-9, f_eval=f_eval, grid_j=gj)
+        assert outcome(discrete_jensen_gap, *args, **kwargs) == outcome(loop_discrete_jensen,
+                                                                        *args, **kwargs)
+
+    def test_negative_zero_sums_are_positive_zero(self):
+        g = make_uniform_grid(-1, 1, 9)
+        f = GridFunction(g, np.full(9, -0.0))
+        mu = DiscreteMeasure.from_atoms([(-0.5, 0.5), (-0.25, 0.5)])
+        r = discrete_jensen_gap(f, BILINEAR, mu, y=0.0)
+        assert report_bits(r) == report_bits(loop_discrete_jensen(f, BILINEAR, mu, y=0.0))
+        assert float(r.lhs).hex() == float(r.rhs).hex() == "0x0.0p+0"
+        # every atom's cost term is -0.0 and c(b, y) is +0.0, so only the
+        # leading 0.0 of the cost-side sum decides the sign of rhs
+        signed = CostSpec("translation", h=lambda d: np.where(d == 0.0, 0.0, -0.0))
+        mu = DiscreteMeasure.from_atoms([(-0.5, 0.5), (0.5, 0.5)])
+        r = discrete_jensen_gap(f, signed, mu, y=0.0)
+        assert report_bits(r) == report_bits(loop_discrete_jensen(f, signed, mu, y=0.0))
+        assert float(r.rhs).hex() == "0x0.0p+0"
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_classical_reduction_matches_column_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        spec = CostSpec("one_affine", a_coeffs=tuple(rng.normal(size=3)),
+                        b_coeffs=tuple(rng.normal(size=2)))
+        g = make_uniform_grid(-1, 1, 3 + 2 * seed)
+        gj = make_uniform_grid(-2, 2, 2 + seed)
+        f = GridFunction(g, rng.normal(size=g.n) if seed % 2 else np.full(g.n, -0.0))
+        entries = tabulate_cost(spec, g, gj).entries
+        idx = g.nearest_index(0.0)
+        worst = 0.0
+        for j in range(gj.n):
+            col = GridFunction(g, entries[:, j])
+            worst = max(worst, abs(loop_quadrature(col) - entries[idx, j] * 2.0))
+        v = classical_reduction_check(f, spec, gj)
+        quad_tol = float(v.notes.split("quad_tol=")[1])
+        classical = float(f.values[idx]) - loop_quadrature(f) / 2.0
+        want = max(worst - quad_tol, classical - quad_tol)
+        assert float(v.max_violation).hex() == float(want).hex()
 
 
 class TestMidpointForm:
