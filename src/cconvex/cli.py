@@ -189,8 +189,10 @@ def cmd_jensen(args) -> int:
             report = midpoint_bound(f, spec, a, b, y=y, tol=args.tol, grid_j=gj)
         else:  # pragma: no cover
             raise SystemExit(form)
-    payload = {"config": _common_config(args), "report": report.to_dict()}
-    payload["config_hash"] = _config_hash(payload["config"])
+    config = {**_common_config(args), "form": form, "measure": args.measure, "y": y,
+              "xi": args.xi}
+    payload = {"config": config, "report": report.to_dict()}
+    payload["config_hash"] = _config_hash(config)
     _dump_json(args.out, payload)
     return 0
 

@@ -19,7 +19,7 @@ from typing import Callable, Optional
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .grids import Grid, grid_through
+from .grids import Grid, csv_floats, csv_rows, grid_through
 
 __all__ = [
     "COST_FAMILIES",
@@ -332,19 +332,20 @@ def segment_concavity_excess(matrix: CostMatrix) -> float:
 
 
 def read_cost_csv(path: str, rel_step_tol: float = 1e-9) -> CostMatrix:
-    """CSV matrix: first row is the y grid, first column the x grid."""
-    rows = []
-    with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if row and any(c.strip() for c in row):
-                rows.append(row)
-    if len(rows) < 3 or len(rows[0]) < 3:
+    """CSV matrix: first row is the y grid (after a corner cell), first
+    column the x grid.  Every row must be as wide as the first; a bad row
+    or cell is rejected with a ``path:line`` message (``grids.csv_floats``)."""
+    rows = list(csv_rows(path))
+    m = len(rows[0][1]) - 1 if rows else 0
+    if len(rows) < 3 or m < 2:
         raise ValueError(f"{path}: cost matrix needs at least a 2x2 grid")
-    y = np.array([float(c) for c in rows[0][1:]])
-    x = np.array([float(r[0]) for r in rows[1:]])
-    entries = np.array([[float(c) for c in r[1:]] for r in rows[1:]])
-    return CostMatrix(grid_through(x, f"{path}: x grid", rel_step_tol),
-                      grid_through(y, f"{path}: y grid", rel_step_tol), entries)
+    lineno, head = rows[0]
+    y = csv_floats(path, lineno, head[1:], tuple(f"y[{j}]" for j in range(m)))
+    names = ("x",) + tuple(f"c(x, y[{j}])" for j in range(m))
+    table = np.array([csv_floats(path, k, row, names, exact=True) for k, row in rows[1:]])
+    return CostMatrix(grid_through(table[:, 0], f"{path}: x grid", rel_step_tol),
+                      grid_through(np.array(y), f"{path}: y grid", rel_step_tol),
+                      table[:, 1:].copy())
 
 
 def write_cost_csv(path: str, matrix: CostMatrix) -> None:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -28,6 +28,8 @@ __all__ = [
     "check_index",
     "quadrature",
     "barycenter",
+    "csv_rows",
+    "csv_floats",
     "read_two_column_csv",
     "read_grid_function_csv",
     "write_grid_function_csv",
@@ -237,34 +239,52 @@ def barycenter(mu: DiscreteMeasure) -> float:
     return float(_ordered_sum(np.r_[0.0, mu.weights * mu.positions]))
 
 
-def read_two_column_csv(path: str, names: tuple[str, str]) -> tuple[np.ndarray, np.ndarray]:
-    """The two float columns of a CSV file (``inf`` reads as +inf).
-
-    Blank rows are skipped, and so is a first row whose first cell is not a
-    number (a header).  Any other short or non-numeric row is rejected with
-    a ``path:line`` message that names the column by ``names``.
-    """
-    xs: list[float] = []
-    vs: list[float] = []
+def csv_rows(path: str) -> Iterator[tuple[int, list[str]]]:
+    """Line number and cells of each nonblank row of a CSV file."""
     with open(path, newline="") as fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) < 2:
-                raise ValueError(f"{path}:{lineno}: expected two columns")
-            try:
-                x = float(row[0])
-            except ValueError:
-                if lineno == 1:  # header row
-                    continue
-                raise ValueError(f"{path}:{lineno}: bad {names[0]} value {row[0].strip()!r}") from None
-            try:
-                v = float(row[1])
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: bad {names[1]} value {row[1].strip()!r}") from None
-            xs.append(x)
-            vs.append(v)
-    return np.array(xs), np.array(vs)
+            if any(c.strip() for c in row):
+                yield lineno, row
+
+
+def csv_floats(path: str, lineno: int, row: list[str], names: Sequence[str],
+               exact: bool = False) -> list[float]:
+    """The first ``len(names)`` cells of a CSV row as floats (``inf`` reads
+    as +inf).  A shorter row (or, when ``exact``, a longer one) and a
+    non-numeric cell are rejected with a ``path:line`` message that names
+    the column by ``names``."""
+    if len(row) < len(names) or (exact and len(row) > len(names)):
+        raise ValueError(f"{path}:{lineno}: expected {len(names)} columns, got {len(row)}")
+    values = []
+    for name, cell in zip(names, row):
+        try:
+            values.append(float(cell))
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: bad {name} value {cell.strip()!r}") from None
+    return values
+
+
+def read_two_column_csv(path: str, names: tuple[str, str]) -> tuple[np.ndarray, np.ndarray]:
+    """The two float columns of a CSV file, read by ``csv_floats``.
+
+    Blank rows are skipped, and so is a first row whose first cell is not a
+    number (a header).  Any other short or non-numeric row is rejected.
+    """
+    table = []
+    for lineno, row in csv_rows(path):
+        if lineno == 1 and len(row) >= 2 and not _is_number(row[0]):  # header row
+            continue
+        table.append(csv_floats(path, lineno, row, names))
+    columns = np.array(table, dtype=float).reshape(-1, 2)
+    return columns[:, 0].copy(), columns[:, 1].copy()
+
+
+def _is_number(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
 
 
 def read_grid_function_csv(path: str, rel_step_tol: float = 1e-9) -> GridFunction:

@@ -19,6 +19,18 @@ set-valued check) draws one member per endpoint in pair order, x1 before
 x2, as ``rng.choice`` over that row's members would.  Pairs are swept in
 blocks of ``PAIR_BLOCK``, and the witness is the first (pair, lambda)
 position of the maximum excess, set only when that maximum is positive.
+All lambdas of a block are snapped in one pass, with the arithmetic of one
+lambda at a time.
+
+Row-span rule: each member row has a count and a first and last member
+column.  When every nonempty row is one interval (last - first + 1 ==
+count), the common members of two rows are the columns from the larger
+first to the smaller last, so a pair costs O(1) instead of an m-wide
+intersection; otherwise the rows are intersected column by column.  The
+rule picks only how a result is computed, never which pairs or members
+are drawn, so the sampling contract above and every verdict byte are the
+same on both sides.  The row-gap part of ``check_subdiff_convexity``,
+whose conclusion is that contiguity, is always judged on the dense rows.
 """
 
 from __future__ import annotations
@@ -136,8 +148,58 @@ def _lipschitz(f: GridFunction, cost: CostMatrix) -> tuple[float, float, float]:
 def _nearest_indices(grid: Grid, x: np.ndarray) -> np.ndarray:
     """``Grid.nearest_index`` over an array; ``rint`` rounds half to even,
     as ``round`` does."""
-    i = np.rint((x - grid.interval.lo) / grid.h)
-    return np.clip(i, 0, grid.n - 1).astype(np.int64)
+    i = x - grid.interval.lo
+    i /= grid.h
+    np.rint(i, out=i)
+    np.maximum(i, 0, out=i)   # np.clip, without its slower wrapper
+    np.minimum(i, grid.n - 1, out=i)
+    return i.astype(np.int64)
+
+
+def _snap(grid: Grid, x: np.ndarray, scale: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest grid indices of ``x``, and ``scale * |point - x|`` at them:
+    the snapping allowance term, rounded as the scalar expression is."""
+    i = _nearest_indices(grid, x)
+    d = grid.points[i]
+    d -= x
+    np.abs(d, out=d)
+    d *= scale
+    return i, d
+
+
+def _mixtures(u: np.ndarray, v: np.ndarray, lambdas: np.ndarray) -> np.ndarray:
+    """``(1 - l) * u + l * v`` for every pair and lambda, shape (pairs, lambdas)."""
+    out = np.multiply.outer(u, 1.0 - lambdas)
+    out += np.multiply.outer(v, lambdas)
+    return out
+
+
+def _row_spans(member: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
+    """Member count, first and last member column of each row (0 and m-1
+    for an empty row), and whether every nonempty row is one interval."""
+    m = member.shape[1]
+    counts = member.sum(axis=1)
+    first = member.argmax(axis=1)
+    last = m - 1 - member[:, ::-1].argmax(axis=1)
+    intervals = bool(((counts == 0) | (last - first + 1 == counts)).all())
+    return counts, first, last, intervals
+
+
+def _common_span(member: np.ndarray, spans: tuple, a: np.ndarray,
+                 b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Whether rows a[k] and b[k] share a member, and the first and last
+    shared column.  When every row is an interval the shared members are
+    the columns from the larger first to the smaller last, found in O(1)
+    per pair; otherwise the rows are intersected column by column."""
+    counts, first, last, intervals = spans
+    if intervals:
+        lo = np.maximum(first[a], first[b])
+        hi = np.minimum(last[a], last[b])
+        return (counts[a] > 0) & (counts[b] > 0) & (lo <= hi), lo, hi
+    both = member[a] & member[b]
+    lo = both.argmax(axis=1)
+    hi = member.shape[1] - 1 - both[:, ::-1].argmax(axis=1)
+    return both.any(axis=1), lo, hi
 
 
 def _fold(worst: float, witness: Optional[tuple], excess: np.ndarray,
@@ -239,7 +301,8 @@ def check_order_propagation(f: GridFunction, g: GridFunction, cost: CostMatrix,
     if not u_mask.any():
         return _vacuous(check_id)
     # pairs (u, v) whose sets intersect: counts[u, v] > 0
-    counts = mg.astype(np.int64) @ mf.astype(np.int64).T
+    # float64 so BLAS does the product; counts <= m < 2**53 are exact
+    counts = mg.astype(float) @ mf.astype(float).T
     qualifying = u_mask[:, None] & (counts > 0)
     if not qualifying.any():
         return _vacuous(check_id)
@@ -256,20 +319,16 @@ def _subdiff_convexity_sweep(member: np.ndarray, grid_j: Grid, tol: float,
                              i1: np.ndarray, i2: np.ndarray) -> tuple[float, Optional[tuple]]:
     """Gaps inside each nonempty row of ``member``, then the y diameter of
     the common members of each pair (i1[k], i2[k]) beyond one step."""
-    m = member.shape[1]
-    counts = member.sum(axis=1)
-    first = member.argmax(axis=1)
-    last = m - 1 - member[:, ::-1].argmax(axis=1)
+    spans = _row_spans(member)
+    counts, first, last, _ = spans
     gaps = np.where(counts > 0, (last - first + 1 - counts).astype(float), -np.inf)
     worst, witness = _fold(-np.inf, None, gaps,
                            lambda i: (i, int(first[i]), int(last[i])))
     yv = grid_j.points
     for s in range(0, i1.size, PAIR_BLOCK):
         a, b = i1[s:s + PAIR_BLOCK], i2[s:s + PAIR_BLOCK]
-        both = member[a] & member[b]
-        lo = both.argmax(axis=1)
-        hi = m - 1 - both[:, ::-1].argmax(axis=1)
-        excess = np.where(both.any(axis=1), (yv[hi] - yv[lo]) - (grid_j.h + tol), -np.inf)
+        meet, lo, hi = _common_span(member, spans, a, b)
+        excess = np.where(meet, (yv[hi] - yv[lo]) - (grid_j.h + tol), -np.inf)
         worst, witness = _fold(worst, witness, excess, lambda q: (int(a[q]), int(b[q])))
     return worst, witness
 
@@ -306,10 +365,15 @@ def _set_valued_sweep(slack: np.ndarray, member: np.ndarray, grid_i: Grid, grid_
     and measure its non-membership beyond the snapping allowance."""
     lf, lcx, lcy = lipschitz
     xv, yv = grid_i.points, grid_j.points
-    counts = member.sum(axis=1)
-    starts = np.cumsum(counts) - counts   # row x's members start here in ys
-    ys = np.flatnonzero(member)
-    ys %= member.shape[1]
+    lams = np.asarray(lambdas, dtype=float)
+    counts, first, _, intervals = _row_spans(member)
+    # ys[starts[x] + r] is the column of row x's r-th member
+    if intervals:
+        starts, ys = first, np.arange(member.shape[1])
+    else:
+        starts = np.cumsum(counts) - counts
+        ys = np.flatnonzero(member)
+        ys %= member.shape[1]
     worst, witness = -np.inf, None
     for s in range(0, i1s.size, PAIR_BLOCK):
         x1, x2 = i1s[s:s + PAIR_BLOCK], i2s[s:s + PAIR_BLOCK]
@@ -319,15 +383,14 @@ def _set_valued_sweep(slack: np.ndarray, member: np.ndarray, grid_i: Grid, grid_
         draws = rng.integers(0, highs)
         a = ys[starts[x1] + draws[0::2]]
         b = ys[starts[x2] + draws[1::2]]
-        excess = np.empty((x1.size, len(lambdas)))
-        for k, lam in enumerate(lambdas):
-            xm = (1.0 - lam) * xv[x1] + lam * xv[x2]
-            ym = (1.0 - lam) * yv[a] + lam * yv[b]
-            im = _nearest_indices(grid_i, xm)
-            jm = _nearest_indices(grid_j, ym)
-            allow = (tol + 2.0 * (lf + lcx) * np.abs(xv[im] - xm)
-                     + 2.0 * lcy * np.abs(yv[jm] - ym))
-            excess[:, k] = -slack[im, jm] - allow
+        # allow = tol + 2(lf + lcx)|dx| + 2 lcy |dy|, summed left to right
+        im, allow = _snap(grid_i, _mixtures(xv[x1], xv[x2], lams), 2.0 * (lf + lcx))
+        allow += tol
+        jm, dy = _snap(grid_j, _mixtures(yv[a], yv[b], lams), 2.0 * lcy)
+        allow += dy
+        excess = slack[im, jm]
+        np.negative(excess, out=excess)
+        excess -= allow
         worst, witness = _fold(worst, witness, excess, lambda q: (
             int(x1[q // len(lambdas)]), int(x2[q // len(lambdas)]),
             float(lambdas[q % len(lambdas)])))
@@ -383,26 +446,29 @@ def _intersection_sweep(slack: np.ndarray, member: np.ndarray, grid_i: Grid,
     mixture points; also reports whether any pair had a common member."""
     lf, lcx, lcy = lipschitz
     xv = grid_i.points
+    lams = np.asarray(lambdas, dtype=float)
+    spans = _row_spans(member)
     worst, witness, any_intersection = -np.inf, None, False
     for s in range(0, i1s.size, PAIR_BLOCK):
         x1, x2 = i1s[s:s + PAIR_BLOCK], i2s[s:s + PAIR_BLOCK]
-        outside = ~(member[x1] & member[x2])
-        meet = ~outside.all(axis=1)
+        meet = _common_span(member, spans, x1, x2)[0]
         if not meet.any():
             continue
         any_intersection = True
         # pairs without common members never count; dropping them keeps the
         # gathered slack rows below small
-        x1, x2, outside = x1[meet], x2[meet], outside[meet]
-        excess = np.empty((x1.size, len(lambdas)))
-        for k, lam in enumerate(lambdas):
-            xm = (1.0 - lam) * xv[x1] + lam * xv[x2]
-            im = _nearest_indices(grid_i, xm)
-            allow = tol + 2.0 * (lf + lcx) * np.abs(xv[im] - xm) + 2.0 * lcy * 0.0
-            rows = slack[im]
+        x1, x2 = x1[meet], x2[meet]
+        outside = ~(member[x1] & member[x2])
+        im, allow = _snap(grid_i, _mixtures(xv[x1], xv[x2], lams), 2.0 * (lf + lcx))
+        allow += tol
+        allow += 2.0 * lcy * 0.0   # no dy term: the common member is not mixed
+        excess = np.empty_like(allow)
+        for k in range(lams.size):
+            rows = slack[im[:, k]]
             np.negative(rows, out=rows)
             rows[outside] = -np.inf   # only common members count
-            excess[:, k] = rows.max(axis=1) - allow
+            excess[:, k] = rows.max(axis=1)
+        excess -= allow
         worst, witness = _fold(worst, witness, excess, lambda q: (
             int(x1[q // len(lambdas)]), int(x2[q // len(lambdas)]),
             float(lambdas[q % len(lambdas)])))
@@ -447,11 +513,12 @@ def _domain_interval_sweep(member: np.ndarray, dom_relaxed: np.ndarray, i1s: np.
     """Count the grid points outside ``dom_relaxed`` between each pair with
     a common member; also reports whether any pair had one."""
     missing_below = np.concatenate(([0], np.cumsum(~dom_relaxed)))
+    spans = _row_spans(member)
     worst, witness, any_intersection = -np.inf, None, False
     for s in range(0, i1s.size, PAIR_BLOCK):
         a, b = i1s[s:s + PAIR_BLOCK], i2s[s:s + PAIR_BLOCK]
         lo, hi = np.minimum(a, b), np.maximum(a, b)
-        meet = (member[lo] & member[hi]).any(axis=1)
+        meet = _common_span(member, spans, lo, hi)[0]
         any_intersection |= bool(meet.any())
         missing = (missing_below[hi + 1] - missing_below[lo]).astype(float)
         excess = np.where(meet, missing, -np.inf)

@@ -161,7 +161,7 @@ class TestJensenCommand:
     @pytest.mark.parametrize("rows, message", [
         ("x,p\n0,0.25\n0.25,O.3\n1,0.45\n", r"mu.csv:3: bad p value 'O.3'$"),
         ("0,0.25\nzero,0.3\n1,0.45\n", r"mu.csv:2: bad x value 'zero'$"),
-        ("x,p\n0,0.25\n0.5\n1,0.75\n", r"mu.csv:3: expected two columns$"),
+        ("x,p\n0,0.25\n0.5\n1,0.75\n", r"mu.csv:3: expected 2 columns, got 1$"),
         ("0,0.25\n1,O.75\n", r"mu.csv:2: bad p value 'O.75'$"),
         ("x,p\n\n", r"mu.csv: no atoms$"),
     ])
@@ -227,31 +227,48 @@ class TestJensenGolden:
     J_INTERVAL = {"bilinear": "-2,2", "one_affine:0.2,0.8;0.1": "-2,2",
                   "neg_quadratic": "-2.5,2.5", "reflector": "-0.9,0.9"}
 
-    @pytest.mark.parametrize("cost, form, digest", [
-        ("bilinear", "discrete", "042d429fca3c8f4b9b61c96cb29b16c9950b9a0b44f7cae9b63236f20e2c3f52"),
-        ("bilinear", "midpoint", "635aa1f84553ce60b264b1bccc0b0aa16397b02f26f95bd07ccb680992a21eac"),
-        ("bilinear", "integral", "9ffde1c0ccb169b5a5b0075fb49e31392a6272563a287770be26b39dca1fa318"),
-        ("bilinear", "weighted", "042d429fca3c8f4b9b61c96cb29b16c9950b9a0b44f7cae9b63236f20e2c3f52"),
-        ("one_affine:0.2,0.8;0.1", "discrete", "0e8fd0f3e3c617eeb6c960f183ef0fee216cddc856f21ffdd05c86704fc254bb"),
-        ("one_affine:0.2,0.8;0.1", "midpoint", "4f048ee7bec02359555a655e58edc5abb76913f759903d33eb5e8d24ba3b0b5a"),
-        ("one_affine:0.2,0.8;0.1", "integral", "d0d11358cd49a64bb58649e6e97f4d0f149dfeb1dc5b06b33b1f8dd090ff3ed3"),
-        ("one_affine:0.2,0.8;0.1", "weighted", "0e8fd0f3e3c617eeb6c960f183ef0fee216cddc856f21ffdd05c86704fc254bb"),
-        ("neg_quadratic", "discrete", "37a5c4a3d640d45e0d9c7e169eaed22958b0e2cccd60c6037c27571aaec326b4"),
-        ("neg_quadratic", "midpoint", "de63b36ea0708ffb8df3e83a1daa3f797192ff13d1c18e9ffe8a876ddcaae0a8"),
-        ("neg_quadratic", "integral", "abbd2dfff145762f5f1b69e54c0fc21a357f25d655fb6c9767dbc5b2c7ea3f04"),
-        ("neg_quadratic", "weighted", "37a5c4a3d640d45e0d9c7e169eaed22958b0e2cccd60c6037c27571aaec326b4"),
-        ("reflector", "discrete", "9b080cbba967947c95952a0ad8ca05fa0750af4459b52d3735467f5134ce2ea9"),
-        ("reflector", "midpoint", "ae0edbdd9985d30e427682b09ba1395e78cafc6069cd3af23250cac5ff757c2c"),
-        ("reflector", "integral", "6ef788511a77531da0f721f1b2abdfbda1671ef44f82a133d74cc2e443277e3d"),
-        ("reflector", "weighted", "9b080cbba967947c95952a0ad8ca05fa0750af4459b52d3735467f5134ce2ea9"),
-    ])
-    def test_record(self, tmp_path, cost, form, digest):
-        out = tmp_path / "jensen.json"
+    def record(self, tmp_path, cost, form):
+        out = tmp_path / f"jensen_{form}.json"
         assert run(["jensen", "--n", "65", "--m", "65", f"--interval-j={self.J_INTERVAL[cost]}",
                     "--cost", cost, "--f", "parabola",
                     "--measure=-0.7:0.25,0.1:0.45,0.63:0.3", "--form", form,
                     "--out", str(out)]) == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+        return out.read_bytes()
+
+    @pytest.mark.parametrize("cost, form, digest", [
+        ("bilinear", "discrete", "a962c992de028786e5554609c41ed436518637283113a1fe14984b278896a13c"),
+        ("bilinear", "midpoint", "89bb2a747df734290077d4b05ef8801683b034db84e003e1c1283f2b91e7026b"),
+        ("bilinear", "integral", "d4d8843aa564d1efd0aab10aa675f4ac4e7b2f26a12f0e6e5f749c6cf0e954c4"),
+        ("bilinear", "weighted", "f5b9c517d49c3baf969bb5b43c200a24284a2a166d887788b8dd850f779a44e2"),
+        ("one_affine:0.2,0.8;0.1", "discrete", "fbe8f3c34a8cbef1244ecc7c17467ebd6311c75a412a0d87b37d19052c1f0575"),
+        ("one_affine:0.2,0.8;0.1", "midpoint", "77e907f88fe039bb8ac5653d662bb999889227a20c40a179eea3c8537c890a76"),
+        ("one_affine:0.2,0.8;0.1", "integral", "16c7657a1c96c91543d357f85fc7637de18289cfed712d4577a1a7e5c5e52af8"),
+        ("one_affine:0.2,0.8;0.1", "weighted", "8ddaa6b81ef618d894d0513e5d10001511220fb7fa7e7281bb0ee5e3b571b258"),
+        ("neg_quadratic", "discrete", "53644f025acb2b534360664b28618953439f6340e6d8e5dd95ae71245ca9cebf"),
+        ("neg_quadratic", "midpoint", "0103536d732693336bb35fdebd19e1e4d613be72ee9ab522503010dacbd9f0d9"),
+        ("neg_quadratic", "integral", "d6e245ed00464786e372c2eae0f689b6dc28efda81090dd939ef917db157d7c2"),
+        ("neg_quadratic", "weighted", "d2961f085503700b7bcfd3d3b60a516b31c2d8a03b3bc059c116a4fc346344da"),
+        ("reflector", "discrete", "563aaa5c0c28c9389cb64390d3ea5f7348f5db259b96702af80e54aabbc9dcb4"),
+        ("reflector", "midpoint", "e2391d68c184be717f8a34ea14affd7bcf5b25377958e80a1e308d3e594bc753"),
+        ("reflector", "integral", "9d452b4138edf39fa93f1d557ee8ae9d003f0c4b4971ebd019be31a671a1f58c"),
+        ("reflector", "weighted", "da761aad54fdbb4f90d8848b7f4aff12a438885d0a17c34893645775e01e6af3"),
+    ])
+    def test_record(self, tmp_path, cost, form, digest):
+        assert hashlib.sha256(self.record(tmp_path, cost, form)).hexdigest() == digest
+
+    @pytest.mark.parametrize("cost", sorted(J_INTERVAL))
+    def test_forms_have_distinct_config_hashes(self, tmp_path, cost):
+        forms = ("discrete", "midpoint", "integral", "weighted")
+        records = [json.loads(self.record(tmp_path, cost, form)) for form in forms]
+        assert [r["config"]["form"] for r in records] == list(forms)
+        assert len({r["config_hash"] for r in records}) == len(forms)
+
+    def test_config_records_measure_y_and_xi(self, tmp_path):
+        out = tmp_path / "jensen.json"
+        assert run(["jensen", "--f", "parabola", "--form", "integral", "--xi", "0.3",
+                    "--y", "0.2", "--measure", "0:0.5,1:0.5", "--out", str(out)]) == 0
+        config = json.loads(out.read_bytes())["config"]
+        assert (config["measure"], config["y"], config["xi"]) == ("0:0.5,1:0.5", 0.2, 0.3)
 
 
 class TestGenCommand:

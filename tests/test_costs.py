@@ -156,3 +156,19 @@ class TestCostCsv:
         assert m2.grid_i == m.grid_i
         assert m2.grid_j == m.grid_j
         assert np.array_equal(m2.entries, m.entries)
+
+    @pytest.mark.parametrize("text, message", [
+        (",0,1\n0,0.1,0.2\n1,0.3,O.4\n", r"cost.csv:3: bad c\(x, y\[1\]\) value 'O.4'$"),
+        (",0,1\n0,0.1,0.2\n1,0.3\n", r"cost.csv:3: expected 3 columns, got 2$"),
+        (",0,1\n0,0.1,0.2,0.5\n1,0.3,0.4\n", r"cost.csv:2: expected 3 columns, got 4$"),
+        (",0,one\n0,0.1,0.2\n1,0.3,0.4\n", r"cost.csv:1: bad y\[1\] value 'one'$"),
+        (",0,1\n\nzero,0.1,0.2\n1,0.3,0.4\n", r"cost.csv:3: bad x value 'zero'$"),
+        (",0,1\n0,0.1,0.2\n", r"cost.csv: cost matrix needs at least a 2x2 grid$"),
+        (",0\n0,0.1\n1,0.3\n", r"cost.csv: cost matrix needs at least a 2x2 grid$"),
+        ("", r"cost.csv: cost matrix needs at least a 2x2 grid$"),
+    ])
+    def test_bad_rows_name_file_and_line(self, tmp_path, text, message):
+        path = tmp_path / "cost.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            read_cost_csv(str(path))

@@ -29,12 +29,14 @@ def fields(v):
 
 @pytest.mark.parametrize("pair_cap, exhaustive",
                          [(0, False), (1, False), (50, False), (10000, False), (10000, True)])
-@pytest.mark.parametrize("seed", range(5))
-def test_suite_verdicts_match_loop_sweeps(monkeypatch, seed, pair_cap, exhaustive):
-    fast = propcheck.run_suite(seed=seed, pair_cap=pair_cap, exhaustive=exhaustive)
+@pytest.mark.parametrize("falsify", [False, True])
+@pytest.mark.parametrize("seed", range(10))
+def test_suite_verdicts_match_loop_sweeps(monkeypatch, seed, falsify, pair_cap, exhaustive):
+    kwargs = dict(seed=seed, pair_cap=pair_cap, exhaustive=exhaustive, falsify=falsify)
+    fast = propcheck.run_suite(**kwargs)
     for name, loop in LOOP_SWEEPS.items():
         monkeypatch.setattr(propcheck, name, loop)
-    slow = propcheck.run_suite(seed=seed, pair_cap=pair_cap, exhaustive=exhaustive)
+    slow = propcheck.run_suite(**kwargs)
     assert [fields(v) for v in fast] == [fields(v) for v in slow]
 
 
@@ -63,6 +65,74 @@ def random_pairs(rng, k=700):
     return i1[i1 != i2], i2[i1 != i2]
 
 
+def interval_member(rng, max_len=12, min_len=0):
+    """Rows that are each one interval of columns, or empty (length 0).
+    Rows 0 and 1 touch at one column, row 2 holds one member and row 3
+    is empty (when min_len allows it)."""
+    first = rng.integers(0, M, N)
+    length = rng.integers(min_len, max_len + 1, N)
+    first[:4], length[:4] = (5, 9, 20, 30), (5, 4, 1, min_len)
+    cols = np.arange(M)
+    return (cols >= first[:, None]) & (cols < (first + length)[:, None])
+
+
+def interval_pairs(rng):
+    """Random pairs, led by the touching, single-member and empty rows."""
+    i1, i2 = random_pairs(rng)
+    lead1, lead2 = np.array([0, 1, 0, 2, 3, 0]), np.array([1, 0, 2, 0, 0, 3])
+    return np.r_[lead1, i1], np.r_[lead2, i2]
+
+
+def test_interval_member_rows():
+    member = interval_member(np.random.default_rng(0))
+    counts, first, last, intervals = propcheck._row_spans(member)
+    assert intervals
+    assert (counts[:4] == (5, 4, 1, 0)).all() and (counts == 0).sum() > 1
+    assert last[0] == first[1] == 9   # rows 0 and 1 share exactly column 9
+    assert not propcheck._row_spans(random_member(np.random.default_rng(0)))[3]
+
+
+@pytest.mark.parametrize("tol", TOLS)
+@pytest.mark.parametrize("y_half_width", [1.0, 100.0])
+@pytest.mark.parametrize("seed", range(3))
+def test_subdiff_convexity_sweep_on_intervals(block, seed, y_half_width, tol):
+    rng = np.random.default_rng(seed)
+    member = interval_member(rng)
+    grid_j = make_uniform_grid(-y_half_width, y_half_width, M)
+    i1, i2 = interval_pairs(rng)
+    got = propcheck._subdiff_convexity_sweep(member, grid_j, tol, i1, i2)
+    assert (got[0] > 0) == (tol == tol)   # pairs share more than two columns
+    assert got == loop_subdiff_convexity_sweep(member, grid_j, tol, i1, i2)
+
+
+def test_subdiff_convexity_sweep_touching_intervals():
+    # rows 0 and 1 share only column 9, a diameter of 0, which a tol of
+    # -(h + 1) turns into an excess near 1; rows 2 and 3 share nothing with
+    # row 0
+    member = interval_member(np.random.default_rng(0))
+    grid_j = make_uniform_grid(-1, 1, M)
+    tol = -(grid_j.h + 1.0)
+    i1, i2 = np.array([2, 3, 0, 1]), np.array([0, 0, 1, 0])
+    got = propcheck._subdiff_convexity_sweep(member, grid_j, tol, i1, i2)
+    assert got == loop_subdiff_convexity_sweep(member, grid_j, tol, i1, i2)
+    assert got[1] == (0, 1) and got[0] == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_domain_interval_sweep_on_intervals(block, seed):
+    rng = np.random.default_rng(seed)
+    member = interval_member(rng)
+    dom_relaxed = rng.random(N) < 0.8
+    i1, i2 = interval_pairs(rng)
+    got = propcheck._domain_interval_sweep(member, dom_relaxed, i1, i2)
+    assert got[0] > 0
+    assert got == loop_domain_interval_sweep(member, dom_relaxed, i1, i2)
+    # only the touching pair meets: its one shared column counts
+    pair = (np.array([3, 0, 2]), np.array([0, 1, 0]))
+    assert propcheck._domain_interval_sweep(member, dom_relaxed, *pair) \
+        == loop_domain_interval_sweep(member, dom_relaxed, *pair)
+
+
 @pytest.mark.parametrize("tol", TOLS)
 @pytest.mark.parametrize("y_half_width", [1.0, 100.0])  # gap or diameter wins
 @pytest.mark.parametrize("seed", range(3))
@@ -76,15 +146,21 @@ def test_subdiff_convexity_sweep_witness(block, seed, y_half_width, tol):
     assert got == loop_subdiff_convexity_sweep(member, grid_j, tol, i1, i2)
 
 
+LAMBDA_SETS = ((0.5,), (0.25, 0.5, 0.75), propcheck.DEFAULT_LAMBDAS)
+
+
+@pytest.mark.parametrize("intervals", [False, True])
+@pytest.mark.parametrize("lambdas", LAMBDA_SETS)
 @pytest.mark.parametrize("tol", TOLS)
 @pytest.mark.parametrize("seed", range(3))
-def test_set_valued_sweep_witness(block, seed, tol):
+def test_set_valued_sweep_witness(block, seed, tol, lambdas, intervals):
     rng = np.random.default_rng(seed)
-    member = random_member(rng)
+    member = interval_member(rng, min_len=1) if intervals else random_member(rng)
+    assert propcheck._row_spans(member)[3] == intervals
     slack = rng.normal(size=(N, M))
     gi, gj = make_uniform_grid(0, N - 1, N), make_uniform_grid(-3, M - 4, M)
     i1, i2 = random_pairs(rng)
-    args = (slack, member, gi, gj, propcheck.DEFAULT_LAMBDAS, tol, (0.5, 0.25, 0.125))
+    args = (slack, member, gi, gj, lambdas, tol, (0.5, 0.25, 0.125))
     fast_rng, loop_rng = np.random.default_rng(seed + 10), np.random.default_rng(seed + 10)
     got = propcheck._set_valued_sweep(*args, fast_rng, i1, i2)
     assert got == loop_set_valued_sweep(*args, loop_rng, i1, i2)
@@ -92,14 +168,16 @@ def test_set_valued_sweep_witness(block, seed, tol):
     assert fast_rng.random() == loop_rng.random()  # same draws consumed
 
 
+@pytest.mark.parametrize("intervals", [False, True])
+@pytest.mark.parametrize("lambdas", LAMBDA_SETS)
 @pytest.mark.parametrize("tol", TOLS)
 @pytest.mark.parametrize("seed", range(3))
-def test_intersection_sweep_witness(block, seed, tol):
+def test_intersection_sweep_witness(block, seed, tol, lambdas, intervals):
     rng = np.random.default_rng(seed)
-    member = random_member(rng)
+    member = interval_member(rng) if intervals else random_member(rng)
     slack = rng.normal(size=(N, M))
-    i1, i2 = random_pairs(rng)
-    args = (slack, member, make_uniform_grid(0, N - 1, N), (0.25, 0.5, 0.75), tol,
+    i1, i2 = interval_pairs(rng) if intervals else random_pairs(rng)
+    args = (slack, member, make_uniform_grid(0, N - 1, N), lambdas, tol,
             (0.5, 0.25, 0.125), i1, i2)
     got = propcheck._intersection_sweep(*args)
     assert got == loop_intersection_sweep(*args)

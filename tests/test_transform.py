@@ -44,6 +44,24 @@ class TestCTransform:
         assert np.abs(fc.values.values - oracle).max() <= 1e-3
         assert np.abs(fc.values.values - 0.5 * g.points**2).max() <= 1e-3
 
+    def test_half_square_convergence_table(self):
+        # x^2/2 is its own bilinear conjugate.  On one grid for x and y the
+        # maximiser x = y is a grid point, so the table is exactly zero; on
+        # a y grid off the x grid the sup error is the grid's distance term
+        # min_x (x - y)^2 / 2 <= h^2 / 8 and falls as n grows.
+        sizes = (65, 129, 257, 513, 1025)
+        ys = make_uniform_grid(-1, 1, 1000)
+        same, off = [], []
+        for n in sizes:
+            g, cost = bilinear_on(n)
+            f = GridFunction(g, 0.5 * g.points**2)
+            same.append(np.abs(c_transform(f, cost).values.values - 0.5 * g.points**2).max())
+            fc = c_transform(f, tabulate_cost(CostSpec("bilinear"), g, ys))
+            off.append(np.abs(fc.values.values - 0.5 * ys.points**2).max())
+            assert off[-1] <= g.h**2 / 8 + 1e-15
+        assert same == [0.0] * len(sizes)
+        assert all(a > b for a, b in zip(off, off[1:]))
+
     def test_neg_quadratic_zero_function(self):
         g = make_uniform_grid(-1, 1, 33)
         cost = tabulate_cost(CostSpec("neg_quadratic"), g, g)
