@@ -67,6 +67,10 @@ def parse_function(text: str, grid) -> GridFunction:
             xs, ys = zip(*pts)
         except ValueError:
             raise SystemExit("error: piecewise_linear needs params 'x0,y0;x1,y1;...'")
+        for k in range(1, len(xs)):
+            if not xs[k] >= xs[k - 1]:  # np.interp needs knots in ascending x
+                raise SystemExit(f"error: piecewise_linear knots need ascending x, "
+                                 f"got x{k}={xs[k]} after x{k - 1}={xs[k - 1]}")
         vals = np.interp(x, xs, ys)
     else:
         raise SystemExit(f"error: unknown function {name!r}; catalog: {FUNCTION_CATALOG}")
@@ -78,8 +82,23 @@ def _config_hash(payload: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
+class _Json(str):
+    """JSON text rendered ahead, which ``_dump_json`` writes as it stands."""
+
+
+def _json_text(value) -> str:
+    """json.dumps(value, sort_keys=True, separators=(",", ":"), allow_nan=False),
+    except that a ``_Json`` value inside dicts is written as the text it holds."""
+    if isinstance(value, _Json):
+        return value
+    if isinstance(value, dict):
+        return "{" + ",".join(f"{json.dumps(k)}:{_json_text(v)}"
+                              for k, v in sorted(value.items())) + "}"
+    return json.dumps(value, sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
 def _dump_json(path: Optional[str], payload: dict):
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    text = _json_text(payload)
     if path:
         with open(path, "w") as fh:
             fh.write(text + "\n")
@@ -87,13 +106,29 @@ def _dump_json(path: Optional[str], payload: dict):
         print(text)
 
 
-def _write_transform_csv(path: str, grid, result, colname: str):
+def _float_texts(values: np.ndarray) -> list[str]:
+    """Each value's repr, the text json.dumps writes for a float."""
+    return list(map(repr, values.tolist()))
+
+
+def _json_list(texts: list[str]) -> _Json:
+    return _Json("[" + ",".join(texts) + "]")
+
+
+def _require_json_floats(*arrays: np.ndarray):
+    """Raise json's own ValueError for the first non-finite value, which
+    allow_nan=False rejects and ``_float_texts`` would render."""
+    for a in arrays:
+        bad = np.flatnonzero(~np.isfinite(a))
+        if bad.size:
+            json.dumps(float(a[bad[0]]), allow_nan=False)
+
+
+def _write_csv(path: str, header: list[str], rows):
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["point", colname, "argmax_point"])
-        in_pts = result.values.grid.points  # output grid
-        for p, v, a in zip(in_pts, result.values.values, result.argmax):
-            w.writerow([repr(float(p)), repr(float(v)), repr(float(grid.points[a]))])
+        w.writerow(header)
+        w.writerows(rows)
 
 
 def _build_grids(args):
@@ -112,26 +147,28 @@ def cmd_transform(args) -> int:
         holds = deviation <= args.tol
     else:
         holds, deviation = None, None
+    verdict = {"holds": holds, "deviation": deviation, "tol": args.tol}
+    # Each array is rendered once.  The grids share text only when bitwise
+    # equal: a -0.0 and a 0.0 end point compare equal but print differently.
+    x = _float_texts(gi.points)
+    y = x if gi.points.tobytes() == gj.points.tobytes() else _float_texts(gj.points)
+    columns = {"f_c": (y, _float_texts(fc.values.values), [x[k] for k in fc.argmax.tolist()]),
+               "f_cc": (x, _float_texts(fcc.values.values), [y[k] for k in fcc.argmax.tolist()])}
     if args.format == "json":
-        payload = {
-            "config": _common_config(args),
-            "f_c": {"points": gj.points.tolist(),
-                    "values": fc.values.values.tolist(),
-                    "argmax_points": gi.points[fc.argmax].tolist()},
-            "f_cc": {"points": gi.points.tolist(),
-                     "values": fcc.values.values.tolist(),
-                     "argmax_points": gj.points[fcc.argmax].tolist()},
-            "c_convex": {"holds": holds, "deviation": deviation, "tol": args.tol},
-        }
+        _require_json_floats(gi.points, gj.points, fc.values.values, fcc.values.values)
+        payload = {"config": _common_config(args), "c_convex": verdict}
+        for name, (points, values, argmax_points) in columns.items():
+            payload[name] = {"points": _json_list(points), "values": _json_list(values),
+                             "argmax_points": _json_list(argmax_points)}
         payload["config_hash"] = _config_hash(payload["config"])
         _dump_json(args.out, payload)
     else:
         prefix = args.out or "transform"
-        _write_transform_csv(prefix + "_fc.csv", gi, fc, "f_c")
-        _write_transform_csv(prefix + "_fcc.csv", gj, fcc, "f_cc")
+        for name, texts in columns.items():
+            _write_csv(f"{prefix}_{name.replace('_', '')}.csv",
+                       ["point", name, "argmax_point"], zip(*texts))
         with open(prefix + "_verdict.json", "w") as fh:
-            json.dump({"holds": holds, "deviation": deviation, "tol": args.tol}, fh,
-                      sort_keys=True, separators=(",", ":"))
+            json.dump(verdict, fh, sort_keys=True, separators=(",", ":"))
             fh.write("\n")
     return 0
 
@@ -141,18 +178,15 @@ def cmd_subdiff(args) -> int:
     spec = parse_cost_spec(args.cost)
     f = parse_function(args.f, gi)
     dom, rows, cols, slack = membership_triples(f, spec, gj, args.tol)
-    triples = [list(t) for t in zip(rows.tolist(), cols.tolist(), slack.tolist())]
+    triples = zip(rows.tolist(), cols.tolist(), _float_texts(slack))
     if args.format == "json":
-        payload = {"config": _common_config(args), "dom": dom.tolist(), "triples": triples}
+        _require_json_floats(slack)
+        payload = {"config": _common_config(args), "dom": dom.tolist(),
+                   "triples": _json_list([f"[{i},{j},{s}]" for i, j, s in triples])}
         payload["config_hash"] = _config_hash(payload["config"])
         _dump_json(args.out, payload)
     else:
-        path = args.out or "subdiff.csv"
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["x_index", "y_index", "slack"])
-            for i, j, sl in triples:
-                w.writerow([i, j, repr(sl)])
+        _write_csv(args.out or "subdiff.csv", ["x_index", "y_index", "slack"], triples)
     return 0
 
 

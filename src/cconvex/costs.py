@@ -23,6 +23,7 @@ from .grids import Grid, csv_floats, csv_rows, grid_through
 
 __all__ = [
     "COST_FAMILIES",
+    "MAX_DENSE_CELLS",
     "STRUCTURE_PROPERTIES",
     "CostDomainError",
     "CostSpec",
@@ -259,13 +260,28 @@ class CostMatrix:
         return CostMatrix(self.grid_j, self.grid_i, self.entries.T)
 
 
+# Largest n*m a dense table may have: 2**26 float64 cells are one 512 MiB
+# array, and a dense transform holds about three such arrays at once (the
+# evaluated entries, CostMatrix's copy and c - f), so about 1.5 GiB.
+MAX_DENSE_CELLS = 2**26
+
+
+def _check_dense_cells(grid_i: Grid, grid_j: Grid):
+    cells = grid_i.n * grid_j.n
+    if cells > MAX_DENSE_CELLS:
+        raise ValueError(f"a dense {grid_i.n} x {grid_j.n} cost table has {cells} cells, "
+                         f"above the budget of {MAX_DENSE_CELLS}")
+
+
 def tabulate_cost(spec: CostSpec, grid_i: Grid, grid_j: Grid) -> CostMatrix:
+    _check_dense_cells(grid_i, grid_j)
     entries = evaluate_cost(spec, grid_i.points[:, None], grid_j.points[None, :])
     return CostMatrix(grid_i, grid_j, entries)
 
 
 def tabulate_callable(fn: Callable, grid_i: Grid, grid_j: Grid) -> CostMatrix:
     """Tabulate an arbitrary c(x, y) callable (broadcasting) on a product grid."""
+    _check_dense_cells(grid_i, grid_j)
     entries = np.asarray(fn(grid_i.points[:, None], grid_j.points[None, :]), dtype=float)
     return CostMatrix(grid_i, grid_j, entries)
 

@@ -14,6 +14,7 @@ failure mode of the bound stays observable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -86,6 +87,8 @@ def _witness_slack(f: GridFunction, cost: CostSpec, anchor: float, fb: float,
 
 def _resolve_witness(f, cost, anchor, fb, y, grid_j, eff_tol):
     if y is not None:
+        if not math.isfinite(y):
+            raise ValueError(f"witness y must be finite, got {y}")
         slack = _witness_slack(f, cost, anchor, fb, np.array([float(y)]))[0]
         return float(y), bool(slack >= -eff_tol)
     if grid_j is None:
@@ -185,6 +188,8 @@ def integral_jensen_bound(f: GridFunction, cost: CostSpec, xi: Optional[float] =
     iv = f.grid.interval
     if xi is None:
         xi = (iv.lo + iv.hi) / 2.0
+    elif not math.isfinite(xi):
+        raise ValueError(f"xi must be finite, got {xi}")
     idx = f.grid.nearest_index(float(xi))
     snapped = float(f.grid.points[idx])
     notes = []

@@ -1,13 +1,17 @@
 import csv
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from cconvex.cli import main, parse_function
+from cconvex.cli import (_build_grids, _common_config, _config_hash, build_parser, main,
+                         parse_function)
 from cconvex.costs import parse_cost_spec, read_cost_csv, tabulate_cost
-from cconvex.grids import make_uniform_grid, read_grid_function_csv
+from cconvex.grids import make_uniform_grid, read_grid_function_csv, sup_norm_diff
+from cconvex.subdiff import membership_triples
+from cconvex.transform import conjugates
 
 
 def run(args):
@@ -44,6 +48,21 @@ class TestParsing:
         g = make_uniform_grid(-1, 1, 5)
         with pytest.raises(SystemExit, match="catalog"):
             parse_function("nope", g)
+
+    @pytest.mark.parametrize("params, message", [
+        ("1,0;0,1", "got x1=0.0 after x0=1.0$"),
+        ("-1,0;0.5,1;0.25,0;1,1", "got x2=0.25 after x1=0.5$"),
+        ("-1,0;nan,1;1,1", "got x1=nan after x0=-1.0$"),
+    ])
+    def test_piecewise_linear_knots_out_of_order(self, params, message):
+        with pytest.raises(SystemExit, match="^error: piecewise_linear knots need ascending x, "
+                                             + message):
+            run(["transform", "--n", "5", "--m", "5", "--f", f"piecewise_linear:{params}"])
+
+    def test_piecewise_linear_repeated_knot_is_a_jump(self):
+        g = make_uniform_grid(-1, 1, 5)
+        f = parse_function("piecewise_linear:-1,0;0,0;0,1;1,1", g)
+        assert list(f.values) == [0, 0, 1, 1, 1]
 
 
 class TestTransformCommand:
@@ -158,6 +177,27 @@ class TestJensenCommand:
         r = json.loads(out.read_text())["report"]
         assert r["lhs"] == pytest.approx(0.1875, abs=1e-12)
 
+    @pytest.mark.parametrize("form", ["discrete", "midpoint", "weighted", "integral"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_y_rejected_before_work(self, monkeypatch, form, value):
+        def no_work(*args, **kwargs):
+            raise AssertionError("cost evaluated before the y check")
+
+        monkeypatch.setattr("cconvex.jensen.evaluate_cost", no_work)
+        with pytest.raises(SystemExit, match=f"^error: witness y must be finite, got {value}$"):
+            run(["jensen", "--form", form, "--n", "33", "--m", "33",
+                 "--measure=-0.5:0.5,0.25:0.5", f"--y={value}"])
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_xi_rejected_before_work(self, monkeypatch, value):
+        def no_work(*args, **kwargs):
+            raise AssertionError("computation started before the xi check")
+
+        monkeypatch.setattr("cconvex.jensen.evaluate_cost", no_work)
+        monkeypatch.setattr("cconvex.grids.Grid.nearest_index", no_work)
+        with pytest.raises(SystemExit, match=f"^error: xi must be finite, got {value}$"):
+            run(["jensen", "--form", "integral", "--n", "33", "--m", "33", f"--xi={value}"])
+
     @pytest.mark.parametrize("rows, message", [
         ("x,p\n0,0.25\n0.25,O.3\n1,0.45\n", r"mu.csv:3: bad p value 'O.3'$"),
         ("0,0.25\nzero,0.3\n1,0.45\n", r"mu.csv:2: bad x value 'zero'$"),
@@ -217,6 +257,117 @@ class TestSuiteGolden:
         out = tmp_path / "suite.json"
         assert run(["suite", "--seed", "0", *flags, "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+class TestTransformGolden:
+    """sha256 of `cconvex transform` and `cconvex subdiff` files on a
+    bilinear and a neg_quadratic cost at n = 65, m = 33.  A change to any
+    output byte fails here and must be recorded in CHANGES.md with the new
+    hash."""
+
+    F = "piecewise_linear:-1,0.5;-0.25,-0.75;0.5,0.25;1,1"
+    COSTS = {"bilinear": [], "neg_quadratic:2.5": ["--interval-j=-1.5,1.5"]}
+
+    def argv(self, cost):
+        return ["--n", "65", "--m", "33", "--cost", cost, "--f", self.F, *self.COSTS[cost],
+                "--format", "csv"]
+
+    @pytest.mark.parametrize("cost, digests", [
+        ("bilinear", ("46287ca707fcf80831f4674da3407598f07bd4bfbe39e5f6038a67a4840a2c07",
+                      "cf632e572b77c239141209a06edc624e876876895b070ae8d5df06e1953de029",
+                      "96b39b1dc6e9676a934ae92858c24545ac38fb12a5b65a9e3bf2e1496e09922e")),
+        ("neg_quadratic:2.5", ("4a9d947a6ac826b9da78ccd09edb065c77b8a32fb68762c5582f905849f549e2",
+                               "92bc96a866c440c8b4d1a052b6e6bd2ab2cf8fdd3142cdeb1f3e4ab1ecd730ce",
+                               "b5c5c807cb7dbd4d7e5382b8087cef2bb49a7025c22622065414d649df8f5da3")),
+    ])
+    def test_transform_csv_record(self, tmp_path, cost, digests):
+        prefix = str(tmp_path / "t")
+        assert run(["transform", *self.argv(cost), "--out", prefix]) == 0
+        for suffix, digest in zip(("_fc.csv", "_fcc.csv", "_verdict.json"), digests):
+            with open(prefix + suffix, "rb") as fh:
+                assert hashlib.sha256(fh.read()).hexdigest() == digest, suffix
+
+    @pytest.mark.parametrize("cost, digest", [
+        ("bilinear", "bce7c3214e6d7dce838b7cd181377cefa0eee08b4f28db78f8e0395dd6a68da4"),
+        ("neg_quadratic:2.5", "b5a646cbbaa0fbc438a0f9e08d4c66128fb04821461bb5a8710fbc9a11967b60"),
+    ])
+    def test_subdiff_csv_record(self, tmp_path, cost, digest):
+        out = tmp_path / "s.csv"
+        assert run(["subdiff", *self.argv(cost), "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_signed_zero_end_points_record(self, tmp_path):
+        # the grids compare equal, but their last points print as -0.0 and 0.0
+        out = tmp_path / "t.json"
+        assert run(["transform", "--n", "65", "--m", "65", "--interval-i=-1,-0.0",
+                    "--interval-j=-1,0.0", "--out", str(out)]) == 0
+        payload = json.loads(out.read_bytes())
+        assert str(payload["f_cc"]["points"][-1]) == "-0.0"
+        assert str(payload["f_c"]["points"][-1]) == "0.0"
+        assert (hashlib.sha256(out.read_bytes()).hexdigest() ==
+                "9d6918eceeca6b18cf1c80674d87d977469b5419327042aac9eeec1f0c657098")
+
+
+def dumped_payload(command, argv):
+    """`cconvex transform`/`subdiff` JSON as json.dumps writes the same
+    results' lists, the reference for the pre-rendered arrays."""
+    args = build_parser().parse_args([command, *argv])
+    gi, gj = _build_grids(args)
+    spec, f = parse_cost_spec(args.cost), parse_function(args.f, gi)
+    payload = {"config": _common_config(args)}
+    if command == "transform":
+        fc, fcc = conjugates(f, spec, gj)
+        deviation = sup_norm_diff(f, fcc.values)
+        payload.update({
+            "f_c": {"points": gj.points.tolist(), "values": fc.values.values.tolist(),
+                    "argmax_points": gi.points[fc.argmax].tolist()},
+            "f_cc": {"points": gi.points.tolist(), "values": fcc.values.values.tolist(),
+                     "argmax_points": gj.points[fcc.argmax].tolist()},
+            "c_convex": {"holds": deviation <= args.tol, "deviation": deviation,
+                         "tol": args.tol}})
+    else:
+        dom, rows, cols, slack = membership_triples(f, spec, gj, args.tol)
+        payload.update({"dom": dom.tolist(),
+                        "triples": [list(t) for t in zip(rows.tolist(), cols.tolist(),
+                                                         slack.tolist())]})
+    payload["config_hash"] = _config_hash(payload["config"])
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
+
+
+class TestRendering:
+    # the cases tests/test_monotone.py::TestCliByteIdentity cannot take: its
+    # dense reference may differ from the engine in a zero's sign, so f = 0
+    # and the signed-zero grid ends are checked against the engine's results
+    @pytest.mark.parametrize("command", ["transform", "subdiff"])
+    @pytest.mark.parametrize("n, m", [(33, 65), (65, 33)])
+    @pytest.mark.parametrize("cost, intervals, f", [
+        ("bilinear", [], "zero"),
+        ("neg_quadratic:2.5", ["--interval-j=-1.5,1.5"], "zero"),
+        ("reflector", ["--interval-i=-0.9,0.9", "--interval-j=-0.9,0.9"], "zero"),
+        ("one_affine:0,-1;0.1", [], "zero"),  # a(y) = -y decreases: tabulated
+        ("bilinear", ["--interval-i=-1,-0.0", "--interval-j=-1,0.0"], "zero"),
+        ("bilinear", ["--interval-i=-1,-0.0", "--interval-j=-1,0.0"],
+         "piecewise_linear:-1,0.5;-0.25,-0.75;0.5,0.25;1,1"),
+    ], ids=["bilinear", "neg_quadratic", "reflector", "dense", "signed_zero_ends",
+            "signed_zero_ends_piecewise"])
+    def test_matches_json_dumps(self, tmp_path, command, n, m, cost, intervals, f):
+        argv = ["--n", str(n), "--m", str(m), "--cost", cost, "--f", f, *intervals]
+        out = tmp_path / "out.json"
+        assert run([command, *argv, "--out", str(out)]) == 0
+        assert out.read_text() == dumped_payload(command, argv)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_non_finite_value_keeps_the_json_error(self, tmp_path):
+        # f^c overflows to +inf for the larger y: JSON refuses it, CSV writes it
+        argv = ["--n", "9", "--m", "9", "--interval-i=0,1.3e154", "--interval-j=0,1.3e154",
+                "--f", "constant:-1e308"]
+        with pytest.raises(SystemExit,
+                           match="^error: Out of range float values are not JSON compliant"):
+            run(["transform", *argv, "--out", str(tmp_path / "t.json")])
+        prefix = str(tmp_path / "t")
+        assert run(["transform", *argv, "--format", "csv", "--out", prefix]) == 0
+        with open(prefix + "_fc.csv", newline="") as fh:
+            assert [row[1] for row in csv.reader(fh)][-1] == "inf"
 
 
 class TestJensenGolden:
@@ -326,6 +477,21 @@ class TestErrors:
         monkeypatch.setattr("cconvex.cli.propcheck.generate_instance", no_work)
         with pytest.raises(SystemExit, match="^error: tol must be finite and >= 0"):
             run([command, f"--tol={tol}"])
+
+    @pytest.mark.parametrize("command", ["transform", "subdiff"])
+    def test_dense_cell_budget(self, command):
+        # a(y) = -y decreases, so the cost is tabulated: 10**12 cells refused
+        # before anything of more than O(n + m) is allocated
+        n = 10**6
+        tracemalloc.start()
+        try:
+            with pytest.raises(SystemExit, match=r"^error: a dense 1000000 x 1000000 cost table "
+                                                 r"has 1000000000000 cells, above the budget"):
+                run([command, "--cost", "one_affine:0,-1;0", "--n", str(n), "--m", str(n)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * (n + n)
 
     def test_missing_command(self):
         with pytest.raises(SystemExit):

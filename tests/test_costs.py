@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from cconvex.costs import (CostDomainError, CostSpec, check_structure,
+from cconvex import costs
+from cconvex.costs import (MAX_DENSE_CELLS, CostDomainError, CostSpec, check_structure,
                            evaluate_cost, read_cost_csv, segment_concavity_excess,
                            tabulate_callable, tabulate_cost, write_cost_csv)
 from cconvex.grids import make_uniform_grid
@@ -55,6 +57,39 @@ class TestEvaluate:
         assert [evaluate_cost(spec, float(a), float(b)) for a, b in zip(x, y)] == row.tolist()
         assert [[evaluate_cost(spec, float(a), float(b)) for b in y[:40]]
                 for a in x[:40]] == table.tolist()
+
+
+class TestCellBudget:
+    def test_budget_boundary(self, monkeypatch):
+        monkeypatch.setattr(costs, "MAX_DENSE_CELLS", 12)
+        g3, g4, g5 = (make_uniform_grid(-1, 1, n) for n in (3, 4, 5))
+        assert tabulate_cost(CostSpec("bilinear"), g3, g4).entries.shape == (3, 4)
+        assert tabulate_callable(np.multiply, g4, g3).entries.shape == (4, 3)
+        for grids in ((g3, g5), (g5, g3)):
+            with pytest.raises(ValueError, match="has 15 cells, above the budget of 12$"):
+                tabulate_cost(CostSpec("bilinear"), *grids)
+            with pytest.raises(ValueError, match="has 15 cells, above the budget of 12$"):
+                tabulate_callable(np.multiply, *grids)
+
+    def test_rejected_before_allocating(self):
+        # 8193**2 is just over 2**26: the check allocates O(1), never the table
+        n = 8193
+        assert n * n > MAX_DENSE_CELLS >= (n - 1) ** 2
+        g = make_uniform_grid(-1, 1, n)
+
+        def no_call(x, y):
+            raise AssertionError("callable evaluated over the budget")
+
+        tracemalloc.start()
+        try:
+            for call in (lambda: tabulate_cost(CostSpec("bilinear"), g, g),
+                         lambda: tabulate_callable(no_call, g, g)):
+                with pytest.raises(ValueError, match=f"dense {n} x {n} cost table"):
+                    call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * (n + n)
 
 
 class TestTabulate:

@@ -88,6 +88,12 @@ class TestDiscreteGap:
         with pytest.raises(NoAdmissibleWitnessError):
             discrete_jensen_gap(f, BILINEAR, mu, grid_j=g)
 
+    @pytest.mark.parametrize("y", [np.nan, np.inf, -np.inf])
+    def test_non_finite_witness(self, y):
+        mu = DiscreteMeasure.from_atoms([(0.0, 0.5), (1.0, 0.5)])
+        with pytest.raises(ValueError, match=f"^witness y must be finite, got {y}$"):
+            discrete_jensen_gap(square_on_unit(9), BILINEAR, mu, y=y)
+
     def test_witness_needs_grid_or_value(self):
         f = square_on_unit()
         mu = DiscreteMeasure.from_atoms([(0.0, 0.5), (1.0, 0.5)])
@@ -300,6 +306,17 @@ class TestIntegralForm:
         f = GridFunction(g, [np.inf] + [0.0] * 10)
         with pytest.raises(ValueError, match="finite"):
             integral_jensen_bound(f, BILINEAR, y=0.0)
+
+    @pytest.mark.parametrize("xi, y, message", [
+        (np.nan, 1.0, "^xi must be finite, got nan$"),
+        (-np.inf, 1.0, "^xi must be finite, got -inf$"),
+        (0.5, np.inf, "^witness y must be finite, got inf$"),
+        (None, np.nan, "^witness y must be finite, got nan$"),
+    ])
+    def test_non_finite_xi_or_y(self, xi, y, message):
+        g = make_uniform_grid(0, 1, 11)
+        with pytest.raises(ValueError, match=message):
+            integral_jensen_bound(GridFunction(g, g.points**2), BILINEAR, xi=xi, y=y)
 
 
 class TestWeightedForm:
