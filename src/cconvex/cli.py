@@ -8,11 +8,13 @@ parameters so identical configs reproduce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import hashlib
 import json
 import sys
+from collections.abc import Iterator
 from typing import Optional
 
 import numpy as np
@@ -82,37 +84,54 @@ def _config_hash(payload: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
-class _Json(str):
-    """JSON text rendered ahead, which ``_dump_json`` writes as it stands."""
+# Values rendered per write of an output array: no array's texts but the
+# grids' are ever held whole.
+BLOCK = 4096
 
 
-def _json_text(value) -> str:
-    """json.dumps(value, sort_keys=True, separators=(",", ":"), allow_nan=False),
-    except that a ``_Json`` value inside dicts is written as the text it holds."""
-    if isinstance(value, _Json):
-        return value
-    if isinstance(value, dict):
-        return "{" + ",".join(f"{json.dumps(k)}:{_json_text(v)}"
-                              for k, v in sorted(value.items())) + "}"
-    return json.dumps(value, sort_keys=True, separators=(",", ":"), allow_nan=False)
+def _blocks(size: int, render) -> Iterator:
+    """render(lo, hi)'s texts for each block [lo, hi) of at most BLOCK values."""
+    return (render(lo, lo + BLOCK) for lo in range(0, size, BLOCK))
+
+
+def _json_parts(value, parts: list):
+    """Append to ``parts`` the text of json.dumps(value, sort_keys=True,
+    separators=(",", ":"), allow_nan=False), except that an iterator value,
+    an array's blocks of value texts, is appended as it stands."""
+    if isinstance(value, Iterator):
+        parts.append(value)
+    elif isinstance(value, dict):
+        parts.append("{")
+        for k, (key, v) in enumerate(sorted(value.items())):
+            parts.append(("," if k else "") + json.dumps(key) + ":")
+            _json_parts(v, parts)
+        parts.append("}")
+    else:
+        parts.append(json.dumps(value, sort_keys=True, separators=(",", ":"), allow_nan=False))
 
 
 def _dump_json(path: Optional[str], payload: dict):
-    text = _json_text(payload)
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    """Write the payload's JSON and a newline to ``path``, or to stdout, an
+    array block by block.  Every text but the arrays' is rendered before the
+    file is opened, and callers check the arrays with ``_require_json_floats``,
+    so a value json rejects leaves an existing file as it was."""
+    parts = []
+    _json_parts(payload, parts)
+    with open(path, "w") if path else contextlib.nullcontext(sys.stdout) as fh:
+        for part in parts:
+            if isinstance(part, str):
+                fh.write(part)
+                continue
+            fh.write("[")
+            for k, texts in enumerate(part):
+                fh.write(("," if k else "") + ",".join(texts))
+            fh.write("]")
+        fh.write("\n")
 
 
 def _float_texts(values: np.ndarray) -> list[str]:
     """Each value's repr, the text json.dumps writes for a float."""
     return list(map(repr, values.tolist()))
-
-
-def _json_list(texts: list[str]) -> _Json:
-    return _Json("[" + ",".join(texts) + "]")
 
 
 def _require_json_floats(*arrays: np.ndarray):
@@ -124,11 +143,12 @@ def _require_json_floats(*arrays: np.ndarray):
             json.dumps(float(a[bad[0]]), allow_nan=False)
 
 
-def _write_csv(path: str, header: list[str], rows):
+def _write_csv(path: str, header: list[str], blocks: Iterator):
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
-        w.writerows(rows)
+        for rows in blocks:
+            w.writerows(rows)
 
 
 def _build_grids(args):
@@ -148,25 +168,30 @@ def cmd_transform(args) -> int:
     else:
         holds, deviation = None, None
     verdict = {"holds": holds, "deviation": deviation, "tol": args.tol}
-    # Each array is rendered once.  The grids share text only when bitwise
-    # equal: a -0.0 and a 0.0 end point compare equal but print differently.
+    # Only the grids' texts are kept whole, for the argmax points; the grids
+    # share text only when bitwise equal: a -0.0 and a 0.0 end point compare
+    # equal but print differently.
     x = _float_texts(gi.points)
     y = x if gi.points.tobytes() == gj.points.tobytes() else _float_texts(gj.points)
-    columns = {"f_c": (y, _float_texts(fc.values.values), [x[k] for k in fc.argmax.tolist()]),
-               "f_cc": (x, _float_texts(fcc.values.values), [y[k] for k in fcc.argmax.tolist()])}
+
+    def column(points, result, argmax_grid):
+        v, k = result.values.values, result.argmax
+        return {"points": _blocks(v.size, lambda lo, hi: points[lo:hi]),
+                "values": _blocks(v.size, lambda lo, hi: _float_texts(v[lo:hi])),
+                "argmax_points": _blocks(v.size, lambda lo, hi: [argmax_grid[j] for j in
+                                                                 k[lo:hi].tolist()])}
+
+    columns = {"f_c": column(y, fc, x), "f_cc": column(x, fcc, y)}
     if args.format == "json":
         _require_json_floats(gi.points, gj.points, fc.values.values, fcc.values.values)
-        payload = {"config": _common_config(args), "c_convex": verdict}
-        for name, (points, values, argmax_points) in columns.items():
-            payload[name] = {"points": _json_list(points), "values": _json_list(values),
-                             "argmax_points": _json_list(argmax_points)}
+        payload = {"config": _common_config(args), "c_convex": verdict, **columns}
         payload["config_hash"] = _config_hash(payload["config"])
         _dump_json(args.out, payload)
     else:
         prefix = args.out or "transform"
-        for name, texts in columns.items():
+        for name, blocks in columns.items():
             _write_csv(f"{prefix}_{name.replace('_', '')}.csv",
-                       ["point", name, "argmax_point"], zip(*texts))
+                       ["point", name, "argmax_point"], map(zip, *blocks.values()))
         with open(prefix + "_verdict.json", "w") as fh:
             json.dump(verdict, fh, sort_keys=True, separators=(",", ":"))
             fh.write("\n")
@@ -178,15 +203,20 @@ def cmd_subdiff(args) -> int:
     spec = parse_cost_spec(args.cost)
     f = parse_function(args.f, gi)
     dom, rows, cols, slack = membership_triples(f, spec, gj, args.tol)
-    triples = zip(rows.tolist(), cols.tolist(), _float_texts(slack))
+
+    def triples(lo, hi):  # (x index, y index, slack text) of triples [lo, hi)
+        return zip(rows[lo:hi].tolist(), cols[lo:hi].tolist(), _float_texts(slack[lo:hi]))
+
     if args.format == "json":
         _require_json_floats(slack)
         payload = {"config": _common_config(args), "dom": dom.tolist(),
-                   "triples": _json_list([f"[{i},{j},{s}]" for i, j, s in triples])}
+                   "triples": _blocks(slack.size, lambda lo, hi: [f"[{i},{j},{s}]" for i, j, s
+                                                                  in triples(lo, hi)])}
         payload["config_hash"] = _config_hash(payload["config"])
         _dump_json(args.out, payload)
     else:
-        _write_csv(args.out or "subdiff.csv", ["x_index", "y_index", "slack"], triples)
+        _write_csv(args.out or "subdiff.csv", ["x_index", "y_index", "slack"],
+                   _blocks(slack.size, triples))
     return 0
 
 

@@ -20,7 +20,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .costs import CostSpec, check_structure, evaluate_cost, tabulate_cost
+from .costs import CostDomainError, CostSpec, check_structure, evaluate_cost, tabulate_cost
 from .grids import (DiscreteMeasure, Grid, GridFunction, _composite_rule, _ordered_sum,
                     barycenter, quadrature)
 from .verdicts import Verdict
@@ -76,13 +76,28 @@ def _f_value(f: GridFunction, xs: np.ndarray,
     return np.interp(xs, f.grid.points, f.values), True
 
 
+# Cells of the grid x witness gap table evaluated at once: a searched witness
+# holds a few arrays of this many floats, never the whole table.
+WITNESS_BLOCK_CELLS = 2**16
+
+
 def _witness_slack(f: GridFunction, cost: CostSpec, anchor: float, fb: float,
                    ys: np.ndarray) -> np.ndarray:
-    """min_x { f(x) - f(anchor) - c(x, y) + c(anchor, y) } over the grid, per y."""
-    cols = evaluate_cost(cost, f.grid.points[:, None], ys[None, :])
-    anchor_row = evaluate_cost(cost, anchor, ys)
-    gaps = (f.values[:, None] - fb) - (cols - anchor_row[None, :])
-    return gaps.min(axis=0)
+    """min_x { f(x) - f(anchor) - c(x, y) + c(anchor, y) } over the grid, per y,
+    as a running minimum over blocks of grid rows."""
+    try:
+        anchor_row = evaluate_cost(cost, anchor, ys)
+    except CostDomainError:
+        # the anchor lies between the grid's ends, so a grid row offends too;
+        # the blocks raise the first offending grid pair, as a whole table would
+        anchor_row = np.zeros(ys.size)
+    x, step = f.grid.points, max(1, WITNESS_BLOCK_CELLS // ys.size)
+    slack = np.inf
+    for lo in range(0, x.size, step):
+        cols = evaluate_cost(cost, x[lo:lo + step, None], ys[None, :])
+        gaps = (f.values[lo:lo + step, None] - fb) - (cols - anchor_row[None, :])
+        slack = np.minimum(slack, gaps.min(axis=0))
+    return slack
 
 
 def _resolve_witness(f, cost, anchor, fb, y, grid_j, eff_tol):

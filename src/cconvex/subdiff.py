@@ -175,10 +175,13 @@ def membership_triples(f: GridFunction, spec: CostSpec, grid_j: Grid, tol: float
     E*(8 + 12 * m.bit_length()) + 4u*tol, the factor 2 covering the
     rounding of -tol - margin, that is X_j < -tol*(1 + 2u), so
     fl(X_j) < -tol: no column left of the band is a member, and by the
-    mirror argument none right of it.  The band pass then applies
-    ``membership_slack``'s comparison, so the triples equal the dense
-    path's wherever the engine's f^c equals the dense f^c.  margin / u
-    exceeds |c| + |f|; where it overflows, the dense path is taken.
+    mirror argument none right of it.  This needs only that the final lo
+    is an evaluated failing column or the sentinel -1, whatever columns the
+    search probed, so the searches may gallop out from p_i before they
+    bisect.  The band pass then applies ``membership_slack``'s comparison,
+    so the triples equal the dense path's wherever the engine's f^c equals
+    the dense f^c.  margin / u exceeds |c| + |f|; where it overflows, the
+    dense path is taken.
     """
     check_tol(tol)
     if not f.is_finite:
@@ -207,18 +210,26 @@ def membership_triples(f: GridFunction, spec: CostSpec, grid_j: Grid, tol: float
 
     # Per row, one search on [0, p) and one on [p, m): on the left lo fails
     # the band threshold and hi passes, on the right the reverse; -1, p - 1,
-    # p and m stand for columns never evaluated.
+    # p and m stand for columns never evaluated.  Each search gallops out
+    # from p, 1, 2, 4, ... columns past its last passing probe, until a probe
+    # fails or would reach the sentinel, then bisects.
     threshold = -tol - margin
     p = np.searchsorted(fc.argmax, np.arange(n))
     row = np.tile(np.arange(n), 2)
     right = np.arange(2 * n) >= n
     lo = np.concatenate((np.full(n, -1), p - 1))
     hi = np.concatenate((p, np.full(n, m)))
+    stride = np.ones(2 * n, dtype=np.int64)  # 0 once a search bisects
     while (act := np.flatnonzero(hi - lo > 1)).size:
-        mid = (lo[act] + hi[act]) // 2
-        up = (slack_at(row[act], mid) >= threshold) == right[act]
+        s = stride[act]
+        mid = np.where(right[act], lo[act] + s, hi[act] - s)
+        gallop = (lo[act] < mid) & (mid < hi[act])
+        mid = np.where(gallop, mid, (lo[act] + hi[act]) // 2)
+        passed = slack_at(row[act], mid) >= threshold
+        up = passed == right[act]
         lo[act[up]] = mid[up]
         hi[act[~up]] = mid[~up]
+        stride[act] = np.where(gallop & passed, 2 * s, 0)
     lens = hi[n:] - hi[:n]
     rows = np.repeat(np.arange(n), lens)
     cols = _index_ranges(hi[:n], lens)[1]

@@ -10,6 +10,7 @@ from cconvex.cli import (_build_grids, _common_config, _config_hash, build_parse
                          parse_function)
 from cconvex.costs import parse_cost_spec, read_cost_csv, tabulate_cost
 from cconvex.grids import make_uniform_grid, read_grid_function_csv, sup_norm_diff
+from cconvex.jensen import WITNESS_BLOCK_CELLS
 from cconvex.subdiff import membership_triples
 from cconvex.transform import conjugates
 
@@ -212,6 +213,37 @@ class TestJensenCommand:
             run(["jensen", "--f", "parabola", "--interval-i", "0,1", "--n", "33", "--m", "33",
                  "--measure", f"csv:{mpath}", "--y", "1.5"])
 
+    @pytest.mark.parametrize("cells", [2**16, 5])
+    def test_domain_error_names_the_first_grid_pair(self, monkeypatch, cells):
+        # the anchor 1.0 offends at y = 1.0, but the message names the first
+        # offending pair of the whole grid x witness table, row by row
+        monkeypatch.setattr("cconvex.jensen.WITNESS_BLOCK_CELLS", cells)
+        with pytest.raises(SystemExit, match=r"x\*y < 1 at \(x=0.5, y=2.0\)$"):
+            run(["jensen", "--cost", "reflector", "--interval-i=0,2", "--interval-j=0,2",
+                 "--n", "5", "--m", "5", "--measure", "0.9:0.5,1.1:0.5"])
+
+    @pytest.mark.parametrize("cost, interval", [("bilinear", "-1,1"), ("neg_quadratic", "-1,1"),
+                                                ("reflector", "-0.9,0.9")])
+    @pytest.mark.parametrize("form", ["discrete", "integral"])
+    def test_searched_witness_memory(self, tmp_path, cost, interval, form):
+        # the n x m gap table is evaluated WITNESS_BLOCK_CELLS cells at a time:
+        # at most six such float arrays live at once (the reflector's x*y, -p,
+        # log1p and its negation, then the gap difference and the gaps), beside
+        # O(n + m) of grids, f, the per-y slack and the output; the whole table
+        # is 33.6 MB here, and three of them were live at once
+        n = 2049
+        argv = ["jensen", "--n", str(n), "--m", str(n), "--cost", cost, "--form", form,
+                f"--interval-i={interval}", f"--interval-j={interval}",
+                "--measure", "0:0.5,0.5:0.5", "--out", str(tmp_path / "j.json")]
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            assert run(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 8 * WITNESS_BLOCK_CELLS + 200 * (n + n), f"peak {peak / 1e6:.2f} MB"
+
 
 class TestSuiteCommand:
     def test_byte_identical_reruns(self, tmp_path, capsys):
@@ -338,6 +370,11 @@ class TestRendering:
     # the cases tests/test_monotone.py::TestCliByteIdentity cannot take: its
     # dense reference may differ from the engine in a zero's sign, so f = 0
     # and the signed-zero grid ends are checked against the engine's results
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        # these arrays fit one default block; 7 values a block split them
+        monkeypatch.setattr("cconvex.cli.BLOCK", 7)
+
     @pytest.mark.parametrize("command", ["transform", "subdiff"])
     @pytest.mark.parametrize("n, m", [(33, 65), (65, 33)])
     @pytest.mark.parametrize("cost, intervals, f", [
@@ -361,13 +398,41 @@ class TestRendering:
         # f^c overflows to +inf for the larger y: JSON refuses it, CSV writes it
         argv = ["--n", "9", "--m", "9", "--interval-i=0,1.3e154", "--interval-j=0,1.3e154",
                 "--f", "constant:-1e308"]
+        out = tmp_path / "t.json"
+        out.write_bytes(b"earlier output\n")
         with pytest.raises(SystemExit,
                            match="^error: Out of range float values are not JSON compliant"):
-            run(["transform", *argv, "--out", str(tmp_path / "t.json")])
+            run(["transform", *argv, "--out", str(out)])
+        assert out.read_bytes() == b"earlier output\n"
         prefix = str(tmp_path / "t")
         assert run(["transform", *argv, "--format", "csv", "--out", prefix]) == 0
         with open(prefix + "_fc.csv", newline="") as fh:
             assert [row[1] for row in csv.reader(fh)][-1] == "inf"
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_non_finite_report_value_leaves_the_file(self, tmp_path):
+        # lhs = 1e308 - (-1e308) overflows: a scalar, not an array, is refused
+        (tmp_path / "f.csv").write_text("x,f\n-1.0,1e308\n0.0,-1e308\n1.0,1e308\n")
+        out = tmp_path / "j.json"
+        out.write_bytes(b"earlier output\n")
+        with pytest.raises(SystemExit,
+                           match="^error: Out of range float values are not JSON compliant"):
+            run(["jensen", "--n", "3", "--m", "3", f"--f=csv:{tmp_path / 'f.csv'}",
+                 "--measure=-1:0.5,1:0.5", "--out", str(out)])
+        assert out.read_bytes() == b"earlier output\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["transform", "--n", "33", "--m", "65", "--f", "absolute_value"],
+        ["subdiff", "--n", "33", "--m", "65", "--f", "absolute_value"],
+        ["suite", "--seed", "0", "--pair-cap", "50"],
+        ["jensen", "--n", "33", "--m", "65", "--form", "integral"],
+    ], ids=["transform", "subdiff", "suite", "jensen"])
+    def test_stdout_matches_out_file(self, tmp_path, capsys, argv):
+        out = tmp_path / "out.json"
+        code = run([*argv, "--out", str(out)])
+        capsys.readouterr()
+        assert run(argv) == code
+        assert capsys.readouterr().out.encode() == out.read_bytes()
 
 
 class TestJensenGolden:
@@ -386,7 +451,7 @@ class TestJensenGolden:
                     "--out", str(out)]) == 0
         return out.read_bytes()
 
-    @pytest.mark.parametrize("cost, form, digest", [
+    RECORDS = [
         ("bilinear", "discrete", "a962c992de028786e5554609c41ed436518637283113a1fe14984b278896a13c"),
         ("bilinear", "midpoint", "89bb2a747df734290077d4b05ef8801683b034db84e003e1c1283f2b91e7026b"),
         ("bilinear", "integral", "d4d8843aa564d1efd0aab10aa675f4ac4e7b2f26a12f0e6e5f749c6cf0e954c4"),
@@ -403,8 +468,17 @@ class TestJensenGolden:
         ("reflector", "midpoint", "e2391d68c184be717f8a34ea14affd7bcf5b25377958e80a1e308d3e594bc753"),
         ("reflector", "integral", "9d452b4138edf39fa93f1d557ee8ae9d003f0c4b4971ebd019be31a671a1f58c"),
         ("reflector", "weighted", "da761aad54fdbb4f90d8848b7f4aff12a438885d0a17c34893645775e01e6af3"),
-    ])
+    ]
+
+    @pytest.mark.parametrize("cost, form, digest", RECORDS)
     def test_record(self, tmp_path, cost, form, digest):
+        assert hashlib.sha256(self.record(tmp_path, cost, form)).hexdigest() == digest
+
+    @pytest.mark.parametrize("cost, form, digest", RECORDS)
+    def test_record_in_row_blocks(self, tmp_path, monkeypatch, cost, form, digest):
+        # the 65 x 65 witness table fits one default block; 195 cells make
+        # blocks of 3 rows and a last one of 2
+        monkeypatch.setattr("cconvex.jensen.WITNESS_BLOCK_CELLS", 3 * 65)
         assert hashlib.sha256(self.record(tmp_path, cost, form)).hexdigest() == digest
 
     @pytest.mark.parametrize("cost", sorted(J_INTERVAL))

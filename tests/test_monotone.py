@@ -125,7 +125,8 @@ class TestBandedTriples:
     def test_matches_dense_slack(self, family, iv_i, iv_j, kind):
         spec = parse_cost_spec(family)
         rng = np.random.default_rng(len(family) * 37 + SUBDIFF_KINDS.index(kind))
-        for n, m in ((2, 3), (3, 2), (17, 16), (40, 129), (129, 64)):
+        for n, m in ((2, 3), (3, 2), (17, 16), (40, 129), (129, 64), (65, 33), (129, 257),
+                     (257, 129)):
             gi, gj = make_uniform_grid(*iv_i, n), make_uniform_grid(*iv_j, m)
             cost = tabulate_cost(spec, gi, gj)
             f = make_f(kind, gi, cost, rng)
@@ -146,15 +147,17 @@ class TestBandedTriples:
                 assert (slack[differ] == 0).all() and (want[differ] == 0).all()
 
     @pytest.mark.parametrize("tol", [0.0, 1e-16, 2e-16])
-    def test_flat_rows_keep_every_member(self, tol):
+    @pytest.mark.parametrize("f_value", [lambda x: x, np.zeros_like, lambda x: np.full_like(x, 0.3)],
+                             ids=["identity", "zero", "constant0.3"])
+    def test_flat_rows_keep_every_member(self, tol, f_value):
         # a(y) = 1 makes c_xy = 0: every exact slack is 0 and the computed
         # one is rounding noise, so member rows are not intervals and the
         # engine's f^c misses the dense maximum by an ulp; only the margin
         # keeps the band over every member
         spec = parse_cost_spec("one_affine:1;0.3,1,0.7")
-        for n, m in ((17, 16), (40, 129), (129, 64)):
+        for n, m in ((17, 16), (40, 129), (129, 64), (65, 33), (129, 257), (257, 129)):
             gi, gj = make_uniform_grid(-1, 1, n), make_uniform_grid(-1, 1, m)
-            f = GridFunction(gi, gi.points.copy())
+            f = GridFunction(gi, f_value(gi.points))
             fc = monotone_c_transform(f, spec, gj).values.values
             blocks = (tabulate_cost(spec, gi, gj).entries - f.values[:, None]) - fc
             member = blocks >= -tol
@@ -308,6 +311,11 @@ def dense_payload(command, argv):
 
 
 class TestCliByteIdentity:
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        # n, m <= 257 fit one default block; 7 values a block split every array
+        monkeypatch.setattr(cli, "BLOCK", 7)
+
     @pytest.mark.parametrize("command", ["transform", "subdiff"])
     @pytest.mark.parametrize("f", ["half_parabola", "neg_absolute_value",
                                    "piecewise_linear:-1,0.5;-0.25,-0.75;0.5,0.25;1,1"])
@@ -373,6 +381,11 @@ class TestMemory:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
+        # transform keeps the two grids' point texts, about 75 B a point each
+        # (a float repr's str and its list slot), one block of value texts
+        # and their joined text, about 100 B a value of min(m, cli.BLOCK), and
+        # a few float arrays of 8 B a point: under 200 B a grid point at
+        # n = m <= cli.BLOCK, where the whole document held about 260-350;
         # subdiff is banded: O(n + m) besides its output of about n triples
-        bound = n * n * 8 if command == "transform" else 1000 * (n + n)
+        bound = (200 if command == "transform" else 1000) * (n + n)
         assert peak < bound, f"peak {peak / 1e6:.1f} MB"
