@@ -1,8 +1,10 @@
 """Command-line front door.
 
-Commands: transform | subdiff | jensen | suite | gen.  Outputs are CSV or
-JSON; JSON reports embed the configuration hash, tolerances and grid
-parameters so identical configs reproduce byte-identical files.
+Commands: transform | subdiff | jensen | suite | gen.  Each takes only the
+options it reads.  transform and subdiff write JSON or CSV (``--format``),
+jensen and suite JSON, gen CSV; JSON reports embed the configuration hash,
+tolerances and grid parameters so identical configs reproduce
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -143,10 +145,10 @@ def _require_json_floats(*arrays: np.ndarray):
             json.dumps(float(a[bad[0]]), allow_nan=False)
 
 
-def _write_csv(path: str, header: list[str], blocks: Iterator):
+def _write_csv(path: str, names: list[str], blocks: Iterator):
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(header)
+        w.writerow(names)
         for rows in blocks:
             w.writerows(rows)
 
@@ -297,13 +299,10 @@ def cmd_gen(args) -> int:
 
 
 def _common_config(args) -> dict:
-    cfg = {"command": args.command,
-           "interval_i": list(args.interval_i), "interval_j": list(args.interval_j),
-           "n": args.n, "m": args.m, "cost": args.cost, "tol": args.tol,
-           "seed": args.seed}
-    if getattr(args, "f", None) is not None:
-        cfg["f"] = args.f
-    return cfg
+    return {"command": args.command,
+            "interval_i": list(args.interval_i), "interval_j": list(args.interval_j),
+            "n": args.n, "m": args.m, "cost": args.cost, "f": args.f, "tol": args.tol,
+            "seed": args.seed}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -312,51 +311,51 @@ def build_parser() -> argparse.ArgumentParser:
                                             "relative to cost functions")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, need_f=True):
-        sp.add_argument("--interval-i", type=_parse_interval, default=(-1.0, 1.0))
-        sp.add_argument("--interval-j", type=_parse_interval, default=(-1.0, 1.0))
-        sp.add_argument("--n", type=int, default=257)
-        sp.add_argument("--m", type=int, default=257)
-        sp.add_argument("--cost", default="bilinear")
-        if need_f:
+    def command(name, fn, help, instance=True, f=True, tol=True, formats=False):
+        """A subcommand with the option groups it reads: the grids and cost
+        (``instance``), the function ``--f``, ``--tol``, and ``--format``
+        for a command that writes CSV as well as JSON."""
+        sp = sub.add_parser(name, help=help)
+        if instance:
+            sp.add_argument("--interval-i", type=_parse_interval, default=(-1.0, 1.0))
+            sp.add_argument("--interval-j", type=_parse_interval, default=(-1.0, 1.0))
+            sp.add_argument("--n", type=int, default=257)
+            sp.add_argument("--m", type=int, default=257)
+            sp.add_argument("--cost", default="bilinear")
+        if f:
             sp.add_argument("--f", default="parabola")
-        sp.add_argument("--tol", type=float, default=1e-9)
+        if tol:
+            sp.add_argument("--tol", type=float, default=1e-9)
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--out", default=None)
-        sp.add_argument("--format", choices=("csv", "json"), default="json")
+        if formats:
+            sp.add_argument("--format", choices=("csv", "json"), default="json")
+        sp.set_defaults(fn=fn)
+        return sp
 
-    sp = sub.add_parser("transform", help="compute f^c, f^cc and the c-convexity verdict")
-    common(sp)
-    sp.set_defaults(fn=cmd_transform)
+    command("transform", cmd_transform, "compute f^c, f^cc and the c-convexity verdict",
+            formats=True)
+    command("subdiff", cmd_subdiff, "per-point c-subdifferential map", formats=True)
 
-    sp = sub.add_parser("subdiff", help="per-point c-subdifferential map")
-    common(sp)
-    sp.set_defaults(fn=cmd_subdiff)
-
-    sp = sub.add_parser("jensen", help="Jensen-type gap bound reports")
-    common(sp)
+    sp = command("jensen", cmd_jensen, "Jensen-type gap bound reports")
     sp.add_argument("--measure", default="0:0.5,1:0.5",
                     help="inline 'x:p,x:p,...' or csv:PATH")
     sp.add_argument("--y", type=float, default=None)
     sp.add_argument("--xi", type=float, default=None)
     sp.add_argument("--form", choices=("discrete", "midpoint", "integral", "weighted"),
                     default="discrete")
-    sp.set_defaults(fn=cmd_jensen)
 
-    sp = sub.add_parser("suite", help="run the full proposition suite")
-    common(sp, need_f=False)
+    sp = command("suite", cmd_suite, "run the proposition suite on its fixed n = m = 101 "
+                                     "instances", instance=False, f=False)
     sp.add_argument("--pair-cap", type=int, default=10000)
     sp.add_argument("--exhaustive", action="store_true")
     sp.add_argument("--falsify", action="store_true",
                     help="corrupt hypothesis-gated inputs to show hypothesis reporting")
-    sp.set_defaults(fn=cmd_suite)
 
-    sp = sub.add_parser("gen", help="emit a seeded random instance as CSV")
-    common(sp, need_f=False)
+    sp = command("gen", cmd_gen, "emit a seeded random instance as CSV", f=False, tol=False)
     sp.add_argument("--f-family", choices=propcheck.F_FAMILIES,
                     default="cconvexified_random")
     sp.add_argument("--amplitude", type=float, default=1.0)
-    sp.set_defaults(fn=cmd_gen)
     return p
 
 
@@ -367,7 +366,8 @@ _parser = functools.cache(build_parser)
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        check_tol(args.tol)
+        if "tol" in vars(args):
+            check_tol(args.tol)
         return args.fn(args)
     except (ValueError, OSError) as e:
         raise SystemExit(f"error: {e}")

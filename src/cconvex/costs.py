@@ -171,11 +171,11 @@ def twist_bound(spec: CostSpec, grid_i: Grid, grid_j: Grid) -> Optional[float]:
     so that c(x_i, y_j) - f_i is a Monge matrix; None otherwise.
 
     Certified for bilinear, neg_quadratic, reflector, and one_affine with
-    a(y) nondecreasing on grid_j's points.  O(n + m): rounding is monotone,
-    so the largest |c| (C) and the reflector's largest x*y (pmax) and |x*y|
-    (P) sit at the ends of the x range and, except for one_affine, of the y
-    range.  None means the cost must be tabulated, which raises any domain
-    or finiteness error.
+    a(y) strictly increasing on grid_j's points.  O(n + m): rounding is
+    monotone, so the largest |c| (C) and the reflector's largest x*y (pmax)
+    and |x*y| (P) sit at the ends of the x range and, except for one_affine,
+    of the y range.  None means the cost must be tabulated, which raises any
+    domain or finiteness error.
 
     eps >= u * C (u = 2**-53) bounds |evaluate_cost(spec, x_i, y_j) -
     r(x_i, y_j)| on every grid pair, for a reference cost r whose mixed
@@ -189,8 +189,10 @@ def twist_bound(spec: CostSpec, grid_i: Grid, grid_j: Grid) -> Optional[float]:
       2u covers pmax being a rounded product), and log1p adds at most 4 ulp,
       8u*C: u*P / (1 - pmax - 2u) + 8u*C.
     * one_affine, r = a~(y)*x + b~(y) with a~, b~ the computed polynomial
-      values, Monge because a~ is checked nondecreasing: a product and a
-      sum, u*(max|x| * max|a~| + C).
+      values, Monge because a~ is checked strictly increasing: a product
+      and a sum, u*(max|x| * max|a~| + C).  Where a~ is flat, c_xy = 0 and
+      every row ties across those columns up to rounding, which then picks
+      the maximisers, so a flat step is not certified.
 
     Each is doubled to cover the second-order terms, and the smallest
     normal number is added for a product that underflows.
@@ -198,7 +200,7 @@ def twist_bound(spec: CostSpec, grid_i: Grid, grid_j: Grid) -> Optional[float]:
     fam, x, y = spec.family, grid_i.points, grid_j.points
     if fam == "one_affine":
         a = _poly(y, spec.a_coeffs)
-        if (np.diff(a) < 0).any():
+        if (np.diff(a) <= 0).any():
             return None
     elif fam not in ("bilinear", "neg_quadratic", "reflector"):
         return None
@@ -255,9 +257,6 @@ class CostMatrix:
 
     def negated(self) -> "CostMatrix":
         return CostMatrix(self.grid_i, self.grid_j, -self.entries)
-
-    def transposed(self) -> "CostMatrix":
-        return CostMatrix(self.grid_j, self.grid_i, self.entries.T)
 
 
 # Largest n*m a dense table may have: 2**26 float64 cells are one 512 MiB
@@ -347,7 +346,7 @@ def segment_concavity_excess(matrix: CostMatrix) -> float:
     return worst
 
 
-def read_cost_csv(path: str, rel_step_tol: float = 1e-9) -> CostMatrix:
+def read_cost_csv(path: str) -> CostMatrix:
     """CSV matrix: first row is the y grid (after a corner cell), first
     column the x grid.  Every row must be as wide as the first; a bad row
     or cell is rejected with a ``path:line`` message (``grids.csv_floats``)."""
@@ -359,8 +358,8 @@ def read_cost_csv(path: str, rel_step_tol: float = 1e-9) -> CostMatrix:
     y = csv_floats(path, lineno, head[1:], tuple(f"y[{j}]" for j in range(m)))
     names = ("x",) + tuple(f"c(x, y[{j}])" for j in range(m))
     table = np.array([csv_floats(path, k, row, names, exact=True) for k, row in rows[1:]])
-    return CostMatrix(grid_through(table[:, 0], f"{path}: x grid", rel_step_tol),
-                      grid_through(np.array(y), f"{path}: y grid", rel_step_tol),
+    return CostMatrix(grid_through(table[:, 0], f"{path}: x grid"),
+                      grid_through(np.array(y), f"{path}: y grid"),
                       table[:, 1:].copy())
 
 

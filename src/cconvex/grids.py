@@ -36,6 +36,8 @@ __all__ = [
 ]
 
 _MEASURE_MASS_TOL = 1e-12
+# Relative tolerance on the steps of a grid read from a file.
+_REL_STEP_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -91,14 +93,14 @@ def make_uniform_grid(lo: float, hi: float, n: int) -> Grid:
     return Grid(Interval(float(lo), float(hi)), int(n))
 
 
-def grid_through(x: np.ndarray, what: str, rel_step_tol: float = 1e-9) -> Grid:
+def grid_through(x: np.ndarray, what: str) -> Grid:
     """The uniform grid through the points ``x`` read from a file, which
-    must increase strictly in steps equal within ``rel_step_tol``."""
+    must increase strictly in steps equal within ``_REL_STEP_TOL``."""
     steps = np.diff(x)
     if (steps <= 0).any():
         raise ValueError(f"{what} must be strictly increasing")
     h = (x[-1] - x[0]) / (len(x) - 1)
-    if np.abs(steps - h).max() > rel_step_tol * max(abs(h), 1.0):
+    if np.abs(steps - h).max() > _REL_STEP_TOL * max(abs(h), 1.0):
         raise ValueError(f"{what} is not uniform within tolerance")
     return make_uniform_grid(x[0], x[-1], len(x))
 
@@ -230,10 +232,6 @@ class DiscreteMeasure:
         xs, ps = zip(*atoms)
         return cls(np.array(xs, dtype=float), np.array(ps, dtype=float))
 
-    @property
-    def n_atoms(self) -> int:
-        return int(self.positions.size)
-
 
 def barycenter(mu: DiscreteMeasure) -> float:
     return float(_ordered_sum(np.r_[0.0, mu.weights * mu.positions]))
@@ -287,22 +285,20 @@ def _is_number(cell: str) -> bool:
     return True
 
 
-def read_grid_function_csv(path: str, rel_step_tol: float = 1e-9) -> GridFunction:
+def read_grid_function_csv(path: str) -> GridFunction:
     """Two-column CSV (x, f(x)); header optional; ``inf`` means +inf.
 
-    The x column must be strictly increasing and uniform within the given
-    relative step tolerance.
+    The x column must be uniform as ``grid_through`` requires.
     """
     xs, vs = read_two_column_csv(path, ("x", "f"))
     if len(xs) < 2:
         raise ValueError(f"{path}: need at least two data rows")
-    return GridFunction(grid_through(xs, f"{path}: x column", rel_step_tol), vs)
+    return GridFunction(grid_through(xs, f"{path}: x column"), vs)
 
 
-def write_grid_function_csv(path: str, f: GridFunction, header=("x", "f")) -> None:
+def write_grid_function_csv(path: str, f: GridFunction) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        if header:
-            w.writerow(header)
+        w.writerow(("x", "f"))
         for x, v in zip(f.grid.points, f.values):
             w.writerow([repr(float(x)), "inf" if math.isinf(v) else repr(float(v))])

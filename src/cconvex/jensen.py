@@ -189,9 +189,9 @@ def _quadrature_tol(f: GridFunction, c_col: np.ndarray, tol: float) -> float:
 
 
 def integral_jensen_bound(f: GridFunction, cost: CostSpec, xi: Optional[float] = None,
-                          y: Optional[float] = None, rule: str = "trapezoid",
-                          tol: float = 1e-9, grid_j: Optional[Grid] = None) -> JensenReport:
-    """Integral gap bound on [a, b]:
+                          y: Optional[float] = None, tol: float = 1e-9,
+                          grid_j: Optional[Grid] = None) -> JensenReport:
+    """Integral gap bound on [a, b], both integrals by the trapezoid rule:
 
         int f - f(xi)(b - a)  >=  int [c(x, y) - c(xi, y)] dx.
 
@@ -217,8 +217,8 @@ def integral_jensen_bound(f: GridFunction, cost: CostSpec, xi: Optional[float] =
         notes.append("hypothesis-unverified: y is not a subdifferential member at tol")
 
     c_col = np.asarray(evaluate_cost(cost, f.grid.points, y), dtype=float)
-    lhs = quadrature(f, rule) - f_xi * iv.length
-    rhs = quadrature(GridFunction(f.grid, c_col - evaluate_cost(cost, xi, y)), rule)
+    lhs = quadrature(f) - f_xi * iv.length
+    rhs = quadrature(GridFunction(f.grid, c_col - evaluate_cost(cost, xi, y)))
     eff_tol = _quadrature_tol(f, c_col, tol)
     slack = lhs - rhs
     return JensenReport(lhs=float(lhs), rhs=float(rhs), y_witness=y,

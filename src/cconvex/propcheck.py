@@ -248,7 +248,7 @@ def _vacuous(check_id: str, notes: str = "vacuous: no qualifying cases") -> Verd
     return Verdict(check_id, True, 0.0, notes=notes)
 
 
-def _is_convex_values(values: np.ndarray, h: float, tol: float) -> bool:
+def _is_convex_values(values: np.ndarray, tol: float) -> bool:
     return bool((np.diff(values, 2) >= -tol * (1.0 + np.abs(values).max())).all())
 
 
@@ -366,14 +366,11 @@ def _set_valued_sweep(slack: np.ndarray, member: np.ndarray, grid_i: Grid, grid_
     lf, lcx, lcy = lipschitz
     xv, yv = grid_i.points, grid_j.points
     lams = np.asarray(lambdas, dtype=float)
-    counts, first, _, intervals = _row_spans(member)
+    counts = member.sum(axis=1)
     # ys[starts[x] + r] is the column of row x's r-th member
-    if intervals:
-        starts, ys = first, np.arange(member.shape[1])
-    else:
-        starts = np.cumsum(counts) - counts
-        ys = np.flatnonzero(member)
-        ys %= member.shape[1]
+    starts = np.cumsum(counts) - counts
+    ys = np.flatnonzero(member)
+    ys %= member.shape[1]
     worst, witness = -np.inf, None
     for s in range(0, i1s.size, PAIR_BLOCK):
         x1, x2 = i1s[s:s + PAIR_BLOCK], i2s[s:s + PAIR_BLOCK]
@@ -416,7 +413,7 @@ def check_set_valued_convexity(f: GridFunction, cost: CostMatrix,
     seg = segment_concavity_excess(cost)
     if seg > 1e-9 * (1.0 + float(np.abs(cost.entries).max())):
         return _hypothesis_verdict(check_id, f"cost not segment-concave (excess {seg})")
-    if not _is_convex_values(f.values, f.grid.h, tol):
+    if not _is_convex_values(f.values, tol):
         return _hypothesis_verdict(check_id, "f not convex")
     ok, dev = is_c_convex(f, cost)
     if not ok:
@@ -444,7 +441,7 @@ def _intersection_sweep(slack: np.ndarray, member: np.ndarray, grid_i: Grid,
                         i2s: np.ndarray) -> tuple[float, Optional[tuple], bool]:
     """Worst non-membership of a common member of x1 and x2 at the snapped
     mixture points; also reports whether any pair had a common member."""
-    lf, lcx, lcy = lipschitz
+    lf, lcx, _ = lipschitz
     xv = grid_i.points
     lams = np.asarray(lambdas, dtype=float)
     spans = _row_spans(member)
@@ -460,8 +457,7 @@ def _intersection_sweep(slack: np.ndarray, member: np.ndarray, grid_i: Grid,
         x1, x2 = x1[meet], x2[meet]
         outside = ~(member[x1] & member[x2])
         im, allow = _snap(grid_i, _mixtures(xv[x1], xv[x2], lams), 2.0 * (lf + lcx))
-        allow += tol
-        allow += 2.0 * lcy * 0.0   # no dy term: the common member is not mixed
+        allow += tol   # no dy term: the common member is not mixed
         excess = np.empty_like(allow)
         for k in range(lams.size):
             rows = slack[im[:, k]]
@@ -485,7 +481,7 @@ def check_intersection_inclusion(f: GridFunction, cost: CostMatrix,
     sv = check_structure(cost, "one_concave")
     if not sv.holds:
         return _hypothesis_verdict(check_id, "cost not one_concave")
-    if not _is_convex_values(f.values, f.grid.h, tol):
+    if not _is_convex_values(f.values, tol):
         return _hypothesis_verdict(check_id, "f not convex")
     ok, dev = is_c_convex(f, cost)
     if not ok:
@@ -538,7 +534,7 @@ def check_domain_interval(f: GridFunction, cost: CostMatrix, tol: float = 1e-9,
     sv = check_structure(cost, "one_concave")
     if not sv.holds:
         return _hypothesis_verdict(check_id, "cost not one_concave")
-    if not _is_convex_values(f.values, f.grid.h, tol):
+    if not _is_convex_values(f.values, tol):
         return _hypothesis_verdict(check_id, "f not convex")
     slack = membership_slack(f, cost)
     member = slack >= -tol
@@ -557,14 +553,14 @@ def check_domain_interval(f: GridFunction, cost: CostMatrix, tol: float = 1e-9,
 
 
 def check_grad_inclusion(f: GridFunction, cost_spec: CostSpec, cost: CostMatrix,
-                         tol: float = 1e-9, safety: float = 4.0) -> Verdict:
+                         tol: float = 1e-9) -> Verdict:
     """Members of the c-subdifferential satisfy dc/dx(x, y) ~ f'(x): the
     mismatch is bounded by C*h with
 
         C = (M2f + M2c)/2 + h*M3f/6 + tol/h^2,
 
     M2/M3 the max second/third difference quotients (f' estimated by
-    central differences), scaled by a documented safety factor.
+    central differences), times 4 for margin.
     """
     check_id = "grad_inclusion"
     h = f.grid.h
@@ -576,7 +572,7 @@ def check_grad_inclusion(f: GridFunction, cost_spec: CostSpec, cost: CostMatrix,
     m2f = float(np.abs(np.diff(f.values, 2)).max()) / h**2
     m3f = float(np.abs(np.diff(f.values, 3)).max(initial=0.0)) / h**3
     m2c = float(np.abs(np.diff(cost.entries, 2, axis=0)).max()) / h**2
-    threshold = safety * ((0.5 * (m2f + m2c) + h * m3f / 6.0) * h + tol / h)
+    threshold = 4.0 * ((0.5 * (m2f + m2c) + h * m3f / 6.0) * h + tol / h)
     fprime = (f.values[2:] - f.values[:-2]) / (2.0 * h)
     xs = f.grid.points[interior[pairs[:, 0]]]
     ys = cost.grid_j.points[pairs[:, 1]]

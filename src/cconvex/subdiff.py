@@ -47,9 +47,9 @@ class SubdifferentialSet:
     """Sorted y-grid indices forming a tolerance-qualified subdifferential.
 
     For a twisted cost (c_xy >= 0: bilinear, neg_quadratic, reflector,
-    one_affine with nondecreasing a(y)) each row of the exact slack is
+    one_affine with strictly increasing a(y)) each row of the exact slack is
     unimodal, so the set is an interval (see ``membership_triples``);
-    rounding can still split it where c_xy = 0, and other costs give any
+    rounding can still split it where c_xy is near 0, and other costs give any
     index set.  So it is kept as an explicit index list: contiguity must
     not be baked into the type.
     """

@@ -540,7 +540,7 @@ class TestErrors:
         with pytest.raises(SystemExit, match="tol must be finite and >= 0"):
             run(["suite", f"--tol={tol}"])
 
-    @pytest.mark.parametrize("command", ["transform", "subdiff", "jensen", "gen"])
+    @pytest.mark.parametrize("command", ["transform", "subdiff", "jensen"])
     @pytest.mark.parametrize("tol", ["nan", "inf", "-1e-9"])
     def test_bad_tol_rejected_before_work(self, monkeypatch, command, tol):
         def no_work(*args, **kwargs):
@@ -548,9 +548,22 @@ class TestErrors:
 
         for name in ("conjugates", "membership_triples", "discrete_jensen_gap"):
             monkeypatch.setattr(f"cconvex.cli.{name}", no_work)
-        monkeypatch.setattr("cconvex.cli.propcheck.generate_instance", no_work)
         with pytest.raises(SystemExit, match="^error: tol must be finite and >= 0"):
             run([command, f"--tol={tol}"])
+
+    # options a command does not read are not accepted: suite runs fixed
+    # instances, jensen writes JSON only, gen writes CSV and judges nothing
+    @pytest.mark.parametrize("command, option", [
+        ("suite", "--interval-i=0,3"), ("suite", "--interval-j=0,3"), ("suite", "--n=7"),
+        ("suite", "--m=9"), ("suite", "--cost=nonsense"), ("suite", "--format=csv"),
+        ("jensen", "--format=csv"), ("gen", "--tol=5"), ("gen", "--format=json"),
+    ])
+    def test_unread_option_is_a_usage_error(self, tmp_path, capsys, command, option):
+        with pytest.raises(SystemExit) as exit_:
+            run([command, option, "--out", str(tmp_path / "out")])
+        assert exit_.value.code == 2
+        assert f"error: unrecognized arguments: {option}" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("command", ["transform", "subdiff"])
     def test_dense_cell_budget(self, command):

@@ -29,8 +29,10 @@ TWISTED = (
     ("reflector", (-0.9, 0.9), (-0.9, 0.9)),
     ("one_affine:0.2,0.8,0.3;0.1,-1", (-1.0, 1.0), (-1.0, 1.0)),
 )
-# a(y) = -y decreases, so this one_affine cost is tabulated
-DENSE_FALLBACK = ("one_affine:0,-1;0.1", (-1.0, 1.0), (-1.0, 1.0))
+# one_affine costs the engine does not serve, so they are tabulated: a(y) = -y
+# decreases, and a(y) = 1 is flat (c_xy = 0: every row ties up to rounding)
+DENSE_FALLBACK = (("one_affine:0,-1;0.1", (-1.0, 1.0), (-1.0, 1.0)),
+                  ("one_affine:1;0.3,1,0.7", (-1.0, 1.0), (-1.0, 1.0)))
 # (command, f, n, m, family) where the engine's zero maximum, or zero slack,
 # has the other sign than the dense API's (at the parent of the n != m sizes too)
 SIGNED_ZERO_MAXIMA = {
@@ -150,26 +152,29 @@ class TestBandedTriples:
     @pytest.mark.parametrize("f_value", [lambda x: x, np.zeros_like, lambda x: np.full_like(x, 0.3)],
                              ids=["identity", "zero", "constant0.3"])
     def test_flat_rows_keep_every_member(self, tol, f_value):
-        # a(y) = 1 makes c_xy = 0: every exact slack is 0 and the computed
-        # one is rounding noise, so member rows are not intervals and the
-        # engine's f^c misses the dense maximum by an ulp; only the margin
-        # keeps the band over every member
-        spec = parse_cost_spec("one_affine:1;0.3,1,0.7")
+        # a(y) = 1 + 2**-36 y makes c_xy = 2**-36: the certified engine's
+        # cost is within rounding of flat, so the computed slack is rounding
+        # noise and member rows split on most sizes; only the margin keeps
+        # the band over every member
+        spec = parse_cost_spec("one_affine:1,1.4551915228366852e-11;0.3,1,0.7")
+        splits = []
         for n, m in ((17, 16), (40, 129), (129, 64), (65, 33), (129, 257), (257, 129)):
             gi, gj = make_uniform_grid(-1, 1, n), make_uniform_grid(-1, 1, m)
+            assert twisted_on(spec, gi, gj)
             f = GridFunction(gi, f_value(gi.points))
             fc = monotone_c_transform(f, spec, gj).values.values
             blocks = (tabulate_cost(spec, gi, gj).entries - f.values[:, None]) - fc
             member = blocks >= -tol
             first, last = member.argmax(axis=1), m - 1 - member[:, ::-1].argmax(axis=1)
-            assert (member.sum(axis=1) < last - first + 1).any()
+            splits.append(bool((member.sum(axis=1) < last - first + 1).any()))
             dom, rows, cols, slack = membership_triples(f, spec, gj, tol)
             want_rows, want_cols = np.nonzero(member)
             assert np.array_equal(rows, want_rows) and np.array_equal(cols, want_cols)
             assert np.array_equal(slack.view(np.int64), blocks[rows, cols].view(np.int64))
             assert np.array_equal(dom, member.any(axis=1))
+        assert any(splits)
 
-    # c_xy > 0 on these grids; with c_xy = 0 (test above) rounding noise
+    # c_xy > 0 on these grids; with c_xy near 0 (test above) rounding noise
     # can split a computed row
     @settings(max_examples=60, deadline=None)
     @given(case=st.sampled_from(TWISTED + (NEAR_SINGULAR,)), n=st.integers(2, 40),
@@ -204,8 +209,9 @@ class TestSignedZero:
 class TestFallback:
     @pytest.mark.parametrize("spec", [
         parse_cost_spec("one_affine:0,-1;0.2"),  # a(y) = -y decreases
+        parse_cost_spec("one_affine:1;0.3,1,0.7"),  # a(y) = 1 is flat
         CostSpec("translation", h=lambda d: -np.abs(d) ** 1.5),
-    ], ids=["decreasing_a", "translation"])
+    ], ids=["decreasing_a", "flat_a", "translation"])
     def test_dense_path_unchanged(self, spec):
         g = make_uniform_grid(-1, 1, 33)
         assert not twisted_on(spec, g, g)
@@ -318,11 +324,12 @@ class TestCliByteIdentity:
 
     @pytest.mark.parametrize("command", ["transform", "subdiff"])
     @pytest.mark.parametrize("f", ["half_parabola", "neg_absolute_value",
-                                   "piecewise_linear:-1,0.5;-0.25,-0.75;0.5,0.25;1,1"])
+                                   "piecewise_linear:-1,0.5;-0.25,-0.75;0.5,0.25;1,1",
+                                   "piecewise_linear:-1,-1;1,1"])
     @pytest.mark.parametrize("n, m", [(257, 257), (129, 257), (257, 129)])
-    @pytest.mark.parametrize("family, iv_i, iv_j", TWISTED + (DENSE_FALLBACK,))
+    @pytest.mark.parametrize("family, iv_i, iv_j", TWISTED + DENSE_FALLBACK)
     def test_matches_dense_api(self, tmp_path, command, f, n, m, family, iv_i, iv_j):
-        if family == DENSE_FALLBACK[0]:
+        if (family, iv_i, iv_j) in DENSE_FALLBACK:
             assert not twisted_on(parse_cost_spec(family), make_uniform_grid(*iv_i, n),
                                   make_uniform_grid(*iv_j, m))
         argv = ["--n", str(n), "--m", str(m), "--cost", family, "--f", f,
