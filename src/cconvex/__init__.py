@@ -11,7 +11,7 @@ from .jensen import (JensenReport, NoAdmissibleWitnessError, classical_reduction
                      discrete_jensen_gap, integral_jensen_bound, midpoint_bound,
                      support_concavity_check, weighted_integral_bound)
 from .propcheck import InstanceConfig, generate_instance, run_suite
-from .subdiff import (LocalWindow, SubdifferentialSet, SupportCurve, c_subdifferential,
+from .subdiff import (Analysis, LocalWindow, SubdifferentialSet, SupportCurve, c_subdifferential,
                       envelope_reconstruct, lateral_c_derivatives, local_c_subdifferential,
                       local_double_conjugate, subdifferential_map, support_curve_eval)
 from .transform import (TransformResult, c_transform, double_c_transform,

@@ -32,7 +32,6 @@ __all__ = [
     "parse_cost_spec",
     "evaluate_cost",
     "twist_bound",
-    "twisted_on",
     "cost_dx",
     "tabulate_cost",
     "tabulate_callable",
@@ -229,11 +228,6 @@ def twist_bound(spec: CostSpec, grid_i: Grid, grid_j: Grid) -> Optional[float]:
             eps = u * (float(np.abs(xe).max() * np.abs(a).max()) + c)
     eps = 2 * eps + np.finfo(float).tiny
     return eps if np.isfinite(eps) else None
-
-
-def twisted_on(spec: CostSpec, grid_i: Grid, grid_j: Grid) -> bool:
-    """Whether c(x_i, y_j) - f_i is certified Monge (see ``twist_bound``)."""
-    return twist_bound(spec, grid_i, grid_j) is not None
 
 
 @dataclass(frozen=True, eq=False)

@@ -4,6 +4,10 @@ instance generator feeding the verification suite.
 
 Conventions shared by all checks:
 
+* A check reads its (f, cost) instance from an ``Analysis``, which
+  validates ``tol``, and reads its slack or members only after the
+  hypotheses pass.  The two-function checks need one cost object and one
+  tol; mixture weights must be a nonempty sequence of numbers in [0, 1].
 * ``max_violation`` is the excess beyond the check's documented
   allowance, so ``holds <=> max_violation <= 0``.
 * Hypothesis checks are separated from conclusion checks; when a
@@ -35,16 +39,18 @@ whose conclusion is that contiguity, is always judged on the dense rows.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import asdict, dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .costs import (CostMatrix, CostSpec, check_structure, cost_dx, parse_cost_spec,
-                    segment_concavity_excess, tabulate_cost)
+                    segment_concavity_excess, tabulate_callable, tabulate_cost)
 from .grids import Grid, GridFunction, check_tol, make_uniform_grid
-from .subdiff import LocalWindow, local_c_subdifferential, local_double_conjugate, membership_slack
-from .transform import double_c_transform, is_c_convex
+from .subdiff import (Analysis, LocalWindow, local_c_subdifferential, local_double_conjugate,
+                      membership_slack)
+from .transform import double_c_transform
 from .verdicts import Verdict
 
 __all__ = [
@@ -113,20 +119,25 @@ def _raw_function(cfg: InstanceConfig, grid: Grid, rng: np.random.Generator,
     raise ValueError(f"unknown f family {family!r}")
 
 
+def _instance_function(cfg: InstanceConfig, cost: CostMatrix) -> GridFunction:
+    """The f of ``cfg``'s instance on ``cost``'s I grid, c-convexified against
+    ``cost``; only ``cfg``'s seed, f family and amplitude are read."""
+    grid_i = cost.grid_i
+    rng = np.random.default_rng(cfg.seed)
+    if cfg.f_family == "cconvexified_random":
+        raw = GridFunction(grid_i, _raw_function(cfg, grid_i, rng, "random_smooth_fourier"))
+        return double_c_transform(raw, cost).values
+    if cfg.f_family in F_FAMILIES:
+        return GridFunction(grid_i, _raw_function(cfg, grid_i, rng, cfg.f_family))
+    raise ValueError(f"unknown f family {cfg.f_family!r}")
+
+
 def generate_instance(cfg: InstanceConfig) -> tuple[GridFunction, CostMatrix]:
     """Deterministic seeded instance; same config => bit-identical output."""
     grid_i = make_uniform_grid(*cfg.interval_i, cfg.n)
     grid_j = make_uniform_grid(*cfg.interval_j, cfg.m)
     cost = tabulate_cost(parse_cost_spec(cfg.cost_family, cfg.cost_params), grid_i, grid_j)
-    rng = np.random.default_rng(cfg.seed)
-    if cfg.f_family == "cconvexified_random":
-        raw = GridFunction(grid_i, _raw_function(cfg, grid_i, rng, "random_smooth_fourier"))
-        f = double_c_transform(raw, cost).values
-    elif cfg.f_family in F_FAMILIES:
-        f = GridFunction(grid_i, _raw_function(cfg, grid_i, rng, cfg.f_family))
-    else:
-        raise ValueError(f"unknown f family {cfg.f_family!r}")
-    return f, cost
+    return _instance_function(cfg, cost), cost
 
 
 # ---------------------------------------------------------------------------
@@ -252,23 +263,37 @@ def _is_convex_values(values: np.ndarray, tol: float) -> bool:
     return bool((np.diff(values, 2) >= -tol * (1.0 + np.abs(values).max())).all())
 
 
+def _check_lambdas(lambdas: Sequence[float]):
+    """Mixture weights, rejected unless nonempty and each a finite number in [0, 1]."""
+    if len(lambdas) == 0:
+        raise ValueError("lambdas must be nonempty")
+    for k, lam in enumerate(lambdas):
+        if not (isinstance(lam, numbers.Real) and 0.0 <= lam <= 1.0):
+            raise ValueError(f"lambdas[{k}] must be a finite number in [0, 1], got {lam!r}")
+
+
+def _shared_cost(a: Analysis, b: Analysis) -> CostMatrix:
+    """The cost of two analyses, rejected unless they share one cost and one tol."""
+    if a.cost is not b.cost or a.tol != b.tol:
+        raise ValueError("the two analyses must have the same cost object and the same tol")
+    return a.cost
+
+
 # ---------------------------------------------------------------------------
 # proposition checks
 
-def check_mixture(f: GridFunction, g: GridFunction, cost: CostMatrix,
-                  lambdas: Sequence[float] = DEFAULT_LAMBDAS,
-                  tol: float = 1e-9) -> Verdict:
+def check_mixture(a: Analysis, b: Analysis,
+                  lambdas: Sequence[float] = DEFAULT_LAMBDAS) -> Verdict:
     """Members of both subdifferentials stay members of any convex mixture:
-    for y in the intersection at x, y belongs to the set of (1-l)f + l g."""
+    y in the sets of f = a.f and g = b.f at x is in that of (1-l)f + l g."""
     check_id = "mixture"
-    sf = membership_slack(f, cost)
-    sg = membership_slack(g, cost)
-    inter = (sf >= -tol) & (sg >= -tol)
+    _check_lambdas(lambdas)
+    cost, tol, f, g = _shared_cost(a, b), a.tol, a.f, b.f
+    inter = a.member & b.member
     if not inter.any():
         return _vacuous(check_id)
     margin = _float_margin(cost.entries, f.values, g.values)
-    worst = -np.inf
-    witness = None
+    worst, witness = -np.inf, None
     for lam in lambdas:
         mix = GridFunction(f.grid, (1.0 - lam) * f.values + lam * g.values)
         sm = membership_slack(mix, cost)
@@ -284,25 +309,23 @@ def check_mixture(f: GridFunction, g: GridFunction, cost: CostMatrix,
                    notes=f"lambdas={list(lambdas)}; tol={tol}")
 
 
-def check_order_propagation(f: GridFunction, g: GridFunction, cost: CostMatrix,
-                            tol: float = 1e-9) -> Verdict:
-    """If f < g at u and some y lies in both the subdifferential of g at u
-    and of f at v, then f < g at v.
+def check_order_propagation(a: Analysis, b: Analysis) -> Verdict:
+    """If f = a.f < g = b.f at u and some y lies in both the subdifferential
+    of g at u and of f at v, then f < g at v.
 
     With tolerance-qualified memberships the exact argument degrades by
     2*tol, so u qualifies only when g(u) - f(u) > 4*tol; the conclusion
     must then hold outright.
     """
     check_id = "order_propagation"
-    mg = membership_slack(g, cost) >= -tol
-    mf = membership_slack(f, cost) >= -tol
-    gap = g.values - f.values
-    u_mask = gap > 4.0 * tol
+    _shared_cost(a, b)
+    tol, f, g = a.tol, a.f, b.f
+    u_mask = g.values - f.values > 4.0 * tol
     if not u_mask.any():
         return _vacuous(check_id)
     # pairs (u, v) whose sets intersect: counts[u, v] > 0
     # float64 so BLAS does the product; counts <= m < 2**53 are exact
-    counts = mg.astype(float) @ mf.astype(float).T
+    counts = b.member.astype(float) @ a.member.astype(float).T
     qualifying = u_mask[:, None] & (counts > 0)
     if not qualifying.any():
         return _vacuous(check_id)
@@ -333,28 +356,24 @@ def _subdiff_convexity_sweep(member: np.ndarray, grid_j: Grid, tol: float,
     return worst, witness
 
 
-def check_subdiff_convexity(f: GridFunction, cost: CostMatrix, tol: float = 1e-9,
-                            pair_cap: int = 10000, seed: int = 0,
+def check_subdiff_convexity(a: Analysis, pair_cap: int = 10000, seed: int = 0,
                             exhaustive: bool = False) -> Verdict:
     """Under a 2-affine cost every nonempty subdifferential is an interval
     of the y grid, and distinct interior points share at most one
     subgradient (intersection diameter <= y grid step + tol)."""
     check_id = "subdiff_convexity"
-    sv = check_structure(cost, "two_affine")
-    if not sv.holds:
+    if not check_structure(a.cost, "two_affine").holds:
         return _hypothesis_verdict(check_id, "cost not two_affine")
-    ok, dev = is_c_convex(f, cost)
-    if not ok:
-        return _hypothesis_verdict(check_id, f"f not c-convex (deviation {dev})")
-    member = membership_slack(f, cost) >= -tol
-    if not member.any():
+    if not a.c_convex[0]:
+        return _hypothesis_verdict(check_id, f"f not c-convex (deviation {a.c_convex[1]})")
+    if not a.member.any():
         return _vacuous(check_id, "vacuous: every subdifferential empty")
     rng = np.random.default_rng(seed)
-    interior = np.arange(1, f.grid.n - 1)
+    interior = np.arange(1, a.f.grid.n - 1)
     i1, i2 = _sample_pairs(rng, interior, pair_cap, exhaustive)
-    worst, witness = _subdiff_convexity_sweep(member, cost.grid_j, tol, i1, i2)
+    worst, witness = _subdiff_convexity_sweep(a.member, a.cost.grid_j, a.tol, i1, i2)
     return Verdict(check_id, worst <= 0.0, float(worst), witness,
-                   notes=f"pairs={i1.size}; tol={tol}")
+                   notes=f"pairs={i1.size}; tol={a.tol}")
 
 
 def _set_valued_sweep(slack: np.ndarray, member: np.ndarray, grid_i: Grid, grid_j: Grid,
@@ -394,10 +413,9 @@ def _set_valued_sweep(slack: np.ndarray, member: np.ndarray, grid_i: Grid, grid_
     return worst, witness
 
 
-def check_set_valued_convexity(f: GridFunction, cost: CostMatrix,
-                               lambdas: Sequence[float] = DEFAULT_LAMBDAS,
-                               tol: float = 1e-9, pair_cap: int = 10000,
-                               seed: int = 0, exhaustive: bool = False) -> Verdict:
+def check_set_valued_convexity(a: Analysis, lambdas: Sequence[float] = DEFAULT_LAMBDAS,
+                               pair_cap: int = 10000, seed: int = 0,
+                               exhaustive: bool = False) -> Verdict:
     """For a concave 2-affine cost and convex, c-convex f, mixtures of
     subgradients at two points are subgradients at the mixed point.
 
@@ -407,30 +425,27 @@ def check_set_valued_convexity(f: GridFunction, cost: CostMatrix,
     inflation.
     """
     check_id = "set_valued_convexity"
-    sv = check_structure(cost, "two_affine")
-    if not sv.holds:
+    _check_lambdas(lambdas)
+    f, cost, tol = a.f, a.cost, a.tol
+    if not check_structure(cost, "two_affine").holds:
         return _hypothesis_verdict(check_id, "cost not two_affine")
     seg = segment_concavity_excess(cost)
     if seg > 1e-9 * (1.0 + float(np.abs(cost.entries).max())):
         return _hypothesis_verdict(check_id, f"cost not segment-concave (excess {seg})")
     if not _is_convex_values(f.values, tol):
         return _hypothesis_verdict(check_id, "f not convex")
-    ok, dev = is_c_convex(f, cost)
-    if not ok:
-        return _hypothesis_verdict(check_id, f"f not c-convex (deviation {dev})")
+    if not a.c_convex[0]:
+        return _hypothesis_verdict(check_id, f"f not c-convex (deviation {a.c_convex[1]})")
 
-    lipschitz = _lipschitz(f, cost)
-    slack = membership_slack(f, cost)
-    member = slack >= -tol
-    dom = np.flatnonzero(member.any(axis=1))
+    dom = np.flatnonzero(a.member.any(axis=1))
     if dom.size < 2:
         return _vacuous(check_id, "vacuous: effective domain has fewer than two points")
     rng = np.random.default_rng(seed)
     i1s, i2s = _sample_pairs(rng, dom, pair_cap, exhaustive)
     if i1s.size == 0:
         return _vacuous(check_id, "vacuous: no distinct pairs sampled")
-    worst, witness = _set_valued_sweep(slack, member, f.grid, cost.grid_j, lambdas, tol,
-                                       lipschitz, rng, i1s, i2s)
+    worst, witness = _set_valued_sweep(a.slack, a.member, f.grid, cost.grid_j, lambdas, tol,
+                                       _lipschitz(f, cost), rng, i1s, i2s)
     return Verdict(check_id, worst <= 0.0, float(worst), witness,
                    notes=f"pairs={i1s.size}; concavity=segment-tested; tol={tol}")
 
@@ -471,33 +486,29 @@ def _intersection_sweep(slack: np.ndarray, member: np.ndarray, grid_i: Grid,
     return worst, witness, any_intersection
 
 
-def check_intersection_inclusion(f: GridFunction, cost: CostMatrix,
-                                 lambdas: Sequence[float] = DEFAULT_LAMBDAS,
-                                 tol: float = 1e-9, pair_cap: int = 10000,
-                                 seed: int = 0, exhaustive: bool = False) -> Verdict:
+def check_intersection_inclusion(a: Analysis, lambdas: Sequence[float] = DEFAULT_LAMBDAS,
+                                 pair_cap: int = 10000, seed: int = 0,
+                                 exhaustive: bool = False) -> Verdict:
     """For a 1-concave cost and convex, c-convex f, a common subgradient
     of two points is a subgradient at every convex combination."""
     check_id = "intersection_inclusion"
-    sv = check_structure(cost, "one_concave")
-    if not sv.holds:
+    _check_lambdas(lambdas)
+    f, cost, tol = a.f, a.cost, a.tol
+    if not check_structure(cost, "one_concave").holds:
         return _hypothesis_verdict(check_id, "cost not one_concave")
     if not _is_convex_values(f.values, tol):
         return _hypothesis_verdict(check_id, "f not convex")
-    ok, dev = is_c_convex(f, cost)
-    if not ok:
-        return _hypothesis_verdict(check_id, f"f not c-convex (deviation {dev})")
+    if not a.c_convex[0]:
+        return _hypothesis_verdict(check_id, f"f not c-convex (deviation {a.c_convex[1]})")
 
-    lipschitz = _lipschitz(f, cost)
-    slack = membership_slack(f, cost)
-    member = slack >= -tol
-    dom = np.flatnonzero(member.any(axis=1))
+    dom = np.flatnonzero(a.member.any(axis=1))
     interior = dom[(dom > 0) & (dom < f.grid.n - 1)]
     if interior.size < 2:
         return _vacuous(check_id)
     rng = np.random.default_rng(seed)
     i1s, i2s = _sample_pairs(rng, interior, pair_cap, exhaustive)
     worst, witness, any_intersection = _intersection_sweep(
-        slack, member, f.grid, lambdas, tol, lipschitz, i1s, i2s)
+        a.slack, a.member, f.grid, lambdas, tol, _lipschitz(f, cost), i1s, i2s)
     if not any_intersection:
         return _vacuous(check_id, "vacuous: no intersecting pairs found")
     return Verdict(check_id, worst <= 0.0, float(worst), witness,
@@ -523,50 +534,46 @@ def _domain_interval_sweep(member: np.ndarray, dom_relaxed: np.ndarray, i1s: np.
     return worst, witness, any_intersection
 
 
-def check_domain_interval(f: GridFunction, cost: CostMatrix, tol: float = 1e-9,
-                          pair_cap: int = 10000, seed: int = 0,
+def check_domain_interval(a: Analysis, pair_cap: int = 10000, seed: int = 0,
                           exhaustive: bool = False) -> Verdict:
     """For a 1-concave cost and convex f, two points with intersecting
     subdifferentials bracket an interval contained in the effective
     domain.  Grid points between them are exact convex combinations, so
     the allowance is 2*tol plus rounding."""
     check_id = "domain_interval"
-    sv = check_structure(cost, "one_concave")
-    if not sv.holds:
+    f, cost, tol = a.f, a.cost, a.tol
+    if not check_structure(cost, "one_concave").holds:
         return _hypothesis_verdict(check_id, "cost not one_concave")
     if not _is_convex_values(f.values, tol):
         return _hypothesis_verdict(check_id, "f not convex")
-    slack = membership_slack(f, cost)
-    member = slack >= -tol
     allow = 2.0 * tol + _float_margin(cost.entries, f.values)
-    dom_relaxed = (slack >= -allow).any(axis=1)
-    idx = np.flatnonzero(member.any(axis=1))
+    dom_relaxed = (a.slack >= -allow).any(axis=1)
+    idx = np.flatnonzero(a.member.any(axis=1))
     if idx.size < 2:
         return _vacuous(check_id)
     rng = np.random.default_rng(seed)
     i1s, i2s = _sample_pairs(rng, idx, pair_cap, exhaustive)
-    worst, witness, any_intersection = _domain_interval_sweep(member, dom_relaxed, i1s, i2s)
+    worst, witness, any_intersection = _domain_interval_sweep(a.member, dom_relaxed, i1s, i2s)
     if not any_intersection:
         return _vacuous(check_id, "vacuous: no intersecting pairs found")
     return Verdict(check_id, worst <= 0.0, float(worst), witness,
                    notes=f"pairs={i1s.size}; allowance=2*tol; tol={tol}")
 
 
-def check_grad_inclusion(f: GridFunction, cost_spec: CostSpec, cost: CostMatrix,
-                         tol: float = 1e-9) -> Verdict:
+def check_grad_inclusion(a: Analysis, cost_spec: CostSpec) -> Verdict:
     """Members of the c-subdifferential satisfy dc/dx(x, y) ~ f'(x): the
     mismatch is bounded by C*h with
 
         C = (M2f + M2c)/2 + h*M3f/6 + tol/h^2,
 
     M2/M3 the max second/third difference quotients (f' estimated by
-    central differences), times 4 for margin.
+    central differences), times 4 for margin; dc/dx comes from ``cost_spec``.
     """
     check_id = "grad_inclusion"
+    f, cost, tol = a.f, a.cost, a.tol
     h = f.grid.h
-    member = membership_slack(f, cost) >= -tol
     interior = np.arange(1, f.grid.n - 1)
-    pairs = np.argwhere(member[interior])
+    pairs = np.argwhere(a.member[interior])
     if pairs.size == 0:
         return _vacuous(check_id, "vacuous: no interior members")
     m2f = float(np.abs(np.diff(f.values, 2)).max()) / h**2
@@ -591,6 +598,7 @@ def check_cost_self_subdiff(cost: CostMatrix, tol: float = 0.0) -> Verdict:
     """Every cost slice supports itself: with f = c(., y_j), y_j belongs to
     the subdifferential at every x with slack exactly zero."""
     check_id = "cost_self_subdiff"
+    check_tol(tol)
     # column j of membership_slack(c(., y_j), cost), for every j in one pass
     dev = cost.entries - cost.entries
     dev -= dev.max(axis=0)
@@ -601,11 +609,11 @@ def check_cost_self_subdiff(cost: CostMatrix, tol: float = 0.0) -> Verdict:
                    notes=f"tol={tol} (identity; slack must vanish exactly)")
 
 
-def check_local_support_iff(f: GridFunction, cost: CostMatrix, alpha_index: int,
-                            epsilon: float, tol: float = 1e-9) -> Verdict:
+def check_local_support_iff(a: Analysis, alpha_index: int, epsilon: float) -> Verdict:
     """A local support curve exists at alpha iff f(alpha) equals the local
     double conjugate there; both directions are asserted."""
     check_id = "local_support_iff"
+    f, cost, tol = a.f, a.cost, a.tol
     window = LocalWindow(int(alpha_index), float(epsilon))
     s = local_c_subdifferential(f, cost, window, tol)
     lb = local_double_conjugate(f, cost, window, tol)
@@ -627,10 +635,6 @@ def check_local_support_iff(f: GridFunction, cost: CostMatrix, alpha_index: int,
 # ---------------------------------------------------------------------------
 # suite orchestration
 
-def _abs_value_function(grid: Grid, sign: float = 1.0) -> GridFunction:
-    return GridFunction(grid, sign * np.abs(grid.points))
-
-
 def run_suite(seed: int = 0, tol: float = 1e-9, pair_cap: int = 10000,
               exhaustive: bool = False, falsify: bool = False) -> list[Verdict]:
     """Deterministic battery over seeded instances exercising every check.
@@ -638,104 +642,77 @@ def run_suite(seed: int = 0, tol: float = 1e-9, pair_cap: int = 10000,
     ``falsify`` replaces the c-convexified inputs of the hypothesis-gated
     checks with raw random functions, demonstrating that hypothesis
     failures are reported as such and never as conclusion failures.
+
+    Each cost is tabulated once and each (f, cost) analysed once; the checks
+    run, in the order returned, grouped to release each after its last check.
     """
     if pair_cap < 0:
         raise ValueError(f"pair_cap must be >= 0, got {pair_cap}")
     check_tol(tol)
-    verdicts: list[Verdict] = []
-    n = m = 101
-    gated_family = "random_smooth_fourier" if falsify else "cconvexified_random"
+    n = 101
+    grid = make_uniform_grid(-1.0, 1.0, n)
+    x = grid.points
+    gated = "random_smooth_fourier" if falsify else "cconvexified_random"
+    sweep = dict(pair_cap=pair_cap, seed=seed, exhaustive=exhaustive)
 
-    # bilinear instances
-    cfg_b1 = InstanceConfig(seed=seed, n=n, m=m, cost_family="bilinear",
-                            f_family="cconvexified_random")
-    cfg_b2 = InstanceConfig(seed=seed + 1, n=n, m=m, cost_family="bilinear",
-                            f_family="cconvexified_random")
-    fb1, cost_b = generate_instance(cfg_b1)
-    fb2, _ = generate_instance(cfg_b2)
-    verdicts.append(check_mixture(fb1, fb2, cost_b, (0.25, 0.5, 0.75), tol)
-                    .with_id("mixture_bilinear"))
+    def seeded(f_seed: int, cost: CostMatrix, family: str = "cconvexified_random") -> Analysis:
+        cfg = InstanceConfig(f_seed, f_family=family)
+        return Analysis(_instance_function(cfg, cost), cost, tol)
 
-    # neg_quadratic instances
-    # J wide enough that convex test functions (x^2, |x|) keep their
-    # neg-quadratic subgradient witnesses y = x + f'(x)/2 inside J
-    cfg_q1 = InstanceConfig(seed=seed + 2, n=n, m=m, cost_family="neg_quadratic",
-                            interval_j=(-2.5, 2.5), f_family="cconvexified_random")
-    cfg_q2 = InstanceConfig(seed=seed + 3, n=n, m=m, cost_family="neg_quadratic",
-                            interval_j=(-2.5, 2.5), f_family="cconvexified_random")
-    fq1, cost_q = generate_instance(cfg_q1)
-    fq2, _ = generate_instance(cfg_q2)
-    verdicts.append(check_mixture(fq1, fq2, cost_q, (0.25, 0.5, 0.75), tol)
-                    .with_id("mixture_neg_quadratic"))
+    def given(values: np.ndarray, cost: CostMatrix) -> Analysis:
+        return Analysis(GridFunction(cost.grid_i, values), cost, tol)
 
-    verdicts.append(check_order_propagation(fb1, fb2, cost_b, tol)
-                    .with_id("order_propagation_bilinear"))
-    verdicts.append(check_order_propagation(fq1, fq2, cost_q, tol)
-                    .with_id("order_propagation_neg_quadratic"))
+    def pair(a: Analysis, b: Analysis, name: str) -> list[Verdict]:
+        return [check_mixture(a, b, (0.25, 0.5, 0.75)).with_id(f"mixture_{name}"),
+                check_order_propagation(a, b).with_id(f"order_propagation_{name}")]
 
-    # 2-affine contiguity: bilinear and c(x, y) = sin(x) y + x^2
-    gated_b = fb1 if not falsify else generate_instance(
-        InstanceConfig(seed=seed, n=n, m=m, cost_family="bilinear",
-                       f_family=gated_family))[0]
-    verdicts.append(check_subdiff_convexity(gated_b, cost_b, tol, pair_cap, seed, exhaustive)
-                    .with_id("subdiff_convexity_bilinear"))
-    from .costs import tabulate_callable
-    grid_i = cost_b.grid_i
-    grid_j = cost_b.grid_j
-    cost_2aff = tabulate_callable(lambda x, y: np.sin(x) * y + x**2, grid_i, grid_j)
-    seed_f = GridFunction(grid_i, _raw_function(
-        InstanceConfig(seed=seed + 4), grid_i, np.random.default_rng(seed + 4),
-        "random_smooth_fourier"))
-    f_2aff = double_c_transform(seed_f, cost_2aff).values if not falsify else seed_f
-    verdicts.append(check_subdiff_convexity(f_2aff, cost_2aff, tol, pair_cap, seed, exhaustive)
-                    .with_id("subdiff_convexity_sinxy"))
+    def bilinear_instances(cost: CostMatrix) -> list[Verdict]:
+        b1 = seeded(seed, cost)
+        return pair(b1, seeded(seed + 1, cost), "bilinear") + [
+            check_subdiff_convexity(b1 if not falsify else seeded(seed, cost, gated), **sweep)
+            .with_id("subdiff_convexity_bilinear")]
 
-    # concave 2-affine (fully affine) cost for the set-valued proposition
-    cost_aff = tabulate_callable(lambda x, y: 0.4 * y + 0.25 * x + 0.1, grid_i, grid_j)
-    f_aff_seed = GridFunction(grid_i, _raw_function(
-        InstanceConfig(seed=seed + 5), grid_i, np.random.default_rng(seed + 5),
-        "random_smooth_fourier"))
-    f_aff = double_c_transform(f_aff_seed, cost_aff).values if not falsify else f_aff_seed
-    verdicts.append(check_set_valued_convexity(f_aff, cost_aff, DEFAULT_LAMBDAS, tol,
-                                               pair_cap, seed, exhaustive))
+    def parabola(cost: CostMatrix) -> list[Verdict]:
+        para = given(x**2 if not falsify else -x**2, cost)
+        return [check_intersection_inclusion(para, (0.25, 0.5, 0.75), **sweep),
+                check_domain_interval(para, **sweep).with_id("domain_interval_parabola")]
 
-    # 1-concave cost propositions on neg_quadratic
-    parabola = GridFunction(grid_i, grid_i.points**2)
-    f_para = parabola if not falsify else GridFunction(grid_i, -grid_i.points**2)
-    verdicts.append(check_intersection_inclusion(f_para, cost_q, (0.25, 0.5, 0.75), tol,
-                                                 pair_cap, seed, exhaustive))
-    verdicts.append(check_domain_interval(f_para, cost_q, tol, pair_cap, seed, exhaustive)
-                    .with_id("domain_interval_parabola"))
-    absf = _abs_value_function(grid_i)
-    verdicts.append(check_domain_interval(absf if not falsify else
-                                          _abs_value_function(grid_i, -1.0),
-                                          cost_q, tol, pair_cap, seed, exhaustive)
-                    .with_id("domain_interval_absval"))
+    # 2-affine contiguity under c(x, y) = sin(x) y + x^2, then set-valued
+    # convexity under a concave 2-affine (fully affine) cost
+    verdicts = [
+        check_subdiff_convexity(seeded(seed + 4, tabulate_callable(
+            lambda x, y: np.sin(x) * y + x**2, grid, grid), gated), **sweep)
+        .with_id("subdiff_convexity_sinxy"),
+        check_set_valued_convexity(seeded(seed + 5, tabulate_callable(
+            lambda x, y: 0.4 * y + 0.25 * x + 0.1, grid, grid), gated), **sweep)]
 
-    # gradient inclusion on analytic costs
-    half_para = GridFunction(grid_i, 0.5 * grid_i.points**2)
-    verdicts.append(check_grad_inclusion(half_para, CostSpec("bilinear"), cost_b, tol)
-                    .with_id("grad_inclusion_bilinear"))
-    verdicts.append(check_grad_inclusion(half_para, CostSpec("neg_quadratic"), cost_q, tol)
-                    .with_id("grad_inclusion_neg_quadratic"))
+    cost = tabulate_cost(CostSpec("bilinear"), grid, grid)
+    verdicts += bilinear_instances(cost) + [
+        check_grad_inclusion(given(0.5 * x**2, cost), CostSpec("bilinear"))
+        .with_id("grad_inclusion_bilinear"),
+        check_cost_self_subdiff(cost).with_id("cost_self_subdiff_bilinear"),
+        # local support iff, both branches on f = -|x|
+        check_local_support_iff(given(-np.abs(x), cost), grid.nearest_index(0.5), 0.25)
+        .with_id("local_support_iff_affine_piece"),
+        check_local_support_iff(given(-np.abs(x), cost), grid.nearest_index(0.0), 0.25)
+        .with_id("local_support_iff_concave_kink")]
+
+    # 1-concave propositions on neg_quadratic, with J wide enough that
+    # convex test functions (x^2, |x|) keep their subgradient witnesses
+    # y = x + f'(x)/2 inside J
+    cost = tabulate_cost(CostSpec("neg_quadratic"), grid, make_uniform_grid(-2.5, 2.5, n))
+    verdicts += pair(seeded(seed + 2, cost), seeded(seed + 3, cost), "neg_quadratic") + \
+        parabola(cost) + [
+            check_domain_interval(given(np.abs(x) if not falsify else -np.abs(x), cost), **sweep)
+            .with_id("domain_interval_absval"),
+            check_grad_inclusion(given(0.5 * x**2, cost), CostSpec("neg_quadratic"))
+            .with_id("grad_inclusion_neg_quadratic"),
+            check_cost_self_subdiff(cost).with_id("cost_self_subdiff_neg_quadratic")]
+
     grid_r = make_uniform_grid(0.0, 0.4, n)
-    cost_r = tabulate_cost(CostSpec("reflector"), grid_r, grid_r)
-    slice_f = GridFunction(grid_r, cost_r.entries[:, n // 2])
-    verdicts.append(check_grad_inclusion(slice_f, CostSpec("reflector"), cost_r, tol)
-                    .with_id("grad_inclusion_reflector"))
-
-    # self-support identity
-    verdicts.append(check_cost_self_subdiff(cost_b).with_id("cost_self_subdiff_bilinear"))
-    verdicts.append(check_cost_self_subdiff(cost_q).with_id("cost_self_subdiff_neg_quadratic"))
-    verdicts.append(check_cost_self_subdiff(cost_r).with_id("cost_self_subdiff_reflector"))
-
-    # local support iff, both branches on f = -|x|
-    neg_abs = _abs_value_function(grid_i, -1.0)
-    alpha_half = grid_i.nearest_index(0.5)
-    alpha_zero = grid_i.nearest_index(0.0)
-    verdicts.append(check_local_support_iff(neg_abs, cost_b, alpha_half, 0.25, tol)
-                    .with_id("local_support_iff_affine_piece"))
-    verdicts.append(check_local_support_iff(neg_abs, cost_b, alpha_zero, 0.25, tol)
-                    .with_id("local_support_iff_concave_kink"))
-
+    cost = tabulate_cost(CostSpec("reflector"), grid_r, grid_r)
+    verdicts += [
+        check_grad_inclusion(given(cost.entries[:, n // 2], cost), CostSpec("reflector"))
+        .with_id("grad_inclusion_reflector"),
+        check_cost_self_subdiff(cost).with_id("cost_self_subdiff_reflector")]
     return verdicts

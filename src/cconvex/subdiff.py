@@ -18,14 +18,16 @@ defining inequality is an identity.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .costs import CostMatrix, CostSpec, evaluate_cost, tabulate_cost, twist_bound
 from .grids import Grid, GridFunction, check_index, check_tol
-from .transform import _index_ranges, monotone_c_transform
+from .transform import _index_ranges, is_c_convex, monotone_c_transform
 
 __all__ = [
+    "Analysis",
     "SubdifferentialSet",
     "SupportCurve",
     "LocalWindow",
@@ -110,27 +112,47 @@ def membership_slack(f: GridFunction, cost: CostMatrix) -> np.ndarray:
     return d - d.max(axis=0)[None, :]
 
 
+@dataclass(frozen=True, eq=False)
+class Analysis:
+    """One (f, cost) instance at one validated membership ``tol``; its slack, members
+    (slack >= -tol) and default-tolerance ``is_c_convex`` are each built once, on first use."""
+
+    f: GridFunction
+    cost: CostMatrix
+    tol: float = 1e-9
+
+    def __post_init__(self):
+        check_tol(self.tol)
+
+    @cached_property
+    def slack(self) -> np.ndarray:
+        return membership_slack(self.f, self.cost)
+
+    @cached_property
+    def member(self) -> np.ndarray:
+        return self.slack >= -self.tol
+
+    @cached_property
+    def c_convex(self) -> tuple[bool, float]:
+        return is_c_convex(self.f, self.cost)
+
+
 def c_subdifferential(f: GridFunction, cost: CostMatrix, x0_index: int,
                       tol: float = 1e-9) -> SubdifferentialSet:
-    check_tol(tol)
+    a = Analysis(f, cost, tol)
     if not np.isfinite(f.values[check_index(x0_index, f.grid)]):
         raise ValueError(f"f is +inf at grid index {x0_index}")
-    slack = membership_slack(f, cost)
-    members = np.flatnonzero(slack[x0_index] >= -tol)
-    return SubdifferentialSet(int(x0_index), members, tol)
+    return SubdifferentialSet(int(x0_index), np.flatnonzero(a.slack[x0_index] >= -tol), tol)
 
 
 def subdifferential_map(f: GridFunction, cost: CostMatrix,
                         tol: float = 1e-9) -> tuple[list[SubdifferentialSet], np.ndarray]:
     """Per-point subdifferential sets plus the effective-domain mask."""
-    check_tol(tol)
+    a = Analysis(f, cost, tol)
     if not f.is_finite:
         raise ValueError("subdifferential_map requires an everywhere-finite f")
-    slack = membership_slack(f, cost)
-    member = slack >= -tol
-    sets = [SubdifferentialSet(i, np.flatnonzero(member[i]), tol) for i in range(f.grid.n)]
-    dom = member.any(axis=1)
-    return sets, dom
+    sets = [SubdifferentialSet(i, np.flatnonzero(a.member[i]), tol) for i in range(f.grid.n)]
+    return sets, a.member.any(axis=1)
 
 
 def membership_triples(f: GridFunction, spec: CostSpec, grid_j: Grid, tol: float = 1e-9
@@ -262,9 +284,13 @@ def envelope_reconstruct(f: GridFunction, cost: CostMatrix, selection: np.ndarra
     at t within ``tol``; a full interior selection of a continuous
     c-convex f reconstructs it on the whole grid.
     """
+    check_tol(tol)
     sel = np.asarray(selection, dtype=np.int64)
     if sel.shape != (f.grid.n,):
         raise ValueError("selection must have one entry per grid point (-1 to skip)")
+    out = np.flatnonzero((sel < -1) | (sel >= cost.grid_j.n))
+    if out.size:
+        raise ValueError(f"selection[{out[0]}]={sel[out[0]]} is outside [-1, {cost.grid_j.n})")
     if sel[0] != -1 or sel[-1] != -1:
         raise ValueError("selection covers interior points only; endpoints must be -1")
     ts = np.flatnonzero(sel >= 0)
@@ -285,6 +311,7 @@ def envelope_reconstruct(f: GridFunction, cost: CostMatrix, selection: np.ndarra
 def _window_members(f: GridFunction, cost: CostMatrix, window: LocalWindow,
                     tol: float) -> tuple[np.ndarray, np.ndarray]:
     """max_z in U of c(z, y) - f(z) per y, and the members at x0 against it."""
+    check_tol(tol)
     mask = window.mask(f.grid)
     with np.errstate(invalid="ignore"):
         d = cost.entries - f.values[:, None]

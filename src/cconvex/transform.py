@@ -12,7 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-from .costs import CostMatrix, CostSpec, evaluate_cost, tabulate_cost, twisted_on
+from .costs import CostMatrix, CostSpec, evaluate_cost, tabulate_cost, twist_bound
 from .grids import Grid, GridFunction, check_tol, sup_norm_diff
 
 __all__ = [
@@ -114,7 +114,7 @@ def _monotone_argmax(score: Callable[[np.ndarray, np.ndarray], np.ndarray],
 
 
 def monotone_c_transform(f: GridFunction, spec: CostSpec, grid_j: Grid) -> TransformResult:
-    """f^c for a cost ``twisted_on`` the grids, without the n x m matrix.
+    """f^c for a cost with a ``twist_bound`` on the grids, without the n x m matrix.
 
     Entries come from ``evaluate_cost`` in the dense path's arithmetic and
     ties keep the lowest index, so values and argmax equal those of
@@ -124,7 +124,7 @@ def monotone_c_transform(f: GridFunction, spec: CostSpec, grid_j: Grid) -> Trans
     signs takes the first maximiser's sign, where the dense reduction may
     return the other.
     """
-    if not twisted_on(spec, f.grid, grid_j):
+    if twist_bound(spec, f.grid, grid_j) is None:
         raise ValueError(f"the {spec.family} cost is not certified twisted on these grids")
     x, y, fv = f.grid.points, grid_j.points, f.values
     values, argmax = _monotone_argmax(
@@ -135,10 +135,10 @@ def monotone_c_transform(f: GridFunction, spec: CostSpec, grid_j: Grid) -> Trans
 def conjugates(f: GridFunction, spec: CostSpec,
                grid_j: Grid) -> tuple[TransformResult, TransformResult]:
     """f^c on ``grid_j`` and f^cc = (f^c)^c on f's grid for a cost spec:
-    by the engine when the cost is ``twisted_on`` the grids, else from one
+    by the engine when the cost has a ``twist_bound`` on the grids, else from one
     tabulation, as ``c_transform`` and ``double_c_transform`` compute them.
     """
-    if not twisted_on(spec, f.grid, grid_j):
+    if twist_bound(spec, f.grid, grid_j) is None:
         cost = tabulate_cost(spec, f.grid, grid_j)
         fc = c_transform(f, cost)
         return fc, _back_transform(fc.values, cost)

@@ -13,8 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cconvex import cli
-from cconvex.costs import (CostDomainError, CostSpec, parse_cost_spec, tabulate_cost, twist_bound,
-                           twisted_on)
+from cconvex.costs import CostDomainError, CostSpec, parse_cost_spec, tabulate_cost, twist_bound
 from cconvex.grids import GridFunction, make_uniform_grid
 from cconvex.subdiff import membership_slack, membership_triples, subdifferential_map
 from cconvex.transform import (_monotone_argmax, c_transform, conjugates, double_c_transform,
@@ -106,7 +105,7 @@ class TestDifferential:
         rng = np.random.default_rng(len(family) * 31 + F_KINDS.index(kind))
         for n, m in SIZES:
             gi, gj = make_uniform_grid(*iv_i, n), make_uniform_grid(*iv_j, m)
-            assert twisted_on(spec, gi, gj)
+            assert twist_bound(spec, gi, gj) is not None
             cost = tabulate_cost(spec, gi, gj)
             f = make_f(kind, gi, cost, rng)
             fc, fcc = conjugates(f, spec, gj)
@@ -160,7 +159,7 @@ class TestBandedTriples:
         splits = []
         for n, m in ((17, 16), (40, 129), (129, 64), (65, 33), (129, 257), (257, 129)):
             gi, gj = make_uniform_grid(-1, 1, n), make_uniform_grid(-1, 1, m)
-            assert twisted_on(spec, gi, gj)
+            assert twist_bound(spec, gi, gj) is not None
             f = GridFunction(gi, f_value(gi.points))
             fc = monotone_c_transform(f, spec, gj).values.values
             blocks = (tabulate_cost(spec, gi, gj).entries - f.values[:, None]) - fc
@@ -214,7 +213,7 @@ class TestFallback:
     ], ids=["decreasing_a", "flat_a", "translation"])
     def test_dense_path_unchanged(self, spec):
         g = make_uniform_grid(-1, 1, 33)
-        assert not twisted_on(spec, g, g)
+        assert twist_bound(spec, g, g) is None
         with pytest.raises(ValueError, match="not certified twisted"):
             monotone_c_transform(GridFunction(g, g.points**2), spec, g)
         cost = tabulate_cost(spec, g, g)
@@ -231,7 +230,7 @@ class TestFallback:
     def test_reflector_domain_violation_same_error(self, iv_i, iv_j):
         spec = CostSpec("reflector")
         gi, gj = make_uniform_grid(*iv_i, 9), make_uniform_grid(*iv_j, 9)
-        assert not twisted_on(spec, gi, gj)
+        assert twist_bound(spec, gi, gj) is None
         with pytest.raises(CostDomainError) as dense:
             tabulate_cost(spec, gi, gj)
         f = GridFunction(gi, np.zeros(9))
@@ -280,7 +279,7 @@ class TestFallback:
     @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
     def test_overflow_same_error(self, spec, iv):
         g = make_uniform_grid(*iv, 5)
-        assert not twisted_on(spec, g, g)
+        assert twist_bound(spec, g, g) is None
         f = GridFunction(g, np.zeros(5))
         for call in (lambda: conjugates(f, spec, g), lambda: membership_triples(f, spec, g)):
             with pytest.raises(ValueError, match="^cost matrix entries must all be finite$"):
@@ -330,8 +329,8 @@ class TestCliByteIdentity:
     @pytest.mark.parametrize("family, iv_i, iv_j", TWISTED + DENSE_FALLBACK)
     def test_matches_dense_api(self, tmp_path, command, f, n, m, family, iv_i, iv_j):
         if (family, iv_i, iv_j) in DENSE_FALLBACK:
-            assert not twisted_on(parse_cost_spec(family), make_uniform_grid(*iv_i, n),
-                                  make_uniform_grid(*iv_j, m))
+            assert twist_bound(parse_cost_spec(family), make_uniform_grid(*iv_i, n),
+                               make_uniform_grid(*iv_j, m)) is None
         argv = ["--n", str(n), "--m", str(m), "--cost", family, "--f", f,
                 f"--interval-i={iv_i[0]},{iv_i[1]}", f"--interval-j={iv_j[0]},{iv_j[1]}"]
         out = tmp_path / "out.json"

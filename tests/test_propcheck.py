@@ -1,6 +1,9 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from cconvex import costs, propcheck, subdiff, transform
 from cconvex.costs import CostSpec, tabulate_callable, tabulate_cost
 from cconvex.grids import GridFunction, make_uniform_grid
 from cconvex.propcheck import (InstanceConfig, check_cost_self_subdiff,
@@ -11,6 +14,7 @@ from cconvex.propcheck import (InstanceConfig, check_cost_self_subdiff,
                                check_set_valued_convexity,
                                check_subdiff_convexity, generate_instance,
                                run_suite)
+from cconvex.subdiff import Analysis
 from cconvex.transform import is_c_convex
 
 
@@ -18,6 +22,78 @@ def bilinear_instance(seed=0, n=65):
     cfg = InstanceConfig(seed=seed, n=n, m=n, cost_family="bilinear",
                          f_family="cconvexified_random")
     return generate_instance(cfg)
+
+
+def parabola_neg_quadratic(n=65):
+    gi, gj = make_uniform_grid(-1, 1, n), make_uniform_grid(-2.5, 2.5, n)
+    return GridFunction(gi, gi.points**2), tabulate_cost(CostSpec("neg_quadratic"), gi, gj)
+
+
+BAD_TOLS = [float("nan"), -1.0, float("inf")]
+# every check that reads an (f, cost) instance, called on one Analysis
+INSTANCE_CHECKS = {
+    "mixture": lambda a: check_mixture(a, a),
+    "order_propagation": lambda a: check_order_propagation(a, a),
+    "subdiff_convexity": check_subdiff_convexity,
+    "set_valued_convexity": check_set_valued_convexity,
+    "intersection_inclusion": check_intersection_inclusion,
+    "domain_interval": check_domain_interval,
+    "grad_inclusion": lambda a: check_grad_inclusion(a, CostSpec("neg_quadratic")),
+    "local_support_iff": lambda a: check_local_support_iff(a, 32, 0.25),
+}
+
+
+class TestAnalysis:
+    def test_each_property_is_computed_once(self, monkeypatch):
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(subdiff, "membership_slack",
+                            counted("slack", subdiff.membership_slack))
+        monkeypatch.setattr(subdiff, "is_c_convex", counted("c_convex", subdiff.is_c_convex))
+        f, cost = bilinear_instance(3)
+        a = Analysis(f, cost)
+        assert not calls
+        for _ in range(2):
+            assert np.array_equal(a.member, a.slack >= -a.tol)
+            assert a.c_convex == is_c_convex(f, cost)
+        assert calls == {"slack": 1, "c_convex": 1}
+        assert np.array_equal(a.slack, subdiff.membership_slack(f, cost))
+
+    @pytest.mark.parametrize("tol", BAD_TOLS)
+    @pytest.mark.parametrize("check", INSTANCE_CHECKS)
+    def test_bad_tol_rejected_for_every_check(self, check, tol):
+        # a NaN tol used to give vacuous passes ("every subdifferential
+        # empty"), an infinite one a pass with every y a member
+        f, cost = parabola_neg_quadratic()
+        with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+            INSTANCE_CHECKS[check](Analysis(f, cost, tol))
+
+    @pytest.mark.parametrize("check", [check_mixture, check_order_propagation])
+    def test_pair_checks_need_one_cost_and_one_tol(self, check):
+        f, cost = bilinear_instance(2)
+        g, other = bilinear_instance(3)
+        for a, b in ((Analysis(f, cost), Analysis(g, other)),
+                     (Analysis(f, cost), Analysis(g, cost, 1e-8))):
+            with pytest.raises(ValueError, match="same cost object and the same tol"):
+                check(a, b)
+
+    @pytest.mark.parametrize("check, f", [
+        (check_subdiff_convexity, lambda x: x**2),           # cost not two_affine
+        (check_set_valued_convexity, lambda x: x**2),        # cost not two_affine
+        (check_intersection_inclusion, lambda x: -x**2),     # f not convex
+        (check_domain_interval, lambda x: np.sin(6 * x)),    # f not convex
+    ])
+    def test_failed_hypothesis_builds_no_slack(self, check, f):
+        _, cost = parabola_neg_quadratic()
+        a = Analysis(GridFunction(cost.grid_i, f(cost.grid_i.points)), cost)
+        assert "hypothesis-failed" in check(a).notes
+        assert not {"slack", "member"} & set(vars(a))
 
 
 class TestGenerateInstance:
@@ -51,22 +127,68 @@ class TestGenerateInstance:
             generate_instance(InstanceConfig(seed=0, f_family="nope"))
 
 
+class TestMixtureWeights:
+    MIXTURE_CHECKS = {
+        "mixture": lambda a, lambdas: check_mixture(a, a, lambdas),
+        "set_valued_convexity": check_set_valued_convexity,
+        "intersection_inclusion": check_intersection_inclusion,
+    }
+
+    @pytest.mark.parametrize("lambdas, match", [
+        ((), "lambdas must be nonempty"),
+        ((0.5, 1.5), r"lambdas\[1\] must be a finite number in \[0, 1\], got 1.5"),
+        ((-0.25,), r"lambdas\[0\] .* got -0.25"),
+        ((float("nan"),), r"lambdas\[0\] .* got nan"),
+        ((0.0, float("inf")), r"lambdas\[1\] .* got inf"),
+        (("0.5",), r"lambdas\[0\] .* got '0.5'"),
+    ])
+    @pytest.mark.parametrize("check", MIXTURE_CHECKS)
+    def test_rejected_before_any_work(self, check, lambdas, match):
+        a = Analysis(*parabola_neg_quadratic())
+        with pytest.raises(ValueError, match=match):
+            self.MIXTURE_CHECKS[check](a, lambdas)
+        assert not {"slack", "member", "c_convex"} & set(vars(a))
+
+    def test_weight_two_is_not_a_violated_mixture(self):
+        # 2g - f is no convex mixture; its non-membership used to come back
+        # as holds=False with max_violation 0.909 on these instances
+        f, cost = bilinear_instance(0, n=101)
+        g, _ = bilinear_instance(1, n=101)
+        a, b = Analysis(f, cost), Analysis(g, cost)
+        assert check_mixture(a, b, (0.0, 0.5, 1.0)).holds
+        with pytest.raises(ValueError, match=r"lambdas\[0\] .* got 2.0"):
+            check_mixture(a, b, (2.0,))
+
+    def test_weight_three_is_not_a_failed_inclusion(self):
+        a = Analysis(*parabola_neg_quadratic())
+        assert check_intersection_inclusion(a, (0.0, 0.5, 1.0)).holds
+        with pytest.raises(ValueError, match=r"lambdas\[0\] .* got 3.0"):
+            check_intersection_inclusion(a, (3.0,))
+
+    def test_empty_weights_are_not_a_pass(self):
+        # () used to hold with max_violation -inf, checking nothing
+        f, cost = bilinear_instance(2)
+        g, _ = bilinear_instance(3)
+        with pytest.raises(ValueError, match="lambdas must be nonempty"):
+            check_mixture(Analysis(f, cost), Analysis(g, cost), ())
+
+
 class TestMixture:
     def test_self_mixture_holds(self):
-        f, cost = bilinear_instance(1)
-        v = check_mixture(f, f, cost, (0.0, 0.5, 1.0))
+        a = Analysis(*bilinear_instance(1))
+        v = check_mixture(a, a, (0.0, 0.5, 1.0))
         assert v.holds and not v.vacuous
 
     def test_two_instances(self):
         f, cost = bilinear_instance(2)
         g, _ = bilinear_instance(3)
-        v = check_mixture(f, g, cost)
+        v = check_mixture(Analysis(f, cost), Analysis(g, cost))
         assert v.holds
 
     def test_endpoint_lambdas_recover_the_inputs(self):
         f, cost = bilinear_instance(4)
         g, _ = bilinear_instance(5)
-        v = check_mixture(f, g, cost, (0.0, 1.0))
+        v = check_mixture(Analysis(f, cost), Analysis(g, cost), (0.0, 1.0))
         assert v.holds
 
 
@@ -74,12 +196,12 @@ class TestOrderPropagation:
     def test_uniform_gap_holds(self):
         f, cost = bilinear_instance(6)
         g = GridFunction(f.grid, f.values + 1.0)
-        v = check_order_propagation(f, g, cost)
+        v = check_order_propagation(Analysis(f, cost), Analysis(g, cost))
         assert v.holds and not v.vacuous
 
     def test_equal_functions_vacuous(self):
-        f, cost = bilinear_instance(7)
-        v = check_order_propagation(f, f, cost)
+        a = Analysis(*bilinear_instance(7))
+        v = check_order_propagation(a, a)
         assert v.holds and v.vacuous
 
 
@@ -88,20 +210,20 @@ class TestSubdiffConvexity:
         g = make_uniform_grid(-1, 1, 65)
         cost = tabulate_cost(CostSpec("bilinear"), g, g)
         f = GridFunction(g, np.abs(g.points))
-        v = check_subdiff_convexity(f, cost, exhaustive=True)
+        v = check_subdiff_convexity(Analysis(f, cost), exhaustive=True)
         assert v.holds and not v.vacuous
 
     def test_non_two_affine_cost_is_a_hypothesis_failure(self):
         g = make_uniform_grid(-1, 1, 33)
         cost = tabulate_cost(CostSpec("neg_quadratic"), g, g)
         f = GridFunction(g, g.points**2)
-        v = check_subdiff_convexity(f, cost)
+        v = check_subdiff_convexity(Analysis(f, cost))
         assert v.holds and "hypothesis-failed" in v.notes
 
     def test_non_c_convex_f_is_a_hypothesis_failure(self):
         g = make_uniform_grid(-1, 1, 33)
         cost = tabulate_cost(CostSpec("bilinear"), g, g)
-        v = check_subdiff_convexity(GridFunction(g, -g.points**2), cost)
+        v = check_subdiff_convexity(Analysis(GridFunction(g, -g.points**2), cost))
         assert v.holds and "hypothesis-failed" in v.notes
 
 
@@ -113,19 +235,19 @@ class TestSetValuedConvexity:
 
     def test_affine_cost_with_affine_f(self):
         f = GridFunction(self.g, 0.25 * self.g.points - 0.2)
-        v = check_set_valued_convexity(f, self.cost, exhaustive=True)
+        v = check_set_valued_convexity(Analysis(f, self.cost), exhaustive=True)
         assert v.holds
         assert "segment-tested" in v.notes
 
     def test_nonconvex_f_is_a_hypothesis_failure(self):
         f = GridFunction(self.g, -self.g.points**2)
-        v = check_set_valued_convexity(f, self.cost)
+        v = check_set_valued_convexity(Analysis(f, self.cost))
         assert v.holds and "hypothesis-failed" in v.notes
 
     def test_convex_cost_is_a_hypothesis_failure(self):
         g = make_uniform_grid(0, 0.4, 33)
         cost = tabulate_cost(CostSpec("reflector"), g, g)
-        v = check_set_valued_convexity(GridFunction(g, np.zeros(33)), cost)
+        v = check_set_valued_convexity(Analysis(GridFunction(g, np.zeros(33)), cost))
         assert v.holds and "hypothesis-failed" in v.notes
 
 
@@ -137,12 +259,12 @@ class TestIntersectionInclusion:
 
     def test_parabola(self):
         f = GridFunction(self.gi, self.gi.points**2)
-        v = check_intersection_inclusion(f, self.cost, exhaustive=True)
+        v = check_intersection_inclusion(Analysis(f, self.cost), exhaustive=True)
         assert v.holds and not v.vacuous
 
     def test_concave_f_is_a_hypothesis_failure(self):
         f = GridFunction(self.gi, -self.gi.points**2)
-        v = check_intersection_inclusion(f, self.cost)
+        v = check_intersection_inclusion(Analysis(f, self.cost))
         assert v.holds and "hypothesis-failed" in v.notes
 
 
@@ -152,13 +274,13 @@ class TestDomainInterval:
         gj = make_uniform_grid(-2.5, 2.5, 65)
         cost = tabulate_cost(CostSpec("neg_quadratic"), gi, gj)
         f = GridFunction(gi, gi.points**2)
-        v = check_domain_interval(f, cost, exhaustive=True)
+        v = check_domain_interval(Analysis(f, cost), exhaustive=True)
         assert v.holds and not v.vacuous
 
     def test_nonconvex_f_is_a_hypothesis_failure(self):
         gi = make_uniform_grid(-1, 1, 33)
         cost = tabulate_cost(CostSpec("neg_quadratic"), gi, gi)
-        v = check_domain_interval(GridFunction(gi, np.sin(6 * gi.points)), cost)
+        v = check_domain_interval(Analysis(GridFunction(gi, np.sin(6 * gi.points)), cost))
         assert v.holds and "hypothesis-failed" in v.notes
 
 
@@ -169,7 +291,7 @@ class TestGradInclusion:
         cost = tabulate_cost(spec, g, g)
         j0 = g.nearest_index(0.5)
         f = GridFunction(g, cost.entries[:, j0])
-        v = check_grad_inclusion(f, spec, cost)
+        v = check_grad_inclusion(Analysis(f, cost), spec)
         assert v.holds
 
     def test_half_parabola_neg_quadratic(self):
@@ -178,7 +300,7 @@ class TestGradInclusion:
         spec = CostSpec("neg_quadratic")
         cost = tabulate_cost(spec, gi, gj)
         f = GridFunction(gi, 0.5 * gi.points**2)
-        v = check_grad_inclusion(f, spec, cost)
+        v = check_grad_inclusion(Analysis(f, cost), spec)
         assert v.holds and not v.vacuous
 
 
@@ -198,6 +320,13 @@ class TestCostSelfSubdiff:
         cost = tabulate_callable(lambda x, y: np.sin(5 * x * y) + x**3, g, g)
         assert check_cost_self_subdiff(cost).holds
 
+    @pytest.mark.parametrize("tol", BAD_TOLS)
+    def test_bad_tol_rejected(self, tol):
+        # tol = -1 used to report a violation of 1.0 on an exact identity
+        g = make_uniform_grid(0, 0.4, 33)
+        with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+            check_cost_self_subdiff(tabulate_cost(CostSpec("reflector"), g, g), tol)
+
 
 class TestLocalSupportIff:
     def setup_method(self):
@@ -206,11 +335,11 @@ class TestLocalSupportIff:
         self.f = GridFunction(self.g, -np.abs(self.g.points))
 
     def test_affine_piece_has_support(self):
-        v = check_local_support_iff(self.f, self.cost, self.g.nearest_index(0.5), 0.25)
+        v = check_local_support_iff(Analysis(self.f, self.cost), self.g.nearest_index(0.5), 0.25)
         assert v.holds and "support exists" in v.notes
 
     def test_concave_kink_has_none(self):
-        v = check_local_support_iff(self.f, self.cost, self.g.nearest_index(0.0), 0.25)
+        v = check_local_support_iff(Analysis(self.f, self.cost), self.g.nearest_index(0.0), 0.25)
         assert v.holds and "no support" in v.notes
 
 
@@ -236,3 +365,33 @@ class TestSuite:
     def test_check_ids_unique(self):
         ids = [v.check_id for v in run_suite(seed=0, pair_cap=200)]
         assert len(ids) == len(set(ids))
+
+
+class TestSuiteWork:
+    """``run_suite`` tabulates each cost table once and builds each slack
+    matrix once, counted by wrappers keyed on the bytes of their inputs in
+    every module that holds the two functions."""
+
+    @pytest.mark.parametrize("falsify", [False, True])
+    def test_each_table_and_slack_matrix_is_built_once(self, monkeypatch, falsify):
+        keys = {"tabulate_cost": lambda spec, gi, gj: (repr(spec), gi.points.tobytes(),
+                                                       gj.points.tobytes()),
+                "membership_slack": lambda f, cost: (f.grid.points.tobytes(), f.values.tobytes(),
+                                                     cost.grid_j.points.tobytes(),
+                                                     cost.entries.tobytes())}
+        seen = {name: [] for name in keys}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                seen[name].append(keys[name](*args))
+                return fn(*args)
+            return wrapper
+
+        for module in (costs, propcheck, subdiff, transform):
+            for name in keys:
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        run_suite(seed=0, falsify=falsify)
+        tables, slacks = seen["tabulate_cost"], seen["membership_slack"]
+        assert len(tables) == len(set(tables)) == 3
+        assert len(slacks) == len(set(slacks)) > 0

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cconvex import subdiff
 from cconvex.costs import CostSpec, tabulate_cost
 from cconvex.grids import GridFunction, make_uniform_grid
 from cconvex.subdiff import (LocalWindow, SubdifferentialSet, SupportCurve,
@@ -203,6 +204,32 @@ class TestEnvelopeReconstruct:
         sel = np.zeros(21, dtype=np.int64)
         with pytest.raises(ValueError, match="endpoints"):
             envelope_reconstruct(f, cost, sel)
+
+    @pytest.mark.parametrize("t, entry", [(5, 9), (5, 40), (7, -2)])
+    def test_out_of_range_entry_rejected_before_the_slack(self, monkeypatch, t, entry):
+        # m = 9 < n = 21: an entry >= m used to reach numpy's IndexError and
+        # one below -1 was skipped as if it were -1
+        gi, gj = make_uniform_grid(-1, 1, 21), make_uniform_grid(-1, 1, 9)
+        cost = tabulate_cost(CostSpec("bilinear"), gi, gj)
+        f = GridFunction(gi, np.abs(gi.points))
+        sel = np.full(21, -1, dtype=np.int64)
+        sel[3] = 4
+        sel[t] = entry
+        monkeypatch.setattr(subdiff, "membership_slack", None)  # any call would fail
+        with pytest.raises(ValueError, match=rf"^selection\[{t}\]={entry} is outside \[-1, 9\)$"):
+            envelope_reconstruct(f, cost, sel)
+
+    @pytest.mark.parametrize("tol", [float("nan"), -1.0, float("inf")])
+    def test_bad_tol_rejected(self, tol):
+        g, cost = bilinear_on(21)
+        f = GridFunction(g, np.abs(g.points))
+        sel = np.full(21, -1, dtype=np.int64)
+        sel[10] = 0
+        with pytest.raises(ValueError, match="tol must be finite"):
+            envelope_reconstruct(f, cost, sel, tol)
+        for local in (local_c_subdifferential, local_double_conjugate):
+            with pytest.raises(ValueError, match="tol must be finite"):
+                local(f, cost, LocalWindow(10, 0.25), tol)
 
 
 class TestLocalSubdifferential:
