@@ -288,20 +288,16 @@ class StructureVerdict:
     witness: Optional[tuple] = None  # (stencil start, stencil end, fixed index)
 
 
-def default_structure_tol(matrix: CostMatrix) -> float:
-    return 1e-9 * (1.0 + float(np.abs(matrix.entries).max()))
-
-
-def check_structure(matrix: CostMatrix, property: str, tol: Optional[float] = None) -> StructureVerdict:
-    """Test a structural property via second differences along one axis.
+def check_structure(matrix: CostMatrix, property: str) -> StructureVerdict:
+    """Test a structural property via second differences along one axis,
+    with tol = 1e-9 * (1 + max |c|).
 
     Affineness: |second difference| <= tol.  Concavity: second difference
     <= tol.  Convexity: second difference >= -tol.
     """
     if property not in STRUCTURE_PROPERTIES:
         raise ValueError(f"unknown structural property {property!r}")
-    if tol is None:
-        tol = default_structure_tol(matrix)
+    tol = 1e-9 * (1.0 + float(np.abs(matrix.entries).max()))
     axis = 0 if property.startswith("one_") else 1
     if matrix.entries.shape[axis] < 3:
         raise ValueError(f"grid too small along axis {axis} for {property} (need >= 3 points)")

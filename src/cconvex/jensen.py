@@ -22,7 +22,7 @@ import numpy as np
 
 from .costs import CostDomainError, CostSpec, check_structure, evaluate_cost, tabulate_cost
 from .grids import (DiscreteMeasure, Grid, GridFunction, _composite_rule, _ordered_sum,
-                    barycenter, quadrature)
+                    barycenter, check_tol, quadrature)
 from .verdicts import Verdict
 
 __all__ = [
@@ -129,6 +129,7 @@ def discrete_jensen_gap(f: GridFunction, cost: CostSpec, mu: DiscreteMeasure,
                         f_eval: Optional[Callable] = None,
                         grid_j: Optional[Grid] = None) -> JensenReport:
     """Gap bound sum p_i f(x_i) - f(b) >= sum p_i c(x_i, y) - c(b, y)."""
+    check_tol(tol)
     iv = f.grid.interval
     outside = (mu.positions < iv.lo) | (mu.positions > iv.hi)
     if outside.any():
@@ -170,6 +171,7 @@ def support_concavity_check(f: GridFunction, cost: CostSpec, a: float, b: float,
                             y: float, tol: float = 1e-9,
                             f_eval: Optional[Callable] = None) -> Verdict:
     """Midpoint concavity of g(x) = c(x, y) - f(x): g((a+b)/2) >= (g(a)+g(b))/2."""
+    check_tol(tol)
     xs = np.array([(a + b) / 2.0, a, b])
     f_vals, used_interp = _f_value(f, xs, f_eval)
     gm, ga, gb = evaluate_cost(cost, xs, y) - f_vals
@@ -198,6 +200,7 @@ def integral_jensen_bound(f: GridFunction, cost: CostSpec, xi: Optional[float] =
     xi defaults to the interval midpoint and is snapped to the nearest
     grid point (with a note when the snap is nontrivial).
     """
+    check_tol(tol)
     if not f.is_finite:
         raise ValueError("integral form requires an everywhere-finite f")
     iv = f.grid.interval
@@ -242,6 +245,7 @@ def classical_reduction_check(f: GridFunction, cost: CostSpec, grid_j: Grid,
                               tol: float = 1e-9) -> Verdict:
     """For 1-affine costs the cost-side gap vanishes and the bound reduces
     to the classical midpoint-vs-mean inequality f(mid) <= mean(f)."""
+    check_tol(tol)
     if not f.is_finite:
         raise ValueError("classical reduction needs an everywhere-finite f")
     matrix = tabulate_cost(cost, f.grid, grid_j)

@@ -14,8 +14,10 @@ Conventions shared by all checks:
   hypothesis fails the verdict holds with a ``hypothesis-failed`` note
   and the conclusion is not judged.
 * Vacuous sweeps (no qualifying pairs) hold with a ``vacuous`` note.
-* Pair sweeps are capped (seeded sampling); ``exhaustive=True`` removes
-  the cap.
+* ``pair_cap`` alone decides a pair sweep's pairs: all k(k-1) ordered
+  pairs of a k-point pool when they fit under it, else ``pair_cap``
+  seeded draws.  A cap that is not an integer >= 0 is rejected before
+  any work.
 
 Sampling contract of the pair sweeps, which fixes every verdict byte: a
 check seeds one generator, draws all its pairs first, then (for the
@@ -40,16 +42,15 @@ whose conclusion is that contiguity, is always judged on the dense rows.
 from __future__ import annotations
 
 import numbers
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .costs import (CostMatrix, CostSpec, check_structure, cost_dx, parse_cost_spec,
                     segment_concavity_excess, tabulate_callable, tabulate_cost)
-from .grids import Grid, GridFunction, check_tol, make_uniform_grid
-from .subdiff import (Analysis, LocalWindow, local_c_subdifferential, local_double_conjugate,
-                      membership_slack)
+from .grids import Grid, GridFunction, check_index, check_tol, make_uniform_grid
+from .subdiff import Analysis, LocalWindow, local_double_conjugate, membership_slack
 from .transform import double_c_transform
 from .verdicts import Verdict
 
@@ -90,13 +91,6 @@ class InstanceConfig:
     cost_params: tuple = ()
     f_family: str = "cconvexified_random"
     amplitude: float = 1.0
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["interval_i"] = list(d["interval_i"])
-        d["interval_j"] = list(d["interval_j"])
-        d["cost_params"] = list(d["cost_params"])
-        return d
 
 
 def _raw_function(cfg: InstanceConfig, grid: Grid, rng: np.random.Generator,
@@ -222,8 +216,6 @@ def _fold(worst: float, witness: Optional[tuple], excess: np.ndarray,
     never wins, and the witness is the first position of the maximum.
     """
     flat = excess.ravel()
-    if flat.size == 0:
-        return worst, witness
     k = int(np.argmax(flat))
     if np.isnan(flat[k]):
         flat = np.where(np.isnan(flat), -np.inf, flat)
@@ -236,12 +228,21 @@ def _fold(worst: float, witness: Optional[tuple], excess: np.ndarray,
     return worst, witness
 
 
-def _sample_pairs(rng: np.random.Generator, pool: np.ndarray, cap: int,
-                  exhaustive: bool) -> tuple[np.ndarray, np.ndarray]:
+def _check_pair_cap(pair_cap: int):
+    """A pair cap, rejected unless an integer >= 0."""
+    if not isinstance(pair_cap, numbers.Integral):
+        raise ValueError(f"pair_cap must be an integer, got {pair_cap!r}")
+    if pair_cap < 0:
+        raise ValueError(f"pair_cap must be >= 0, got {pair_cap}")
+
+
+def _sample_pairs(rng: np.random.Generator, pool: np.ndarray,
+                  cap: int) -> tuple[np.ndarray, np.ndarray]:
+    """All k(k-1) ordered pairs of distinct points of the k-point ``pool``
+    when they fit under ``cap`` (none, and no draw, when k < 2), else
+    ``cap`` seeded draws less those that pair a point with itself."""
     k = pool.size
-    if k < 2:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    if exhaustive or k * (k - 1) <= cap:
+    if k * (k - 1) <= cap:
         a, b = np.meshgrid(pool, pool, indexing="ij")
         mask = a.ravel() != b.ravel()
         return a.ravel()[mask], b.ravel()[mask]
@@ -356,12 +357,12 @@ def _subdiff_convexity_sweep(member: np.ndarray, grid_j: Grid, tol: float,
     return worst, witness
 
 
-def check_subdiff_convexity(a: Analysis, pair_cap: int = 10000, seed: int = 0,
-                            exhaustive: bool = False) -> Verdict:
+def check_subdiff_convexity(a: Analysis, pair_cap: int = 10000, seed: int = 0) -> Verdict:
     """Under a 2-affine cost every nonempty subdifferential is an interval
     of the y grid, and distinct interior points share at most one
     subgradient (intersection diameter <= y grid step + tol)."""
     check_id = "subdiff_convexity"
+    _check_pair_cap(pair_cap)
     if not check_structure(a.cost, "two_affine").holds:
         return _hypothesis_verdict(check_id, "cost not two_affine")
     if not a.c_convex[0]:
@@ -370,7 +371,7 @@ def check_subdiff_convexity(a: Analysis, pair_cap: int = 10000, seed: int = 0,
         return _vacuous(check_id, "vacuous: every subdifferential empty")
     rng = np.random.default_rng(seed)
     interior = np.arange(1, a.f.grid.n - 1)
-    i1, i2 = _sample_pairs(rng, interior, pair_cap, exhaustive)
+    i1, i2 = _sample_pairs(rng, interior, pair_cap)
     worst, witness = _subdiff_convexity_sweep(a.member, a.cost.grid_j, a.tol, i1, i2)
     return Verdict(check_id, worst <= 0.0, float(worst), witness,
                    notes=f"pairs={i1.size}; tol={a.tol}")
@@ -414,8 +415,7 @@ def _set_valued_sweep(slack: np.ndarray, member: np.ndarray, grid_i: Grid, grid_
 
 
 def check_set_valued_convexity(a: Analysis, lambdas: Sequence[float] = DEFAULT_LAMBDAS,
-                               pair_cap: int = 10000, seed: int = 0,
-                               exhaustive: bool = False) -> Verdict:
+                               pair_cap: int = 10000, seed: int = 0) -> Verdict:
     """For a concave 2-affine cost and convex, c-convex f, mixtures of
     subgradients at two points are subgradients at the mixed point.
 
@@ -425,6 +425,7 @@ def check_set_valued_convexity(a: Analysis, lambdas: Sequence[float] = DEFAULT_L
     inflation.
     """
     check_id = "set_valued_convexity"
+    _check_pair_cap(pair_cap)
     _check_lambdas(lambdas)
     f, cost, tol = a.f, a.cost, a.tol
     if not check_structure(cost, "two_affine").holds:
@@ -441,7 +442,7 @@ def check_set_valued_convexity(a: Analysis, lambdas: Sequence[float] = DEFAULT_L
     if dom.size < 2:
         return _vacuous(check_id, "vacuous: effective domain has fewer than two points")
     rng = np.random.default_rng(seed)
-    i1s, i2s = _sample_pairs(rng, dom, pair_cap, exhaustive)
+    i1s, i2s = _sample_pairs(rng, dom, pair_cap)
     if i1s.size == 0:
         return _vacuous(check_id, "vacuous: no distinct pairs sampled")
     worst, witness = _set_valued_sweep(a.slack, a.member, f.grid, cost.grid_j, lambdas, tol,
@@ -487,11 +488,11 @@ def _intersection_sweep(slack: np.ndarray, member: np.ndarray, grid_i: Grid,
 
 
 def check_intersection_inclusion(a: Analysis, lambdas: Sequence[float] = DEFAULT_LAMBDAS,
-                                 pair_cap: int = 10000, seed: int = 0,
-                                 exhaustive: bool = False) -> Verdict:
+                                 pair_cap: int = 10000, seed: int = 0) -> Verdict:
     """For a 1-concave cost and convex, c-convex f, a common subgradient
     of two points is a subgradient at every convex combination."""
     check_id = "intersection_inclusion"
+    _check_pair_cap(pair_cap)
     _check_lambdas(lambdas)
     f, cost, tol = a.f, a.cost, a.tol
     if not check_structure(cost, "one_concave").holds:
@@ -506,7 +507,7 @@ def check_intersection_inclusion(a: Analysis, lambdas: Sequence[float] = DEFAULT
     if interior.size < 2:
         return _vacuous(check_id)
     rng = np.random.default_rng(seed)
-    i1s, i2s = _sample_pairs(rng, interior, pair_cap, exhaustive)
+    i1s, i2s = _sample_pairs(rng, interior, pair_cap)
     worst, witness, any_intersection = _intersection_sweep(
         a.slack, a.member, f.grid, lambdas, tol, _lipschitz(f, cost), i1s, i2s)
     if not any_intersection:
@@ -534,13 +535,13 @@ def _domain_interval_sweep(member: np.ndarray, dom_relaxed: np.ndarray, i1s: np.
     return worst, witness, any_intersection
 
 
-def check_domain_interval(a: Analysis, pair_cap: int = 10000, seed: int = 0,
-                          exhaustive: bool = False) -> Verdict:
+def check_domain_interval(a: Analysis, pair_cap: int = 10000, seed: int = 0) -> Verdict:
     """For a 1-concave cost and convex f, two points with intersecting
     subdifferentials bracket an interval contained in the effective
     domain.  Grid points between them are exact convex combinations, so
     the allowance is 2*tol plus rounding."""
     check_id = "domain_interval"
+    _check_pair_cap(pair_cap)
     f, cost, tol = a.f, a.cost, a.tol
     if not check_structure(cost, "one_concave").holds:
         return _hypothesis_verdict(check_id, "cost not one_concave")
@@ -552,7 +553,7 @@ def check_domain_interval(a: Analysis, pair_cap: int = 10000, seed: int = 0,
     if idx.size < 2:
         return _vacuous(check_id)
     rng = np.random.default_rng(seed)
-    i1s, i2s = _sample_pairs(rng, idx, pair_cap, exhaustive)
+    i1s, i2s = _sample_pairs(rng, idx, pair_cap)
     worst, witness, any_intersection = _domain_interval_sweep(a.member, dom_relaxed, i1s, i2s)
     if not any_intersection:
         return _vacuous(check_id, "vacuous: no intersecting pairs found")
@@ -603,9 +604,8 @@ def check_cost_self_subdiff(cost: CostMatrix, tol: float = 0.0) -> Verdict:
     dev = cost.entries - cost.entries
     dev -= dev.max(axis=0)
     np.abs(dev, out=dev)
-    excess = dev.max(axis=0) - tol
-    worst, witness = _fold(-np.inf, None, excess, lambda j: (int(np.argmax(dev[:, j])), j))
-    return Verdict(check_id, worst <= 0.0, float(worst), witness,
+    worst = float(dev.max()) - tol
+    return Verdict(check_id, worst <= 0.0, worst,
                    notes=f"tol={tol} (identity; slack must vanish exactly)")
 
 
@@ -614,12 +614,12 @@ def check_local_support_iff(a: Analysis, alpha_index: int, epsilon: float) -> Ve
     double conjugate there; both directions are asserted."""
     check_id = "local_support_iff"
     f, cost, tol = a.f, a.cost, a.tol
-    window = LocalWindow(int(alpha_index), float(epsilon))
-    s = local_c_subdifferential(f, cost, window, tol)
-    lb = local_double_conjugate(f, cost, window, tol)
-    f0 = float(f.values[alpha_index])
+    f0 = float(f.values[check_index(alpha_index, f.grid)])
+    if not np.isfinite(f0):
+        raise ValueError(f"f is +inf at grid index {alpha_index}")
+    lb = local_double_conjugate(f, cost, LocalWindow(int(alpha_index), float(epsilon)), tol)
     eq_tol = tol + _float_margin(cost.entries, f.values)
-    if not s.is_empty:
+    if not lb.subdifferential_empty:
         # support exists => equality
         excess = abs(f0 - lb.value) - eq_tol
         note = "support exists; equality checked"
@@ -636,7 +636,7 @@ def check_local_support_iff(a: Analysis, alpha_index: int, epsilon: float) -> Ve
 # suite orchestration
 
 def run_suite(seed: int = 0, tol: float = 1e-9, pair_cap: int = 10000,
-              exhaustive: bool = False, falsify: bool = False) -> list[Verdict]:
+              falsify: bool = False) -> list[Verdict]:
     """Deterministic battery over seeded instances exercising every check.
 
     ``falsify`` replaces the c-convexified inputs of the hypothesis-gated
@@ -646,14 +646,13 @@ def run_suite(seed: int = 0, tol: float = 1e-9, pair_cap: int = 10000,
     Each cost is tabulated once and each (f, cost) analysed once; the checks
     run, in the order returned, grouped to release each after its last check.
     """
-    if pair_cap < 0:
-        raise ValueError(f"pair_cap must be >= 0, got {pair_cap}")
+    _check_pair_cap(pair_cap)
     check_tol(tol)
     n = 101
     grid = make_uniform_grid(-1.0, 1.0, n)
     x = grid.points
     gated = "random_smooth_fourier" if falsify else "cconvexified_random"
-    sweep = dict(pair_cap=pair_cap, seed=seed, exhaustive=exhaustive)
+    sweep = dict(pair_cap=pair_cap, seed=seed)
 
     def seeded(f_seed: int, cost: CostMatrix, family: str = "cconvexified_random") -> Analysis:
         cfg = InstanceConfig(f_seed, f_family=family)

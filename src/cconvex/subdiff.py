@@ -24,7 +24,7 @@ import numpy as np
 
 from .costs import CostMatrix, CostSpec, evaluate_cost, tabulate_cost, twist_bound
 from .grids import Grid, GridFunction, check_index, check_tol
-from .transform import _index_ranges, is_c_convex, monotone_c_transform
+from .transform import _check_input, _index_ranges, is_c_convex, monotone_c_transform
 
 __all__ = [
     "Analysis",
@@ -105,8 +105,7 @@ class LocalWindow:
 
 def membership_slack(f: GridFunction, cost: CostMatrix) -> np.ndarray:
     """n x m slack matrix; y_j is a member at x_i iff slack[i, j] >= -tol."""
-    if f.grid != cost.grid_i:
-        raise ValueError("cost grid does not match the function's grid on the I side")
+    _check_input(f, cost)
     with np.errstate(invalid="ignore"):
         d = cost.entries - f.values[:, None]
     return d - d.max(axis=0)[None, :]

@@ -206,19 +206,14 @@ def loop_domain_interval_sweep(member, dom_relaxed, i1s, i2s):
 
 
 def loop_cost_self_subdiff(cost, tol):
-    """(worst, witness) of the self-support identity, one membership
-    slack matrix per column."""
+    """Worst excess of the self-support identity, one membership slack
+    matrix per column."""
     worst = -np.inf
-    witness = None
     for j in range(cost.grid_j.n):
         f = GridFunction(cost.grid_i, cost.entries[:, j])
         slack_col = membership_slack(f, cost)[:, j]
-        excess = float(np.abs(slack_col).max() - tol)
-        if excess > worst:
-            worst = excess
-            if excess > 0:
-                witness = (int(np.argmax(np.abs(slack_col))), j)
-    return worst, witness
+        worst = max(worst, float(np.abs(slack_col).max() - tol))
+    return worst
 
 
 def loop_quadrature(f, rule="trapezoid"):

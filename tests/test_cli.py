@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from cconvex import propcheck
 from cconvex.cli import (_build_grids, _common_config, _config_hash, build_parser, main,
                          parse_function)
 from cconvex.costs import parse_cost_spec, read_cost_csv, tabulate_cost
@@ -13,6 +14,7 @@ from cconvex.grids import make_uniform_grid, read_grid_function_csv, sup_norm_di
 from cconvex.jensen import WITNESS_BLOCK_CELLS
 from cconvex.subdiff import membership_triples
 from cconvex.transform import conjugates
+from cconvex.verdicts import Verdict
 
 
 def run(args):
@@ -100,6 +102,22 @@ class TestTransformCommand:
                     "--n", "65", "--m", "65", "--out", str(out)]) == 0
         payload = json.loads(out.read_text())
         assert payload["c_convex"]["holds"] is True  # gen emits a c-convexified f
+
+    def test_infinite_f_gets_no_verdict(self, tmp_path):
+        # f^c and f^cc skip the +inf point, but no c-convexity is judged;
+        # subdiff needs a finite f and says so
+        path = tmp_path / "f.csv"
+        path.write_text("x,f\n-1,1\n-0.5,0.25\n0,inf\n0.5,0.25\n1,1\n")
+        out = tmp_path / "t.json"
+        grids = ["--n", "5", "--m", "5", "--f", f"csv:{path}"]
+        assert run(["transform", *grids, "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert payload["c_convex"] == {"deviation": None, "holds": None, "tol": 1e-9}
+        fcc = payload["f_cc"]["values"]
+        assert all(v <= f for v, f in zip(fcc, [1, 0.25, float("inf"), 0.25, 1]))
+        with pytest.raises(SystemExit, match="^error: membership_triples requires an "
+                                             "everywhere-finite f$"):
+            run(["subdiff", *grids, "--out", str(tmp_path / "s.json")])
 
     def test_reflector_domain_violation_names_the_pair(self, capsys):
         with pytest.raises(SystemExit) as e:
@@ -270,6 +288,19 @@ class TestSuiteCommand:
         v = verdicts["set_valued_convexity"]
         assert v["holds"] and v["max_violation"] == 0.0 and "vacuous" in v["notes"]
 
+    def test_violated_verdict_exits_one(self, tmp_path, monkeypatch, capsys):
+        verdicts = [Verdict("b_check", True, -1.0, notes="fine"),
+                    Verdict("a_check", False, 0.5, witness=(3, 4, 0.25), notes="broken")]
+        monkeypatch.setattr(propcheck, "run_suite", lambda **kwargs: verdicts)
+        out = tmp_path / "s.json"
+        assert run(["suite", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "FAIL a_check max_violation=5.000e-01 broken",
+            "PASS b_check max_violation=-1.000e+00 fine"]
+        written = json.loads(out.read_text())["verdicts"]
+        assert [v["check_id"] for v in written] == ["a_check", "b_check"]
+        assert written[0]["witness"] == [3, 4, 0.25] and written[1]["witness"] is None
+
     def test_verdicts_sorted_by_id(self, tmp_path):
         out = tmp_path / "s.json"
         run(["suite", "--seed", "1", "--pair-cap", "200", "--out", str(out)])
@@ -282,8 +313,8 @@ class TestSuiteGolden:
     byte fails here and must be recorded in CHANGES.md with the new hash."""
 
     @pytest.mark.parametrize("flags, digest", [
-        ([], "f070d2d515f8e5f02dede199a014676b487b45706e59451557e2335b37b87431"),
-        (["--falsify"], "8feb9a0a6510039ad2b744da2b0c97a7d8a0e256d4172d4fbf8d5a7b8cac261f"),
+        ([], "c6e1b2574f16c0a0fdf98c92cf93f58e2a569540adfcaff12c4a4ce911347c1b"),
+        (["--falsify"], "d3c5e85da33dfd41ebad8385039140dae6e1f2a4d49ab1ca6c9200b69af1eefa"),
     ])
     def test_seed_0_record(self, tmp_path, flags, digest):
         out = tmp_path / "suite.json"
@@ -556,6 +587,7 @@ class TestErrors:
     @pytest.mark.parametrize("command, option", [
         ("suite", "--interval-i=0,3"), ("suite", "--interval-j=0,3"), ("suite", "--n=7"),
         ("suite", "--m=9"), ("suite", "--cost=nonsense"), ("suite", "--format=csv"),
+        ("suite", "--exhaustive"),
         ("jensen", "--format=csv"), ("gen", "--tol=5"), ("gen", "--format=json"),
     ])
     def test_unread_option_is_a_usage_error(self, tmp_path, capsys, command, option):

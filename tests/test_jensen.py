@@ -362,3 +362,34 @@ class TestClassicalReduction:
         f = GridFunction(g, g.points**2)
         with pytest.raises(ValueError, match="not 1-affine"):
             classical_reduction_check(f, CostSpec("neg_quadratic"), g)
+
+
+
+# x^2 on a 33-point grid, its J grid, and a two-atom measure: the inputs of
+# every Jensen entry point called with a bad tol
+G33 = make_uniform_grid(-1, 1, 33)
+X2 = GridFunction(G33, G33.points**2)
+MU = DiscreteMeasure.from_atoms([(-0.5, 0.5), (0.25, 0.5)])
+ENTRY_POINTS = {
+    "discrete": lambda tol: discrete_jensen_gap(X2, BILINEAR, MU, tol=tol, grid_j=G33),
+    "midpoint": lambda tol: midpoint_bound(X2, BILINEAR, -0.5, 0.25, tol=tol, grid_j=G33),
+    "weighted": lambda tol: weighted_integral_bound(X2, BILINEAR, MU, tol=tol, grid_j=G33),
+    "integral": lambda tol: integral_jensen_bound(X2, BILINEAR, tol=tol, grid_j=G33),
+    "support_concavity": lambda tol: support_concavity_check(X2, BILINEAR, -0.5, 0.25, 0.0,
+                                                             tol=tol),
+    "classical_reduction": lambda tol: classical_reduction_check(X2, BILINEAR, G33, tol=tol),
+}
+
+
+@pytest.mark.parametrize("tol", [float("nan"), -1.0, float("inf")])
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_bad_tol_rejected_before_work(monkeypatch, entry, tol):
+    # on these inputs NaN used to give holds=False with a verified
+    # hypothesis, -1 a witness search failure or holds=False, inf a pass
+    def no_work(*args, **kwargs):
+        raise AssertionError("cost evaluated before the tol check")
+
+    monkeypatch.setattr("cconvex.jensen.evaluate_cost", no_work)
+    monkeypatch.setattr("cconvex.jensen.tabulate_cost", no_work)
+    with pytest.raises(ValueError, match=f"^tol must be finite and >= 0, got {tol}$"):
+        ENTRY_POINTS[entry](tol)

@@ -96,6 +96,52 @@ class TestAnalysis:
         assert not {"slack", "member"} & set(vars(a))
 
 
+PAIR_CHECKS = (check_subdiff_convexity, check_set_valued_convexity,
+               check_intersection_inclusion, check_domain_interval)
+
+
+class TestPairCap:
+    @pytest.mark.parametrize("cap, message", [(-1, "pair_cap must be >= 0, got -1"),
+                                              (2.5, "pair_cap must be an integer, got 2.5")])
+    @pytest.mark.parametrize("check", [*PAIR_CHECKS, None])
+    def test_bad_cap_rejected_before_any_work(self, monkeypatch, check, cap, message):
+        # -1 used to fail inside numpy ("negative dimensions are not
+        # allowed") and 2.5 with a numpy TypeError, or to pass unnoticed
+        # when a hypothesis failed
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the pair_cap check")
+
+        f, cost = parabola_neg_quadratic()
+        for module, name in ((propcheck, "check_structure"), (subdiff, "is_c_convex"),
+                             (subdiff, "membership_slack"), (propcheck, "tabulate_cost")):
+            monkeypatch.setattr(module, name, no_work)
+        with pytest.raises(ValueError, match=message):
+            if check is None:
+                run_suite(pair_cap=cap)
+            else:
+                check(Analysis(f, cost), pair_cap=cap)
+
+    def test_all_pairs_when_they_fit_under_the_cap(self):
+        pool = np.arange(3, 104)   # 101 points: 10100 ordered pairs
+        rng = np.random.default_rng(0)
+        i1, i2 = propcheck._sample_pairs(rng, pool, 101 * 100)
+        assert sorted(zip(i1.tolist(), i2.tolist())) == \
+            [(a, b) for a in pool.tolist() for b in pool.tolist() if a != b]
+        assert rng.random() == np.random.default_rng(0).random()   # nothing drawn
+
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_fewer_than_two_points_give_no_pairs(self, k):
+        rng = np.random.default_rng(0)
+        for cap in (0, 5):
+            i1, i2 = propcheck._sample_pairs(rng, np.arange(k), cap)
+            assert i1.size == i2.size == 0 and i1.dtype == i2.dtype == np.int64
+        assert rng.random() == np.random.default_rng(0).random()
+
+    def test_cap_draws_when_pairs_do_not_fit(self):
+        i1, i2 = propcheck._sample_pairs(np.random.default_rng(0), np.arange(101), 10099)
+        assert 0 < i1.size <= 10099 and (i1 != i2).all()
+
+
 class TestGenerateInstance:
     def test_bit_identical_regeneration(self):
         cfg = InstanceConfig(seed=42, cost_family="neg_quadratic",
@@ -210,7 +256,7 @@ class TestSubdiffConvexity:
         g = make_uniform_grid(-1, 1, 65)
         cost = tabulate_cost(CostSpec("bilinear"), g, g)
         f = GridFunction(g, np.abs(g.points))
-        v = check_subdiff_convexity(Analysis(f, cost), exhaustive=True)
+        v = check_subdiff_convexity(Analysis(f, cost))
         assert v.holds and not v.vacuous
 
     def test_non_two_affine_cost_is_a_hypothesis_failure(self):
@@ -235,7 +281,7 @@ class TestSetValuedConvexity:
 
     def test_affine_cost_with_affine_f(self):
         f = GridFunction(self.g, 0.25 * self.g.points - 0.2)
-        v = check_set_valued_convexity(Analysis(f, self.cost), exhaustive=True)
+        v = check_set_valued_convexity(Analysis(f, self.cost))
         assert v.holds
         assert "segment-tested" in v.notes
 
@@ -259,7 +305,7 @@ class TestIntersectionInclusion:
 
     def test_parabola(self):
         f = GridFunction(self.gi, self.gi.points**2)
-        v = check_intersection_inclusion(Analysis(f, self.cost), exhaustive=True)
+        v = check_intersection_inclusion(Analysis(f, self.cost))
         assert v.holds and not v.vacuous
 
     def test_concave_f_is_a_hypothesis_failure(self):
@@ -274,7 +320,7 @@ class TestDomainInterval:
         gj = make_uniform_grid(-2.5, 2.5, 65)
         cost = tabulate_cost(CostSpec("neg_quadratic"), gi, gj)
         f = GridFunction(gi, gi.points**2)
-        v = check_domain_interval(Analysis(f, cost), exhaustive=True)
+        v = check_domain_interval(Analysis(f, cost))
         assert v.holds and not v.vacuous
 
     def test_nonconvex_f_is_a_hypothesis_failure(self):
@@ -341,6 +387,30 @@ class TestLocalSupportIff:
     def test_concave_kink_has_none(self):
         v = check_local_support_iff(Analysis(self.f, self.cost), self.g.nearest_index(0.0), 0.25)
         assert v.holds and "no support" in v.notes
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.0])   # support exists, and none
+    def test_one_window_sweep_per_verdict(self, monkeypatch, alpha):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return window_members(*args)
+
+        window_members = subdiff._window_members
+        monkeypatch.setattr(subdiff, "_window_members", counted)
+        check_local_support_iff(Analysis(self.f, self.cost), self.g.nearest_index(alpha), 0.25)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("index", [-1, 101])
+    def test_out_of_range_alpha_rejected(self, index):
+        with pytest.raises(ValueError, match=f"grid index {index} is out of range"):
+            check_local_support_iff(Analysis(self.f, self.cost), index, 0.25)
+
+    def test_infinite_f_at_alpha_rejected(self):
+        values = self.f.values.copy()
+        values[40] = np.inf
+        with pytest.raises(ValueError, match="f is \\+inf at grid index 40"):
+            check_local_support_iff(Analysis(GridFunction(self.g, values), self.cost), 40, 0.25)
 
 
 class TestSuite:

@@ -27,6 +27,13 @@ class TestGlobalSubdifferential:
         s = c_subdifferential(f, cost, g.nearest_index(0.0))
         assert np.array_equal(s.y_indices, np.arange(41))
 
+    def test_slack_needs_the_cost_on_the_function_grid(self):
+        g, cost = bilinear_on(33)
+        f = GridFunction(make_uniform_grid(-1, 1, 17), np.zeros(17))
+        with pytest.raises(ValueError, match="^cost grid does not match the function's grid "
+                                             "on the I side$"):
+            membership_slack(f, cost)
+
     def test_cost_column_has_exactly_zero_slack(self):
         g, cost = bilinear_on(33)
         j0 = g.nearest_index(0.5)
