@@ -14,8 +14,8 @@ from .propcheck import InstanceConfig, generate_instance, run_suite
 from .subdiff import (Analysis, LocalWindow, SubdifferentialSet, SupportCurve, c_subdifferential,
                       envelope_reconstruct, lateral_c_derivatives, local_c_subdifferential,
                       local_double_conjugate, subdifferential_map, support_curve_eval)
-from .transform import (TransformResult, c_transform, double_c_transform,
-                        conjugates, is_c_convex, monotone_c_transform, to_concave_problem)
+from .transform import (TransformResult, c_transform, double_c_transform, is_c_convex,
+                        to_concave_problem)
 from .verdicts import Verdict
 
 __version__ = "0.1.0"

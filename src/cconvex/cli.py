@@ -22,13 +22,12 @@ from typing import Optional
 import numpy as np
 
 from . import propcheck
-from .costs import parse_cost_spec, write_cost_csv
-from .grids import (DiscreteMeasure, GridFunction, check_tol, make_uniform_grid,
-                    read_grid_function_csv, read_two_column_csv, sup_norm_diff,
-                    write_grid_function_csv)
+from .costs import CostSpec, parse_cost_spec, write_cost_csv
+from .grids import (DiscreteMeasure, Grid, GridFunction, check_tol, make_uniform_grid,
+                    read_grid_function_csv, read_two_column_csv, write_grid_function_csv)
 from .jensen import discrete_jensen_gap, integral_jensen_bound, midpoint_bound, weighted_integral_bound
-from .subdiff import membership_triples
-from .transform import conjugates
+from .subdiff import Analysis
+from .transform import c_convexity
 
 FUNCTION_CATALOG = ("parabola", "half_parabola", "absolute_value", "neg_parabola",
                     "neg_absolute_value", "constant", "zero", "piecewise_linear")
@@ -159,16 +158,18 @@ def _build_grids(args):
     return gi, gj
 
 
-def cmd_transform(args) -> int:
+def _instance(args) -> tuple[GridFunction, CostSpec, Grid]:
+    """``--f`` on the I grid, the ``--cost`` spec and the J grid."""
     gi, gj = _build_grids(args)
     spec = parse_cost_spec(args.cost)
-    f = parse_function(args.f, gi)
-    fc, fcc = conjugates(f, spec, gj)
-    if f.is_finite:
-        deviation = sup_norm_diff(f, fcc.values)
-        holds = deviation <= args.tol
-    else:
-        holds, deviation = None, None
+    return parse_function(args.f, gi), spec, gj
+
+
+def cmd_transform(args) -> int:
+    f, spec, gj = _instance(args)
+    a = Analysis(f, spec, grid_j=gj)
+    gi, fc, fcc = f.grid, a.fc, a.fcc
+    holds, deviation = c_convexity(f, fcc.values, args.tol) if f.is_finite else (None, None)
     verdict = {"holds": holds, "deviation": deviation, "tol": args.tol}
     # Only the grids' texts are kept whole, for the argmax points; the grids
     # share text only when bitwise equal: a -0.0 and a 0.0 end point compare
@@ -201,10 +202,8 @@ def cmd_transform(args) -> int:
 
 
 def cmd_subdiff(args) -> int:
-    gi, gj = _build_grids(args)
-    spec = parse_cost_spec(args.cost)
-    f = parse_function(args.f, gi)
-    dom, rows, cols, slack = membership_triples(f, spec, gj, args.tol)
+    f, spec, gj = _instance(args)
+    dom, rows, cols, slack = Analysis(f, spec, args.tol, gj).triples
 
     def triples(lo, hi):  # (x index, y index, slack text) of triples [lo, hi)
         return zip(rows[lo:hi].tolist(), cols[lo:hi].tolist(), _float_texts(slack[lo:hi]))
@@ -237,25 +236,19 @@ def _parse_measure(text: str) -> DiscreteMeasure:
 
 
 def cmd_jensen(args) -> int:
-    gi, gj = _build_grids(args)
-    spec = parse_cost_spec(args.cost)
-    f = parse_function(args.f, gi)
-    y = args.y
-    form = args.form
-    if form == "integral":
-        report = integral_jensen_bound(f, spec, xi=args.xi, y=y, tol=args.tol, grid_j=gj)
+    f, spec, gj = _instance(args)
+    if args.form == "integral":
+        report = integral_jensen_bound(f, spec, xi=args.xi, y=args.y, tol=args.tol, grid_j=gj)
     else:
         mu = _parse_measure(args.measure)
-        if form == "discrete":
-            report = discrete_jensen_gap(f, spec, mu, y=y, tol=args.tol, grid_j=gj)
-        elif form == "weighted":
-            report = weighted_integral_bound(f, spec, mu, y=y, tol=args.tol, grid_j=gj)
-        elif form == "midpoint":
+        if args.form == "discrete":
+            report = discrete_jensen_gap(f, spec, mu, y=args.y, tol=args.tol, grid_j=gj)
+        elif args.form == "weighted":
+            report = weighted_integral_bound(f, spec, mu, y=args.y, tol=args.tol, grid_j=gj)
+        else:  # midpoint, the last form argparse admits
             a, b = float(mu.positions[0]), float(mu.positions[-1])
-            report = midpoint_bound(f, spec, a, b, y=y, tol=args.tol, grid_j=gj)
-        else:  # pragma: no cover
-            raise SystemExit(form)
-    config = {**_common_config(args), "form": form, "measure": args.measure, "y": y,
+            report = midpoint_bound(f, spec, a, b, y=args.y, tol=args.tol, grid_j=gj)
+    config = {**_common_config(args), "form": args.form, "measure": args.measure, "y": args.y,
               "xi": args.xi}
     payload = {"config": config, "report": report.to_dict()}
     payload["config_hash"] = _config_hash(config)

@@ -52,6 +52,8 @@ class Interval:
             raise ValueError(f"interval bounds must be finite, got [{self.lo}, {self.hi}]")
         if not self.lo < self.hi:
             raise ValueError(f"degenerate interval: lo={self.lo} >= hi={self.hi}")
+        if not math.isfinite(self.hi - self.lo):
+            raise ValueError(f"interval length overflows: [{self.lo}, {self.hi}]")
 
     @property
     def length(self) -> float:
@@ -146,13 +148,9 @@ def sample_function(evaluator: Callable[[float], float], grid: Grid) -> GridFunc
     return GridFunction(grid, vals)
 
 
-def _require_same_grid(f: GridFunction, g: GridFunction):
+def sup_norm_diff(f: GridFunction, g: GridFunction) -> float:
     if f.grid != g.grid:
         raise ValueError("grid mismatch between grid functions")
-
-
-def sup_norm_diff(f: GridFunction, g: GridFunction) -> float:
-    _require_same_grid(f, g)
     if not (f.is_finite and g.is_finite):
         raise ValueError("sup_norm_diff requires everywhere-finite functions")
     return float(np.abs(f.values - g.values).max())
@@ -180,26 +178,16 @@ def _ordered_sum(terms, axis=0):
     return np.add.accumulate(terms, axis=axis).take(-1, axis=axis)
 
 
-def _composite_rule(v: np.ndarray, h: float, rule: str):
-    """Composite quadrature along axis 0 of ``v``: one integral per column."""
-    if rule == "trapezoid":
-        return _ordered_sum(np.concatenate((0.5 * v[:1], v[1:-1], 0.5 * v[-1:]))) * h
-    if rule == "midpoint":
-        if len(v) % 2 == 0:
-            raise ValueError("midpoint rule needs an odd number of grid points")
-        return _ordered_sum(np.concatenate((np.zeros_like(v[:1]), v[1::2]))) * 2.0 * h
-    raise ValueError(f"unknown quadrature rule: {rule!r}")
+def _composite_rule(v: np.ndarray, h: float):
+    """Composite trapezoid rule along axis 0 of ``v``: one integral per column."""
+    return _ordered_sum(np.concatenate((0.5 * v[:1], v[1:-1], 0.5 * v[-1:]))) * h
 
 
-def quadrature(f: GridFunction, rule: str = "trapezoid") -> float:
-    """Composite quadrature over the uniform grid, left-to-right summation.
-
-    ``midpoint`` uses cells of width 2h with the odd-index points as cell
-    midpoints, so it requires an odd number of grid points.
-    """
+def quadrature(f: GridFunction) -> float:
+    """Composite trapezoid rule over the uniform grid, left-to-right summation."""
     if not f.is_finite:
         raise ValueError("quadrature requires everywhere-finite values")
-    return float(_composite_rule(f.values, f.grid.h, rule))
+    return float(_composite_rule(f.values, f.grid.h))
 
 
 @dataclass(frozen=True, eq=False)

@@ -256,7 +256,7 @@ def classical_reduction_check(f: GridFunction, cost: CostSpec, grid_j: Grid,
     mid = (iv.lo + iv.hi) / 2.0
     idx = f.grid.nearest_index(mid)
     # cost-side gap must vanish within quadrature tolerance for every y column
-    col_integrals = _composite_rule(matrix.entries, f.grid.h, "trapezoid")
+    col_integrals = _composite_rule(matrix.entries, f.grid.h)
     worst = float(np.abs(col_integrals - matrix.entries[idx] * iv.length).max())
     quad_tol = _quadrature_tol(f, matrix.entries[:, 0], tol)
     mean_f = quadrature(f) / iv.length

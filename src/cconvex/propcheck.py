@@ -92,6 +92,10 @@ class InstanceConfig:
     f_family: str = "cconvexified_random"
     amplitude: float = 1.0
 
+    def __post_init__(self):
+        if not np.isfinite(self.amplitude):
+            raise ValueError(f"amplitude must be finite, got {self.amplitude}")
+
 
 def _raw_function(cfg: InstanceConfig, grid: Grid, rng: np.random.Generator,
                   family: str) -> np.ndarray:

@@ -24,7 +24,8 @@ import numpy as np
 
 from .costs import CostMatrix, CostSpec, evaluate_cost, tabulate_cost, twist_bound
 from .grids import Grid, GridFunction, check_index, check_tol
-from .transform import _check_input, _index_ranges, is_c_convex, monotone_c_transform
+from .transform import (TransformResult, _back_transform, _check_input, _engine_c_transform,
+                        _index_ranges, c_transform, is_c_convex)
 
 __all__ = [
     "Analysis",
@@ -35,7 +36,6 @@ __all__ = [
     "membership_slack",
     "c_subdifferential",
     "subdifferential_map",
-    "membership_triples",
     "lateral_c_derivatives",
     "support_curve_eval",
     "envelope_reconstruct",
@@ -50,7 +50,7 @@ class SubdifferentialSet:
 
     For a twisted cost (c_xy >= 0: bilinear, neg_quadratic, reflector,
     one_affine with strictly increasing a(y)) each row of the exact slack is
-    unimodal, so the set is an interval (see ``membership_triples``);
+    unimodal, so the set is an interval (see ``Analysis.triples``);
     rounding can still split it where c_xy is near 0, and other costs give any
     index set.  So it is kept as an explicit index list: contiguity must
     not be baked into the type.
@@ -61,10 +61,9 @@ class SubdifferentialSet:
     tol: float
 
     def __post_init__(self):
-        idx = np.asarray(self.y_indices, dtype=np.int64)
+        idx = np.array(self.y_indices, dtype=np.int64)
         if idx.ndim != 1 or (np.diff(idx) <= 0).any():
             raise ValueError("y_indices must be a strictly increasing 1-D index list")
-        idx = idx.copy()
         idx.flags.writeable = False
         object.__setattr__(self, "y_indices", idx)
 
@@ -113,19 +112,52 @@ def membership_slack(f: GridFunction, cost: CostMatrix) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Analysis:
-    """One (f, cost) instance at one validated membership ``tol``; its slack, members
-    (slack >= -tol) and default-tolerance ``is_c_convex`` are each built once, on first use."""
+    """One (f, cost) instance at one validated membership ``tol``, each of whose
+    parts is built once, on first use.  ``cost`` is a ``CostMatrix`` or a
+    ``CostSpec`` on f's grid and ``grid_j``.  A spec with a ``twist_bound`` on
+    the grids takes ``fc``, ``fcc`` and ``triples`` from the engine, without
+    an n x m array; all else reads ``table``, the matrix or the tabulated spec.
+    """
 
     f: GridFunction
-    cost: CostMatrix
+    cost: CostMatrix | CostSpec
     tol: float = 1e-9
+    grid_j: Grid | None = None
 
     def __post_init__(self):
         check_tol(self.tol)
+        if isinstance(self.cost, CostMatrix):
+            if self.grid_j not in (None, self.cost.grid_j):
+                raise ValueError("grid_j must be omitted or the cost matrix's own J grid")
+            # a matrix is its own table and goes to no engine
+            vars(self).update(grid_j=self.cost.grid_j, table=self.cost, twist=None)
+        elif self.grid_j is None:
+            raise ValueError("a cost spec needs its J grid, grid_j")
+
+    @cached_property
+    def twist(self) -> float | None:
+        """The spec's ``twist_bound`` on the grids, the engine's certificate."""
+        return twist_bound(self.cost, self.f.grid, self.grid_j)
+
+    @cached_property
+    def table(self) -> CostMatrix:
+        return tabulate_cost(self.cost, self.f.grid, self.grid_j)
+
+    @cached_property
+    def fc(self) -> TransformResult:
+        if self.twist is None:
+            return c_transform(self.f, self.table)
+        return _engine_c_transform(self.cost, self.f, self.grid_j)
+
+    @cached_property
+    def fcc(self) -> TransformResult:
+        if self.twist is None:
+            return _back_transform(self.fc.values, self.table)
+        return _engine_c_transform(self.cost, self.fc.values, self.f.grid, swap=True)
 
     @cached_property
     def slack(self) -> np.ndarray:
-        return membership_slack(self.f, self.cost)
+        return membership_slack(self.f, self.table)
 
     @cached_property
     def member(self) -> np.ndarray:
@@ -133,7 +165,110 @@ class Analysis:
 
     @cached_property
     def c_convex(self) -> tuple[bool, float]:
-        return is_c_convex(self.f, self.cost)
+        return is_c_convex(self.f, self.table)
+
+    @cached_property
+    def triples(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(dom, rows, cols, slack) of every pair with membership slack >= -tol,
+        in row-major order, computing the slack once.
+
+        Without a ``twist_bound`` they are read from ``slack``.  With one, the
+        slack (c(x_i, y_j) - f_i) - f^c(y_j), in that arithmetic and against
+        the engine's ``fc``, is evaluated only on a band of columns per row
+        that binary searches find, batched over the rows: O((n + m) log m)
+        cost evaluations plus the band, in memory O(n + m) plus the band,
+        never an n x m array.
+
+        Each row's exact members form one interval.  Write D(i, j) = c(x_i, y_j) - f_i
+        and M_j = max_z D(z, j); the slack s(i, j) = D(i, j) - M_j is
+        min(G_i(j), H_i(j)) with G_i(j) = D(i, j) - max_{z <= i} D(z, j) and
+        H_i(j) = D(i, j) - max_{z >= i} D(z, j).  For z < i,
+        D(i, j) - D(z, j) = c(x_i, y_j) - c(x_z, y_j) + f_z - f_i is
+        nondecreasing in j when c_xy >= 0, so G_i is nondecreasing; H_i is
+        nonincreasing likewise.  A minimum of a nondecreasing and a nonincreasing
+        sequence is unimodal, so each of its superlevel sets is an interval.
+
+        Where the peak is.  The engine's first maximisers k_j are nondecreasing
+        in j; let loss_j = M_j - D(k_j, j) >= 0 and p_i = searchsorted(k, i).
+        For j < p_i, k_j < i, so G_i(j) - loss_j <= s(i, j) <= G_i(j): s(i, .)
+        is within loss_j of nondecreasing on [0, p_i), and within loss_j of the
+        nonincreasing H_i on [p_i, m).
+
+        The margin.  Let eps be the ``twist_bound``, C = max|c|, u = 2**-53 and
+        F = max|f|.  Each computed D~ = fl(c~ - f_i) is within E = eps + u*(C + F) <=
+        2*eps + u*F of D, since eps >= u*C.  The engine maximises D~ for column
+        j over [k_a, k_b], a < j < b being columns of earlier levels; for
+        z > k_b, D(z, j) - D(k_b, j) <= D(z, b) - D(k_b, b) <= loss_b (Monge),
+        and alike below k_a, so by induction loss_j <= 2E(t + 1) at level t and
+        every loss_j <= L = 2E * m.bit_length().  f^c_j = D~(k_j, j) is within
+        E + L of M_j, so the computed slack fl(X), X = D~(i, j) - f^c_j, has
+        |X - s(i, j)| <= d = 2E + L.  The search left of p_i keeps columns lo
+        with fl(X_lo) < -tol - margin, so X_lo < -tol - margin, and every
+        j <= lo has X_j <= s(j) + d <= G_i(lo) + d <= s(lo) + L + d
+        <= X_lo + L + 2d.  With margin = 2*(L + 2d) + 4u*tol =
+        E*(8 + 12 * m.bit_length()) + 4u*tol, the factor 2 covering the
+        rounding of -tol - margin, that is X_j < -tol*(1 + 2u), so
+        fl(X_j) < -tol: no column left of the band is a member, and by the
+        mirror argument none right of it.  This needs only that the final lo
+        is an evaluated failing column or the sentinel -1, whatever columns the
+        search probed, so the searches may gallop out from p_i before they
+        bisect.  The band pass then applies ``membership_slack``'s comparison,
+        so the triples equal the dense path's wherever the engine's f^c equals
+        the dense f^c.  margin / u exceeds |c| + |f|; where it overflows, the
+        dense path is taken.
+        """
+        f, tol = self.f, self.tol
+        if not f.is_finite:
+            raise ValueError("Analysis.triples requires an everywhere-finite f")
+        n, m = f.grid.n, self.grid_j.n
+        u = np.finfo(float).eps / 2
+        if self.twist is not None:
+            err = 2 * self.twist + u * float(np.abs(f.values).max())
+            margin = err * (8 + 12 * m.bit_length()) + 4 * u * tol
+        if self.twist is None or not np.isfinite(margin / u):
+            rows, cols = np.nonzero(self.member)
+            return self.member.any(axis=1), rows, cols, self.slack[rows, cols]
+
+        x, y, fv, fc = f.grid.points, self.grid_j.points, f.values, self.fc
+        g = fc.values.values
+
+        def slack_at(i, j):  # membership_slack's arithmetic at index pairs
+            s = evaluate_cost(self.cost, x[i], y[j])
+            s -= fv[i]
+            s -= g[j]
+            return s
+
+        # Per row, one search on [0, p) and one on [p, m): on the left lo fails
+        # the band threshold and hi passes, on the right the reverse; -1, p - 1,
+        # p and m stand for columns never evaluated.  Each search gallops out
+        # from p, 1, 2, 4, ... columns past its last passing probe, until a probe
+        # fails or would reach the sentinel, then bisects.
+        threshold = -tol - margin
+        p = np.searchsorted(fc.argmax, np.arange(n))
+        row = np.tile(np.arange(n), 2)
+        right = np.arange(2 * n) >= n
+        lo = np.concatenate((np.full(n, -1), p - 1))
+        hi = np.concatenate((p, np.full(n, m)))
+        stride = np.ones(2 * n, dtype=np.int64)  # 0 once a search bisects
+        while (act := np.flatnonzero(hi - lo > 1)).size:
+            s = stride[act]
+            mid = np.where(right[act], lo[act] + s, hi[act] - s)
+            gallop = (lo[act] < mid) & (mid < hi[act])
+            mid = np.where(gallop, mid, (lo[act] + hi[act]) // 2)
+            passed = slack_at(row[act], mid) >= threshold
+            up = passed == right[act]
+            lo[act[up]] = mid[up]
+            hi[act[~up]] = mid[~up]
+            stride[act] = np.where(gallop & passed, 2 * s, 0)
+        lens = hi[n:] - hi[:n]
+        rows = np.repeat(np.arange(n), lens)
+        cols = _index_ranges(hi[:n], lens)[1]
+        slack = slack_at(rows, cols)
+        keep = slack >= -tol
+        rows, cols = rows[keep], cols[keep]
+        dom = np.zeros(n, dtype=bool)
+        dom[rows] = True
+        return dom, rows, cols, slack[keep]
 
 
 def c_subdifferential(f: GridFunction, cost: CostMatrix, x0_index: int,
@@ -152,114 +287,6 @@ def subdifferential_map(f: GridFunction, cost: CostMatrix,
         raise ValueError("subdifferential_map requires an everywhere-finite f")
     sets = [SubdifferentialSet(i, np.flatnonzero(a.member[i]), tol) for i in range(f.grid.n)]
     return sets, a.member.any(axis=1)
-
-
-def membership_triples(f: GridFunction, spec: CostSpec, grid_j: Grid, tol: float = 1e-9
-                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(dom, rows, cols, slack) of every pair with membership slack >= -tol,
-    in row-major order, computing the slack once.
-
-    A cost without a ``twist_bound`` on the grids is tabulated and the slack
-    is ``membership_slack``'s.  Otherwise the slack (c(x_i, y_j) - f_i) -
-    f^c(y_j), in that arithmetic and against the engine's f^c, is evaluated
-    only on a band of columns per row that binary searches find, batched
-    over the rows: O((n + m) log m) cost evaluations plus the band, in
-    memory O(n + m) plus the band, never an n x m array.
-
-    Each row's exact members form one interval.  Write D(i, j) = c(x_i, y_j) - f_i
-    and M_j = max_z D(z, j); the slack s(i, j) = D(i, j) - M_j is
-    min(G_i(j), H_i(j)) with G_i(j) = D(i, j) - max_{z <= i} D(z, j) and
-    H_i(j) = D(i, j) - max_{z >= i} D(z, j).  For z < i,
-    D(i, j) - D(z, j) = c(x_i, y_j) - c(x_z, y_j) + f_z - f_i is
-    nondecreasing in j when c_xy >= 0, so G_i is nondecreasing; H_i is
-    nonincreasing likewise.  A minimum of a nondecreasing and a nonincreasing
-    sequence is unimodal, so each of its superlevel sets is an interval.
-
-    Where the peak is.  The engine's first maximisers k_j are nondecreasing
-    in j; let loss_j = M_j - D(k_j, j) >= 0 and p_i = searchsorted(k, i).
-    For j < p_i, k_j < i, so G_i(j) - loss_j <= s(i, j) <= G_i(j): s(i, .)
-    is within loss_j of nondecreasing on [0, p_i), and within loss_j of the
-    nonincreasing H_i on [p_i, m).
-
-    The margin.  Let eps be the ``twist_bound``, C = max|c|, u = 2**-53 and
-    F = max|f|.  Each computed D~ = fl(c~ - f_i) is within E = eps + u*(C + F) <=
-    2*eps + u*F of D, since eps >= u*C.  The engine maximises D~ for column
-    j over [k_a, k_b], a < j < b being columns of earlier levels; for
-    z > k_b, D(z, j) - D(k_b, j) <= D(z, b) - D(k_b, b) <= loss_b (Monge),
-    and alike below k_a, so by induction loss_j <= 2E(t + 1) at level t and
-    every loss_j <= L = 2E * m.bit_length().  f^c_j = D~(k_j, j) is within
-    E + L of M_j, so the computed slack fl(X), X = D~(i, j) - f^c_j, has
-    |X - s(i, j)| <= d = 2E + L.  The search left of p_i keeps columns lo
-    with fl(X_lo) < -tol - margin, so X_lo < -tol - margin, and every
-    j <= lo has X_j <= s(j) + d <= G_i(lo) + d <= s(lo) + L + d
-    <= X_lo + L + 2d.  With margin = 2*(L + 2d) + 4u*tol =
-    E*(8 + 12 * m.bit_length()) + 4u*tol, the factor 2 covering the
-    rounding of -tol - margin, that is X_j < -tol*(1 + 2u), so
-    fl(X_j) < -tol: no column left of the band is a member, and by the
-    mirror argument none right of it.  This needs only that the final lo
-    is an evaluated failing column or the sentinel -1, whatever columns the
-    search probed, so the searches may gallop out from p_i before they
-    bisect.  The band pass then applies ``membership_slack``'s comparison,
-    so the triples equal the dense path's wherever the engine's f^c equals
-    the dense f^c.  margin / u exceeds |c| + |f|; where it overflows, the
-    dense path is taken.
-    """
-    check_tol(tol)
-    if not f.is_finite:
-        raise ValueError("membership_triples requires an everywhere-finite f")
-    n, m = f.grid.n, grid_j.n
-    u = np.finfo(float).eps / 2
-    eps = twist_bound(spec, f.grid, grid_j)
-    if eps is not None:
-        err = 2 * eps + u * float(np.abs(f.values).max())
-        margin = err * (8 + 12 * m.bit_length()) + 4 * u * tol
-    if eps is None or not np.isfinite(margin / u):
-        slack = membership_slack(f, tabulate_cost(spec, f.grid, grid_j))
-        member = slack >= -tol
-        rows, cols = np.nonzero(member)
-        return member.any(axis=1), rows, cols, slack[rows, cols]
-
-    x, y, fv = f.grid.points, grid_j.points, f.values
-    fc = monotone_c_transform(f, spec, grid_j)
-    g = fc.values.values
-
-    def slack_at(i, j):  # membership_slack's arithmetic at index pairs
-        s = evaluate_cost(spec, x[i], y[j])
-        s -= fv[i]
-        s -= g[j]
-        return s
-
-    # Per row, one search on [0, p) and one on [p, m): on the left lo fails
-    # the band threshold and hi passes, on the right the reverse; -1, p - 1,
-    # p and m stand for columns never evaluated.  Each search gallops out
-    # from p, 1, 2, 4, ... columns past its last passing probe, until a probe
-    # fails or would reach the sentinel, then bisects.
-    threshold = -tol - margin
-    p = np.searchsorted(fc.argmax, np.arange(n))
-    row = np.tile(np.arange(n), 2)
-    right = np.arange(2 * n) >= n
-    lo = np.concatenate((np.full(n, -1), p - 1))
-    hi = np.concatenate((p, np.full(n, m)))
-    stride = np.ones(2 * n, dtype=np.int64)  # 0 once a search bisects
-    while (act := np.flatnonzero(hi - lo > 1)).size:
-        s = stride[act]
-        mid = np.where(right[act], lo[act] + s, hi[act] - s)
-        gallop = (lo[act] < mid) & (mid < hi[act])
-        mid = np.where(gallop, mid, (lo[act] + hi[act]) // 2)
-        passed = slack_at(row[act], mid) >= threshold
-        up = passed == right[act]
-        lo[act[up]] = mid[up]
-        hi[act[~up]] = mid[~up]
-        stride[act] = np.where(gallop & passed, 2 * s, 0)
-    lens = hi[n:] - hi[:n]
-    rows = np.repeat(np.arange(n), lens)
-    cols = _index_ranges(hi[:n], lens)[1]
-    slack = slack_at(rows, cols)
-    keep = slack >= -tol
-    rows, cols = rows[keep], cols[keep]
-    dom = np.zeros(n, dtype=bool)
-    dom[rows] = True
-    return dom, rows, cols, slack[keep]
 
 
 def lateral_c_derivatives(s: SubdifferentialSet, grid_j: Grid) -> tuple[float, float]:
@@ -283,7 +310,7 @@ def envelope_reconstruct(f: GridFunction, cost: CostMatrix, selection: np.ndarra
     at t within ``tol``; a full interior selection of a continuous
     c-convex f reconstructs it on the whole grid.
     """
-    check_tol(tol)
+    a = Analysis(f, cost, tol)
     sel = np.asarray(selection, dtype=np.int64)
     if sel.shape != (f.grid.n,):
         raise ValueError("selection must have one entry per grid point (-1 to skip)")
@@ -295,12 +322,11 @@ def envelope_reconstruct(f: GridFunction, cost: CostMatrix, selection: np.ndarra
     ts = np.flatnonzero(sel >= 0)
     if ts.size == 0:
         raise ValueError("selection is empty")
-    slack = membership_slack(f, cost)
-    bad = ts[slack[ts, sel[ts]] < -tol]
+    bad = ts[a.slack[ts, sel[ts]] < -tol]
     if bad.size:
         t = int(bad[0])
         raise ValueError(f"selection[{t}]={int(sel[t])} is not a subdifferential member "
-                         f"at tol={tol} (slack={slack[t, sel[t]]})")
+                         f"at tol={tol} (slack={a.slack[t, sel[t]]})")
     # curves[k, i] = f(t_k) + c(x_i, y_sel) - c(t_k, y_sel)
     cols = cost.entries[:, sel[ts]]                    # (n, k)
     curves = f.values[ts][None, :] + cols - cols[ts, np.arange(ts.size)][None, :]

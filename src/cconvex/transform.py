@@ -12,7 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-from .costs import CostMatrix, CostSpec, evaluate_cost, tabulate_cost, twist_bound
+from .costs import CostMatrix, CostSpec, evaluate_cost
 from .grids import Grid, GridFunction, check_tol, sup_norm_diff
 
 __all__ = [
@@ -20,9 +20,8 @@ __all__ = [
     "c_transform",
     "double_c_transform",
     "is_c_convex",
+    "c_convexity",
     "default_cconvexity_tol",
-    "monotone_c_transform",
-    "conjugates",
     "to_concave_problem",
 ]
 
@@ -35,10 +34,9 @@ class TransformResult:
     argmax: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.argmax, dtype=np.int64)
+        a = np.array(self.argmax, dtype=np.int64)
         if a.shape != (self.values.grid.n,):
             raise ValueError("argmax length must match the output grid")
-        a = a.copy()
         a.flags.writeable = False
         object.__setattr__(self, "argmax", a)
 
@@ -113,40 +111,28 @@ def _monotone_argmax(score: Callable[[np.ndarray, np.ndarray], np.ndarray],
     return values, argmax
 
 
-def monotone_c_transform(f: GridFunction, spec: CostSpec, grid_j: Grid) -> TransformResult:
-    """f^c for a cost with a ``twist_bound`` on the grids, without the n x m matrix.
+def _engine_c_transform(spec: CostSpec, g: GridFunction, out: Grid,
+                        swap: bool = False) -> TransformResult:
+    """g^c on the grid ``out`` for a cost with a ``twist_bound`` on the grids,
+    without the n x m matrix; c(x, y) takes x on g's grid, or on ``out`` with
+    ``swap`` (f^cc is the transform of f^c with ``swap``).
 
     Entries come from ``evaluate_cost`` in the dense path's arithmetic and
     ties keep the lowest index, so values and argmax equal those of
-    ``c_transform(f, tabulate_cost(spec, f.grid, grid_j))`` as long as the
-    computed matrix stays Monge; rounding can break that only between
+    ``c_transform`` and ``_back_transform`` on the tabulated cost as long as
+    the computed matrix stays Monge; rounding can break that only between
     entries tied to within an ulp or so.  A maximum that is a zero of both
     signs takes the first maximiser's sign, where the dense reduction may
     return the other.
     """
-    if twist_bound(spec, f.grid, grid_j) is None:
-        raise ValueError(f"the {spec.family} cost is not certified twisted on these grids")
-    x, y, fv = f.grid.points, grid_j.points, f.values
-    values, argmax = _monotone_argmax(
-        lambda j, i: evaluate_cost(spec, x[i], y[j]) - fv[i], grid_j.n, f.grid.n)
-    return TransformResult(GridFunction(grid_j, values), argmax)
+    p, q, v = g.grid.points, out.points, g.values
 
+    def score(o, k):
+        x, y = (q[o], p[k]) if swap else (p[k], q[o])
+        return evaluate_cost(spec, x, y) - v[k]
 
-def conjugates(f: GridFunction, spec: CostSpec,
-               grid_j: Grid) -> tuple[TransformResult, TransformResult]:
-    """f^c on ``grid_j`` and f^cc = (f^c)^c on f's grid for a cost spec:
-    by the engine when the cost has a ``twist_bound`` on the grids, else from one
-    tabulation, as ``c_transform`` and ``double_c_transform`` compute them.
-    """
-    if twist_bound(spec, f.grid, grid_j) is None:
-        cost = tabulate_cost(spec, f.grid, grid_j)
-        fc = c_transform(f, cost)
-        return fc, _back_transform(fc.values, cost)
-    fc = monotone_c_transform(f, spec, grid_j)
-    x, y, g = f.grid.points, grid_j.points, fc.values.values
-    values, argmax = _monotone_argmax(
-        lambda i, j: evaluate_cost(spec, x[i], y[j]) - g[j], f.grid.n, grid_j.n)
-    return fc, TransformResult(GridFunction(f.grid, values), argmax)
+    values, argmax = _monotone_argmax(score, out.n, g.grid.n)
+    return TransformResult(GridFunction(out, values), argmax)
 
 
 def default_cconvexity_tol(f: GridFunction) -> float:
@@ -155,14 +141,18 @@ def default_cconvexity_tol(f: GridFunction) -> float:
     return 1e-7 * (1.0 + float(np.abs(finite).max())) + 4.0 * f.grid.h * f.max_slope()
 
 
+def c_convexity(f: GridFunction, fcc: GridFunction, tol: float) -> tuple[bool, float]:
+    """f is c-convex iff f = f^cc: (sup|f - f^cc| <= tol, that deviation)."""
+    deviation = sup_norm_diff(f, fcc)
+    return deviation <= check_tol(tol), deviation
+
+
 def is_c_convex(f: GridFunction, cost: CostMatrix, tol: float | None = None) -> tuple[bool, float]:
-    """f is c-convex iff f = f^cc; returns (holds, sup-norm deviation)."""
+    """``c_convexity`` through the cost matrix, tol defaulting to ``default_cconvexity_tol``."""
     if not f.is_finite:
         raise ValueError("is_c_convex requires an everywhere-finite f")
     tol = default_cconvexity_tol(f) if tol is None else check_tol(tol)
-    fcc = double_c_transform(f, cost).values
-    deviation = sup_norm_diff(f, fcc)
-    return deviation <= tol, deviation
+    return c_convexity(f, double_c_transform(f, cost).values, tol)
 
 
 def to_concave_problem(f: GridFunction, cost: CostMatrix) -> tuple[GridFunction, CostMatrix]:

@@ -216,26 +216,16 @@ def loop_cost_self_subdiff(cost, tol):
     return worst
 
 
-def loop_quadrature(f, rule="trapezoid"):
-    """Composite quadrature, one left-to-right Python sum."""
+def loop_quadrature(f):
+    """Composite trapezoid rule, one left-to-right Python sum."""
     if not f.is_finite:
         raise ValueError("quadrature requires everywhere-finite values")
     v = f.values
-    h = f.grid.h
-    if rule == "trapezoid":
-        acc = 0.5 * v[0]
-        for x in v[1:-1]:
-            acc += x
-        acc += 0.5 * v[-1]
-        return float(acc * h)
-    if rule == "midpoint":
-        if f.grid.n % 2 == 0:
-            raise ValueError("midpoint rule needs an odd number of grid points")
-        acc = 0.0
-        for x in v[1::2]:
-            acc += x
-        return float(acc * 2.0 * h)
-    raise ValueError(f"unknown quadrature rule: {rule!r}")
+    acc = 0.5 * v[0]
+    for x in v[1:-1]:
+        acc += x
+    acc += 0.5 * v[-1]
+    return float(acc * f.grid.h)
 
 
 def loop_mass(weights):

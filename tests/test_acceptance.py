@@ -14,8 +14,8 @@ from cconvex.costs import CostSpec, tabulate_cost
 from cconvex.grids import DiscreteMeasure, GridFunction, make_uniform_grid
 from cconvex.jensen import discrete_jensen_gap, integral_jensen_bound, midpoint_bound, weighted_integral_bound
 from cconvex.propcheck import InstanceConfig, generate_instance, run_suite
-from cconvex.transform import (c_transform, double_c_transform, is_c_convex,
-                               monotone_c_transform)
+from cconvex.subdiff import Analysis
+from cconvex.transform import c_transform, double_c_transform, is_c_convex
 from oracles import chunked_bilinear_conjugate
 
 
@@ -52,7 +52,7 @@ def test_criterion_1_conjugate_correctness():
 
     g8 = make_uniform_grid(-1, 1, 8193)
     f8 = GridFunction(g8, 0.5 * g8.points**2)
-    fast = monotone_c_transform(f8, CostSpec("bilinear"), g8)
+    fast = Analysis(f8, CostSpec("bilinear"), grid_j=g8).fc
     brute_vals, brute_arg = chunked_bilinear_conjugate(g8.points, f8.values, g8.points)
     gap = np.abs(fast.values.values - brute_vals).max()
     arg_ok = np.array_equal(fast.argmax, brute_arg)

@@ -12,8 +12,7 @@ from cconvex.cli import (_build_grids, _common_config, _config_hash, build_parse
 from cconvex.costs import parse_cost_spec, read_cost_csv, tabulate_cost
 from cconvex.grids import make_uniform_grid, read_grid_function_csv, sup_norm_diff
 from cconvex.jensen import WITNESS_BLOCK_CELLS
-from cconvex.subdiff import membership_triples
-from cconvex.transform import conjugates
+from cconvex.subdiff import Analysis
 from cconvex.verdicts import Verdict
 
 
@@ -90,7 +89,8 @@ class TestTransformCommand:
         pts = np.array([float(r[0]) for r in rows[1:]])
         vals = np.array([float(r[1]) for r in rows[1:]])
         assert np.abs(vals - np.abs(pts)).max() <= 1e-15
-        verdict = json.loads(open(prefix + "_verdict.json").read())
+        with open(prefix + "_verdict.json") as fh:
+            verdict = json.load(fh)
         assert verdict["holds"] is True
 
     def test_csv_input_function(self, tmp_path):
@@ -115,7 +115,7 @@ class TestTransformCommand:
         assert payload["c_convex"] == {"deviation": None, "holds": None, "tol": 1e-9}
         fcc = payload["f_cc"]["values"]
         assert all(v <= f for v, f in zip(fcc, [1, 0.25, float("inf"), 0.25, 1]))
-        with pytest.raises(SystemExit, match="^error: membership_triples requires an "
+        with pytest.raises(SystemExit, match="^error: Analysis.triples requires an "
                                              "everywhere-finite f$"):
             run(["subdiff", *grids, "--out", str(tmp_path / "s.json")])
 
@@ -379,7 +379,8 @@ def dumped_payload(command, argv):
     spec, f = parse_cost_spec(args.cost), parse_function(args.f, gi)
     payload = {"config": _common_config(args)}
     if command == "transform":
-        fc, fcc = conjugates(f, spec, gj)
+        a = Analysis(f, spec, grid_j=gj)
+        fc, fcc = a.fc, a.fcc
         deviation = sup_norm_diff(f, fcc.values)
         payload.update({
             "f_c": {"points": gj.points.tolist(), "values": fc.values.values.tolist(),
@@ -389,7 +390,7 @@ def dumped_payload(command, argv):
             "c_convex": {"holds": deviation <= args.tol, "deviation": deviation,
                          "tol": args.tol}})
     else:
-        dom, rows, cols, slack = membership_triples(f, spec, gj, args.tol)
+        dom, rows, cols, slack = Analysis(f, spec, args.tol, gj).triples
         payload.update({"dom": dom.tolist(),
                         "triples": [list(t) for t in zip(rows.tolist(), cols.tolist(),
                                                          slack.tolist())]})
@@ -549,6 +550,14 @@ class TestGenCommand:
         want = tabulate_cost(parse_cost_spec(cost), written.grid_i, written.grid_j)
         assert np.array_equal(written.entries, want.entries)
 
+    @pytest.mark.parametrize("family", ["random_piecewise_linear", "random_smooth_fourier"])
+    @pytest.mark.parametrize("amplitude", ["inf", "nan"])
+    def test_nonfinite_amplitude_is_an_error(self, tmp_path, family, amplitude):
+        with pytest.raises(SystemExit, match=f"^error: amplitude must be finite, got {amplitude}$"):
+            run(["gen", "--f-family", family, "--amplitude", amplitude,
+                 "--out", str(tmp_path / "inst")])
+        assert not list(tmp_path.iterdir())
+
     def test_zero_amplitude(self, tmp_path):
         prefix = str(tmp_path / "flat")
         assert run(["gen", "--n", "17", "--m", "17", "--amplitude", "0",
@@ -561,6 +570,12 @@ class TestErrors:
     def test_bad_interval(self):
         with pytest.raises(SystemExit, match="interval"):
             run(["transform", "--interval-i", "zero-one"])
+
+    @pytest.mark.parametrize("f", ["zero", "parabola"])
+    def test_overflowing_interval_length(self, f):
+        with pytest.raises(SystemExit, match=r"^error: interval length overflows: "
+                                             r"\[-1e\+308, 1e\+308\]$"):
+            run(["transform", "--interval-i=-1e308,1e308", "--f", f])
 
     def test_negative_pair_cap(self):
         with pytest.raises(SystemExit, match="pair_cap must be >= 0, got -5"):
@@ -577,7 +592,7 @@ class TestErrors:
         def no_work(*args, **kwargs):
             raise AssertionError("computation started before the tol check")
 
-        for name in ("conjugates", "membership_triples", "discrete_jensen_gap"):
+        for name in ("Analysis", "discrete_jensen_gap"):
             monkeypatch.setattr(f"cconvex.cli.{name}", no_work)
         with pytest.raises(SystemExit, match="^error: tol must be finite and >= 0"):
             run([command, f"--tol={tol}"])

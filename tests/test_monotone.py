@@ -15,9 +15,8 @@ from hypothesis import strategies as st
 from cconvex import cli
 from cconvex.costs import CostDomainError, CostSpec, parse_cost_spec, tabulate_cost, twist_bound
 from cconvex.grids import GridFunction, make_uniform_grid
-from cconvex.subdiff import membership_slack, membership_triples, subdifferential_map
-from cconvex.transform import (_monotone_argmax, c_transform, conjugates, double_c_transform,
-                               is_c_convex, monotone_c_transform)
+from cconvex.subdiff import Analysis, membership_slack, subdifferential_map
+from cconvex.transform import _monotone_argmax, c_transform, double_c_transform, is_c_convex
 from oracles import brute_c_transform
 
 # cost, I interval, J interval; the reflector needs x*y < 1 on I x J, and
@@ -108,9 +107,10 @@ class TestDifferential:
             assert twist_bound(spec, gi, gj) is not None
             cost = tabulate_cost(spec, gi, gj)
             f = make_f(kind, gi, cost, rng)
-            fc, fcc = conjugates(f, spec, gj)
+            a = Analysis(f, spec, grid_j=gj)
+            fc, fcc = a.fc, a.fcc
             assert_same_transform(fc, c_transform(f, cost))
-            assert_same_transform(monotone_c_transform(f, spec, gj), fc)
+            assert "table" not in vars(a)  # the engine's, with no tabulation
             assert_same_transform(fcc, double_c_transform(f, cost))
             values, argmax = brute_c_transform(f.values, cost.entries)
             assert np.array_equal(fc.values.values, values)
@@ -133,9 +133,9 @@ class TestBandedTriples:
             f = make_f(kind, gi, cost, rng)
             dense = membership_slack(f, cost)
             # the dense arithmetic against the engine's f^c
-            blocks = (cost.entries - f.values[:, None]) - monotone_c_transform(f, spec, gj).values.values
+            blocks = (cost.entries - f.values[:, None]) - Analysis(f, spec, grid_j=gj).fc.values.values
             for tol in TOLS:
-                dom, rows, cols, slack = membership_triples(f, spec, gj, tol)
+                dom, rows, cols, slack = Analysis(f, spec, tol, gj).triples
                 member = dense >= -tol
                 want_rows, want_cols = np.nonzero(member)
                 assert np.array_equal(rows, want_rows) and np.array_equal(cols, want_cols)
@@ -161,12 +161,12 @@ class TestBandedTriples:
             gi, gj = make_uniform_grid(-1, 1, n), make_uniform_grid(-1, 1, m)
             assert twist_bound(spec, gi, gj) is not None
             f = GridFunction(gi, f_value(gi.points))
-            fc = monotone_c_transform(f, spec, gj).values.values
+            fc = Analysis(f, spec, grid_j=gj).fc.values.values
             blocks = (tabulate_cost(spec, gi, gj).entries - f.values[:, None]) - fc
             member = blocks >= -tol
             first, last = member.argmax(axis=1), m - 1 - member[:, ::-1].argmax(axis=1)
             splits.append(bool((member.sum(axis=1) < last - first + 1).any()))
-            dom, rows, cols, slack = membership_triples(f, spec, gj, tol)
+            dom, rows, cols, slack = Analysis(f, spec, tol, gj).triples
             want_rows, want_cols = np.nonzero(member)
             assert np.array_equal(rows, want_rows) and np.array_equal(cols, want_cols)
             assert np.array_equal(slack.view(np.int64), blocks[rows, cols].view(np.int64))
@@ -197,7 +197,7 @@ class TestSignedZero:
         g = make_uniform_grid(-1, 1, 11)
         spec = CostSpec("bilinear")
         f = GridFunction(g, np.zeros(11))
-        fc = monotone_c_transform(f, spec, g)
+        fc = Analysis(f, spec, grid_j=g).fc
         dense = c_transform(f, tabulate_cost(spec, g, g))
         assert_same_transform(fc, dense)
         assert fc.argmax[5] == 0 and np.signbit(fc.values.values[5])
@@ -214,11 +214,11 @@ class TestFallback:
     def test_dense_path_unchanged(self, spec):
         g = make_uniform_grid(-1, 1, 33)
         assert twist_bound(spec, g, g) is None
-        with pytest.raises(ValueError, match="not certified twisted"):
-            monotone_c_transform(GridFunction(g, g.points**2), spec, g)
         cost = tabulate_cost(spec, g, g)
         for f in (GridFunction(g, g.points**2), GridFunction(g, np.zeros(33))):
-            fc, fcc = conjugates(f, spec, g)
+            a = Analysis(f, spec, grid_j=g)
+            fc, fcc = a.fc, a.fcc
+            assert a.twist is None and "table" in vars(a)
             for got, want in ((fc, c_transform(f, cost)), (fcc, double_c_transform(f, cost))):
                 assert np.array_equal(got.values.values.view(np.int64),
                                       want.values.values.view(np.int64))
@@ -235,10 +235,10 @@ class TestFallback:
             tabulate_cost(spec, gi, gj)
         f = GridFunction(gi, np.zeros(9))
         with pytest.raises(CostDomainError) as engine:
-            conjugates(f, spec, gj)
+            Analysis(f, spec, grid_j=gj).fc
         assert str(engine.value) == str(dense.value)
         with pytest.raises(CostDomainError) as triples:
-            membership_triples(f, spec, gj)
+            Analysis(f, spec, grid_j=gj).triples
         assert str(triples.value) == str(dense.value)
 
     def test_reflector_bound_and_its_limit(self):
@@ -252,7 +252,7 @@ class TestFallback:
         g = make_uniform_grid(-(1 - 2**-53), 1 - 2**-53, 9)
         f = GridFunction(g, g.points**2)
         cost = tabulate_cost(spec, g, g)
-        dom, rows, cols, slack = membership_triples(f, spec, g)
+        dom, rows, cols, slack = Analysis(f, spec, grid_j=g).triples
         dense = membership_slack(f, cost)
         assert np.array_equal(np.c_[rows, cols], np.argwhere(dense >= -1e-9))
         assert np.array_equal(slack, dense[rows, cols])
@@ -264,12 +264,12 @@ class TestFallback:
         def no_work(*args, **kwargs):
             raise AssertionError("computation started before the f check")
 
-        monkeypatch.setattr("cconvex.subdiff.tabulate_cost", no_work)
-        monkeypatch.setattr("cconvex.subdiff.monotone_c_transform", no_work)
+        for name in ("tabulate_cost", "twist_bound", "_engine_c_transform"):
+            monkeypatch.setattr(f"cconvex.subdiff.{name}", no_work)
         g = make_uniform_grid(-1, 1, 9)
         f = GridFunction(g, np.where(g.points > 0.5, np.inf, 0.0))
-        with pytest.raises(ValueError, match="^membership_triples requires an everywhere-finite f$"):
-            membership_triples(f, spec, g)
+        with pytest.raises(ValueError, match="^Analysis.triples requires an everywhere-finite f$"):
+            Analysis(f, spec, grid_j=g).triples
 
     @pytest.mark.parametrize("spec, iv", [
         (CostSpec("bilinear"), (-1e200, 1e200)),
@@ -281,9 +281,50 @@ class TestFallback:
         g = make_uniform_grid(*iv, 5)
         assert twist_bound(spec, g, g) is None
         f = GridFunction(g, np.zeros(5))
-        for call in (lambda: conjugates(f, spec, g), lambda: membership_triples(f, spec, g)):
+        for call in (lambda: Analysis(f, spec, grid_j=g).fc,
+                     lambda: Analysis(f, spec, grid_j=g).triples):
             with pytest.raises(ValueError, match="^cost matrix entries must all be finite$"):
                 call()
+
+
+class TestAnalysis:
+    @pytest.mark.parametrize("family, iv_i, iv_j", TWISTED + DENSE_FALLBACK)
+    def test_one_twist_bound_per_instance(self, monkeypatch, family, iv_i, iv_j):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return twist_bound(*args)
+
+        monkeypatch.setattr("cconvex.subdiff.twist_bound", counted)
+        gi, gj = make_uniform_grid(*iv_i, 33), make_uniform_grid(*iv_j, 31)
+        a = Analysis(GridFunction(gi, gi.points**2), parse_cost_spec(family), grid_j=gj)
+        a.fc, a.fcc, a.triples
+        assert len(calls) == 1
+
+    def test_matrix_goes_to_no_engine(self, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("a cost matrix went to the engine")
+
+        for name in ("twist_bound", "tabulate_cost", "_engine_c_transform"):
+            monkeypatch.setattr(f"cconvex.subdiff.{name}", no_work)
+        g = make_uniform_grid(-1, 1, 17)
+        cost = tabulate_cost(CostSpec("bilinear"), g, g)
+        f = GridFunction(g, g.points**2)
+        a = Analysis(f, cost, grid_j=g)
+        assert a.table is cost and a.grid_j is cost.grid_j
+        assert_same_transform(a.fc, c_transform(f, cost))
+        assert_same_transform(a.fcc, double_c_transform(f, cost))
+        dom, rows, cols, slack = a.triples
+        assert np.array_equal(np.c_[rows, cols], np.argwhere(a.member))
+
+    def test_grid_j_is_checked(self):
+        g, h = make_uniform_grid(-1, 1, 17), make_uniform_grid(-1, 1, 9)
+        f = GridFunction(g, g.points**2)
+        with pytest.raises(ValueError, match="^grid_j must be omitted or the cost matrix's own J grid$"):
+            Analysis(f, tabulate_cost(CostSpec("bilinear"), g, g), grid_j=h)
+        with pytest.raises(ValueError, match="^a cost spec needs its J grid, grid_j$"):
+            Analysis(f, CostSpec("bilinear"))
 
 
 def dense_payload(command, argv):
@@ -395,3 +436,20 @@ class TestMemory:
         # subdiff is banded: O(n + m) besides its output of about n triples
         bound = (200 if command == "transform" else 1000) * (n + n)
         assert peak < bound, f"peak {peak / 1e6:.1f} MB"
+
+    @pytest.mark.parametrize("family, iv_i, iv_j", TWISTED)
+    def test_spec_analysis_peak(self, family, iv_i, iv_j):
+        # f^c, f^cc and the banded triples of a certified spec: O(n + m)
+        n = 2049
+        gi, gj = make_uniform_grid(*iv_i, n), make_uniform_grid(*iv_j, n)
+        f = GridFunction(gi, np.abs(gi.points))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            a = Analysis(f, parse_cost_spec(family), grid_j=gj)
+            a.fc, a.fcc, a.triples
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert "table" not in vars(a)
+        assert peak < 1000 * (n + n), f"peak {peak / 1e6:.1f} MB"

@@ -1,3 +1,4 @@
+import math
 from collections import Counter
 
 import numpy as np
@@ -171,6 +172,12 @@ class TestGenerateInstance:
     def test_unknown_family(self):
         with pytest.raises(ValueError, match="family"):
             generate_instance(InstanceConfig(seed=0, f_family="nope"))
+
+    @pytest.mark.parametrize("family", ["random_piecewise_linear", "random_smooth_fourier"])
+    @pytest.mark.parametrize("amplitude", [math.inf, -math.inf, math.nan])
+    def test_nonfinite_amplitude_rejected(self, family, amplitude):
+        with pytest.raises(ValueError, match="^amplitude must be finite"):
+            InstanceConfig(seed=0, f_family=family, amplitude=amplitude)
 
 
 class TestMixtureWeights:

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from cconvex.costs import CostSpec, tabulate_cost
 from cconvex.grids import GridFunction, make_uniform_grid, sup_norm_diff
-from cconvex.transform import (c_transform, double_c_transform, is_c_convex,
-                               monotone_c_transform, to_concave_problem)
+from cconvex.subdiff import Analysis
+from cconvex.transform import c_transform, double_c_transform, is_c_convex, to_concave_problem
 from oracles import brute_c_transform, brute_double_conjugate
 
 
@@ -235,13 +235,13 @@ class TestFenchelFast:
 
     def test_zero_function(self):
         g = make_uniform_grid(-1, 1, 41)
-        r = monotone_c_transform(GridFunction(g, np.zeros(41)), BILINEAR, g)
+        r = Analysis(GridFunction(g, np.zeros(41)), BILINEAR, grid_j=g).fc
         assert np.allclose(r.values.values, np.abs(g.points), atol=1e-15)
 
     def test_half_square(self):
         g = make_uniform_grid(-1, 1, 513)
         f = GridFunction(g, 0.5 * g.points**2)
-        r = monotone_c_transform(f, BILINEAR, g)
+        r = Analysis(f, BILINEAR, grid_j=g).fc
         assert np.abs(r.values.values - 0.5 * g.points**2).max() <= 1e-3
 
     def test_matches_brute_force_on_random_instances(self):
@@ -249,7 +249,7 @@ class TestFenchelFast:
         cost = tabulate_cost(CostSpec("bilinear"), g, g)
         for seed in range(200):
             f = random_f(g, seed)
-            fast = monotone_c_transform(f, BILINEAR, g)
+            fast = Analysis(f, BILINEAR, grid_j=g).fc
             brute = c_transform(f, cost)
             assert np.abs(fast.values.values - brute.values.values).max() <= 1e-12
             assert np.array_equal(fast.argmax, brute.argmax)
@@ -259,7 +259,7 @@ class TestFenchelFast:
         gj = make_uniform_grid(-2, 0.5, 77)
         cost = tabulate_cost(CostSpec("bilinear"), gi, gj)
         f = random_f(gi, 11)
-        fast = monotone_c_transform(f, BILINEAR, gj)
+        fast = Analysis(f, BILINEAR, grid_j=gj).fc
         brute = c_transform(f, cost)
         assert np.abs(fast.values.values - brute.values.values).max() <= 1e-12
         assert np.array_equal(fast.argmax, brute.argmax)
