@@ -61,7 +61,10 @@ def parse_function(text: str, grid) -> GridFunction:
     elif name == "neg_absolute_value":
         vals = -np.abs(x)
     elif name == "constant":
-        vals = np.full(grid.n, float(params) if params else 0.0)
+        try:
+            vals = np.full(grid.n, float(params) if params else 0.0)
+        except ValueError:
+            raise SystemExit(f"error: constant needs a number as its param, got {params!r}")
     elif name == "zero":
         vals = np.zeros(grid.n)
     elif name == "piecewise_linear":
@@ -231,7 +234,10 @@ def _parse_measure(text: str) -> DiscreteMeasure:
     atoms = []
     for part in text.split(","):
         x, _, p = part.partition(":")
-        atoms.append((float(x), float(p)))
+        try:
+            atoms.append((float(x), float(p)))
+        except ValueError:
+            raise ValueError(f"--measure atom {part!r} is not 'x:p' with numbers x and p") from None
     return DiscreteMeasure.from_atoms(atoms)
 
 

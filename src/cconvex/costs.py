@@ -196,9 +196,10 @@ def twist_bound(spec: CostSpec, grid_i: Grid, grid_j: Grid) -> Optional[float]:
     """
     fam, x, y = spec.family, grid_i.points, grid_j.points
     if fam == "one_affine":
-        a = _poly(y, spec.a_coeffs)
-        if (np.diff(a) <= 0).any():
-            return None
+        with np.errstate(over="ignore", invalid="ignore"):
+            a = _poly(y, spec.a_coeffs)
+            if (np.diff(a) <= 0).any():
+                return None
     elif fam not in ("bilinear", "neg_quadratic", "reflector"):
         return None
     else:
@@ -266,14 +267,16 @@ def _check_dense_cells(grid_i: Grid, grid_j: Grid):
 
 def tabulate_cost(spec: CostSpec, grid_i: Grid, grid_j: Grid) -> CostMatrix:
     _check_dense_cells(grid_i, grid_j)
-    entries = evaluate_cost(spec, grid_i.points[:, None], grid_j.points[None, :])
+    with np.errstate(over="ignore", invalid="ignore"):  # CostMatrix rejects what overflows
+        entries = evaluate_cost(spec, grid_i.points[:, None], grid_j.points[None, :])
     return CostMatrix(grid_i, grid_j, entries)
 
 
 def tabulate_callable(fn: Callable, grid_i: Grid, grid_j: Grid) -> CostMatrix:
     """Tabulate an arbitrary c(x, y) callable (broadcasting) on a product grid."""
     _check_dense_cells(grid_i, grid_j)
-    entries = np.asarray(fn(grid_i.points[:, None], grid_j.points[None, :]), dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        entries = np.asarray(fn(grid_i.points[:, None], grid_j.points[None, :]), dtype=float)
     return CostMatrix(grid_i, grid_j, entries)
 
 

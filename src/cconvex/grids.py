@@ -75,6 +75,9 @@ class Grid:
             raise ValueError(f"grid needs at least 2 points, got n={self.n}")
         pts = self.interval.lo + np.arange(self.n) * self.h
         pts[-1] = self.interval.hi  # endpoint exact regardless of rounding in lo + (n-1)*h
+        if (np.diff(pts) <= 0).any():
+            raise ValueError(f"[{self.interval.lo}, {self.interval.hi}] is too short for "
+                             f"{self.n} strictly increasing grid points")
         pts.flags.writeable = False
         object.__setattr__(self, "_points", pts)
 

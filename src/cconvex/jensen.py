@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -65,15 +65,12 @@ class JensenReport:
         }
 
 
-def _f_value(f: GridFunction, xs: np.ndarray,
-             f_eval: Optional[Callable]) -> tuple[np.ndarray, bool]:
-    """f at (possibly off-grid) points; returns (values, used_interpolation).
-    ``f_eval`` is called once per point."""
-    if f_eval is not None:
-        return np.array([float(f_eval(x)) for x in xs.tolist()]), False
+def _f_value(f: GridFunction, xs: np.ndarray, tol: float) -> tuple[np.ndarray, float]:
+    """f at (possibly off-grid) points, interpolated linearly between grid
+    values, and ``tol`` plus what that costs, up to 2 * Lhat * h."""
     if not f.is_finite:
         raise ValueError("interpolated evaluation needs an everywhere-finite f")
-    return np.interp(xs, f.grid.points, f.values), True
+    return np.interp(xs, f.grid.points, f.values), tol + 2.0 * f.max_slope() * f.grid.h
 
 
 # Cells of the grid x witness gap table evaluated at once: a searched witness
@@ -117,16 +114,8 @@ def _resolve_witness(f, cost, anchor, fb, y, grid_j, eff_tol):
     return float(grid_j.points[j]), True
 
 
-def _interp_tol(f: GridFunction, tol: float, used_interp: bool) -> float:
-    # linear interpolation at off-grid points costs up to 2 * Lhat * h
-    if not used_interp:
-        return tol
-    return tol + 2.0 * f.max_slope() * f.grid.h
-
-
 def discrete_jensen_gap(f: GridFunction, cost: CostSpec, mu: DiscreteMeasure,
                         y: Optional[float] = None, tol: float = 1e-9,
-                        f_eval: Optional[Callable] = None,
                         grid_j: Optional[Grid] = None) -> JensenReport:
     """Gap bound sum p_i f(x_i) - f(b) >= sum p_i c(x_i, y) - c(b, y)."""
     check_tol(tol)
@@ -136,12 +125,9 @@ def discrete_jensen_gap(f: GridFunction, cost: CostSpec, mu: DiscreteMeasure,
         raise ValueError(f"measure atom {mu.positions[outside.argmax()]} lies outside "
                          f"the interval [{iv.lo}, {iv.hi}]")
     b = barycenter(mu)
-    f_vals, used_interp = _f_value(f, np.r_[b, mu.positions], f_eval)
+    f_vals, eff_tol = _f_value(f, np.r_[b, mu.positions], tol)
     fb = f_vals[0]
-    eff_tol = _interp_tol(f, tol, used_interp)
-    notes = []
-    if used_interp:
-        notes.append("f interpolated at barycenter")
+    notes = ["f interpolated at barycenter"]
     if b in (iv.lo, iv.hi):
         notes.append("barycenter at an endpoint")
     y, hyp_ok = _resolve_witness(f, cost, b, fb, y, grid_j, eff_tol)
@@ -160,22 +146,19 @@ def discrete_jensen_gap(f: GridFunction, cost: CostSpec, mu: DiscreteMeasure,
 
 def midpoint_bound(f: GridFunction, cost: CostSpec, a: float, b: float,
                    y: Optional[float] = None, tol: float = 1e-9,
-                   f_eval: Optional[Callable] = None,
                    grid_j: Optional[Grid] = None) -> JensenReport:
     """Two-atom equal-weight specialization of the discrete gap bound."""
     mu = DiscreteMeasure(np.array([a, b], dtype=float), np.array([0.5, 0.5]))
-    return discrete_jensen_gap(f, cost, mu, y=y, tol=tol, f_eval=f_eval, grid_j=grid_j)
+    return discrete_jensen_gap(f, cost, mu, y=y, tol=tol, grid_j=grid_j)
 
 
 def support_concavity_check(f: GridFunction, cost: CostSpec, a: float, b: float,
-                            y: float, tol: float = 1e-9,
-                            f_eval: Optional[Callable] = None) -> Verdict:
+                            y: float, tol: float = 1e-9) -> Verdict:
     """Midpoint concavity of g(x) = c(x, y) - f(x): g((a+b)/2) >= (g(a)+g(b))/2."""
     check_tol(tol)
     xs = np.array([(a + b) / 2.0, a, b])
-    f_vals, used_interp = _f_value(f, xs, f_eval)
+    f_vals, eff_tol = _f_value(f, xs, tol)
     gm, ga, gb = evaluate_cost(cost, xs, y) - f_vals
-    eff_tol = _interp_tol(f, tol, used_interp)
     excess = float((ga + gb) / 2.0 - gm - eff_tol)
     return Verdict("support_concavity", excess <= 0.0, excess,
                    witness=None if excess <= 0 else (a, b, y),
@@ -231,14 +214,13 @@ def integral_jensen_bound(f: GridFunction, cost: CostSpec, xi: Optional[float] =
 
 def weighted_integral_bound(f: GridFunction, cost: CostSpec, mu: DiscreteMeasure,
                             y: Optional[float] = None, tol: float = 1e-9,
-                            f_eval: Optional[Callable] = None,
                             grid_j: Optional[Grid] = None) -> JensenReport:
     """Weighted form for a discrete measure; the barycenter must be interior."""
     iv = f.grid.interval
     b = barycenter(mu)
     if b <= iv.lo + 1e-12 * (1 + abs(iv.lo)) or b >= iv.hi - 1e-12 * (1 + abs(iv.hi)):
         raise ValueError(f"weighted form requires an interior barycenter, got {b}")
-    return discrete_jensen_gap(f, cost, mu, y=y, tol=tol, f_eval=f_eval, grid_j=grid_j)
+    return discrete_jensen_gap(f, cost, mu, y=y, tol=tol, grid_j=grid_j)
 
 
 def classical_reduction_check(f: GridFunction, cost: CostSpec, grid_j: Grid,

@@ -125,9 +125,7 @@ def _instance_function(cfg: InstanceConfig, cost: CostMatrix) -> GridFunction:
     if cfg.f_family == "cconvexified_random":
         raw = GridFunction(grid_i, _raw_function(cfg, grid_i, rng, "random_smooth_fourier"))
         return double_c_transform(raw, cost).values
-    if cfg.f_family in F_FAMILIES:
-        return GridFunction(grid_i, _raw_function(cfg, grid_i, rng, cfg.f_family))
-    raise ValueError(f"unknown f family {cfg.f_family!r}")
+    return GridFunction(grid_i, _raw_function(cfg, grid_i, rng, cfg.f_family))
 
 
 def generate_instance(cfg: InstanceConfig) -> tuple[GridFunction, CostMatrix]:

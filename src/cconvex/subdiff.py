@@ -25,7 +25,7 @@ import numpy as np
 from .costs import CostMatrix, CostSpec, evaluate_cost, tabulate_cost, twist_bound
 from .grids import Grid, GridFunction, check_index, check_tol
 from .transform import (TransformResult, _back_transform, _check_input, _engine_c_transform,
-                        _index_ranges, c_transform, is_c_convex)
+                        _index_ranges, c_convexity, c_transform)
 
 __all__ = [
     "Analysis",
@@ -107,7 +107,8 @@ def membership_slack(f: GridFunction, cost: CostMatrix) -> np.ndarray:
     _check_input(f, cost)
     with np.errstate(invalid="ignore"):
         d = cost.entries - f.values[:, None]
-    return d - d.max(axis=0)[None, :]
+    d -= d.max(axis=0)
+    return d
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,7 +117,8 @@ class Analysis:
     parts is built once, on first use.  ``cost`` is a ``CostMatrix`` or a
     ``CostSpec`` on f's grid and ``grid_j``.  A spec with a ``twist_bound`` on
     the grids takes ``fc``, ``fcc`` and ``triples`` from the engine, without
-    an n x m array; all else reads ``table``, the matrix or the tabulated spec.
+    an n x m array, and ``c_convex`` judges that ``fcc``; all else reads
+    ``table``, the matrix or the tabulated spec.
     """
 
     f: GridFunction
@@ -165,7 +167,9 @@ class Analysis:
 
     @cached_property
     def c_convex(self) -> tuple[bool, float]:
-        return is_c_convex(self.f, self.table)
+        if not self.f.is_finite:
+            raise ValueError("Analysis.c_convex requires an everywhere-finite f")
+        return c_convexity(self.f, self.fcc.values)
 
     @cached_property
     def triples(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -337,11 +341,9 @@ def _window_members(f: GridFunction, cost: CostMatrix, window: LocalWindow,
                     tol: float) -> tuple[np.ndarray, np.ndarray]:
     """max_z in U of c(z, y) - f(z) per y, and the members at x0 against it."""
     check_tol(tol)
-    mask = window.mask(f.grid)
-    with np.errstate(invalid="ignore"):
-        d = cost.entries - f.values[:, None]
-    win_max = d[mask].max(axis=0)
-    return win_max, np.flatnonzero(d[window.x0_index] - win_max >= -tol)
+    mask, x0 = window.mask(f.grid), window.x0_index
+    win_max = (cost.entries[mask] - f.values[mask, None]).max(axis=0)
+    return win_max, np.flatnonzero((cost.entries[x0] - f.values[x0]) - win_max >= -tol)
 
 
 def local_c_subdifferential(f: GridFunction, cost: CostMatrix, window: LocalWindow,

@@ -141,17 +141,20 @@ def default_cconvexity_tol(f: GridFunction) -> float:
     return 1e-7 * (1.0 + float(np.abs(finite).max())) + 4.0 * f.grid.h * f.max_slope()
 
 
-def c_convexity(f: GridFunction, fcc: GridFunction, tol: float) -> tuple[bool, float]:
-    """f is c-convex iff f = f^cc: (sup|f - f^cc| <= tol, that deviation)."""
+def c_convexity(f: GridFunction, fcc: GridFunction, tol: float | None = None) -> tuple[bool, float]:
+    """f is c-convex iff f = f^cc: (sup|f - f^cc| <= tol, that deviation),
+    tol defaulting to ``default_cconvexity_tol``."""
+    tol = default_cconvexity_tol(f) if tol is None else check_tol(tol)
     deviation = sup_norm_diff(f, fcc)
-    return deviation <= check_tol(tol), deviation
+    return deviation <= tol, deviation
 
 
 def is_c_convex(f: GridFunction, cost: CostMatrix, tol: float | None = None) -> tuple[bool, float]:
-    """``c_convexity`` through the cost matrix, tol defaulting to ``default_cconvexity_tol``."""
+    """``c_convexity`` through the cost matrix."""
     if not f.is_finite:
         raise ValueError("is_c_convex requires an everywhere-finite f")
-    tol = default_cconvexity_tol(f) if tol is None else check_tol(tol)
+    if tol is not None:
+        check_tol(tol)
     return c_convexity(f, double_c_transform(f, cost).values, tol)
 
 

@@ -243,12 +243,10 @@ def loop_barycenter(mu):
     return float(acc)
 
 
-def _loop_f_value(f, x, f_eval):
-    if f_eval is not None:
-        return float(f_eval(x)), False
+def _loop_f_value(f, x):
     if not f.is_finite:
         raise ValueError("interpolated evaluation needs an everywhere-finite f")
-    return float(np.interp(x, f.grid.points, f.values)), True
+    return float(np.interp(x, f.grid.points, f.values))
 
 
 def _loop_witness_slack(f, cost, anchor, fb, y):
@@ -266,18 +264,16 @@ def _loop_pick_witness(f, cost, anchor, fb, grid_j):
     return float(grid_j.points[j]), float(slacks[j])
 
 
-def loop_discrete_jensen(f, cost, mu, y=None, tol=1e-9, f_eval=None, grid_j=None):
+def loop_discrete_jensen(f, cost, mu, y=None, tol=1e-9, grid_j=None):
     """The discrete Jensen report, one point and one atom at a time."""
     iv = f.grid.interval
     for x in mu.positions:
         if not iv.contains(float(x)):
             raise ValueError(f"measure atom {x} lies outside the interval [{iv.lo}, {iv.hi}]")
     b = loop_barycenter(mu)
-    fb, used_interp = _loop_f_value(f, b, f_eval)
-    eff_tol = tol + 2.0 * f.max_slope() * f.grid.h if used_interp else tol
-    notes = []
-    if used_interp:
-        notes.append("f interpolated at barycenter")
+    fb = _loop_f_value(f, b)
+    eff_tol = tol + 2.0 * f.max_slope() * f.grid.h
+    notes = ["f interpolated at barycenter"]
     if b in (iv.lo, iv.hi):
         notes.append("barycenter at an endpoint")
     if y is None:
@@ -295,7 +291,7 @@ def loop_discrete_jensen(f, cost, mu, y=None, tol=1e-9, f_eval=None, grid_j=None
     if not hyp_ok:
         notes.append("hypothesis-unverified: y is not a subdifferential member at tol")
 
-    atom_vals = [_loop_f_value(f, float(x), f_eval)[0] for x in mu.positions]
+    atom_vals = [_loop_f_value(f, float(x)) for x in mu.positions]
     lhs = 0.0
     for p, fx in zip(mu.weights, atom_vals):
         lhs += p * fx

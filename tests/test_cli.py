@@ -577,6 +577,31 @@ class TestErrors:
                                              r"\[-1e\+308, 1e\+308\]$"):
             run(["transform", "--interval-i=-1e308,1e308", "--f", f])
 
+    @pytest.mark.parametrize("interval", ["--interval-i=0,5e-324", "--interval-j=0,5e-324"])
+    def test_interval_too_short_for_the_grid(self, interval):
+        with pytest.raises(SystemExit, match=r"^error: \[0\.0, 5e-324\] is too short for 3 "
+                                             r"strictly increasing grid points$"):
+            run(["transform", interval, "--n", "3", "--m", "3"])
+
+    def test_tabulation_overflow_is_only_an_error(self):
+        # numpy's overflow warning no longer precedes the error (pytest
+        # turns any warning into a failure)
+        with pytest.raises(SystemExit, match="^error: cost matrix entries must all be finite$"):
+            run(["transform", "--n", "3", "--m", "3", "--cost", "neg_quadratic",
+                 "--interval-j=1e300,1.5e300"])
+
+    @pytest.mark.parametrize("measure, atom", [("0:0.5,1", "'1'"), ("0:0.5,x:0.5", "'x:0.5'"),
+                                               ("0:0.5,1:", "'1:'"), ("", "''")])
+    def test_bad_measure_atom_is_named(self, measure, atom):
+        with pytest.raises(SystemExit, match=f"^error: --measure atom {atom} is not 'x:p' "
+                                             "with numbers x and p$"):
+            run(["jensen", "--n", "5", "--m", "5", f"--measure={measure}"])
+
+    def test_bad_constant_is_named(self):
+        with pytest.raises(SystemExit, match="^error: constant needs a number as its param, "
+                                             "got 'abc'$"):
+            run(["transform", "--n", "5", "--m", "5", "--f", "constant:abc"])
+
     def test_negative_pair_cap(self):
         with pytest.raises(SystemExit, match="pair_cap must be >= 0, got -5"):
             run(["suite", "--pair-cap", "-5"])

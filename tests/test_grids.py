@@ -53,6 +53,13 @@ class TestGrid:
         with pytest.raises(ValueError, match="interval"):
             make_uniform_grid(lo, hi, 5)
 
+    @pytest.mark.parametrize("lo, hi, n", [(0, 5e-324, 3), (1, 1 + 2.3e-16, 5)])
+    def test_repeated_points_rejected(self, lo, hi, n):
+        # h = 0.0 gave [0.0, 0.0, 5e-324], and h = 5.55e-17 repeated 1.0 three times
+        with pytest.raises(ValueError, match=rf"^\[{float(lo)}, {float(hi)}\] is too short "
+                                             rf"for {n} strictly increasing grid points$"):
+            make_uniform_grid(lo, hi, n)
+
     def test_too_few_points_rejected(self):
         with pytest.raises(ValueError):
             make_uniform_grid(0, 1, 1)

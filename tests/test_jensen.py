@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cconvex.costs import CostSpec, evaluate_cost, tabulate_cost
-from cconvex.grids import (DiscreteMeasure, GridFunction, barycenter, make_uniform_grid,
-                           sample_function)
+from cconvex.grids import DiscreteMeasure, GridFunction, make_uniform_grid, sample_function
 from cconvex.jensen import (NoAdmissibleWitnessError, classical_reduction_check,
                             discrete_jensen_gap, integral_jensen_bound,
                             midpoint_bound, support_concavity_check,
@@ -113,30 +112,6 @@ class TestDiscreteGap:
         assert "endpoint" in r.notes
 
 
-class TestExactEvaluator:
-    def test_f_eval_replaces_interpolation(self):
-        f = square_on_unit(5)
-        mu = DiscreteMeasure.from_atoms([(0.1, 0.3), (0.35, 0.3), (0.9, 0.4)])
-        calls = []
-
-        def f_eval(x):
-            calls.append(x)
-            return x * x
-
-        b = barycenter(mu)
-        r = discrete_jensen_gap(f, BILINEAR, mu, y=2 * b, tol=1e-9, f_eval=f_eval)
-        assert len(calls) == 4  # once per atom and once at the barycenter
-        assert "interpolated" not in r.notes
-        assert r.tol == 1e-9
-        acc = 0.0
-        for p, x in zip(mu.weights, mu.positions):
-            acc += p * (x * x)
-        assert r.lhs == acc - b * b
-        assert r.holds and r.hypothesis_verified
-        # the interpolated report on the same grid pays for it in tolerance
-        assert discrete_jensen_gap(f, BILINEAR, mu, y=2 * b, tol=1e-9).tol > 1e-9
-
-
 def report_bits(r):
     return {k: float(v).hex() if isinstance(v, float) else bool(v) if k == "holds" else v
             for k, v in dataclasses.asdict(r).items()}
@@ -178,9 +153,8 @@ class TestLoopIdentity:
         w = rng.uniform(0.1, 1, k)
         mu = DiscreteMeasure(pos, w / w.sum())
         y = float(rng.uniform(-0.9, 0.9)) if seed % 2 else None
-        f_eval = (lambda x: -0.0 if seed % 3 == 2 else x * x) if seed % 4 == 1 else None
         args = (f, spec, mu)
-        kwargs = dict(y=y, tol=1e-9, f_eval=f_eval, grid_j=gj)
+        kwargs = dict(y=y, tol=1e-9, grid_j=gj)
         assert outcome(discrete_jensen_gap, *args, **kwargs) == outcome(loop_discrete_jensen,
                                                                         *args, **kwargs)
 

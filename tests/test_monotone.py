@@ -276,7 +276,6 @@ class TestFallback:
         (CostSpec("neg_quadratic", scale=1e300), (-1e5, 1e5)),
         (parse_cost_spec("one_affine:0,1e300;0"), (-1e10, 1e10)),
     ], ids=["bilinear", "neg_quadratic", "one_affine"])
-    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
     def test_overflow_same_error(self, spec, iv):
         g = make_uniform_grid(*iv, 5)
         assert twist_bound(spec, g, g) is None
@@ -317,6 +316,33 @@ class TestAnalysis:
         assert_same_transform(a.fcc, double_c_transform(f, cost))
         dom, rows, cols, slack = a.triples
         assert np.array_equal(np.c_[rows, cols], np.argwhere(a.member))
+
+    @pytest.mark.parametrize("family, iv_i, iv_j", TWISTED)
+    def test_certified_c_convex_builds_no_table(self, monkeypatch, family, iv_i, iv_j):
+        gi, gj = make_uniform_grid(*iv_i, 33), make_uniform_grid(*iv_j, 31)
+        f, spec = GridFunction(gi, np.abs(gi.points)), parse_cost_spec(family)
+        want = is_c_convex(f, tabulate_cost(spec, gi, gj))
+
+        def no_table(*args):
+            raise AssertionError("c_convex tabulated a certified spec")
+
+        monkeypatch.setattr("cconvex.subdiff.tabulate_cost", no_table)
+        a = Analysis(f, spec, grid_j=gj)
+        assert a.c_convex == want
+        assert "table" not in vars(a)
+
+    @pytest.mark.parametrize("matrix", [False, True])
+    def test_nonfinite_c_convex_rejected_before_work(self, monkeypatch, matrix):
+        def no_work(*args, **kwargs):
+            raise AssertionError("computation started before the f check")
+
+        g, spec = make_uniform_grid(-1, 1, 9), CostSpec("bilinear")
+        cost = tabulate_cost(spec, g, g) if matrix else spec
+        for name in ("twist_bound", "tabulate_cost", "_engine_c_transform", "c_transform"):
+            monkeypatch.setattr(f"cconvex.subdiff.{name}", no_work)
+        a = Analysis(GridFunction(g, np.where(g.points > 0.5, np.inf, 0.0)), cost, grid_j=g)
+        with pytest.raises(ValueError, match="^Analysis.c_convex requires an everywhere-finite f$"):
+            a.c_convex
 
     def test_grid_j_is_checked(self):
         g, h = make_uniform_grid(-1, 1, 17), make_uniform_grid(-1, 1, 9)
@@ -436,6 +462,21 @@ class TestMemory:
         # subdiff is banded: O(n + m) besides its output of about n triples
         bound = (200 if command == "transform" else 1000) * (n + n)
         assert peak < bound, f"peak {peak / 1e6:.1f} MB"
+
+    def test_membership_slack_is_one_array(self):
+        # c - f is the one n x m array: the column maximum is subtracted in place
+        n = 1025
+        g = make_uniform_grid(-1, 1, n)
+        f, cost = GridFunction(g, np.abs(g.points)), tabulate_cost(CostSpec("bilinear"), g, g)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            slack = membership_slack(f, cost)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert slack.nbytes == n * n * 8
+        assert peak <= 1.1 * slack.nbytes, f"peak {peak / 1e6:.2f} MB"
 
     @pytest.mark.parametrize("family, iv_i, iv_j", TWISTED)
     def test_spec_analysis_peak(self, family, iv_i, iv_j):

@@ -54,16 +54,18 @@ class TestAnalysis:
                 return fn(*args)
             return wrapper
 
-        monkeypatch.setattr(subdiff, "membership_slack",
-                            counted("slack", subdiff.membership_slack))
-        monkeypatch.setattr(subdiff, "is_c_convex", counted("c_convex", subdiff.is_c_convex))
+        for name in ("membership_slack", "c_transform", "_back_transform"):
+            monkeypatch.setattr(subdiff, name, counted(name, getattr(subdiff, name)))
         f, cost = bilinear_instance(3)
         a = Analysis(f, cost)
         assert not calls
         for _ in range(2):
             assert np.array_equal(a.member, a.slack >= -a.tol)
             assert a.c_convex == is_c_convex(f, cost)
-        assert calls == {"slack": 1, "c_convex": 1}
+        assert np.array_equal(a.fc.values.values, transform.c_transform(f, cost).values.values)
+        assert np.array_equal(a.fcc.values.values,
+                              transform.double_c_transform(f, cost).values.values)
+        assert calls == {"membership_slack": 1, "c_transform": 1, "_back_transform": 1}
         assert np.array_equal(a.slack, subdiff.membership_slack(f, cost))
 
     @pytest.mark.parametrize("tol", BAD_TOLS)
@@ -113,8 +115,9 @@ class TestPairCap:
             raise AssertionError("work started before the pair_cap check")
 
         f, cost = parabola_neg_quadratic()
-        for module, name in ((propcheck, "check_structure"), (subdiff, "is_c_convex"),
-                             (subdiff, "membership_slack"), (propcheck, "tabulate_cost")):
+        for module, name in ((propcheck, "check_structure"), (subdiff, "c_transform"),
+                             (subdiff, "_back_transform"), (subdiff, "membership_slack"),
+                             (propcheck, "tabulate_cost")):
             monkeypatch.setattr(module, name, no_work)
         with pytest.raises(ValueError, match=message):
             if check is None:
@@ -170,7 +173,7 @@ class TestGenerateInstance:
         assert not np.array_equal(f1.values, f2.values)
 
     def test_unknown_family(self):
-        with pytest.raises(ValueError, match="family"):
+        with pytest.raises(ValueError, match="^unknown f family 'nope'$"):
             generate_instance(InstanceConfig(seed=0, f_family="nope"))
 
     @pytest.mark.parametrize("family", ["random_piecewise_linear", "random_smooth_fourier"])
@@ -418,6 +421,117 @@ class TestLocalSupportIff:
         values[40] = np.inf
         with pytest.raises(ValueError, match="f is \\+inf at grid index 40"):
             check_local_support_iff(Analysis(GridFunction(self.g, values), self.cost), 40, 0.25)
+
+
+def planted(a, cells=(), empty=False):
+    """``a`` with its cached ``member`` replaced: the true members (none
+    when ``empty``) plus the false members at ``cells``."""
+    member = np.zeros_like(a.member) if empty else a.member.copy()
+    for cell in cells:
+        member[cell] = True
+    vars(a)["member"] = member
+    return a
+
+
+def on_grid(g, values, cost):
+    return Analysis(GridFunction(g, values), cost)
+
+
+class TestVerdictBranches:
+    """Every verdict a check can return: a violation with its witness,
+    planted as a false member where the true instance holds, each vacuous
+    sweep and each failed hypothesis."""
+
+    def setup_method(self):
+        self.g = make_uniform_grid(-1, 1, 33)   # x_16 = 0, x_32 = 1, h = 1/16
+        self.bilinear = tabulate_cost(CostSpec("bilinear"), self.g, self.g)
+        gj = make_uniform_grid(-2.5, 2.5, 33)
+        self.neg_quadratic = tabulate_cost(CostSpec("neg_quadratic"), self.g, gj)
+        # two_affine and segment-concave (fully affine), with c_xy = 0: only
+        # 0.25 x + const is c-convex
+        self.affine = tabulate_callable(lambda x, y: 0.4 * y + 0.25 * x + 0.1, self.g, self.g)
+        # affine in y, convex in x: two_affine, neither one_concave nor segment-concave
+        self.convex_in_x = tabulate_callable(lambda x, y: x**2 + x * y, self.g, self.g)
+
+    def test_mixture_witness(self):
+        # y = 1 at x = -1 has slack -2 for |x|, -2.25 for x^2 and -2.125 for
+        # their even mixture, whose max_z (z - |z|/2 - z^2/2) is 1/8
+        x = self.g.points
+        a = planted(on_grid(self.g, np.abs(x), self.bilinear), [(0, 32)])
+        b = planted(on_grid(self.g, x**2, self.bilinear), [(0, 32)])
+        v = check_mixture(a, b, (0.5,))
+        assert not v.holds and v.witness == (0, 32, 0.5)
+        # the excess is beyond tol + 1e-12 * (1 + max|c|, |f|, |g|)
+        assert v.max_violation == 2.125 - (1e-9 + 1e-12 * 2.0)
+        assert check_mixture(a, b, (0.0, 0.5, 1.0)).witness == (0, 32, 1.0)
+
+    def test_order_propagation_witness(self):
+        # g = 1/2 > f = |x| on |x| < 1/2, where the member of g is y = 0; a
+        # false member y = 0 of f at x = 1 makes f(1) - g(1) = 1/2 the violation,
+        # first reached from u = 9 (x = -0.4375)
+        a = planted(on_grid(self.g, np.abs(self.g.points), self.bilinear), [(32, 16)])
+        b = on_grid(self.g, np.full(33, 0.5), self.bilinear)
+        v = check_order_propagation(a, b)
+        assert not v.holds and v.witness == (9, 32) and v.max_violation == 0.5
+
+    def test_grad_inclusion_witness(self):
+        # f = x^2/2 has the one member y = x; y = 1 at x = 0 mismatches
+        # f'(0) = 0 by 1, beyond the threshold 4 * (h * M2f / 2 + tol / h)
+        a = planted(on_grid(self.g, 0.5 * self.g.points**2, self.bilinear), [(16, 32)])
+        v = check_grad_inclusion(a, CostSpec("bilinear"))
+        assert not v.holds and v.witness == (16, 32)
+        assert v.max_violation == pytest.approx(1 - 4 * (0.5 / 16 + 16e-9))
+
+    def test_unplanted_instances_hold(self):
+        x = self.g.points
+        assert check_mixture(on_grid(self.g, np.abs(x), self.bilinear),
+                             on_grid(self.g, x**2, self.bilinear), (0.5,)).holds
+        assert check_order_propagation(on_grid(self.g, np.abs(x), self.bilinear),
+                                       on_grid(self.g, np.full(33, 0.5), self.bilinear)).holds
+        assert check_grad_inclusion(on_grid(self.g, 0.5 * x**2, self.bilinear),
+                                    CostSpec("bilinear")).holds
+
+    @pytest.mark.parametrize("check, cost, f, notes", [
+        (lambda a: check_mixture(a, a), "bilinear", np.abs, "vacuous: no qualifying cases"),
+        (lambda a: check_order_propagation(
+            a, Analysis(GridFunction(a.f.grid, a.f.values + 1.0), a.cost)),
+         "bilinear", np.abs, "vacuous: no qualifying cases"),
+        (check_subdiff_convexity, "bilinear", np.abs, "vacuous: every subdifferential empty"),
+        (check_set_valued_convexity, "affine", lambda x: 0.25 * x - 0.2,
+         "vacuous: effective domain has fewer than two points"),
+        (check_intersection_inclusion, "neg_quadratic", np.square, "vacuous: no qualifying cases"),
+        (check_domain_interval, "neg_quadratic", np.square, "vacuous: no qualifying cases"),
+        (lambda a: check_grad_inclusion(a, CostSpec("bilinear")), "bilinear", np.square,
+         "vacuous: no interior members"),
+    ], ids=["mixture", "order_propagation", "subdiff_convexity", "set_valued_convexity",
+            "intersection_inclusion", "domain_interval", "grad_inclusion"])
+    def test_no_members_is_vacuous(self, check, cost, f, notes):
+        a = planted(on_grid(self.g, f(self.g.points), getattr(self, cost)), empty=True)
+        v = check(a)
+        assert (v.holds, v.max_violation, v.witness, v.notes) == (True, 0.0, None, notes)
+
+    @pytest.mark.parametrize("check, cost, f, reason", [
+        (check_set_valued_convexity, "convex_in_x", np.zeros_like,
+         "cost not segment-concave (excess "),
+        (check_set_valued_convexity, "affine", np.square, "f not c-convex (deviation "),
+        (check_intersection_inclusion, "convex_in_x", np.square, "cost not one_concave"),
+        (check_domain_interval, "convex_in_x", np.square, "cost not one_concave"),
+    ], ids=["set_valued_segment_concave", "set_valued_c_convex", "intersection_one_concave",
+            "domain_one_concave"])
+    def test_failed_hypothesis(self, check, cost, f, reason):
+        v = check(on_grid(self.g, f(self.g.points), getattr(self, cost)))
+        assert (v.holds, v.max_violation, v.witness) == (True, 0.0, None)
+        assert v.notes.startswith(f"hypothesis-failed: {reason}")
+        assert v.notes.endswith("; conclusion not judged")
+
+    def test_intersection_inclusion_needs_a_c_convex_f(self):
+        # x^2 is convex, but under -(x - y)^2 its subgradients y = 2x must lie
+        # in J = [-0.1, 0.1]: f^cc(1) = -0.805, a deviation of 1.805
+        gj = make_uniform_grid(-0.1, 0.1, 33)
+        cost = tabulate_cost(CostSpec("neg_quadratic"), self.g, gj)
+        v = check_intersection_inclusion(on_grid(self.g, self.g.points**2, cost))
+        assert (v.holds, v.max_violation, v.witness) == (True, 0.0, None)
+        assert v.notes.startswith("hypothesis-failed: f not c-convex (deviation 1.80")
 
 
 class TestSuite:
