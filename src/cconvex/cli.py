@@ -271,8 +271,8 @@ def cmd_suite(args) -> int:
                "verdicts": [v.to_dict() for v in verdicts]}
     _dump_json(args.out, payload)
     for v in verdicts:
-        print(f"{'PASS' if v.holds else 'FAIL'} {v.check_id} "
-              f"max_violation={v.max_violation:.3e} {v.notes}", file=sys.stderr)
+        print(f"{v.status} {v.check_id} max_violation={v.max_violation:.3e} {v.notes}",
+              file=sys.stderr)
     return 0 if all(v.holds for v in verdicts) else 1
 
 
@@ -339,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = command("suite", cmd_suite, "run the proposition suite on its fixed n = m = 101 "
                                      "instances", instance=False, f=False)
-    sp.add_argument("--pair-cap", type=int, default=10000,
+    sp.add_argument("--pair-cap", type=int, default=10100,
                     help="all ordered pairs when they fit under it, else this many seeded draws")
     sp.add_argument("--falsify", action="store_true",
                     help="corrupt hypothesis-gated inputs to show hypothesis reporting")

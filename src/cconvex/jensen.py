@@ -156,13 +156,17 @@ def support_concavity_check(f: GridFunction, cost: CostSpec, a: float, b: float,
                             y: float, tol: float = 1e-9) -> Verdict:
     """Midpoint concavity of g(x) = c(x, y) - f(x): g((a+b)/2) >= (g(a)+g(b))/2."""
     check_tol(tol)
+    iv = f.grid.interval
+    for name, x in (("a", a), ("b", b)):
+        if not iv.lo <= x <= iv.hi:   # NaN included
+            raise ValueError(f"{name} = {x} lies outside the interval [{iv.lo}, {iv.hi}]")
+    if not math.isfinite(y):
+        raise ValueError(f"y must be finite, got {y}")
     xs = np.array([(a + b) / 2.0, a, b])
     f_vals, eff_tol = _f_value(f, xs, tol)
     gm, ga, gb = evaluate_cost(cost, xs, y) - f_vals
     excess = float((ga + gb) / 2.0 - gm - eff_tol)
-    return Verdict("support_concavity", excess <= 0.0, excess,
-                   witness=None if excess <= 0 else (a, b, y),
-                   notes=f"tol={eff_tol}")
+    return Verdict("support_concavity", excess, (a, b, y), notes=f"tol={eff_tol}")
 
 
 def _quadrature_tol(f: GridFunction, c_col: np.ndarray, tol: float) -> float:
@@ -244,6 +248,4 @@ def classical_reduction_check(f: GridFunction, cost: CostSpec, grid_j: Grid,
     mean_f = quadrature(f) / iv.length
     classical_excess = float(f.values[idx]) - mean_f
     excess = max(worst - quad_tol, classical_excess - quad_tol)
-    return Verdict("classical_reduction", excess <= 0.0, float(excess),
-                   witness=None if excess <= 0 else (idx,),
-                   notes=f"quad_tol={quad_tol}")
+    return Verdict("classical_reduction", float(excess), (idx,), notes=f"quad_tol={quad_tol}")

@@ -9,11 +9,12 @@ Conventions shared by all checks:
   hypotheses pass.  The two-function checks need one cost object and one
   tol; mixture weights must be a nonempty sequence of numbers in [0, 1].
 * ``max_violation`` is the excess beyond the check's documented
-  allowance, so ``holds <=> max_violation <= 0``.
+  allowance; a judged verdict's ``status`` is ``held`` when it is <= 0,
+  else ``violated``, and only a violated verdict keeps its witness.
 * Hypothesis checks are separated from conclusion checks; when a
-  hypothesis fails the verdict holds with a ``hypothesis-failed`` note
-  and the conclusion is not judged.
-* Vacuous sweeps (no qualifying pairs) hold with a ``vacuous`` note.
+  hypothesis fails the status is ``hypothesis_failed`` and the conclusion
+  is not judged.
+* Vacuous sweeps (no qualifying pairs) have the status ``vacuous``.
 * ``pair_cap`` alone decides a pair sweep's pairs: all k(k-1) ordered
   pairs of a k-point pool when they fit under it, else ``pair_cap``
   seeded draws.  A cap that is not an integer >= 0 is rejected before
@@ -47,8 +48,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .costs import (CostMatrix, CostSpec, check_structure, cost_dx, parse_cost_spec,
-                    segment_concavity_excess, tabulate_callable, tabulate_cost)
+from .costs import (CostMatrix, CostSpec, check_structure, cost_dx, evaluate_cost,
+                    parse_cost_spec, segment_concavity_excess, tabulate_callable, tabulate_cost)
 from .grids import Grid, GridFunction, check_index, check_tol, make_uniform_grid
 from .subdiff import Analysis, LocalWindow, local_double_conjugate, membership_slack
 from .transform import double_c_transform
@@ -255,11 +256,12 @@ def _sample_pairs(rng: np.random.Generator, pool: np.ndarray,
 
 
 def _hypothesis_verdict(check_id: str, reason: str) -> Verdict:
-    return Verdict(check_id, True, 0.0, notes=f"hypothesis-failed: {reason}; conclusion not judged")
+    return Verdict(check_id, 0.0, notes=f"hypothesis-failed: {reason}; conclusion not judged",
+                   status="hypothesis_failed")
 
 
 def _vacuous(check_id: str, notes: str = "vacuous: no qualifying cases") -> Verdict:
-    return Verdict(check_id, True, 0.0, notes=notes)
+    return Verdict(check_id, 0.0, notes=notes, status="vacuous")
 
 
 def _is_convex_values(values: np.ndarray, tol: float) -> bool:
@@ -305,11 +307,9 @@ def check_mixture(a: Analysis, b: Analysis,
         val = float(excess.max())
         if val > worst:
             worst = val
-            if val > 0:
-                i, j = map(int, np.unravel_index(np.argmax(excess), excess.shape))
-                witness = (i, j, float(lam))
-    return Verdict(check_id, worst <= 0.0, worst, witness,
-                   notes=f"lambdas={list(lambdas)}; tol={tol}")
+            i, j = map(int, np.unravel_index(np.argmax(excess), excess.shape))
+            witness = (i, j, float(lam))
+    return Verdict(check_id, worst, witness, notes=f"lambdas={list(lambdas)}; tol={tol}")
 
 
 def check_order_propagation(a: Analysis, b: Analysis) -> Verdict:
@@ -333,12 +333,8 @@ def check_order_propagation(a: Analysis, b: Analysis) -> Verdict:
     if not qualifying.any():
         return _vacuous(check_id)
     viol = np.where(qualifying, f.values[None, :] - g.values[None, :], -np.inf)
-    worst = float(viol.max())
-    witness = None
-    if worst > 0:
-        u, v = map(int, np.unravel_index(np.argmax(viol), viol.shape))
-        witness = (u, v)
-    return Verdict(check_id, worst <= 0.0, worst, witness, notes=f"u-gap=4*tol; tol={tol}")
+    u, v = map(int, np.unravel_index(np.argmax(viol), viol.shape))
+    return Verdict(check_id, float(viol[u, v]), (u, v), notes=f"u-gap=4*tol; tol={tol}")
 
 
 def _subdiff_convexity_sweep(member: np.ndarray, grid_j: Grid, tol: float,
@@ -359,7 +355,7 @@ def _subdiff_convexity_sweep(member: np.ndarray, grid_j: Grid, tol: float,
     return worst, witness
 
 
-def check_subdiff_convexity(a: Analysis, pair_cap: int = 10000, seed: int = 0) -> Verdict:
+def check_subdiff_convexity(a: Analysis, pair_cap: int = 10100, seed: int = 0) -> Verdict:
     """Under a 2-affine cost every nonempty subdifferential is an interval
     of the y grid, and distinct interior points share at most one
     subgradient (intersection diameter <= y grid step + tol)."""
@@ -375,8 +371,7 @@ def check_subdiff_convexity(a: Analysis, pair_cap: int = 10000, seed: int = 0) -
     interior = np.arange(1, a.f.grid.n - 1)
     i1, i2 = _sample_pairs(rng, interior, pair_cap)
     worst, witness = _subdiff_convexity_sweep(a.member, a.cost.grid_j, a.tol, i1, i2)
-    return Verdict(check_id, worst <= 0.0, float(worst), witness,
-                   notes=f"pairs={i1.size}; tol={a.tol}")
+    return Verdict(check_id, float(worst), witness, notes=f"pairs={i1.size}; tol={a.tol}")
 
 
 def _set_valued_sweep(slack: np.ndarray, member: np.ndarray, grid_i: Grid, grid_j: Grid,
@@ -417,7 +412,7 @@ def _set_valued_sweep(slack: np.ndarray, member: np.ndarray, grid_i: Grid, grid_
 
 
 def check_set_valued_convexity(a: Analysis, lambdas: Sequence[float] = DEFAULT_LAMBDAS,
-                               pair_cap: int = 10000, seed: int = 0) -> Verdict:
+                               pair_cap: int = 10100, seed: int = 0) -> Verdict:
     """For a concave 2-affine cost and convex, c-convex f, mixtures of
     subgradients at two points are subgradients at the mixed point.
 
@@ -449,7 +444,7 @@ def check_set_valued_convexity(a: Analysis, lambdas: Sequence[float] = DEFAULT_L
         return _vacuous(check_id, "vacuous: no distinct pairs sampled")
     worst, witness = _set_valued_sweep(a.slack, a.member, f.grid, cost.grid_j, lambdas, tol,
                                        _lipschitz(f, cost), rng, i1s, i2s)
-    return Verdict(check_id, worst <= 0.0, float(worst), witness,
+    return Verdict(check_id, float(worst), witness,
                    notes=f"pairs={i1s.size}; concavity=segment-tested; tol={tol}")
 
 
@@ -490,7 +485,7 @@ def _intersection_sweep(slack: np.ndarray, member: np.ndarray, grid_i: Grid,
 
 
 def check_intersection_inclusion(a: Analysis, lambdas: Sequence[float] = DEFAULT_LAMBDAS,
-                                 pair_cap: int = 10000, seed: int = 0) -> Verdict:
+                                 pair_cap: int = 10100, seed: int = 0) -> Verdict:
     """For a 1-concave cost and convex, c-convex f, a common subgradient
     of two points is a subgradient at every convex combination."""
     check_id = "intersection_inclusion"
@@ -514,8 +509,7 @@ def check_intersection_inclusion(a: Analysis, lambdas: Sequence[float] = DEFAULT
         a.slack, a.member, f.grid, lambdas, tol, _lipschitz(f, cost), i1s, i2s)
     if not any_intersection:
         return _vacuous(check_id, "vacuous: no intersecting pairs found")
-    return Verdict(check_id, worst <= 0.0, float(worst), witness,
-                   notes=f"pairs={i1s.size}; tol={tol}")
+    return Verdict(check_id, float(worst), witness, notes=f"pairs={i1s.size}; tol={tol}")
 
 
 def _domain_interval_sweep(member: np.ndarray, dom_relaxed: np.ndarray, i1s: np.ndarray,
@@ -537,7 +531,7 @@ def _domain_interval_sweep(member: np.ndarray, dom_relaxed: np.ndarray, i1s: np.
     return worst, witness, any_intersection
 
 
-def check_domain_interval(a: Analysis, pair_cap: int = 10000, seed: int = 0) -> Verdict:
+def check_domain_interval(a: Analysis, pair_cap: int = 10100, seed: int = 0) -> Verdict:
     """For a 1-concave cost and convex f, two points with intersecting
     subdifferentials bracket an interval contained in the effective
     domain.  Grid points between them are exact convex combinations, so
@@ -559,7 +553,7 @@ def check_domain_interval(a: Analysis, pair_cap: int = 10000, seed: int = 0) -> 
     worst, witness, any_intersection = _domain_interval_sweep(a.member, dom_relaxed, i1s, i2s)
     if not any_intersection:
         return _vacuous(check_id, "vacuous: no intersecting pairs found")
-    return Verdict(check_id, worst <= 0.0, float(worst), witness,
+    return Verdict(check_id, float(worst), witness,
                    notes=f"pairs={i1s.size}; allowance=2*tol; tol={tol}")
 
 
@@ -570,7 +564,8 @@ def check_grad_inclusion(a: Analysis, cost_spec: CostSpec) -> Verdict:
         C = (M2f + M2c)/2 + h*M3f/6 + tol/h^2,
 
     M2/M3 the max second/third difference quotients (f' estimated by
-    central differences), times 4 for margin; dc/dx comes from ``cost_spec``.
+    central differences), times 4 for margin; dc/dx comes from ``cost_spec``,
+    which must give the cost table exactly at every member.
     """
     check_id = "grad_inclusion"
     f, cost, tol = a.f, a.cost, a.tol
@@ -579,21 +574,19 @@ def check_grad_inclusion(a: Analysis, cost_spec: CostSpec) -> Verdict:
     pairs = np.argwhere(a.member[interior])
     if pairs.size == 0:
         return _vacuous(check_id, "vacuous: no interior members")
+    rows, cols = interior[pairs[:, 0]], pairs[:, 1]
+    xs, ys = f.grid.points[rows], cost.grid_j.points[cols]
+    if not np.array_equal(evaluate_cost(cost_spec, xs, ys), cost.entries[rows, cols]):
+        raise ValueError(f"cost_spec {cost_spec} does not give the cost table at its members")
     m2f = float(np.abs(np.diff(f.values, 2)).max()) / h**2
     m3f = float(np.abs(np.diff(f.values, 3)).max(initial=0.0)) / h**3
     m2c = float(np.abs(np.diff(cost.entries, 2, axis=0)).max()) / h**2
     threshold = 4.0 * ((0.5 * (m2f + m2c) + h * m3f / 6.0) * h + tol / h)
     fprime = (f.values[2:] - f.values[:-2]) / (2.0 * h)
-    xs = f.grid.points[interior[pairs[:, 0]]]
-    ys = cost.grid_j.points[pairs[:, 1]]
     dc = np.asarray(cost_dx(cost_spec, xs, ys), dtype=float)
     mismatch = np.abs(dc - fprime[pairs[:, 0]])
-    worst = float(mismatch.max() - threshold)
-    witness = None
-    if worst > 0:
-        k = int(np.argmax(mismatch))
-        witness = (int(interior[pairs[k, 0]]), int(pairs[k, 1]))
-    return Verdict(check_id, worst <= 0.0, worst, witness,
+    k = int(np.argmax(mismatch))
+    return Verdict(check_id, float(mismatch[k] - threshold), (int(rows[k]), int(cols[k])),
                    notes=f"threshold={threshold}; members={pairs.shape[0]}; tol={tol}")
 
 
@@ -607,8 +600,7 @@ def check_cost_self_subdiff(cost: CostMatrix, tol: float = 0.0) -> Verdict:
     dev -= dev.max(axis=0)
     np.abs(dev, out=dev)
     worst = float(dev.max()) - tol
-    return Verdict(check_id, worst <= 0.0, worst,
-                   notes=f"tol={tol} (identity; slack must vanish exactly)")
+    return Verdict(check_id, worst, notes=f"tol={tol} (identity; slack must vanish exactly)")
 
 
 def check_local_support_iff(a: Analysis, alpha_index: int, epsilon: float) -> Verdict:
@@ -629,15 +621,14 @@ def check_local_support_iff(a: Analysis, alpha_index: int, epsilon: float) -> Ve
         # no support => strict drop below f(alpha)
         excess = lb.value - (f0 - eq_tol)
         note = "no support; strict drop checked (exhaustive-y convention)"
-    return Verdict(check_id, excess <= 0.0, float(excess),
-                   witness=None if excess <= 0 else (int(alpha_index),),
+    return Verdict(check_id, float(excess), (int(alpha_index),),
                    notes=f"{note}; epsilon={epsilon}; tol={tol}")
 
 
 # ---------------------------------------------------------------------------
 # suite orchestration
 
-def run_suite(seed: int = 0, tol: float = 1e-9, pair_cap: int = 10000,
+def run_suite(seed: int = 0, tol: float = 1e-9, pair_cap: int = 10100,
               falsify: bool = False) -> list[Verdict]:
     """Deterministic battery over seeded instances exercising every check.
 

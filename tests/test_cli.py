@@ -269,16 +269,15 @@ class TestSuiteCommand:
         assert run(["suite", "--seed", "0", "--pair-cap", "500", "--out", str(a)]) == 0
         assert run(["suite", "--seed", "0", "--pair-cap", "500", "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
-        err = capsys.readouterr().err
-        assert "PASS" in err and "FAIL" not in err
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 2 * 18 and all(line.startswith("held ") for line in lines)
 
     def test_falsify_still_exits_zero(self, tmp_path, capsys):
         out = tmp_path / "f.json"
         assert run(["suite", "--seed", "0", "--pair-cap", "200", "--falsify",
                     "--out", str(out)]) == 0
-        payload = json.loads(out.read_text())
-        notes = " ".join(v["notes"] for v in payload["verdicts"])
-        assert "hypothesis-failed" in notes
+        statuses = {v["status"] for v in json.loads(out.read_text())["verdicts"]}
+        assert "hypothesis_failed" in statuses and "violated" not in statuses
 
     def test_pair_cap_zero_is_vacuous(self, tmp_path, capsys):
         # no sampled pair: vacuous verdicts with finite violations, valid JSON
@@ -286,20 +285,31 @@ class TestSuiteCommand:
         assert run(["suite", "--seed", "0", "--pair-cap", "0", "--out", str(out)]) == 0
         verdicts = {v["check_id"]: v for v in json.loads(out.read_text())["verdicts"]}
         v = verdicts["set_valued_convexity"]
-        assert v["holds"] and v["max_violation"] == 0.0 and "vacuous" in v["notes"]
+        assert (v["status"], v["holds"], v["max_violation"]) == ("vacuous", True, 0.0)
 
     def test_violated_verdict_exits_one(self, tmp_path, monkeypatch, capsys):
-        verdicts = [Verdict("b_check", True, -1.0, notes="fine"),
-                    Verdict("a_check", False, 0.5, witness=(3, 4, 0.25), notes="broken")]
+        verdicts = [Verdict("b_check", -1.0, notes="fine"),
+                    Verdict("a_check", 0.5, witness=(3, 4, 0.25), notes="broken")]
         monkeypatch.setattr(propcheck, "run_suite", lambda **kwargs: verdicts)
         out = tmp_path / "s.json"
         assert run(["suite", "--out", str(out)]) == 1
         assert capsys.readouterr().err.splitlines() == [
-            "FAIL a_check max_violation=5.000e-01 broken",
-            "PASS b_check max_violation=-1.000e+00 fine"]
+            "violated a_check max_violation=5.000e-01 broken",
+            "held b_check max_violation=-1.000e+00 fine"]
         written = json.loads(out.read_text())["verdicts"]
         assert [v["check_id"] for v in written] == ["a_check", "b_check"]
+        assert [v["status"] for v in written] == ["violated", "held"]
         assert written[0]["witness"] == [3, 4, 0.25] and written[1]["witness"] is None
+
+    def test_only_a_violated_verdict_exits_one(self, tmp_path, monkeypatch, capsys):
+        verdicts = [Verdict("c_check", 0.0, notes="vacuous: none", status="vacuous"),
+                    Verdict("d_check", 0.0, notes="hypothesis-failed: no",
+                            status="hypothesis_failed")]
+        monkeypatch.setattr(propcheck, "run_suite", lambda **kwargs: verdicts)
+        assert run(["suite", "--out", str(tmp_path / "s.json")]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "vacuous c_check max_violation=0.000e+00 vacuous: none",
+            "hypothesis_failed d_check max_violation=0.000e+00 hypothesis-failed: no"]
 
     def test_verdicts_sorted_by_id(self, tmp_path):
         out = tmp_path / "s.json"
@@ -313,8 +323,8 @@ class TestSuiteGolden:
     byte fails here and must be recorded in CHANGES.md with the new hash."""
 
     @pytest.mark.parametrize("flags, digest", [
-        ([], "c6e1b2574f16c0a0fdf98c92cf93f58e2a569540adfcaff12c4a4ce911347c1b"),
-        (["--falsify"], "d3c5e85da33dfd41ebad8385039140dae6e1f2a4d49ab1ca6c9200b69af1eefa"),
+        ([], "df9c21e3bca365191af53803b85c0726111b6de7f04b73871b571e4ab9c850ee"),
+        (["--falsify"], "6ccb0f8b8f81769eab21923ff8ef3871f773c4d651c1c65c3b112ef47102d289"),
     ])
     def test_seed_0_record(self, tmp_path, flags, digest):
         out = tmp_path / "suite.json"

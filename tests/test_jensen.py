@@ -239,6 +239,25 @@ class TestSupportConcavity:
         assert not v.holds
         assert v.witness == (-1.0, 1.0, 0.0)
 
+    @pytest.mark.parametrize("a, b, y, match", [
+        # np.interp used to clamp -5 and 5 to the ends, which then held as -1, 1 do
+        (-5.0, 5.0, 0.0, r"^a = -5.0 lies outside the interval \[-1.0, 1.0\]$"),
+        (-1.0, 1.0 + 2**-52, 0.0, r"^b = 1.0000000000000002 lies outside the interval"),
+        # NaN used to give a violated conclusion with max_violation nan
+        (float("nan"), 1.0, 0.0, r"^a = nan lies outside the interval"),
+        (-1.0, float("nan"), 0.0, r"^b = nan lies outside the interval"),
+        (-1.0, 1.0, float("nan"), r"^y must be finite, got nan$"),
+        (-1.0, 1.0, float("inf"), r"^y must be finite, got inf$"),
+    ])
+    def test_bad_points_rejected_before_work(self, monkeypatch, a, b, y, match):
+        def no_work(*args, **kwargs):
+            raise AssertionError("evaluated before the input check")
+
+        monkeypatch.setattr("cconvex.jensen.evaluate_cost", no_work)
+        monkeypatch.setattr("cconvex.jensen._f_value", no_work)
+        with pytest.raises(ValueError, match=match):
+            support_concavity_check(X2, BILINEAR, a, b, y)
+
 
 class TestIntegralForm:
     def test_square_midpoint(self):

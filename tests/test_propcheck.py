@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from cconvex import costs, propcheck, subdiff, transform
-from cconvex.costs import CostSpec, tabulate_callable, tabulate_cost
+from cconvex.costs import CostSpec, parse_cost_spec, tabulate_callable, tabulate_cost
 from cconvex.grids import GridFunction, make_uniform_grid
 from cconvex.propcheck import (InstanceConfig, check_cost_self_subdiff,
                                check_domain_interval, check_grad_inclusion,
@@ -95,7 +95,7 @@ class TestAnalysis:
     def test_failed_hypothesis_builds_no_slack(self, check, f):
         _, cost = parabola_neg_quadratic()
         a = Analysis(GridFunction(cost.grid_i, f(cost.grid_i.points)), cost)
-        assert "hypothesis-failed" in check(a).notes
+        assert check(a).status == "hypothesis_failed"
         assert not {"slack", "member"} & set(vars(a))
 
 
@@ -233,7 +233,7 @@ class TestMixture:
     def test_self_mixture_holds(self):
         a = Analysis(*bilinear_instance(1))
         v = check_mixture(a, a, (0.0, 0.5, 1.0))
-        assert v.holds and not v.vacuous
+        assert v.status == "held"
 
     def test_two_instances(self):
         f, cost = bilinear_instance(2)
@@ -253,12 +253,12 @@ class TestOrderPropagation:
         f, cost = bilinear_instance(6)
         g = GridFunction(f.grid, f.values + 1.0)
         v = check_order_propagation(Analysis(f, cost), Analysis(g, cost))
-        assert v.holds and not v.vacuous
+        assert v.status == "held"
 
     def test_equal_functions_vacuous(self):
         a = Analysis(*bilinear_instance(7))
         v = check_order_propagation(a, a)
-        assert v.holds and v.vacuous
+        assert v.status == "vacuous"
 
 
 class TestSubdiffConvexity:
@@ -267,20 +267,20 @@ class TestSubdiffConvexity:
         cost = tabulate_cost(CostSpec("bilinear"), g, g)
         f = GridFunction(g, np.abs(g.points))
         v = check_subdiff_convexity(Analysis(f, cost))
-        assert v.holds and not v.vacuous
+        assert v.status == "held"
 
     def test_non_two_affine_cost_is_a_hypothesis_failure(self):
         g = make_uniform_grid(-1, 1, 33)
         cost = tabulate_cost(CostSpec("neg_quadratic"), g, g)
         f = GridFunction(g, g.points**2)
         v = check_subdiff_convexity(Analysis(f, cost))
-        assert v.holds and "hypothesis-failed" in v.notes
+        assert v.status == "hypothesis_failed"
 
     def test_non_c_convex_f_is_a_hypothesis_failure(self):
         g = make_uniform_grid(-1, 1, 33)
         cost = tabulate_cost(CostSpec("bilinear"), g, g)
         v = check_subdiff_convexity(Analysis(GridFunction(g, -g.points**2), cost))
-        assert v.holds and "hypothesis-failed" in v.notes
+        assert v.status == "hypothesis_failed"
 
 
 class TestSetValuedConvexity:
@@ -298,13 +298,13 @@ class TestSetValuedConvexity:
     def test_nonconvex_f_is_a_hypothesis_failure(self):
         f = GridFunction(self.g, -self.g.points**2)
         v = check_set_valued_convexity(Analysis(f, self.cost))
-        assert v.holds and "hypothesis-failed" in v.notes
+        assert v.status == "hypothesis_failed"
 
     def test_convex_cost_is_a_hypothesis_failure(self):
         g = make_uniform_grid(0, 0.4, 33)
         cost = tabulate_cost(CostSpec("reflector"), g, g)
         v = check_set_valued_convexity(Analysis(GridFunction(g, np.zeros(33)), cost))
-        assert v.holds and "hypothesis-failed" in v.notes
+        assert v.status == "hypothesis_failed"
 
 
 class TestIntersectionInclusion:
@@ -316,12 +316,12 @@ class TestIntersectionInclusion:
     def test_parabola(self):
         f = GridFunction(self.gi, self.gi.points**2)
         v = check_intersection_inclusion(Analysis(f, self.cost))
-        assert v.holds and not v.vacuous
+        assert v.status == "held"
 
     def test_concave_f_is_a_hypothesis_failure(self):
         f = GridFunction(self.gi, -self.gi.points**2)
         v = check_intersection_inclusion(Analysis(f, self.cost))
-        assert v.holds and "hypothesis-failed" in v.notes
+        assert v.status == "hypothesis_failed"
 
 
 class TestDomainInterval:
@@ -331,13 +331,13 @@ class TestDomainInterval:
         cost = tabulate_cost(CostSpec("neg_quadratic"), gi, gj)
         f = GridFunction(gi, gi.points**2)
         v = check_domain_interval(Analysis(f, cost))
-        assert v.holds and not v.vacuous
+        assert v.status == "held"
 
     def test_nonconvex_f_is_a_hypothesis_failure(self):
         gi = make_uniform_grid(-1, 1, 33)
         cost = tabulate_cost(CostSpec("neg_quadratic"), gi, gi)
         v = check_domain_interval(Analysis(GridFunction(gi, np.sin(6 * gi.points)), cost))
-        assert v.holds and "hypothesis-failed" in v.notes
+        assert v.status == "hypothesis_failed"
 
 
 class TestGradInclusion:
@@ -357,7 +357,32 @@ class TestGradInclusion:
         cost = tabulate_cost(spec, gi, gj)
         f = GridFunction(gi, 0.5 * gi.points**2)
         v = check_grad_inclusion(Analysis(f, cost), spec)
-        assert v.holds and not v.vacuous
+        assert v.status == "held"
+
+    @pytest.mark.parametrize("spec, gi, gj", [
+        ("bilinear", (-1, 1), (-1, 1)),
+        ("neg_quadratic", (-1, 1), (-2.5, 2.5)),
+        ("reflector", (0, 0.4), (0, 0.4)),
+        ("one_affine:1;0.3,1,0.7", (-1, 1), (-1, 1)),
+    ])
+    def test_spec_of_the_table_is_judged(self, spec, gi, gj):
+        # f = c(., y_50) has the member y_50 at every x
+        spec = parse_cost_spec(spec)
+        cost = tabulate_cost(spec, make_uniform_grid(*gi, 101), make_uniform_grid(*gj, 101))
+        v = check_grad_inclusion(Analysis(GridFunction(cost.grid_i, cost.entries[:, 50]), cost),
+                                 spec)
+        assert v.status == "held"
+
+    @pytest.mark.parametrize("spec", [CostSpec("neg_quadratic", scale=0.5),
+                                      CostSpec("bilinear")])
+    def test_spec_of_another_cost_rejected(self, spec):
+        # these used to come back violated, by 0.36 and 0.37: a false
+        # proposition failure from a mismatched derivative
+        gi, gj = make_uniform_grid(-1, 1, 101), make_uniform_grid(-2.5, 2.5, 101)
+        cost = tabulate_cost(CostSpec("neg_quadratic"), gi, gj)
+        a = Analysis(GridFunction(gi, 0.5 * gi.points**2), cost)
+        with pytest.raises(ValueError, match="does not give the cost table at its members"):
+            check_grad_inclusion(a, spec)
 
 
 class TestCostSelfSubdiff:
@@ -392,11 +417,11 @@ class TestLocalSupportIff:
 
     def test_affine_piece_has_support(self):
         v = check_local_support_iff(Analysis(self.f, self.cost), self.g.nearest_index(0.5), 0.25)
-        assert v.holds and "support exists" in v.notes
+        assert v.status == "held" and "support exists" in v.notes
 
     def test_concave_kink_has_none(self):
         v = check_local_support_iff(Analysis(self.f, self.cost), self.g.nearest_index(0.0), 0.25)
-        assert v.holds and "no support" in v.notes
+        assert v.status == "held" and "no support" in v.notes
 
     @pytest.mark.parametrize("alpha", [0.5, 0.0])   # support exists, and none
     def test_one_window_sweep_per_verdict(self, monkeypatch, alpha):
@@ -460,7 +485,7 @@ class TestVerdictBranches:
         a = planted(on_grid(self.g, np.abs(x), self.bilinear), [(0, 32)])
         b = planted(on_grid(self.g, x**2, self.bilinear), [(0, 32)])
         v = check_mixture(a, b, (0.5,))
-        assert not v.holds and v.witness == (0, 32, 0.5)
+        assert v.status == "violated" and v.witness == (0, 32, 0.5)
         # the excess is beyond tol + 1e-12 * (1 + max|c|, |f|, |g|)
         assert v.max_violation == 2.125 - (1e-9 + 1e-12 * 2.0)
         assert check_mixture(a, b, (0.0, 0.5, 1.0)).witness == (0, 32, 1.0)
@@ -472,14 +497,14 @@ class TestVerdictBranches:
         a = planted(on_grid(self.g, np.abs(self.g.points), self.bilinear), [(32, 16)])
         b = on_grid(self.g, np.full(33, 0.5), self.bilinear)
         v = check_order_propagation(a, b)
-        assert not v.holds and v.witness == (9, 32) and v.max_violation == 0.5
+        assert v.status == "violated" and v.witness == (9, 32) and v.max_violation == 0.5
 
     def test_grad_inclusion_witness(self):
         # f = x^2/2 has the one member y = x; y = 1 at x = 0 mismatches
         # f'(0) = 0 by 1, beyond the threshold 4 * (h * M2f / 2 + tol / h)
         a = planted(on_grid(self.g, 0.5 * self.g.points**2, self.bilinear), [(16, 32)])
         v = check_grad_inclusion(a, CostSpec("bilinear"))
-        assert not v.holds and v.witness == (16, 32)
+        assert v.status == "violated" and v.witness == (16, 32)
         assert v.max_violation == pytest.approx(1 - 4 * (0.5 / 16 + 16e-9))
 
     def test_unplanted_instances_hold(self):
@@ -508,7 +533,7 @@ class TestVerdictBranches:
     def test_no_members_is_vacuous(self, check, cost, f, notes):
         a = planted(on_grid(self.g, f(self.g.points), getattr(self, cost)), empty=True)
         v = check(a)
-        assert (v.holds, v.max_violation, v.witness, v.notes) == (True, 0.0, None, notes)
+        assert (v.status, v.max_violation, v.witness, v.notes) == ("vacuous", 0.0, None, notes)
 
     @pytest.mark.parametrize("check, cost, f, reason", [
         (check_set_valued_convexity, "convex_in_x", np.zeros_like,
@@ -520,7 +545,7 @@ class TestVerdictBranches:
             "domain_one_concave"])
     def test_failed_hypothesis(self, check, cost, f, reason):
         v = check(on_grid(self.g, f(self.g.points), getattr(self, cost)))
-        assert (v.holds, v.max_violation, v.witness) == (True, 0.0, None)
+        assert (v.status, v.max_violation, v.witness) == ("hypothesis_failed", 0.0, None)
         assert v.notes.startswith(f"hypothesis-failed: {reason}")
         assert v.notes.endswith("; conclusion not judged")
 
@@ -530,7 +555,7 @@ class TestVerdictBranches:
         gj = make_uniform_grid(-0.1, 0.1, 33)
         cost = tabulate_cost(CostSpec("neg_quadratic"), self.g, gj)
         v = check_intersection_inclusion(on_grid(self.g, self.g.points**2, cost))
-        assert (v.holds, v.max_violation, v.witness) == (True, 0.0, None)
+        assert (v.status, v.max_violation, v.witness) == ("hypothesis_failed", 0.0, None)
         assert v.notes.startswith("hypothesis-failed: f not c-convex (deviation 1.80")
 
 
@@ -539,9 +564,7 @@ class TestSuite:
         verdicts = run_suite(seed=0, pair_cap=2000)
         assert len(verdicts) == 18
         for v in verdicts:
-            assert v.holds, (v.check_id, v.max_violation, v.notes)
-            assert not v.vacuous, v.check_id
-            assert "hypothesis-failed" not in v.notes, v.check_id
+            assert v.status == "held", (v.check_id, v.status, v.max_violation, v.notes)
 
     def test_deterministic(self):
         a = [v.to_dict() for v in run_suite(seed=0, pair_cap=500)]
@@ -551,11 +574,22 @@ class TestSuite:
     def test_falsify_reports_hypothesis_failures_not_conclusions(self):
         verdicts = run_suite(seed=0, pair_cap=500, falsify=True)
         assert all(v.holds for v in verdicts)
-        assert any("hypothesis-failed" in v.notes for v in verdicts)
+        assert any(v.status == "hypothesis_failed" for v in verdicts)
 
     def test_check_ids_unique(self):
         ids = [v.check_id for v in run_suite(seed=0, pair_cap=200)]
         assert len(ids) == len(set(ids))
+
+    # the checks whose hypotheses --falsify breaks, the same on seeds 0-24
+    FALSIFIED = {"domain_interval_absval", "domain_interval_parabola", "intersection_inclusion",
+                 "set_valued_convexity", "subdiff_convexity_bilinear", "subdiff_convexity_sinxy"}
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_falsify_fails_hypotheses_never_conclusions(self, seed):
+        assert "violated" not in {v.status for v in run_suite(seed=seed)}
+        verdicts = run_suite(seed=seed, falsify=True)
+        assert {v.check_id for v in verdicts if v.status == "hypothesis_failed"} == self.FALSIFIED
+        assert "violated" not in {v.status for v in verdicts}
 
 
 class TestSuiteWork:
