@@ -24,27 +24,29 @@ Sampling contract of the pair sweeps, which fixes every verdict byte: a
 check seeds one generator, draws all its pairs first, then (for the
 set-valued check) draws one member per endpoint in pair order, x1 before
 x2, as ``rng.choice`` over that row's members would.  Pairs are swept in
-blocks of ``PAIR_BLOCK``, and the witness is the first (pair, lambda)
-position of the maximum excess, set only when that maximum is positive.
-All lambdas of a block are snapped in one pass, with the arithmetic of one
-lambda at a time.
+blocks sized from the cell budget ``PAIR_BLOCK_CELLS`` and what one pair
+holds on the sweep's path, and the witness is the first (pair, lambda)
+position of the maximum excess, set only when that maximum is positive,
+whatever the block size.  All lambdas of a block are snapped in one pass,
+with the arithmetic of one lambda at a time.
 
 Row-span rule: each member row has a count and a first and last member
 column.  When every nonempty row is one interval (last - first + 1 ==
 count), the common members of two rows are the columns from the larger
-first to the smaller last, so a pair costs O(1) instead of an m-wide
-intersection; otherwise the rows are intersected column by column.  The
-rule picks only how a result is computed, never which pairs or members
-are drawn, so the sampling contract above and every verdict byte are the
-same on both sides.  The row-gap part of ``check_subdiff_convexity``,
-whose conclusion is that contiguity, is always judged on the dense rows.
+first to the smaller last, so a pair costs O(1) time and cells instead of
+an m-wide intersection, and a block holds that many more pairs; otherwise
+the rows are intersected column by column.  The rule picks only how a
+result is computed, never which pairs or members are drawn, so the
+sampling contract above and every verdict byte are the same on both
+sides.  The row-gap part of ``check_subdiff_convexity``, whose conclusion
+is that contiguity, is always judged on the dense rows.
 """
 
 from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -74,9 +76,14 @@ __all__ = [
 
 DEFAULT_LAMBDAS = (0.0, 0.25, 0.5, 0.75, 1.0)
 F_FAMILIES = ("random_piecewise_linear", "random_smooth_fourier", "cconvexified_random")
-# Pair sweeps run in blocks of this many pairs, so every temporary holds at
-# most PAIR_BLOCK x m elements whatever the pair cap.
-PAIR_BLOCK = 256
+# The temporaries of one pair-sweep block hold at most this many 8-byte cells,
+# whatever the pair cap.  A sweep's blocks get PAIR_BLOCK_CELLS // (cells one
+# pair holds on its path) pairs: on the row-span path a few (block,) arrays,
+# 8 cells, so 2048 pairs; 8 + m with an m-wide row intersection (150 pairs at
+# m = 101); 2m + 8 a lambda to gather slack rows (72 pairs at m = 101 and
+# three lambdas); 8 a lambda and 24 for the set-valued sweep's member draws
+# (256 pairs at five lambdas).
+PAIR_BLOCK_CELLS = 2**14
 
 
 @dataclass(frozen=True)
@@ -94,6 +101,7 @@ class InstanceConfig:
     amplitude: float = 1.0
 
     def __post_init__(self):
+        _check_seed(self.seed)
         if not np.isfinite(self.amplitude):
             raise ValueError(f"amplitude must be finite, got {self.amplitude}")
 
@@ -193,6 +201,22 @@ def _row_spans(member: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
     return counts, first, last, intervals
 
 
+def _span_cells(spans: tuple, m: int) -> int:
+    """Cells one pair holds while a sweep meets its rows in ``_common_span``:
+    a few (block,) arrays, and the m-wide intersection unless every row is
+    an interval."""
+    return 8 if spans[3] else 8 + m
+
+
+def _pair_blocks(i1: np.ndarray, i2: np.ndarray,
+                 pair_cells: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Consecutive blocks of the pairs (i1[k], i2[k]), in order, of
+    ``PAIR_BLOCK_CELLS // pair_cells`` pairs (at least one), so a block whose
+    pairs hold ``pair_cells`` cells each stays within the budget."""
+    step = max(1, PAIR_BLOCK_CELLS // pair_cells)
+    return ((i1[s:s + step], i2[s:s + step]) for s in range(0, i1.size, step))
+
+
 def _common_span(member: np.ndarray, spans: tuple, a: np.ndarray,
                  b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Whether rows a[k] and b[k] share a member, and the first and last
@@ -201,9 +225,13 @@ def _common_span(member: np.ndarray, spans: tuple, a: np.ndarray,
     per pair; otherwise the rows are intersected column by column."""
     counts, first, last, intervals = spans
     if intervals:
-        lo = np.maximum(first[a], first[b])
-        hi = np.minimum(last[a], last[b])
-        return (counts[a] > 0) & (counts[b] > 0) & (lo <= hi), lo, hi
+        lo, hi = first[a], last[a]
+        np.maximum(lo, first[b], out=lo)
+        np.minimum(hi, last[b], out=hi)
+        meet = lo <= hi
+        meet &= counts[a] > 0
+        meet &= counts[b] > 0
+        return meet, lo, hi
     both = member[a] & member[b]
     lo = both.argmax(axis=1)
     hi = member.shape[1] - 1 - both[:, ::-1].argmax(axis=1)
@@ -237,6 +265,12 @@ def _check_pair_cap(pair_cap: int):
         raise ValueError(f"pair_cap must be an integer, got {pair_cap!r}")
     if pair_cap < 0:
         raise ValueError(f"pair_cap must be >= 0, got {pair_cap}")
+
+
+def _check_seed(seed: int):
+    """A generator seed, rejected unless an integer >= 0."""
+    if not (isinstance(seed, numbers.Integral) and seed >= 0):
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
 
 
 def _sample_pairs(rng: np.random.Generator, pool: np.ndarray,
@@ -298,12 +332,16 @@ def check_mixture(a: Analysis, b: Analysis,
     if not inter.any():
         return _vacuous(check_id)
     margin = _float_margin(cost.entries, f.values, g.values)
+    outside = ~inter
     worst, witness = -np.inf, None
     for lam in lambdas:
         mix = GridFunction(f.grid, (1.0 - lam) * f.values + lam * g.values)
-        sm = membership_slack(mix, cost)
-        # exact arithmetic gives slack_mix >= (1-l) slack_f + l slack_g >= -tol
-        excess = np.where(inter, -sm, -np.inf) - (tol + margin)
+        # exact arithmetic gives slack_mix >= (1-l) slack_f + l slack_g >= -tol;
+        # the excess reuses the slack's array: one n x m float array, not three
+        excess = membership_slack(mix, cost)
+        np.negative(excess, out=excess)
+        excess[outside] = -np.inf
+        excess -= tol + margin
         val = float(excess.max())
         if val > worst:
             worst = val
@@ -347,10 +385,12 @@ def _subdiff_convexity_sweep(member: np.ndarray, grid_j: Grid, tol: float,
     worst, witness = _fold(-np.inf, None, gaps,
                            lambda i: (i, int(first[i]), int(last[i])))
     yv = grid_j.points
-    for s in range(0, i1.size, PAIR_BLOCK):
-        a, b = i1[s:s + PAIR_BLOCK], i2[s:s + PAIR_BLOCK]
+    for a, b in _pair_blocks(i1, i2, _span_cells(spans, member.shape[1])):
         meet, lo, hi = _common_span(member, spans, a, b)
-        excess = np.where(meet, (yv[hi] - yv[lo]) - (grid_j.h + tol), -np.inf)
+        excess = yv[hi]
+        excess -= yv[lo]
+        excess -= grid_j.h + tol
+        excess[~meet] = -np.inf
         worst, witness = _fold(worst, witness, excess, lambda q: (int(a[q]), int(b[q])))
     return worst, witness
 
@@ -361,6 +401,7 @@ def check_subdiff_convexity(a: Analysis, pair_cap: int = 10100, seed: int = 0) -
     subgradient (intersection diameter <= y grid step + tol)."""
     check_id = "subdiff_convexity"
     _check_pair_cap(pair_cap)
+    _check_seed(seed)
     if not check_structure(a.cost, "two_affine").holds:
         return _hypothesis_verdict(check_id, "cost not two_affine")
     if not a.c_convex[0]:
@@ -389,8 +430,7 @@ def _set_valued_sweep(slack: np.ndarray, member: np.ndarray, grid_i: Grid, grid_
     ys = np.flatnonzero(member)
     ys %= member.shape[1]
     worst, witness = -np.inf, None
-    for s in range(0, i1s.size, PAIR_BLOCK):
-        x1, x2 = i1s[s:s + PAIR_BLOCK], i2s[s:s + PAIR_BLOCK]
+    for x1, x2 in _pair_blocks(i1s, i2s, 8 * (lams.size + 3)):
         highs = np.empty(2 * x1.size, dtype=np.int64)
         highs[0::2] = counts[x1]
         highs[1::2] = counts[x2]
@@ -423,6 +463,7 @@ def check_set_valued_convexity(a: Analysis, lambdas: Sequence[float] = DEFAULT_L
     """
     check_id = "set_valued_convexity"
     _check_pair_cap(pair_cap)
+    _check_seed(seed)
     _check_lambdas(lambdas)
     f, cost, tol = a.f, a.cost, a.tol
     if not check_structure(cost, "two_affine").holds:
@@ -458,29 +499,32 @@ def _intersection_sweep(slack: np.ndarray, member: np.ndarray, grid_i: Grid,
     xv = grid_i.points
     lams = np.asarray(lambdas, dtype=float)
     spans = _row_spans(member)
+    m = member.shape[1]
     worst, witness, any_intersection = -np.inf, None, False
-    for s in range(0, i1s.size, PAIR_BLOCK):
-        x1, x2 = i1s[s:s + PAIR_BLOCK], i2s[s:s + PAIR_BLOCK]
-        meet = _common_span(member, spans, x1, x2)[0]
+    for a, b in _pair_blocks(i1s, i2s, _span_cells(spans, m)):
+        meet = _common_span(member, spans, a, b)[0]
         if not meet.any():
             continue
         any_intersection = True
-        # pairs without common members never count; dropping them keeps the
-        # gathered slack rows below small
-        x1, x2 = x1[meet], x2[meet]
-        outside = ~(member[x1] & member[x2])
-        im, allow = _snap(grid_i, _mixtures(xv[x1], xv[x2], lams), 2.0 * (lf + lcx))
-        allow += tol   # no dy term: the common member is not mixed
-        excess = np.empty_like(allow)
-        for k in range(lams.size):
-            rows = slack[im[:, k]]
-            np.negative(rows, out=rows)
-            rows[outside] = -np.inf   # only common members count
-            excess[:, k] = rows.max(axis=1)
-        excess -= allow
-        worst, witness = _fold(worst, witness, excess, lambda q: (
-            int(x1[q // len(lambdas)]), int(x2[q // len(lambdas)]),
-            float(lambdas[q % len(lambdas)])))
+        # pairs without common members never count; only the meeting ones
+        # gather slack rows, in sub-blocks of their own
+        for x1, x2 in _pair_blocks(a[meet], b[meet], 2 * m + 8 * lams.size):
+            outside = ~(member[x1] & member[x2])
+            im, allow = _snap(grid_i, _mixtures(xv[x1], xv[x2], lams), 2.0 * (lf + lcx))
+            allow += tol   # no dy term: the common member is not mixed
+            excess = np.empty_like(allow)
+            rows = np.empty((x1.size, m))
+            for k in range(lams.size):
+                # snapped indices are in range; "clip" skips the copy that
+                # the default mode makes of ``out``
+                np.take(slack, im[:, k], axis=0, out=rows, mode="clip")
+                np.negative(rows, out=rows)
+                rows[outside] = -np.inf   # only common members count
+                rows.max(axis=1, out=excess[:, k])
+            excess -= allow
+            worst, witness = _fold(worst, witness, excess, lambda q: (
+                int(x1[q // len(lambdas)]), int(x2[q // len(lambdas)]),
+                float(lambdas[q % len(lambdas)])))
     return worst, witness, any_intersection
 
 
@@ -490,6 +534,7 @@ def check_intersection_inclusion(a: Analysis, lambdas: Sequence[float] = DEFAULT
     of two points is a subgradient at every convex combination."""
     check_id = "intersection_inclusion"
     _check_pair_cap(pair_cap)
+    _check_seed(seed)
     _check_lambdas(lambdas)
     f, cost, tol = a.f, a.cost, a.tol
     if not check_structure(cost, "one_concave").holds:
@@ -516,16 +561,17 @@ def _domain_interval_sweep(member: np.ndarray, dom_relaxed: np.ndarray, i1s: np.
                            i2s: np.ndarray) -> tuple[float, Optional[tuple], bool]:
     """Count the grid points outside ``dom_relaxed`` between each pair with
     a common member; also reports whether any pair had one."""
-    missing_below = np.concatenate(([0], np.cumsum(~dom_relaxed)))
+    # float counts, exact below 2**53, so a block's differences need no cast
+    missing_below = np.concatenate(([0.0], np.cumsum(~dom_relaxed)))
     spans = _row_spans(member)
     worst, witness, any_intersection = -np.inf, None, False
-    for s in range(0, i1s.size, PAIR_BLOCK):
-        a, b = i1s[s:s + PAIR_BLOCK], i2s[s:s + PAIR_BLOCK]
+    for a, b in _pair_blocks(i1s, i2s, _span_cells(spans, member.shape[1])):
         lo, hi = np.minimum(a, b), np.maximum(a, b)
         meet = _common_span(member, spans, lo, hi)[0]
         any_intersection |= bool(meet.any())
-        missing = (missing_below[hi + 1] - missing_below[lo]).astype(float)
-        excess = np.where(meet, missing, -np.inf)
+        excess = missing_below[hi + 1]
+        excess -= missing_below[lo]
+        excess[~meet] = -np.inf
         worst, witness = _fold(worst, witness, excess, lambda q: (
             int(lo[q]), int(hi[q]), int(lo[q] + np.argmin(dom_relaxed[lo[q]:hi[q] + 1]))))
     return worst, witness, any_intersection
@@ -538,6 +584,7 @@ def check_domain_interval(a: Analysis, pair_cap: int = 10100, seed: int = 0) -> 
     the allowance is 2*tol plus rounding."""
     check_id = "domain_interval"
     _check_pair_cap(pair_cap)
+    _check_seed(seed)
     f, cost, tol = a.f, a.cost, a.tol
     if not check_structure(cost, "one_concave").holds:
         return _hypothesis_verdict(check_id, "cost not one_concave")
@@ -640,6 +687,7 @@ def run_suite(seed: int = 0, tol: float = 1e-9, pair_cap: int = 10100,
     run, in the order returned, grouped to release each after its last check.
     """
     _check_pair_cap(pair_cap)
+    _check_seed(seed)
     check_tol(tol)
     n = 101
     grid = make_uniform_grid(-1.0, 1.0, n)

@@ -616,6 +616,12 @@ class TestErrors:
         with pytest.raises(SystemExit, match="pair_cap must be >= 0, got -5"):
             run(["suite", "--pair-cap", "-5"])
 
+    @pytest.mark.parametrize("command", ["suite", "gen"])
+    def test_negative_seed(self, tmp_path, command):
+        with pytest.raises(SystemExit, match="^error: seed must be an integer >= 0, got -1$"):
+            run([command, "--seed", "-1", "--out", str(tmp_path / "out")])
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("tol", ["nan", "inf", "-1e-9"])
     def test_bad_suite_tol(self, tol):
         with pytest.raises(SystemExit, match="tol must be finite and >= 0"):

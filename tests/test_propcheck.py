@@ -125,6 +125,31 @@ class TestPairCap:
             else:
                 check(Analysis(f, cost), pair_cap=cap)
 
+    @pytest.mark.parametrize("seed", [-1, 2.5, "0"])
+    @pytest.mark.parametrize("check", [*PAIR_CHECKS, None])
+    def test_bad_seed_rejected_before_any_work(self, monkeypatch, check, seed):
+        # -1 used to fail inside numpy ("expected non-negative integer"),
+        # naming neither the seed nor its value, after run_suite had
+        # tabulated its first cost
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the seed check")
+
+        f, cost = parabola_neg_quadratic()
+        for module, name in ((propcheck, "check_structure"), (subdiff, "c_transform"),
+                             (subdiff, "_back_transform"), (subdiff, "membership_slack"),
+                             (propcheck, "tabulate_cost"), (propcheck, "tabulate_callable")):
+            monkeypatch.setattr(module, name, no_work)
+        with pytest.raises(ValueError, match=f"^seed must be an integer >= 0, got {seed!r}$"):
+            if check is None:
+                run_suite(seed=seed)
+            else:
+                check(Analysis(f, cost), seed=seed)
+
+    @pytest.mark.parametrize("seed", [-1, 2.5])
+    def test_instance_config_rejects_a_bad_seed(self, seed):
+        with pytest.raises(ValueError, match=f"^seed must be an integer >= 0, got {seed}$"):
+            InstanceConfig(seed=seed)
+
     def test_all_pairs_when_they_fit_under_the_cap(self):
         pool = np.arange(3, 104)   # 101 points: 10100 ordered pairs
         rng = np.random.default_rng(0)

@@ -4,6 +4,9 @@ Every field of every verdict must match: the sampled pairs, the member
 draws, the float arithmetic and the witness.
 """
 
+import collections
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -40,18 +43,33 @@ def test_suite_verdicts_match_loop_sweeps(monkeypatch, seed, falsify, pair_cap):
     assert [fields(v) for v in fast] == [fields(v) for v in slow]
 
 
+@pytest.mark.parametrize("falsify", [False, True])
+@pytest.mark.parametrize("seed", range(3))
+def test_suite_verdicts_do_not_depend_on_the_budget(monkeypatch, seed, falsify):
+    # a budget of 256 cells sweeps 32 pairs a block on the row-span path,
+    # 4 in the set-valued sweep and 1 in the slack-row gather
+    default = propcheck.run_suite(seed=seed, falsify=falsify)
+    monkeypatch.setattr(propcheck, "PAIR_BLOCK_CELLS", 256)
+    tiny = propcheck.run_suite(seed=seed, falsify=falsify)
+    assert [v.to_dict() for v in tiny] == [v.to_dict() for v in default]
+
+
 # Hand-built inputs on which the conclusions fail, so the witness branch of
-# every sweep is compared too.  700 pairs span several blocks of every size
-# tried, and unit-step grids make the mixtures at lambda = 0.5 exact
-# half-way points, so snapping must break ties as ``Grid.nearest_index`` does.
+# every sweep is compared too.  Unit-step grids make the mixtures at
+# lambda = 0.5 exact half-way points, so snapping must break ties as
+# ``Grid.nearest_index`` does.  Under each cell budget tried, 700 pairs take
+# one-pair blocks (budget 1), several blocks on every path (MID_BUDGET; see
+# test_mid_budget_takes_several_blocks_on_every_path), or one block (the
+# default, on the row-span path).
 
 N, M = 41, 37
-BLOCKS = (1, propcheck.PAIR_BLOCK)
+MID_BUDGET = 1200
+BUDGETS = (1, MID_BUDGET, propcheck.PAIR_BLOCK_CELLS)
 
 
-@pytest.fixture(params=BLOCKS)
-def block(request, monkeypatch):
-    monkeypatch.setattr(propcheck, "PAIR_BLOCK", request.param)
+@pytest.fixture(params=BUDGETS)
+def budget(request, monkeypatch):
+    monkeypatch.setattr(propcheck, "PAIR_BLOCK_CELLS", request.param)
 
 
 def random_member(rng, density=0.3):
@@ -95,7 +113,7 @@ def test_interval_member_rows():
 @pytest.mark.parametrize("tol", TOLS)
 @pytest.mark.parametrize("y_half_width", [1.0, 100.0])
 @pytest.mark.parametrize("seed", range(3))
-def test_subdiff_convexity_sweep_on_intervals(block, seed, y_half_width, tol):
+def test_subdiff_convexity_sweep_on_intervals(budget, seed, y_half_width, tol):
     rng = np.random.default_rng(seed)
     member = interval_member(rng)
     grid_j = make_uniform_grid(-y_half_width, y_half_width, M)
@@ -119,7 +137,7 @@ def test_subdiff_convexity_sweep_touching_intervals():
 
 
 @pytest.mark.parametrize("seed", range(3))
-def test_domain_interval_sweep_on_intervals(block, seed):
+def test_domain_interval_sweep_on_intervals(budget, seed):
     rng = np.random.default_rng(seed)
     member = interval_member(rng)
     dom_relaxed = rng.random(N) < 0.8
@@ -136,7 +154,7 @@ def test_domain_interval_sweep_on_intervals(block, seed):
 @pytest.mark.parametrize("tol", TOLS)
 @pytest.mark.parametrize("y_half_width", [1.0, 100.0])  # gap or diameter wins
 @pytest.mark.parametrize("seed", range(3))
-def test_subdiff_convexity_sweep_witness(block, seed, y_half_width, tol):
+def test_subdiff_convexity_sweep_witness(budget, seed, y_half_width, tol):
     rng = np.random.default_rng(seed)
     member = random_member(rng)
     grid_j = make_uniform_grid(-y_half_width, y_half_width, M)
@@ -153,7 +171,7 @@ LAMBDA_SETS = ((0.5,), (0.25, 0.5, 0.75), propcheck.DEFAULT_LAMBDAS)
 @pytest.mark.parametrize("lambdas", LAMBDA_SETS)
 @pytest.mark.parametrize("tol", TOLS)
 @pytest.mark.parametrize("seed", range(3))
-def test_set_valued_sweep_witness(block, seed, tol, lambdas, intervals):
+def test_set_valued_sweep_witness(budget, seed, tol, lambdas, intervals):
     rng = np.random.default_rng(seed)
     member = interval_member(rng, min_len=1) if intervals else random_member(rng)
     assert propcheck._row_spans(member)[3] == intervals
@@ -172,7 +190,7 @@ def test_set_valued_sweep_witness(block, seed, tol, lambdas, intervals):
 @pytest.mark.parametrize("lambdas", LAMBDA_SETS)
 @pytest.mark.parametrize("tol", TOLS)
 @pytest.mark.parametrize("seed", range(3))
-def test_intersection_sweep_witness(block, seed, tol, lambdas, intervals):
+def test_intersection_sweep_witness(budget, seed, tol, lambdas, intervals):
     rng = np.random.default_rng(seed)
     member = interval_member(rng) if intervals else random_member(rng)
     slack = rng.normal(size=(N, M))
@@ -185,7 +203,7 @@ def test_intersection_sweep_witness(block, seed, tol, lambdas, intervals):
 
 
 @pytest.mark.parametrize("seed", range(3))
-def test_domain_interval_sweep_witness(block, seed):
+def test_domain_interval_sweep_witness(budget, seed):
     rng = np.random.default_rng(seed)
     member = random_member(rng)
     dom_relaxed = rng.random(N) < 0.8
@@ -207,6 +225,78 @@ def test_sweeps_without_common_members():
     dom = np.ones(N, dtype=bool)
     assert propcheck._domain_interval_sweep(member, dom, i1, i2) \
         == loop_domain_interval_sweep(member, dom, i1, i2) == (-np.inf, None, False)
+
+
+@pytest.mark.parametrize("intervals", [False, True])
+def test_mid_budget_takes_several_blocks_on_every_path(monkeypatch, intervals):
+    monkeypatch.setattr(propcheck, "PAIR_BLOCK_CELLS", MID_BUDGET)
+    sizes, pair_blocks = collections.defaultdict(list), propcheck._pair_blocks
+
+    def recorded(i1, i2, pair_cells):
+        for a, b in pair_blocks(i1, i2, pair_cells):
+            sizes[pair_cells].append(a.size)
+            yield a, b
+
+    monkeypatch.setattr(propcheck, "_pair_blocks", recorded)
+    rng = np.random.default_rng(0)
+    member = interval_member(rng, min_len=1) if intervals else random_member(rng)
+    slack = rng.normal(size=(N, M))
+    gi, gj = make_uniform_grid(0, N - 1, N), make_uniform_grid(-3, M - 4, M)
+    i1, i2 = random_pairs(rng)
+    lambdas, lipschitz = (0.25, 0.5, 0.75), (0.5, 0.25, 0.125)
+    propcheck._subdiff_convexity_sweep(member, gj, 1e-9, i1, i2)
+    propcheck._domain_interval_sweep(member, np.ones(N, dtype=bool), i1, i2)
+    propcheck._set_valued_sweep(slack, member, gi, gj, lambdas, 1e-9, lipschitz, rng, i1, i2)
+    propcheck._intersection_sweep(slack, member, gi, lambdas, 1e-9, lipschitz, i1, i2)
+    # three footprints: the rows' path (subdiff, domain and the intersection
+    # pre-filter), the set-valued draws and the slack-row gather; each takes
+    # several blocks, at least one of them full, so the gather's meeting
+    # pairs overflow a sub-block
+    assert len(sizes) == 3
+    assert propcheck._span_cells(propcheck._row_spans(member), M) in sizes
+    for pair_cells, taken in sizes.items():
+        assert len(taken) >= 3 and max(taken) == MID_BUDGET // pair_cells > 1
+
+
+@pytest.mark.parametrize("intervals", [False, True])
+@pytest.mark.parametrize("sweep", list(LOOP_SWEEPS))
+def test_sweep_memory_is_bounded_by_the_budget(sweep, intervals):
+    # every ordered pair of 101 points, as the suite sweeps them.  A block's
+    # temporaries hold at most PAIR_BLOCK_CELLS 8-byte cells; beside them
+    # live numpy's cast buffer (the row counts of a bool matrix) and the
+    # set-valued sweep's member columns, one int64 a member.  Sweeping the
+    # row-span path in one block, or the set-valued sweep in 512-pair
+    # blocks, breaks the bound.
+    n = m = 101
+    rng = np.random.default_rng(0)
+    if intervals:
+        first, length = rng.integers(0, m - 20, n), rng.integers(1, 20, n)
+        cols = np.arange(m)
+        member = (cols >= first[:, None]) & (cols < (first + length)[:, None])
+    else:
+        member = rng.random((n, m)) < 0.3
+    assert propcheck._row_spans(member)[3] == intervals
+    slack = rng.normal(size=(n, m))
+    grid = make_uniform_grid(-1, 1, n)
+    a, b = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    i1, i2 = a.ravel()[a.ravel() != b.ravel()], b.ravel()[a.ravel() != b.ravel()]
+    lambdas, lipschitz = propcheck.DEFAULT_LAMBDAS, (0.5, 0.25, 0.125)
+    args = {
+        "_subdiff_convexity_sweep": (member, grid, 1e-9, i1, i2),
+        "_set_valued_sweep": (slack, member, grid, grid, lambdas, 1e-9, lipschitz,
+                              np.random.default_rng(1), i1, i2),
+        "_intersection_sweep": (slack, member, grid, lambdas, 1e-9, lipschitz, i1, i2),
+        "_domain_interval_sweep": (member, np.ones(n, dtype=bool), i1, i2),
+    }[sweep]
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        getattr(propcheck, sweep)(*args)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    bound = 8 * propcheck.PAIR_BLOCK_CELLS + 8 * np.getbufsize() + 8 * int(member.sum())
+    assert peak < bound, f"peak {peak} B, bound {bound} B"
 
 
 @pytest.mark.parametrize("tol", [0.0, 1e-9])
