@@ -190,6 +190,11 @@ def _mixtures(u: np.ndarray, v: np.ndarray, lambdas: np.ndarray) -> np.ndarray:
     return out
 
 
+def _scaled(w: float, values: np.ndarray) -> np.ndarray:
+    """``w * values``, with 0 * (+inf) = 0: a weight of 0 drops the function."""
+    return np.multiply(w, values, out=np.zeros_like(values), where=(w != 0.0) | (values < np.inf))
+
+
 def _row_spans(member: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
     """Member count, first and last member column of each row (0 and m-1
     for an empty row), and whether every nonempty row is one interval."""
@@ -335,7 +340,7 @@ def check_mixture(a: Analysis, b: Analysis,
     outside = ~inter
     worst, witness = -np.inf, None
     for lam in lambdas:
-        mix = GridFunction(f.grid, (1.0 - lam) * f.values + lam * g.values)
+        mix = GridFunction(f.grid, _scaled(1.0 - lam, f.values) + _scaled(lam, g.values))
         # exact arithmetic gives slack_mix >= (1-l) slack_f + l slack_g >= -tol;
         # the excess reuses the slack's array: one n x m float array, not three
         excess = membership_slack(mix, cost)
@@ -356,23 +361,26 @@ def check_order_propagation(a: Analysis, b: Analysis) -> Verdict:
 
     With tolerance-qualified memberships the exact argument degrades by
     2*tol, so u qualifies only when g(u) - f(u) > 4*tol; the conclusion
-    must then hold outright.
+    must then hold outright.  v qualifies iff f's member row v meets the
+    columns of g's member rows at the qualifying u; f(v) - g(v) does not
+    depend on u, and the witness is the first qualifying (u, v), in
+    row-major order, at the maximum.  No (u, v) table is built.
     """
     check_id = "order_propagation"
-    _shared_cost(a, b)
-    tol, f, g = a.tol, a.f, b.f
-    u_mask = g.values - f.values > 4.0 * tol
+    _, tol, f, g = _shared_cost(a, b), a.tol, a.f, b.f
+    with np.errstate(invalid="ignore"):   # +inf - +inf is NaN: not a gap
+        u_mask = g.values - f.values > 4.0 * tol
     if not u_mask.any():
         return _vacuous(check_id)
-    # pairs (u, v) whose sets intersect: counts[u, v] > 0
-    # float64 so BLAS does the product; counts <= m < 2**53 are exact
-    counts = b.member.astype(float) @ a.member.astype(float).T
-    qualifying = u_mask[:, None] & (counts > 0)
-    if not qualifying.any():
+    v_mask = a.member.any(axis=1, where=b.member.any(axis=0, where=u_mask[:, None]))
+    if not v_mask.any():
         return _vacuous(check_id)
-    viol = np.where(qualifying, f.values[None, :] - g.values[None, :], -np.inf)
-    u, v = map(int, np.unravel_index(np.argmax(viol), viol.shape))
-    return Verdict(check_id, float(viol[u, v]), (u, v), notes=f"u-gap=4*tol; tol={tol}")
+    excess = np.subtract(f.values, g.values, out=np.full(v_mask.size, -np.inf), where=v_mask)
+    top = excess == excess.max()
+    cols = a.member.any(axis=0, where=top[:, None])
+    u = int(np.argmax(u_mask & b.member.any(axis=1, where=cols)))
+    v = int(np.argmax(top & a.member.any(axis=1, where=b.member[u])))
+    return Verdict(check_id, float(excess.max()), (u, v), notes=f"u-gap=4*tol; tol={tol}")
 
 
 def _subdiff_convexity_sweep(member: np.ndarray, grid_j: Grid, tol: float,
@@ -448,6 +456,8 @@ def _set_valued_sweep(slack: np.ndarray, member: np.ndarray, grid_i: Grid, grid_
         worst, witness = _fold(worst, witness, excess, lambda q: (
             int(x1[q // len(lambdas)]), int(x2[q // len(lambdas)]),
             float(lambdas[q % len(lambdas)])))
+        # free this block's arrays before the next block builds its own
+        del highs, draws, a, b, im, allow, jm, dy, excess
     return worst, witness
 
 

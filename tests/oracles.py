@@ -14,6 +14,7 @@ from cconvex.costs import evaluate_cost
 from cconvex.grids import GridFunction
 from cconvex.jensen import JensenReport, NoAdmissibleWitnessError
 from cconvex.subdiff import membership_slack
+from cconvex.verdicts import Verdict
 
 
 def brute_c_transform(f_vals, entries):
@@ -203,6 +204,28 @@ def loop_domain_interval_sweep(member, dom_relaxed, i1s, i2s):
             if excess > 0:
                 witness = (int(x1), int(x2), int(x1 + missing[0]))
     return worst, witness, any_intersection
+
+
+def loop_order_propagation(a, b):
+    """``check_order_propagation`` as one Python iteration per (u, v), in
+    row-major order: u qualifies when g(u) - f(u) > 4 tol (Python floats,
+    so +inf - +inf is a silent NaN), and (u, v) when the members of g at
+    u meet those of f at v; the witness is the first pair at the maximum
+    of f(v) - g(v)."""
+    tol, f, g = a.tol, a.f.values.tolist(), b.f.values.tolist()
+    worst, witness = -math.inf, None
+    for u in range(len(f)):
+        if not g[u] - f[u] > 4.0 * tol:
+            continue
+        for v in range(len(f)):
+            if (b.member[u] & a.member[v]).any():
+                excess = f[v] - g[v]
+                if witness is None or excess > worst:
+                    worst, witness = excess, (u, v)
+    if witness is None:
+        return Verdict("order_propagation", 0.0, notes="vacuous: no qualifying cases",
+                       status="vacuous")
+    return Verdict("order_propagation", worst, witness, notes=f"u-gap=4*tol; tol={tol}")
 
 
 def loop_cost_self_subdiff(cost, tol):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -17,6 +18,7 @@ from cconvex.propcheck import (InstanceConfig, check_cost_self_subdiff,
                                run_suite)
 from cconvex.subdiff import Analysis
 from cconvex.transform import is_c_convex
+from oracles import loop_order_propagation
 
 
 def bilinear_instance(seed=0, n=65):
@@ -524,6 +526,29 @@ class TestVerdictBranches:
         v = check_order_propagation(a, b)
         assert v.status == "violated" and v.witness == (9, 32) and v.max_violation == 0.5
 
+    def test_mixture_weight_zero_drops_an_infinite_function(self):
+        # f = |x| but +inf at x = 1: with 0 * (+inf) = 0 the mixture at
+        # lambda = 1 is g = x^2, whose slack -2.25 at the planted (0, 32)
+        # beats the even mixture's -2.125 and f's -2; 0 * inf used to be a
+        # NaN value, which GridFunction rejects
+        x = self.g.points
+        a = planted(on_grid(self.g, np.where(x == 1.0, np.inf, np.abs(x)), self.bilinear),
+                    [(0, 32)])
+        b = planted(on_grid(self.g, x**2, self.bilinear), [(0, 32)])
+        v = check_mixture(a, b)
+        assert v.status == "violated" and v.witness == (0, 32, 1.0)
+        assert v.max_violation == 2.25 - (1e-9 + 1e-12 * 2.0)
+
+    def test_both_functions_infinite_at_one_point(self):
+        # +inf - +inf is no gap at x = -1 and raises no warning; the verdicts
+        # are those of the finite instances of test_order_propagation_witness
+        x = self.g.points
+        f = np.where(x == -1.0, np.inf, np.abs(x))
+        b = on_grid(self.g, np.where(x == -1.0, np.inf, 0.5), self.bilinear)
+        v = check_order_propagation(planted(on_grid(self.g, f, self.bilinear), [(32, 16)]), b)
+        assert v.status == "violated" and v.witness == (9, 32) and v.max_violation == 0.5
+        assert check_mixture(on_grid(self.g, f, self.bilinear), b).status == "held"
+
     def test_grad_inclusion_witness(self):
         # f = x^2/2 has the one member y = x; y = 1 at x = 0 mismatches
         # f'(0) = 0 by 1, beyond the threshold 4 * (h * M2f / 2 + tol / h)
@@ -582,6 +607,65 @@ class TestVerdictBranches:
         v = check_intersection_inclusion(on_grid(self.g, self.g.points**2, cost))
         assert (v.status, v.max_violation, v.witness) == ("hypothesis_failed", 0.0, None)
         assert v.notes.startswith("hypothesis-failed: f not c-convex (deviation 1.80")
+
+
+class TestOrderPropagationLoop:
+    """``check_order_propagation`` against the (u, v) loop of
+    ``oracles.loop_order_propagation`` on planted member matrices, with
+    interval and non-interval rows, empty rows, and integer f and g whose
+    gaps and excesses tie, so the witness's row-major tie-break is tested."""
+
+    N, M = 41, 37
+
+    def member(self, rng, intervals):
+        """Rows of 1 to 3 columns in one interval, or of 5 % of the columns
+        at random, then emptied at a rate drawn from [0, 1)."""
+        if intervals:
+            first = rng.integers(0, self.M, self.N)
+            last = first + rng.integers(1, 4, self.N)
+            cols = np.arange(self.M)
+            member = (cols >= first[:, None]) & (cols < last[:, None])
+        else:
+            member = rng.random((self.N, self.M)) < 0.05
+        member[rng.random(self.N) < rng.random()] = False
+        return member
+
+    def instance(self, rng, intervals):
+        """Analyses holding only the planted members, of integer f in
+        [-2, 2] and g = f + an integer in [-1, 3]."""
+        gi = make_uniform_grid(-1, 1, self.N)
+        cost = tabulate_cost(CostSpec("bilinear"), gi, make_uniform_grid(-1, 1, self.M))
+        f = rng.integers(-2, 3, self.N).astype(float)
+        return [planted(on_grid(gi, values, cost), zip(*np.nonzero(self.member(rng, intervals))),
+                        empty=True) for values in (f, f + rng.integers(-1, 4, self.N))]
+
+    @pytest.mark.parametrize("intervals", [False, True])
+    def test_matches_the_pair_loop(self, intervals):
+        rng = np.random.default_rng(17)
+        statuses = Counter()
+        for _ in range(150):
+            a, b = self.instance(rng, intervals)
+            got, want = check_order_propagation(a, b), loop_order_propagation(a, b)
+            assert (got.status, repr(got.max_violation), got.witness, got.notes) \
+                == (want.status, repr(want.max_violation), want.witness, want.notes)
+            statuses[got.status] += 1
+        assert min(statuses[s] for s in ("violated", "held", "vacuous")) > 5
+
+    def test_builds_no_n_by_n_array(self):
+        # one n x n float64 array is 8.4 MB at n = m = 1025; the matrix
+        # product this check used to take held three n x n arrays, 25.2 MB
+        f, cost = bilinear_instance(6, n=1025)
+        g = GridFunction(f.grid, f.values + 0.5 * np.sin(3 * f.grid.points))
+        a, b = Analysis(f, cost), Analysis(g, cost)
+        assert a.member.any() and b.member.any()   # both cached before the measurement
+        tracemalloc.start()
+        try:
+            v = check_order_propagation(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert v.status != "vacuous"
+        assert peak < 8 * 1025 * 1025, f"peak {peak} B"
 
 
 class TestSuite:

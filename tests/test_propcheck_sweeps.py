@@ -14,7 +14,7 @@ from cconvex import propcheck
 from cconvex.costs import tabulate_callable
 from cconvex.grids import make_uniform_grid
 from oracles import (loop_cost_self_subdiff, loop_domain_interval_sweep,
-                     loop_intersection_sweep, loop_set_valued_sweep,
+                     loop_intersection_sweep, loop_order_propagation, loop_set_valued_sweep,
                      loop_subdiff_convexity_sweep)
 
 LOOP_SWEEPS = {
@@ -27,7 +27,7 @@ TOLS = (1e-9, float("nan"))  # NaN makes every pair excess NaN, which never wins
 
 
 def fields(v):
-    return (v.check_id, v.holds, repr(v.max_violation), v.witness, v.notes)
+    return (v.check_id, v.status, repr(v.max_violation), v.witness, v.notes)
 
 
 # 10100 = 101 * 100 covers every ordered pair of the suite's 101-point pools
@@ -40,6 +40,15 @@ def test_suite_verdicts_match_loop_sweeps(monkeypatch, seed, falsify, pair_cap):
     for name, loop in LOOP_SWEEPS.items():
         monkeypatch.setattr(propcheck, name, loop)
     slow = propcheck.run_suite(**kwargs)
+    assert [fields(v) for v in fast] == [fields(v) for v in slow]
+
+
+@pytest.mark.parametrize("falsify", [False, True])
+@pytest.mark.parametrize("seed", range(10))
+def test_suite_verdicts_match_loop_order_propagation(monkeypatch, seed, falsify):
+    fast = propcheck.run_suite(seed=seed, falsify=falsify)
+    monkeypatch.setattr(propcheck, "check_order_propagation", loop_order_propagation)
+    slow = propcheck.run_suite(seed=seed, falsify=falsify)
     assert [fields(v) for v in fast] == [fields(v) for v in slow]
 
 
