@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
@@ -167,7 +168,9 @@ def check_tol(tol: float) -> float:
 
 
 def check_index(index: int, grid: Grid) -> int:
-    """A grid index, rejected unless 0 <= index < grid.n (no wrap-around)."""
+    """A grid index, rejected unless an integer 0 <= index < grid.n (no wrap-around)."""
+    if not isinstance(index, numbers.Integral):
+        raise ValueError(f"grid index must be an integer, got {index!r}")
     if not 0 <= index < grid.n:
         raise ValueError(f"grid index {index} is out of range for a grid of {grid.n} points")
     return index

@@ -4,10 +4,11 @@ instance generator feeding the verification suite.
 
 Conventions shared by all checks:
 
-* A check reads its (f, cost) instance from an ``Analysis``, which
-  validates ``tol``, and reads its slack or members only after the
-  hypotheses pass.  The two-function checks need one cost object and one
-  tol; mixture weights must be a nonempty sequence of numbers in [0, 1].
+* A check reads its (f, cost) instance through an ``Analysis``'s
+  ``table`` and ``grid_j``, so a spec serves as its table does, and reads
+  its slack or members only after the hypotheses pass.  The two-function
+  checks need one cost object, tol and pair of I and J grids; mixture
+  weights must be a nonempty sequence of numbers in [0, 1].
 * ``max_violation`` is the excess beyond the check's documented
   allowance; a judged verdict's ``status`` is ``held`` when it is <= 0,
   else ``violated``, and only a violated verdict keeps its witness.
@@ -31,15 +32,16 @@ whatever the block size.  All lambdas of a block are snapped in one pass,
 with the arithmetic of one lambda at a time.
 
 Row-span rule: each member row has a count and a first and last member
-column.  When every nonempty row is one interval (last - first + 1 ==
-count), the common members of two rows are the columns from the larger
-first to the smaller last, so a pair costs O(1) time and cells instead of
-an m-wide intersection, and a block holds that many more pairs; otherwise
-the rows are intersected column by column.  The rule picks only how a
-result is computed, never which pairs or members are drawn, so the
-sampling contract above and every verdict byte are the same on both
-sides.  The row-gap part of ``check_subdiff_convexity``, whose conclusion
-is that contiguity, is always judged on the dense rows.
+column, whose only source is ``Analysis.spans``, as is a check's effective
+domain (the rows with a member).  When every nonempty row is one interval
+(last - first + 1 == count), the common members of two rows are the
+columns from the larger first to the smaller last, so a pair costs O(1)
+time and cells instead of an m-wide intersection, and a block holds that
+many more pairs; otherwise the rows are intersected column by column.  The
+rule picks only how a result is computed, never which pairs or members are
+drawn, so the sampling contract above and every verdict byte are the same
+on both sides.  The row-gap part of ``check_subdiff_convexity``, whose
+conclusion is that contiguity, is always judged on the dense rows.
 """
 
 from __future__ import annotations
@@ -195,21 +197,10 @@ def _scaled(w: float, values: np.ndarray) -> np.ndarray:
     return np.multiply(w, values, out=np.zeros_like(values), where=(w != 0.0) | (values < np.inf))
 
 
-def _row_spans(member: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
-    """Member count, first and last member column of each row (0 and m-1
-    for an empty row), and whether every nonempty row is one interval."""
-    m = member.shape[1]
-    counts = member.sum(axis=1)
-    first = member.argmax(axis=1)
-    last = m - 1 - member[:, ::-1].argmax(axis=1)
-    intervals = bool(((counts == 0) | (last - first + 1 == counts)).all())
-    return counts, first, last, intervals
-
-
 def _span_cells(spans: tuple, m: int) -> int:
     """Cells one pair holds while a sweep meets its rows in ``_common_span``:
-    a few (block,) arrays, and the m-wide intersection unless every row is
-    an interval."""
+    a few (block,) arrays, and the m-wide intersection unless ``spans``
+    (only ever an ``Analysis.spans``) flag every row an interval."""
     return 8 if spans[3] else 8 + m
 
 
@@ -264,12 +255,13 @@ def _fold(worst: float, witness: Optional[tuple], excess: np.ndarray,
     return worst, witness
 
 
-def _check_pair_cap(pair_cap: int):
-    """A pair cap, rejected unless an integer >= 0."""
+def _check_sweep(pair_cap: int, seed: int):
+    """A pair cap, then a seed, each rejected unless an integer >= 0."""
     if not isinstance(pair_cap, numbers.Integral):
         raise ValueError(f"pair_cap must be an integer, got {pair_cap!r}")
     if pair_cap < 0:
         raise ValueError(f"pair_cap must be >= 0, got {pair_cap}")
+    _check_seed(seed)
 
 
 def _check_seed(seed: int):
@@ -317,10 +309,11 @@ def _check_lambdas(lambdas: Sequence[float]):
 
 
 def _shared_cost(a: Analysis, b: Analysis) -> CostMatrix:
-    """The cost of two analyses, rejected unless they share one cost and one tol."""
-    if a.cost is not b.cost or a.tol != b.tol:
-        raise ValueError("the two analyses must have the same cost object and the same tol")
-    return a.cost
+    """The cost table of two analyses, rejected unless they share cost, grids and tol."""
+    if a.cost is not b.cost or a.tol != b.tol or (a.f.grid, a.grid_j) != (b.f.grid, b.grid_j):
+        raise ValueError("the two analyses must have the same cost object and the same tol, "
+                         "on the same I and J grids")
+    return a.table
 
 
 # ---------------------------------------------------------------------------
@@ -383,11 +376,10 @@ def check_order_propagation(a: Analysis, b: Analysis) -> Verdict:
     return Verdict(check_id, float(excess.max()), (u, v), notes=f"u-gap=4*tol; tol={tol}")
 
 
-def _subdiff_convexity_sweep(member: np.ndarray, grid_j: Grid, tol: float,
+def _subdiff_convexity_sweep(member: np.ndarray, spans: tuple, grid_j: Grid, tol: float,
                              i1: np.ndarray, i2: np.ndarray) -> tuple[float, Optional[tuple]]:
     """Gaps inside each nonempty row of ``member``, then the y diameter of
     the common members of each pair (i1[k], i2[k]) beyond one step."""
-    spans = _row_spans(member)
     counts, first, last, _ = spans
     gaps = np.where(counts > 0, (last - first + 1 - counts).astype(float), -np.inf)
     worst, witness = _fold(-np.inf, None, gaps,
@@ -408,31 +400,28 @@ def check_subdiff_convexity(a: Analysis, pair_cap: int = 10100, seed: int = 0) -
     of the y grid, and distinct interior points share at most one
     subgradient (intersection diameter <= y grid step + tol)."""
     check_id = "subdiff_convexity"
-    _check_pair_cap(pair_cap)
-    _check_seed(seed)
-    if not check_structure(a.cost, "two_affine").holds:
+    _check_sweep(pair_cap, seed)
+    if not check_structure(a.table, "two_affine").holds:
         return _hypothesis_verdict(check_id, "cost not two_affine")
     if not a.c_convex[0]:
         return _hypothesis_verdict(check_id, f"f not c-convex (deviation {a.c_convex[1]})")
-    if not a.member.any():
+    if not a.spans[0].any():
         return _vacuous(check_id, "vacuous: every subdifferential empty")
-    rng = np.random.default_rng(seed)
-    interior = np.arange(1, a.f.grid.n - 1)
-    i1, i2 = _sample_pairs(rng, interior, pair_cap)
-    worst, witness = _subdiff_convexity_sweep(a.member, a.cost.grid_j, a.tol, i1, i2)
+    i1, i2 = _sample_pairs(np.random.default_rng(seed), np.arange(1, a.f.grid.n - 1), pair_cap)
+    worst, witness = _subdiff_convexity_sweep(a.member, a.spans, a.grid_j, a.tol, i1, i2)
     return Verdict(check_id, float(worst), witness, notes=f"pairs={i1.size}; tol={a.tol}")
 
 
-def _set_valued_sweep(slack: np.ndarray, member: np.ndarray, grid_i: Grid, grid_j: Grid,
-                      lambdas: Sequence[float], tol: float, lipschitz: tuple[float, float, float],
-                      rng: np.random.Generator, i1s: np.ndarray,
-                      i2s: np.ndarray) -> tuple[float, Optional[tuple]]:
+def _set_valued_sweep(slack: np.ndarray, member: np.ndarray, spans: tuple, grid_i: Grid,
+                      grid_j: Grid, lambdas: Sequence[float], tol: float,
+                      lipschitz: tuple[float, float, float], rng: np.random.Generator,
+                      i1s: np.ndarray, i2s: np.ndarray) -> tuple[float, Optional[tuple]]:
     """Snap each mixture of a drawn member at x1 and one at x2 to the grids
     and measure its non-membership beyond the snapping allowance."""
     lf, lcx, lcy = lipschitz
     xv, yv = grid_i.points, grid_j.points
     lams = np.asarray(lambdas, dtype=float)
-    counts = member.sum(axis=1)
+    counts = spans[0]
     # ys[starts[x] + r] is the column of row x's r-th member
     starts = np.cumsum(counts) - counts
     ys = np.flatnonzero(member)
@@ -472,10 +461,9 @@ def check_set_valued_convexity(a: Analysis, lambdas: Sequence[float] = DEFAULT_L
     inflation.
     """
     check_id = "set_valued_convexity"
-    _check_pair_cap(pair_cap)
-    _check_seed(seed)
+    _check_sweep(pair_cap, seed)
     _check_lambdas(lambdas)
-    f, cost, tol = a.f, a.cost, a.tol
+    f, cost, tol = a.f, a.table, a.tol
     if not check_structure(cost, "two_affine").holds:
         return _hypothesis_verdict(check_id, "cost not two_affine")
     seg = segment_concavity_excess(cost)
@@ -486,20 +474,20 @@ def check_set_valued_convexity(a: Analysis, lambdas: Sequence[float] = DEFAULT_L
     if not a.c_convex[0]:
         return _hypothesis_verdict(check_id, f"f not c-convex (deviation {a.c_convex[1]})")
 
-    dom = np.flatnonzero(a.member.any(axis=1))
+    dom = np.flatnonzero(a.spans[0])
     if dom.size < 2:
         return _vacuous(check_id, "vacuous: effective domain has fewer than two points")
     rng = np.random.default_rng(seed)
     i1s, i2s = _sample_pairs(rng, dom, pair_cap)
     if i1s.size == 0:
         return _vacuous(check_id, "vacuous: no distinct pairs sampled")
-    worst, witness = _set_valued_sweep(a.slack, a.member, f.grid, cost.grid_j, lambdas, tol,
-                                       _lipschitz(f, cost), rng, i1s, i2s)
+    worst, witness = _set_valued_sweep(a.slack, a.member, a.spans, f.grid, cost.grid_j, lambdas,
+                                       tol, _lipschitz(f, cost), rng, i1s, i2s)
     return Verdict(check_id, float(worst), witness,
                    notes=f"pairs={i1s.size}; concavity=segment-tested; tol={tol}")
 
 
-def _intersection_sweep(slack: np.ndarray, member: np.ndarray, grid_i: Grid,
+def _intersection_sweep(slack: np.ndarray, member: np.ndarray, spans: tuple, grid_i: Grid,
                         lambdas: Sequence[float], tol: float,
                         lipschitz: tuple[float, float, float], i1s: np.ndarray,
                         i2s: np.ndarray) -> tuple[float, Optional[tuple], bool]:
@@ -508,7 +496,6 @@ def _intersection_sweep(slack: np.ndarray, member: np.ndarray, grid_i: Grid,
     lf, lcx, _ = lipschitz
     xv = grid_i.points
     lams = np.asarray(lambdas, dtype=float)
-    spans = _row_spans(member)
     m = member.shape[1]
     worst, witness, any_intersection = -np.inf, None, False
     for a, b in _pair_blocks(i1s, i2s, _span_cells(spans, m)):
@@ -543,10 +530,9 @@ def check_intersection_inclusion(a: Analysis, lambdas: Sequence[float] = DEFAULT
     """For a 1-concave cost and convex, c-convex f, a common subgradient
     of two points is a subgradient at every convex combination."""
     check_id = "intersection_inclusion"
-    _check_pair_cap(pair_cap)
-    _check_seed(seed)
+    _check_sweep(pair_cap, seed)
     _check_lambdas(lambdas)
-    f, cost, tol = a.f, a.cost, a.tol
+    f, cost, tol = a.f, a.table, a.tol
     if not check_structure(cost, "one_concave").holds:
         return _hypothesis_verdict(check_id, "cost not one_concave")
     if not _is_convex_values(f.values, tol):
@@ -554,26 +540,23 @@ def check_intersection_inclusion(a: Analysis, lambdas: Sequence[float] = DEFAULT
     if not a.c_convex[0]:
         return _hypothesis_verdict(check_id, f"f not c-convex (deviation {a.c_convex[1]})")
 
-    dom = np.flatnonzero(a.member.any(axis=1))
-    interior = dom[(dom > 0) & (dom < f.grid.n - 1)]
+    interior = np.flatnonzero(a.spans[0][1:-1]) + 1   # the domain's interior points
     if interior.size < 2:
         return _vacuous(check_id)
-    rng = np.random.default_rng(seed)
-    i1s, i2s = _sample_pairs(rng, interior, pair_cap)
+    i1s, i2s = _sample_pairs(np.random.default_rng(seed), interior, pair_cap)
     worst, witness, any_intersection = _intersection_sweep(
-        a.slack, a.member, f.grid, lambdas, tol, _lipschitz(f, cost), i1s, i2s)
+        a.slack, a.member, a.spans, f.grid, lambdas, tol, _lipschitz(f, cost), i1s, i2s)
     if not any_intersection:
         return _vacuous(check_id, "vacuous: no intersecting pairs found")
     return Verdict(check_id, float(worst), witness, notes=f"pairs={i1s.size}; tol={tol}")
 
 
-def _domain_interval_sweep(member: np.ndarray, dom_relaxed: np.ndarray, i1s: np.ndarray,
-                           i2s: np.ndarray) -> tuple[float, Optional[tuple], bool]:
+def _domain_interval_sweep(member: np.ndarray, spans: tuple, dom_relaxed: np.ndarray,
+                           i1s: np.ndarray, i2s: np.ndarray) -> tuple[float, Optional[tuple], bool]:
     """Count the grid points outside ``dom_relaxed`` between each pair with
     a common member; also reports whether any pair had one."""
     # float counts, exact below 2**53, so a block's differences need no cast
     missing_below = np.concatenate(([0.0], np.cumsum(~dom_relaxed)))
-    spans = _row_spans(member)
     worst, witness, any_intersection = -np.inf, None, False
     for a, b in _pair_blocks(i1s, i2s, _span_cells(spans, member.shape[1])):
         lo, hi = np.minimum(a, b), np.maximum(a, b)
@@ -593,21 +576,20 @@ def check_domain_interval(a: Analysis, pair_cap: int = 10100, seed: int = 0) -> 
     domain.  Grid points between them are exact convex combinations, so
     the allowance is 2*tol plus rounding."""
     check_id = "domain_interval"
-    _check_pair_cap(pair_cap)
-    _check_seed(seed)
-    f, cost, tol = a.f, a.cost, a.tol
+    _check_sweep(pair_cap, seed)
+    f, cost, tol = a.f, a.table, a.tol
     if not check_structure(cost, "one_concave").holds:
         return _hypothesis_verdict(check_id, "cost not one_concave")
     if not _is_convex_values(f.values, tol):
         return _hypothesis_verdict(check_id, "f not convex")
     allow = 2.0 * tol + _float_margin(cost.entries, f.values)
     dom_relaxed = (a.slack >= -allow).any(axis=1)
-    idx = np.flatnonzero(a.member.any(axis=1))
+    idx = np.flatnonzero(a.spans[0])
     if idx.size < 2:
         return _vacuous(check_id)
-    rng = np.random.default_rng(seed)
-    i1s, i2s = _sample_pairs(rng, idx, pair_cap)
-    worst, witness, any_intersection = _domain_interval_sweep(a.member, dom_relaxed, i1s, i2s)
+    i1s, i2s = _sample_pairs(np.random.default_rng(seed), idx, pair_cap)
+    worst, witness, any_intersection = _domain_interval_sweep(
+        a.member, a.spans, dom_relaxed, i1s, i2s)
     if not any_intersection:
         return _vacuous(check_id, "vacuous: no intersecting pairs found")
     return Verdict(check_id, float(worst), witness,
@@ -625,7 +607,7 @@ def check_grad_inclusion(a: Analysis, cost_spec: CostSpec) -> Verdict:
     which must give the cost table exactly at every member.
     """
     check_id = "grad_inclusion"
-    f, cost, tol = a.f, a.cost, a.tol
+    f, cost, tol = a.f, a.table, a.tol
     h = f.grid.h
     interior = np.arange(1, f.grid.n - 1)
     pairs = np.argwhere(a.member[interior])
@@ -664,7 +646,7 @@ def check_local_support_iff(a: Analysis, alpha_index: int, epsilon: float) -> Ve
     """A local support curve exists at alpha iff f(alpha) equals the local
     double conjugate there; both directions are asserted."""
     check_id = "local_support_iff"
-    f, cost, tol = a.f, a.cost, a.tol
+    f, cost, tol = a.f, a.table, a.tol
     f0 = float(f.values[check_index(alpha_index, f.grid)])
     if not np.isfinite(f0):
         raise ValueError(f"f is +inf at grid index {alpha_index}")
@@ -696,8 +678,7 @@ def run_suite(seed: int = 0, tol: float = 1e-9, pair_cap: int = 10100,
     Each cost is tabulated once and each (f, cost) analysed once; the checks
     run, in the order returned, grouped to release each after its last check.
     """
-    _check_pair_cap(pair_cap)
-    _check_seed(seed)
+    _check_sweep(pair_cap, seed)
     check_tol(tol)
     n = 101
     grid = make_uniform_grid(-1.0, 1.0, n)

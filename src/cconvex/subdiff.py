@@ -111,6 +111,14 @@ def membership_slack(f: GridFunction, cost: CostMatrix) -> np.ndarray:
     return d
 
 
+def _row_spans(member: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
+    """Member count, first and last member column of each row (0 and m-1
+    for an empty row), and whether every nonempty row is one interval."""
+    counts, first = member.sum(axis=1), member.argmax(axis=1)
+    last = member.shape[1] - 1 - member[:, ::-1].argmax(axis=1)
+    return counts, first, last, bool(((counts == 0) | (last - first + 1 == counts)).all())
+
+
 @dataclass(frozen=True, eq=False)
 class Analysis:
     """One (f, cost) instance at one validated membership ``tol``, each of whose
@@ -164,6 +172,11 @@ class Analysis:
     @cached_property
     def member(self) -> np.ndarray:
         return self.slack >= -self.tol
+
+    @cached_property
+    def spans(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
+        """(counts, first, last, intervals) of ``member``'s rows: see ``_row_spans``."""
+        return _row_spans(self.member)
 
     @cached_property
     def c_convex(self) -> tuple[bool, float]:
@@ -315,9 +328,11 @@ def envelope_reconstruct(f: GridFunction, cost: CostMatrix, selection: np.ndarra
     c-convex f reconstructs it on the whole grid.
     """
     a = Analysis(f, cost, tol)
-    sel = np.asarray(selection, dtype=np.int64)
+    sel = np.asarray(selection)
     if sel.shape != (f.grid.n,):
         raise ValueError("selection must have one entry per grid point (-1 to skip)")
+    if not np.issubdtype(sel.dtype, np.integer):
+        raise ValueError(f"selection must be an integer array, got dtype {sel.dtype}")
     out = np.flatnonzero((sel < -1) | (sel >= cost.grid_j.n))
     if out.size:
         raise ValueError(f"selection[{out[0]}]={sel[out[0]]} is outside [-1, {cost.grid_j.n})")

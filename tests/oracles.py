@@ -111,9 +111,24 @@ def chunked_bilinear_conjugate(x, f_vals, ys, chunk=512):
 # ---------------------------------------------------------------------------
 # Reference pair sweeps of the proposition checks: one Python iteration per
 # sampled pair, with the same signatures and results as the blocked sweeps
-# in ``cconvex.propcheck``.
+# in ``cconvex.propcheck``.  They read the member rows themselves and ignore
+# ``spans``.
 
-def loop_subdiff_convexity_sweep(member, grid_j, tol, i1, i2):
+def loop_row_spans(member):
+    """Member count, first and last member column of each row (0 and m - 1
+    for an empty row), and whether every nonempty row is one interval."""
+    n, m = member.shape
+    counts, first, last = np.zeros(n, dtype=int), np.zeros(n, dtype=int), np.full(n, m - 1)
+    intervals = True
+    for i in range(n):
+        cols = [j for j in range(m) if member[i, j]]
+        if cols:
+            counts[i], first[i], last[i] = len(cols), cols[0], cols[-1]
+            intervals = intervals and cols[-1] - cols[0] + 1 == len(cols)
+    return counts, first, last, intervals
+
+
+def loop_subdiff_convexity_sweep(member, spans, grid_j, tol, i1, i2):
     worst = -np.inf
     witness = None
     for i in range(member.shape[0]):
@@ -139,7 +154,7 @@ def loop_subdiff_convexity_sweep(member, grid_j, tol, i1, i2):
     return worst, witness
 
 
-def loop_set_valued_sweep(slack, member, grid_i, grid_j, lambdas, tol, lipschitz,
+def loop_set_valued_sweep(slack, member, spans, grid_i, grid_j, lambdas, tol, lipschitz,
                           rng, i1s, i2s):
     """One ``rng.choice`` per endpoint, then the snapping allowance
     tol + 2(lf + lcx)|dx| + 2 lcy |dy| per mixture."""
@@ -164,7 +179,7 @@ def loop_set_valued_sweep(slack, member, grid_i, grid_j, lambdas, tol, lipschitz
     return worst, witness
 
 
-def loop_intersection_sweep(slack, member, grid_i, lambdas, tol, lipschitz, i1s, i2s):
+def loop_intersection_sweep(slack, member, spans, grid_i, lambdas, tol, lipschitz, i1s, i2s):
     lf, lcx, lcy = lipschitz
     xv = grid_i.points
     worst = -np.inf
@@ -187,7 +202,7 @@ def loop_intersection_sweep(slack, member, grid_i, lambdas, tol, lipschitz, i1s,
     return worst, witness, any_intersection
 
 
-def loop_domain_interval_sweep(member, dom_relaxed, i1s, i2s):
+def loop_domain_interval_sweep(member, spans, dom_relaxed, i1s, i2s):
     worst = -np.inf
     witness = None
     any_intersection = False

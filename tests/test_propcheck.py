@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import tracemalloc
 from collections import Counter
@@ -468,6 +470,12 @@ class TestLocalSupportIff:
         with pytest.raises(ValueError, match=f"grid index {index} is out of range"):
             check_local_support_iff(Analysis(self.f, self.cost), index, 0.25)
 
+    @pytest.mark.parametrize("index", [2.5, 40.0, np.float64(40.0)])
+    def test_non_integer_alpha_rejected(self, index):
+        # 2.5 used to reach numpy's "only integers, slices ..." IndexError
+        with pytest.raises(ValueError, match="grid index must be an integer"):
+            check_local_support_iff(Analysis(self.f, self.cost), index, 0.25)
+
     def test_infinite_f_at_alpha_rejected(self):
         values = self.f.values.copy()
         values[40] = np.inf
@@ -701,6 +709,69 @@ class TestSuite:
         assert "violated" not in {v.status for v in verdicts}
 
 
+class TestSpecAnalysis:
+    """Every proposition check reads the ``Analysis`` of a cost spec as it
+    reads the ``Analysis`` of that spec's table."""
+
+    # the two certified suite costs, and the suite's fully affine one, which
+    # no engine serves and the only one whose set-valued hypotheses hold
+    J_INTERVALS = {"bilinear": (-1.0, 1.0), "neg_quadratic": (-2.5, 2.5),
+                   "one_affine:0.25;0.1,0.4": (-1.0, 1.0)}
+
+    @pytest.mark.parametrize("falsify", [False, True])
+    @pytest.mark.parametrize("cost", list(J_INTERVALS))
+    @pytest.mark.parametrize("seed", range(3))
+    def test_verdicts_match_the_tabulated_twin(self, seed, cost, falsify):
+        gi, gj = make_uniform_grid(-1, 1, 101), make_uniform_grid(*self.J_INTERVALS[cost], 101)
+        spec = parse_cost_spec(cost)
+        table = tabulate_cost(spec, gi, gj)
+        family = "random_smooth_fourier" if falsify else "cconvexified_random"
+        fs = [propcheck._instance_function(InstanceConfig(s, f_family=family), table)
+              for s in (seed, seed + 1)]
+        fs += [GridFunction(gi, gi.points**2), GridFunction(gi, np.abs(gi.points))]
+
+        def verdicts(c):
+            b = Analysis(fs[1], c, 1e-9, gj)
+            for f in fs:
+                a = Analysis(f, c, 1e-9, gj)
+                yield from (check_mixture(a, b), check_order_propagation(a, b),
+                            check_subdiff_convexity(a), check_set_valued_convexity(a),
+                            check_intersection_inclusion(a), check_domain_interval(a),
+                            check_grad_inclusion(a, spec), check_local_support_iff(a, 30, 0.25))
+
+        assert [v.to_dict() for v in verdicts(spec)] == [v.to_dict() for v in verdicts(table)]
+        # the engine's path on the certified costs
+        assert (Analysis(fs[0], spec, 1e-9, gj).twist is None) == cost.startswith("one_affine")
+
+    @pytest.mark.parametrize("check", [check_mixture, check_order_propagation])
+    def test_pair_checks_need_one_pair_of_grids(self, check):
+        gi, spec = make_uniform_grid(-1, 1, 33), CostSpec("bilinear")
+        f = GridFunction(gi, gi.points**2)
+        for other in (make_uniform_grid(-1, 1, 35), make_uniform_grid(-2, 2, 33)):
+            a, b = Analysis(f, spec, grid_j=gi), Analysis(f, spec, grid_j=other)
+            with pytest.raises(ValueError, match="same cost object and the same tol, on the "
+                                                 "same I and J grids"):
+                check(a, b)
+        g = GridFunction(make_uniform_grid(-1, 1, 35), np.zeros(35))
+        with pytest.raises(ValueError, match="on the same I and J grids"):
+            check(Analysis(f, spec, grid_j=gi), Analysis(g, spec, grid_j=gi))
+
+
+class TestSuiteProtocol:
+    """One sha256 over the ``to_dict()`` of every verdict of 56 suite runs:
+    seeds 0-24 and 518, plain and ``--falsify``, and seed 7 at pair caps 0,
+    1, 500 and 50000.  A change to any verdict byte on any of them fails
+    here and must be recorded in CHANGES.md with the new digest."""
+
+    DIGEST = "9c2caa01038308102c957ed87ee3843158b560e1411166943d1d776d2ea9ffe7"
+
+    def test_verdict_bytes(self):
+        runs = [dict(seed=s, falsify=f) for s in [*range(25), 518] for f in (False, True)]
+        runs += [dict(seed=7, pair_cap=cap) for cap in (0, 1, 500, 50000)]
+        records = [[v.to_dict() for v in run_suite(**kwargs)] for kwargs in runs]
+        assert hashlib.sha256(json.dumps(records).encode()).hexdigest() == self.DIGEST
+
+
 class TestSuiteWork:
     """``run_suite`` tabulates each cost table once and builds each slack
     matrix once, counted by wrappers keyed on the bytes of their inputs in
@@ -729,3 +800,23 @@ class TestSuiteWork:
         tables, slacks = seen["tabulate_cost"], seen["membership_slack"]
         assert len(tables) == len(set(tables)) == 3
         assert len(slacks) == len(set(slacks)) > 0
+
+    @pytest.mark.parametrize("falsify", [False, True])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_spans_are_computed_once_per_member_matrix(self, monkeypatch, seed, falsify):
+        # the parabola analysis feeds two checks; the falsified suite fails
+        # every hypothesis gating a check that reads spans, so it reads none
+        seen = []
+
+        def counted(fn):
+            def wrapper(member):
+                seen.append((member.shape, member.tobytes()))
+                return fn(member)
+            return wrapper
+
+        for module in (propcheck, subdiff):
+            if hasattr(module, "_row_spans"):
+                monkeypatch.setattr(module, "_row_spans", counted(module._row_spans))
+        run_suite(seed=seed, falsify=falsify)
+        assert len(seen) == len(set(seen))
+        assert falsify or seen

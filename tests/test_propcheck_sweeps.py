@@ -10,12 +10,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cconvex import propcheck
-from cconvex.costs import tabulate_callable
-from cconvex.grids import make_uniform_grid
+from cconvex import propcheck, subdiff
+from cconvex.costs import CostSpec, tabulate_callable, tabulate_cost
+from cconvex.grids import GridFunction, make_uniform_grid
+from cconvex.subdiff import Analysis, _row_spans
 from oracles import (loop_cost_self_subdiff, loop_domain_interval_sweep,
-                     loop_intersection_sweep, loop_order_propagation, loop_set_valued_sweep,
-                     loop_subdiff_convexity_sweep)
+                     loop_intersection_sweep, loop_order_propagation, loop_row_spans,
+                     loop_set_valued_sweep, loop_subdiff_convexity_sweep)
 
 LOOP_SWEEPS = {
     "_subdiff_convexity_sweep": loop_subdiff_convexity_sweep,
@@ -112,11 +113,55 @@ def interval_pairs(rng):
 
 def test_interval_member_rows():
     member = interval_member(np.random.default_rng(0))
-    counts, first, last, intervals = propcheck._row_spans(member)
+    counts, first, last, intervals = _row_spans(member)
     assert intervals
     assert (counts[:4] == (5, 4, 1, 0)).all() and (counts == 0).sum() > 1
     assert last[0] == first[1] == 9   # rows 0 and 1 share exactly column 9
-    assert not propcheck._row_spans(random_member(np.random.default_rng(0)))[3]
+    assert not _row_spans(random_member(np.random.default_rng(0)))[3]
+
+
+def with_empty_rows(rng, member):
+    member[rng.integers(0, N, 6)] = False
+    return member
+
+
+def with_a_gap(member):
+    """An ``interval_member`` whose row 0, columns 5-9, also holds column 11."""
+    member[0, 11] = True
+    return member
+
+
+MEMBERS = {
+    "random": random_member,
+    "random_with_empty_rows": lambda rng: with_empty_rows(rng, random_member(rng)),
+    "intervals": interval_member,
+    "nonempty_intervals": lambda rng: interval_member(rng, min_len=1),
+    "intervals_but_one_gap": lambda rng: with_a_gap(interval_member(rng)),
+    "empty": lambda rng: np.zeros((N, M), dtype=bool),
+    "full": lambda rng: np.ones((N, M), dtype=bool),
+}
+
+
+@pytest.mark.parametrize("kind", MEMBERS)
+@pytest.mark.parametrize("seed", range(3))
+def test_analysis_spans_match_the_row_loop(monkeypatch, kind, seed):
+    member = MEMBERS[kind](np.random.default_rng(seed))
+    gi, gj = make_uniform_grid(-1, 1, N), make_uniform_grid(-1, 1, M)
+    a = Analysis(GridFunction(gi, np.zeros(N)), tabulate_cost(CostSpec("bilinear"), gi, gj))
+    vars(a)["member"] = member
+    calls = []
+    monkeypatch.setattr(subdiff, "_row_spans", lambda m: calls.append(m) or _row_spans(m))
+    counts, first, last, intervals = a.spans
+    want = loop_row_spans(member)
+    for got, expected in zip((counts, first, last), want[:3]):
+        assert np.array_equal(got, expected)
+    assert intervals is want[3] is (kind not in ("random", "random_with_empty_rows",
+                                                 "intervals_but_one_gap"))
+    empty = counts == 0
+    assert (first[empty] == 0).all() and (last[empty] == M - 1).all()
+    assert empty.any() == (kind in ("random_with_empty_rows", "intervals",
+                                    "intervals_but_one_gap", "empty"))
+    assert a.spans is a.spans and len(calls) == 1   # cached
 
 
 @pytest.mark.parametrize("tol", TOLS)
@@ -127,9 +172,10 @@ def test_subdiff_convexity_sweep_on_intervals(budget, seed, y_half_width, tol):
     member = interval_member(rng)
     grid_j = make_uniform_grid(-y_half_width, y_half_width, M)
     i1, i2 = interval_pairs(rng)
-    got = propcheck._subdiff_convexity_sweep(member, grid_j, tol, i1, i2)
+    args = (member, _row_spans(member), grid_j, tol, i1, i2)
+    got = propcheck._subdiff_convexity_sweep(*args)
     assert (got[0] > 0) == (tol == tol)   # pairs share more than two columns
-    assert got == loop_subdiff_convexity_sweep(member, grid_j, tol, i1, i2)
+    assert got == loop_subdiff_convexity_sweep(*args)
 
 
 def test_subdiff_convexity_sweep_touching_intervals():
@@ -140,8 +186,9 @@ def test_subdiff_convexity_sweep_touching_intervals():
     grid_j = make_uniform_grid(-1, 1, M)
     tol = -(grid_j.h + 1.0)
     i1, i2 = np.array([2, 3, 0, 1]), np.array([0, 0, 1, 0])
-    got = propcheck._subdiff_convexity_sweep(member, grid_j, tol, i1, i2)
-    assert got == loop_subdiff_convexity_sweep(member, grid_j, tol, i1, i2)
+    args = (member, _row_spans(member), grid_j, tol, i1, i2)
+    got = propcheck._subdiff_convexity_sweep(*args)
+    assert got == loop_subdiff_convexity_sweep(*args)
     assert got[1] == (0, 1) and got[0] == pytest.approx(1.0)
 
 
@@ -151,13 +198,14 @@ def test_domain_interval_sweep_on_intervals(budget, seed):
     member = interval_member(rng)
     dom_relaxed = rng.random(N) < 0.8
     i1, i2 = interval_pairs(rng)
-    got = propcheck._domain_interval_sweep(member, dom_relaxed, i1, i2)
+    spans = _row_spans(member)
+    got = propcheck._domain_interval_sweep(member, spans, dom_relaxed, i1, i2)
     assert got[0] > 0
-    assert got == loop_domain_interval_sweep(member, dom_relaxed, i1, i2)
+    assert got == loop_domain_interval_sweep(member, spans, dom_relaxed, i1, i2)
     # only the touching pair meets: its one shared column counts
     pair = (np.array([3, 0, 2]), np.array([0, 1, 0]))
-    assert propcheck._domain_interval_sweep(member, dom_relaxed, *pair) \
-        == loop_domain_interval_sweep(member, dom_relaxed, *pair)
+    assert propcheck._domain_interval_sweep(member, spans, dom_relaxed, *pair) \
+        == loop_domain_interval_sweep(member, spans, dom_relaxed, *pair)
 
 
 @pytest.mark.parametrize("tol", TOLS)
@@ -168,9 +216,10 @@ def test_subdiff_convexity_sweep_witness(budget, seed, y_half_width, tol):
     member = random_member(rng)
     grid_j = make_uniform_grid(-y_half_width, y_half_width, M)
     i1, i2 = random_pairs(rng)
-    got = propcheck._subdiff_convexity_sweep(member, grid_j, tol, i1, i2)
+    args = (member, _row_spans(member), grid_j, tol, i1, i2)
+    got = propcheck._subdiff_convexity_sweep(*args)
     assert got[0] > 0
-    assert got == loop_subdiff_convexity_sweep(member, grid_j, tol, i1, i2)
+    assert got == loop_subdiff_convexity_sweep(*args)
 
 
 LAMBDA_SETS = ((0.5,), (0.25, 0.5, 0.75), propcheck.DEFAULT_LAMBDAS)
@@ -183,11 +232,12 @@ LAMBDA_SETS = ((0.5,), (0.25, 0.5, 0.75), propcheck.DEFAULT_LAMBDAS)
 def test_set_valued_sweep_witness(budget, seed, tol, lambdas, intervals):
     rng = np.random.default_rng(seed)
     member = interval_member(rng, min_len=1) if intervals else random_member(rng)
-    assert propcheck._row_spans(member)[3] == intervals
+    spans = _row_spans(member)
+    assert spans[3] == intervals
     slack = rng.normal(size=(N, M))
     gi, gj = make_uniform_grid(0, N - 1, N), make_uniform_grid(-3, M - 4, M)
     i1, i2 = random_pairs(rng)
-    args = (slack, member, gi, gj, lambdas, tol, (0.5, 0.25, 0.125))
+    args = (slack, member, spans, gi, gj, lambdas, tol, (0.5, 0.25, 0.125))
     fast_rng, loop_rng = np.random.default_rng(seed + 10), np.random.default_rng(seed + 10)
     got = propcheck._set_valued_sweep(*args, fast_rng, i1, i2)
     assert got == loop_set_valued_sweep(*args, loop_rng, i1, i2)
@@ -204,7 +254,7 @@ def test_intersection_sweep_witness(budget, seed, tol, lambdas, intervals):
     member = interval_member(rng) if intervals else random_member(rng)
     slack = rng.normal(size=(N, M))
     i1, i2 = interval_pairs(rng) if intervals else random_pairs(rng)
-    args = (slack, member, make_uniform_grid(0, N - 1, N), lambdas, tol,
+    args = (slack, member, _row_spans(member), make_uniform_grid(0, N - 1, N), lambdas, tol,
             (0.5, 0.25, 0.125), i1, i2)
     got = propcheck._intersection_sweep(*args)
     assert got == loop_intersection_sweep(*args)
@@ -217,9 +267,10 @@ def test_domain_interval_sweep_witness(budget, seed):
     member = random_member(rng)
     dom_relaxed = rng.random(N) < 0.8
     i1, i2 = random_pairs(rng)
-    got = propcheck._domain_interval_sweep(member, dom_relaxed, i1, i2)
+    args = (member, _row_spans(member), dom_relaxed, i1, i2)
+    got = propcheck._domain_interval_sweep(*args)
     assert got[0] > 0
-    assert got == loop_domain_interval_sweep(member, dom_relaxed, i1, i2)
+    assert got == loop_domain_interval_sweep(*args)
 
 
 def test_sweeps_without_common_members():
@@ -227,13 +278,14 @@ def test_sweeps_without_common_members():
     member[::2, 0] = True
     member[1::2, 1] = True
     i1, i2 = np.array([0, 1, 2]), np.array([1, 2, 3])
-    slack = np.zeros((N, M))
-    args = (slack, member, make_uniform_grid(-1, 1, N), (0.5,), 1e-9, (1.0, 1.0, 1.0), i1, i2)
+    slack, spans = np.zeros((N, M)), _row_spans(member)
+    args = (slack, member, spans, make_uniform_grid(-1, 1, N), (0.5,), 1e-9, (1.0, 1.0, 1.0),
+            i1, i2)
     assert propcheck._intersection_sweep(*args) == loop_intersection_sweep(*args) \
         == (-np.inf, None, False)
-    dom = np.ones(N, dtype=bool)
-    assert propcheck._domain_interval_sweep(member, dom, i1, i2) \
-        == loop_domain_interval_sweep(member, dom, i1, i2) == (-np.inf, None, False)
+    args = (member, spans, np.ones(N, dtype=bool), i1, i2)
+    assert propcheck._domain_interval_sweep(*args) == loop_domain_interval_sweep(*args) \
+        == (-np.inf, None, False)
 
 
 @pytest.mark.parametrize("intervals", [False, True])
@@ -252,17 +304,18 @@ def test_mid_budget_takes_several_blocks_on_every_path(monkeypatch, intervals):
     slack = rng.normal(size=(N, M))
     gi, gj = make_uniform_grid(0, N - 1, N), make_uniform_grid(-3, M - 4, M)
     i1, i2 = random_pairs(rng)
-    lambdas, lipschitz = (0.25, 0.5, 0.75), (0.5, 0.25, 0.125)
-    propcheck._subdiff_convexity_sweep(member, gj, 1e-9, i1, i2)
-    propcheck._domain_interval_sweep(member, np.ones(N, dtype=bool), i1, i2)
-    propcheck._set_valued_sweep(slack, member, gi, gj, lambdas, 1e-9, lipschitz, rng, i1, i2)
-    propcheck._intersection_sweep(slack, member, gi, lambdas, 1e-9, lipschitz, i1, i2)
+    lambdas, lipschitz, spans = (0.25, 0.5, 0.75), (0.5, 0.25, 0.125), _row_spans(member)
+    propcheck._subdiff_convexity_sweep(member, spans, gj, 1e-9, i1, i2)
+    propcheck._domain_interval_sweep(member, spans, np.ones(N, dtype=bool), i1, i2)
+    propcheck._set_valued_sweep(slack, member, spans, gi, gj, lambdas, 1e-9, lipschitz, rng,
+                                i1, i2)
+    propcheck._intersection_sweep(slack, member, spans, gi, lambdas, 1e-9, lipschitz, i1, i2)
     # three footprints: the rows' path (subdiff, domain and the intersection
     # pre-filter), the set-valued draws and the slack-row gather; each takes
     # several blocks, at least one of them full, so the gather's meeting
     # pairs overflow a sub-block
     assert len(sizes) == 3
-    assert propcheck._span_cells(propcheck._row_spans(member), M) in sizes
+    assert propcheck._span_cells(spans, M) in sizes
     for pair_cells, taken in sizes.items():
         assert len(taken) >= 3 and max(taken) == MID_BUDGET // pair_cells > 1
 
@@ -272,8 +325,9 @@ def test_mid_budget_takes_several_blocks_on_every_path(monkeypatch, intervals):
 def test_sweep_memory_is_bounded_by_the_budget(sweep, intervals):
     # every ordered pair of 101 points, as the suite sweeps them.  A block's
     # temporaries hold at most PAIR_BLOCK_CELLS 8-byte cells; beside them
-    # live numpy's cast buffer (the row counts of a bool matrix) and the
-    # set-valued sweep's member columns, one int64 a member.  Sweeping the
+    # live numpy's cast buffer and the set-valued sweep's member columns,
+    # one int64 a member.  The spans come from the caller, as from
+    # ``Analysis.spans``.  Sweeping the
     # row-span path in one block, or the set-valued sweep in 512-pair
     # blocks, breaks the bound.
     n = m = 101
@@ -284,18 +338,19 @@ def test_sweep_memory_is_bounded_by_the_budget(sweep, intervals):
         member = (cols >= first[:, None]) & (cols < (first + length)[:, None])
     else:
         member = rng.random((n, m)) < 0.3
-    assert propcheck._row_spans(member)[3] == intervals
+    spans = _row_spans(member)
+    assert spans[3] == intervals
     slack = rng.normal(size=(n, m))
     grid = make_uniform_grid(-1, 1, n)
     a, b = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
     i1, i2 = a.ravel()[a.ravel() != b.ravel()], b.ravel()[a.ravel() != b.ravel()]
     lambdas, lipschitz = propcheck.DEFAULT_LAMBDAS, (0.5, 0.25, 0.125)
     args = {
-        "_subdiff_convexity_sweep": (member, grid, 1e-9, i1, i2),
-        "_set_valued_sweep": (slack, member, grid, grid, lambdas, 1e-9, lipschitz,
+        "_subdiff_convexity_sweep": (member, spans, grid, 1e-9, i1, i2),
+        "_set_valued_sweep": (slack, member, spans, grid, grid, lambdas, 1e-9, lipschitz,
                               np.random.default_rng(1), i1, i2),
-        "_intersection_sweep": (slack, member, grid, lambdas, 1e-9, lipschitz, i1, i2),
-        "_domain_interval_sweep": (member, np.ones(n, dtype=bool), i1, i2),
+        "_intersection_sweep": (slack, member, spans, grid, lambdas, 1e-9, lipschitz, i1, i2),
+        "_domain_interval_sweep": (member, spans, np.ones(n, dtype=bool), i1, i2),
     }[sweep]
     tracemalloc.start()
     try:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -82,6 +84,25 @@ class TestGlobalSubdifferential:
             c_subdifferential(f, cost, x0)
         with pytest.raises(ValueError, match=f"grid index {x0} is out of range"):
             local_c_subdifferential(f, cost, LocalWindow(x0, 0.25))
+
+    @pytest.mark.parametrize("x0", [2.5, 3.0, np.float64(3.0), "3", None])
+    def test_non_integer_index_rejected(self, x0):
+        # 2.5 used to reach numpy's "only integers, slices ..." IndexError
+        g, cost = bilinear_on(41)
+        f = GridFunction(g, np.abs(g.points))
+        message = rf"^grid index must be an integer, got {re.escape(repr(x0))}$"
+        for call in (lambda: c_subdifferential(f, cost, x0),
+                     lambda: local_c_subdifferential(f, cost, LocalWindow(x0, 0.25)),
+                     lambda: LocalWindow(x0, 0.25).mask(g)):
+            with pytest.raises(ValueError, match=message):
+                call()
+
+    def test_numpy_integer_index_accepted(self):
+        g, cost = bilinear_on(41)
+        f = GridFunction(g, np.abs(g.points))
+        for x0 in (np.int64(30), np.int32(30), np.uint8(30)):
+            assert c_subdifferential(f, cost, x0).y_indices.tolist() \
+                == c_subdifferential(f, cost, 30).y_indices.tolist()
 
     @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-9])
     def test_bad_tol_rejected(self, tol):
@@ -225,6 +246,18 @@ class TestEnvelopeReconstruct:
         monkeypatch.setattr(subdiff, "membership_slack", None)  # any call would fail
         with pytest.raises(ValueError, match=rf"^selection\[{t}\]={entry} is outside \[-1, 9\)$"):
             envelope_reconstruct(f, cost, sel)
+
+    @pytest.mark.parametrize("entry", [10.7, float("nan"), 4.0])
+    def test_non_integer_selection_rejected_before_the_slack(self, monkeypatch, entry):
+        # 10.7 used to be cast to 10, and NaN to -2**63 with a RuntimeWarning
+        g, cost = bilinear_on(21)
+        f = GridFunction(g, np.abs(g.points))
+        monkeypatch.setattr(subdiff, "membership_slack", None)  # any call would fail
+        for sel in (np.full(21, -1.0), [-1] * 21):
+            sel[10] = entry
+            with pytest.raises(ValueError, match=r"^selection must be an integer array, "
+                                                 r"got dtype float64$"):
+                envelope_reconstruct(f, cost, sel)
 
     @pytest.mark.parametrize("tol", [float("nan"), -1.0, float("inf")])
     def test_bad_tol_rejected(self, tol):
