@@ -72,8 +72,11 @@ class Grid:
     n: int
 
     def __post_init__(self):
+        if not isinstance(self.n, numbers.Integral):
+            raise ValueError(f"grid size must be an integer, got n={self.n!r}")
         if self.n < 2:
             raise ValueError(f"grid needs at least 2 points, got n={self.n}")
+        object.__setattr__(self, "n", int(self.n))   # a numpy integer would make h a numpy scalar
         pts = self.interval.lo + np.arange(self.n) * self.h
         pts[-1] = self.interval.hi  # endpoint exact regardless of rounding in lo + (n-1)*h
         if (np.diff(pts) <= 0).any():
@@ -96,7 +99,7 @@ class Grid:
 
 
 def make_uniform_grid(lo: float, hi: float, n: int) -> Grid:
-    return Grid(Interval(float(lo), float(hi)), int(n))
+    return Grid(Interval(float(lo), float(hi)), n)
 
 
 def grid_through(x: np.ndarray, what: str) -> Grid:

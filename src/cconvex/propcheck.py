@@ -33,15 +33,13 @@ with the arithmetic of one lambda at a time.
 
 Row-span rule: each member row has a count and a first and last member
 column, whose only source is ``Analysis.spans``, as is a check's effective
-domain (the rows with a member).  When every nonempty row is one interval
-(last - first + 1 == count), the common members of two rows are the
-columns from the larger first to the smaller last, so a pair costs O(1)
-time and cells instead of an m-wide intersection, and a block holds that
-many more pairs; otherwise the rows are intersected column by column.  The
-rule picks only how a result is computed, never which pairs or members are
-drawn, so the sampling contract above and every verdict byte are the same
-on both sides.  The row-gap part of ``check_subdiff_convexity``, whose
-conclusion is that contiguity, is always judged on the dense rows.
+domain (the rows with a member).  The rule lives only in ``_meeting``,
+which gives a sweep only the pairs whose rows share a member: when every
+nonempty row is one interval (last - first + 1 == count), two rows share
+the columns from the larger first to the smaller last, read from the
+spans alone in O(1) per pair; otherwise the rows are intersected column by
+column.  The rule picks only how the meeting pairs are found, never which
+pairs or members are drawn, so every verdict byte is the same on both.
 """
 
 from __future__ import annotations
@@ -80,11 +78,10 @@ DEFAULT_LAMBDAS = (0.0, 0.25, 0.5, 0.75, 1.0)
 F_FAMILIES = ("random_piecewise_linear", "random_smooth_fourier", "cconvexified_random")
 # The temporaries of one pair-sweep block hold at most this many 8-byte cells,
 # whatever the pair cap.  A sweep's blocks get PAIR_BLOCK_CELLS // (cells one
-# pair holds on its path) pairs: on the row-span path a few (block,) arrays,
-# 8 cells, so 2048 pairs; 8 + m with an m-wide row intersection (150 pairs at
-# m = 101); 2m + 8 a lambda to gather slack rows (72 pairs at m = 101 and
-# three lambdas); 8 a lambda and 24 for the set-valued sweep's member draws
-# (256 pairs at five lambdas).
+# pair holds on its path) pairs: 8 on ``_meeting``'s row-span path (2048
+# pairs), 8 + m with an m-wide row intersection (150 pairs at m = 101); 2m + 8
+# a lambda to gather slack rows (72 pairs at m = 101 and three lambdas); 8 a
+# lambda and 24 for the set-valued sweep's member draws (256 at five lambdas).
 PAIR_BLOCK_CELLS = 2**14
 
 
@@ -197,13 +194,6 @@ def _scaled(w: float, values: np.ndarray) -> np.ndarray:
     return np.multiply(w, values, out=np.zeros_like(values), where=(w != 0.0) | (values < np.inf))
 
 
-def _span_cells(spans: tuple, m: int) -> int:
-    """Cells one pair holds while a sweep meets its rows in ``_common_span``:
-    a few (block,) arrays, and the m-wide intersection unless ``spans``
-    (only ever an ``Analysis.spans``) flag every row an interval."""
-    return 8 if spans[3] else 8 + m
-
-
 def _pair_blocks(i1: np.ndarray, i2: np.ndarray,
                  pair_cells: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Consecutive blocks of the pairs (i1[k], i2[k]), in order, of
@@ -213,25 +203,31 @@ def _pair_blocks(i1: np.ndarray, i2: np.ndarray,
     return ((i1[s:s + step], i2[s:s + step]) for s in range(0, i1.size, step))
 
 
-def _common_span(member: np.ndarray, spans: tuple, a: np.ndarray,
-                 b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Whether rows a[k] and b[k] share a member, and the first and last
-    shared column.  When every row is an interval the shared members are
-    the columns from the larger first to the smaller last, found in O(1)
-    per pair; otherwise the rows are intersected column by column."""
+def _meeting(member: np.ndarray, spans: tuple, i1: np.ndarray,
+             i2: np.ndarray) -> Iterator[tuple[np.ndarray, ...]]:
+    """The pairs (i1[k], i2[k]) whose member rows meet, in order, with their
+    first and last shared column, yielded per ``_pair_blocks`` block that
+    holds any.  Interval rows (per ``spans``) meet from the larger first to
+    the smaller last, 8 cells a pair; others are intersected, 8 + m cells."""
     counts, first, last, intervals = spans
-    if intervals:
-        lo, hi = first[a], last[a]
-        np.maximum(lo, first[b], out=lo)
-        np.minimum(hi, last[b], out=hi)
-        meet = lo <= hi
-        meet &= counts[a] > 0
-        meet &= counts[b] > 0
-        return meet, lo, hi
-    both = member[a] & member[b]
-    lo = both.argmax(axis=1)
-    hi = member.shape[1] - 1 - both[:, ::-1].argmax(axis=1)
-    return both.any(axis=1), lo, hi
+    for a, b in _pair_blocks(i1, i2, 8 if intervals else 8 + member.shape[1]):
+        if intervals:
+            lo, hi = first[a], last[a]
+            np.maximum(lo, first[b], out=lo)
+            np.minimum(hi, last[b], out=hi)
+            meet = lo <= hi
+            meet &= counts[a] > 0
+            meet &= counts[b] > 0
+        else:
+            both = member[a] & member[b]
+            meet, lo = both.any(axis=1), both.argmax(axis=1)
+            hi = member.shape[1] - 1 - both[:, ::-1].argmax(axis=1)
+            del both
+        if meet.any():
+            # drop the block's full-size arrays before the caller builds its own
+            a, b, lo, hi = a[meet], b[meet], lo[meet], hi[meet]
+            del meet
+            yield a, b, lo, hi
 
 
 def _fold(worst: float, witness: Optional[tuple], excess: np.ndarray,
@@ -385,24 +381,33 @@ def _subdiff_convexity_sweep(member: np.ndarray, spans: tuple, grid_j: Grid, tol
     worst, witness = _fold(-np.inf, None, gaps,
                            lambda i: (i, int(first[i]), int(last[i])))
     yv = grid_j.points
-    for a, b in _pair_blocks(i1, i2, _span_cells(spans, member.shape[1])):
-        meet, lo, hi = _common_span(member, spans, a, b)
+    for a, b, lo, hi in _meeting(member, spans, i1, i2):
         excess = yv[hi]
         excess -= yv[lo]
         excess -= grid_j.h + tol
-        excess[~meet] = -np.inf
         worst, witness = _fold(worst, witness, excess, lambda q: (int(a[q]), int(b[q])))
     return worst, witness
 
 
 def check_subdiff_convexity(a: Analysis, pair_cap: int = 10100, seed: int = 0) -> Verdict:
-    """Under a 2-affine cost every nonempty subdifferential is an interval
-    of the y grid, and distinct interior points share at most one
-    subgradient (intersection diameter <= y grid step + tol)."""
+    """Under a 2-affine, twisted cost (every mixed second difference of the
+    table above ``check_structure``'s tol, or every one below -tol) every
+    nonempty subdifferential is an interval of the y grid, and distinct
+    interior points share at most one subgradient (intersection diameter
+    <= y grid step + tol)."""
     check_id = "subdiff_convexity"
     _check_sweep(pair_cap, seed)
+    e = a.table.entries
     if not check_structure(a.table, "two_affine").holds:
         return _hypothesis_verdict(check_id, "cost not two_affine")
+    mixed = e[1:, 1:] - e[1:, :-1]   # c_xy: one (n-1) x (m-1) array, built in place
+    mixed -= e[:-1, 1:]
+    mixed += e[:-1, :-1]
+    # check_structure's tol, taken without an |e| array
+    twist_tol = 1e-9 * (1.0 + max(float(e.max()), -float(e.min())))
+    if not (mixed.min() > twist_tol or mixed.max() < -twist_tol):
+        return _hypothesis_verdict(check_id, "cost not twisted")
+    del mixed   # freed before the sweep builds its blocks
     if not a.c_convex[0]:
         return _hypothesis_verdict(check_id, f"f not c-convex (deviation {a.c_convex[1]})")
     if not a.spans[0].any():
@@ -498,14 +503,10 @@ def _intersection_sweep(slack: np.ndarray, member: np.ndarray, spans: tuple, gri
     lams = np.asarray(lambdas, dtype=float)
     m = member.shape[1]
     worst, witness, any_intersection = -np.inf, None, False
-    for a, b in _pair_blocks(i1s, i2s, _span_cells(spans, m)):
-        meet = _common_span(member, spans, a, b)[0]
-        if not meet.any():
-            continue
+    for a, b, _, _ in _meeting(member, spans, i1s, i2s):
         any_intersection = True
-        # pairs without common members never count; only the meeting ones
-        # gather slack rows, in sub-blocks of their own
-        for x1, x2 in _pair_blocks(a[meet], b[meet], 2 * m + 8 * lams.size):
+        # the meeting pairs gather slack rows in sub-blocks of their own
+        for x1, x2 in _pair_blocks(a, b, 2 * m + 8 * lams.size):
             outside = ~(member[x1] & member[x2])
             im, allow = _snap(grid_i, _mixtures(xv[x1], xv[x2], lams), 2.0 * (lf + lcx))
             allow += tol   # no dy term: the common member is not mixed
@@ -558,13 +559,11 @@ def _domain_interval_sweep(member: np.ndarray, spans: tuple, dom_relaxed: np.nda
     # float counts, exact below 2**53, so a block's differences need no cast
     missing_below = np.concatenate(([0.0], np.cumsum(~dom_relaxed)))
     worst, witness, any_intersection = -np.inf, None, False
-    for a, b in _pair_blocks(i1s, i2s, _span_cells(spans, member.shape[1])):
+    for a, b, _, _ in _meeting(member, spans, i1s, i2s):
+        any_intersection = True
         lo, hi = np.minimum(a, b), np.maximum(a, b)
-        meet = _common_span(member, spans, lo, hi)[0]
-        any_intersection |= bool(meet.any())
         excess = missing_below[hi + 1]
         excess -= missing_below[lo]
-        excess[~meet] = -np.inf
         worst, witness = _fold(worst, witness, excess, lambda q: (
             int(lo[q]), int(hi[q]), int(lo[q] + np.argmin(dom_relaxed[lo[q]:hi[q] + 1]))))
     return worst, witness, any_intersection

@@ -105,8 +105,7 @@ class LocalWindow:
 def membership_slack(f: GridFunction, cost: CostMatrix) -> np.ndarray:
     """n x m slack matrix; y_j is a member at x_i iff slack[i, j] >= -tol."""
     _check_input(f, cost)
-    with np.errstate(invalid="ignore"):
-        d = cost.entries - f.values[:, None]
+    d = cost.entries - f.values[:, None]
     d -= d.max(axis=0)
     return d
 

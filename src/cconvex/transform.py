@@ -52,8 +52,7 @@ def c_transform(f: GridFunction, cost: CostMatrix) -> TransformResult:
     Grid points where f = +inf contribute -inf and are skipped by the max.
     """
     _check_input(f, cost)
-    with np.errstate(invalid="ignore"):
-        d = cost.entries - f.values[:, None]  # -inf rows where f = +inf
+    d = cost.entries - f.values[:, None]  # -inf rows where f = +inf
     values = d.max(axis=0)
     argmax = d.argmax(axis=0)
     return TransformResult(GridFunction(cost.grid_j, values), argmax)

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cconvex.grids import (DiscreteMeasure, GridFunction, _composite_rule, _ordered_sum,
-                           barycenter, make_uniform_grid, quadrature, read_grid_function_csv,
+from cconvex.grids import (DiscreteMeasure, Grid, GridFunction, Interval, _composite_rule,
+                           _ordered_sum, barycenter, make_uniform_grid, quadrature, read_grid_function_csv,
                            sample_function, sup_norm_diff, write_grid_function_csv)
+from cconvex.propcheck import InstanceConfig, generate_instance
 from oracles import loop_barycenter, loop_mass, loop_quadrature
 
 
@@ -63,6 +64,22 @@ class TestGrid:
     def test_too_few_points_rejected(self):
         with pytest.raises(ValueError):
             make_uniform_grid(0, 1, 1)
+
+    @pytest.mark.parametrize("n", [2.5, 2.9, "3", np.float64(5.0)])
+    def test_non_integer_size_rejected(self, n):
+        # 2.9 used to give a 2-point grid, and Grid(..., 2.5) a grid of 3
+        # points with h = 4/3, which is not uniform
+        message = re.escape(f"grid size must be an integer, got n={n!r}")
+        for build in (lambda: Grid(Interval(-1.0, 1.0), n), lambda: make_uniform_grid(-1, 1, n),
+                      lambda: generate_instance(InstanceConfig(seed=0, n=n, m=5)),
+                      lambda: generate_instance(InstanceConfig(seed=0, n=5, m=n))):
+            with pytest.raises(ValueError, match=message):
+                build()
+
+    def test_numpy_integer_size_accepted(self):
+        g = make_uniform_grid(-1, 1, np.int64(5))
+        assert type(g.n) is int and g == make_uniform_grid(-1, 1, 5)
+        assert generate_instance(InstanceConfig(seed=0, n=np.int64(5), m=5))[0].grid == g
 
     @given(st.floats(-100, 100), st.floats(1e-3, 100), st.integers(2, 500))
     def test_regeneration_bit_identical(self, lo, length, n):

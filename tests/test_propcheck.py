@@ -90,14 +90,18 @@ class TestAnalysis:
             with pytest.raises(ValueError, match="same cost object and the same tol"):
                 check(a, b)
 
-    @pytest.mark.parametrize("check, f", [
-        (check_subdiff_convexity, lambda x: x**2),           # cost not two_affine
-        (check_set_valued_convexity, lambda x: x**2),        # cost not two_affine
-        (check_intersection_inclusion, lambda x: -x**2),     # f not convex
-        (check_domain_interval, lambda x: np.sin(6 * x)),    # f not convex
+    @pytest.mark.parametrize("check, f, c", [
+        (check_subdiff_convexity, lambda x: x**2, None),     # cost not two_affine
+        (check_subdiff_convexity, lambda x: 0.25 * x,        # cost not twisted
+         lambda x, y: 0.4 * y + 0.25 * x + 0.1),
+        (check_set_valued_convexity, lambda x: x**2, None),  # cost not two_affine
+        (check_intersection_inclusion, lambda x: -x**2, None),   # f not convex
+        (check_domain_interval, lambda x: np.sin(6 * x), None),  # f not convex
     ])
-    def test_failed_hypothesis_builds_no_slack(self, check, f):
+    def test_failed_hypothesis_builds_no_slack(self, check, f, c):
         _, cost = parabola_neg_quadratic()
+        if c is not None:
+            cost = tabulate_callable(c, cost.grid_i, cost.grid_i)
         a = Analysis(GridFunction(cost.grid_i, f(cost.grid_i.points)), cost)
         assert check(a).status == "hypothesis_failed"
         assert not {"slack", "member"} & set(vars(a))
@@ -310,6 +314,14 @@ class TestSubdiffConvexity:
         cost = tabulate_cost(CostSpec("bilinear"), g, g)
         v = check_subdiff_convexity(Analysis(GridFunction(g, -g.points**2), cost))
         assert v.status == "hypothesis_failed"
+
+    def test_negative_twist_is_judged(self):
+        # c = -xy has every mixed second difference -h^2 < -tol: twisted, so
+        # the conclusion is judged; x^2/2 (members y = -x) is c-convex
+        g = make_uniform_grid(-1, 1, 33)
+        cost = tabulate_callable(lambda x, y: -x * y, g, g)
+        v = check_subdiff_convexity(Analysis(GridFunction(g, 0.5 * g.points**2), cost))
+        assert v.status == "held" and v.notes.startswith("pairs=")
 
 
 class TestSetValuedConvexity:
@@ -594,12 +606,15 @@ class TestVerdictBranches:
         assert (v.status, v.max_violation, v.witness, v.notes) == ("vacuous", 0.0, None, notes)
 
     @pytest.mark.parametrize("check, cost, f, reason", [
+        # c_xy = 0: 0.25 x is c-convex and every pair shares every member,
+        # which used to be judged a violation (max_violation 1.98)
+        (check_subdiff_convexity, "affine", lambda x: 0.25 * x, "cost not twisted"),
         (check_set_valued_convexity, "convex_in_x", np.zeros_like,
          "cost not segment-concave (excess "),
         (check_set_valued_convexity, "affine", np.square, "f not c-convex (deviation "),
         (check_intersection_inclusion, "convex_in_x", np.square, "cost not one_concave"),
         (check_domain_interval, "convex_in_x", np.square, "cost not one_concave"),
-    ], ids=["set_valued_segment_concave", "set_valued_c_convex", "intersection_one_concave",
+    ], ids=["subdiff_twisted", "set_valued_segment_concave", "set_valued_c_convex", "intersection_one_concave",
             "domain_one_concave"])
     def test_failed_hypothesis(self, check, cost, f, reason):
         v = check(on_grid(self.g, f(self.g.points), getattr(self, cost)))

@@ -164,6 +164,29 @@ def test_analysis_spans_match_the_row_loop(monkeypatch, kind, seed):
     assert a.spans is a.spans and len(calls) == 1   # cached
 
 
+@pytest.mark.parametrize("kind", MEMBERS)
+@pytest.mark.parametrize("seed", range(3))
+def test_meeting_yields_the_meeting_pairs_in_order(budget, kind, seed):
+    rng = np.random.default_rng(seed)
+    member = MEMBERS[kind](rng)
+    spans = _row_spans(member)
+    i1, i2 = interval_pairs(rng)
+    want, blocks = [], set()
+    step = max(1, propcheck.PAIR_BLOCK_CELLS // (8 if spans[3] else 8 + M))
+    for k, (a, b) in enumerate(zip(i1, i2)):
+        shared = np.flatnonzero(member[a] & member[b])
+        if shared.size:
+            want.append((int(a), int(b), int(shared[0]), int(shared[-1])))
+            blocks.add(k // step)
+    # interval rows are met from the spans alone: ``member`` is never read
+    yielded = list(propcheck._meeting(None if spans[3] else member, spans, i1, i2))
+    got = [tuple(map(int, pair)) for block in yielded for pair in zip(*block)]
+    assert got == want
+    # one block per pair block that holds a meeting pair, none for the rest
+    assert len(yielded) == len(blocks)
+    assert all(len({x.size for x in block}) == 1 for block in yielded)
+
+
 @pytest.mark.parametrize("tol", TOLS)
 @pytest.mark.parametrize("y_half_width", [1.0, 100.0])
 @pytest.mark.parametrize("seed", range(3))
@@ -310,12 +333,13 @@ def test_mid_budget_takes_several_blocks_on_every_path(monkeypatch, intervals):
     propcheck._set_valued_sweep(slack, member, spans, gi, gj, lambdas, 1e-9, lipschitz, rng,
                                 i1, i2)
     propcheck._intersection_sweep(slack, member, spans, gi, lambdas, 1e-9, lipschitz, i1, i2)
-    # three footprints: the rows' path (subdiff, domain and the intersection
-    # pre-filter), the set-valued draws and the slack-row gather; each takes
-    # several blocks, at least one of them full, so the gather's meeting
-    # pairs overflow a sub-block
+    # three footprints: ``_meeting``'s walk over the rows (subdiff, domain
+    # and intersection), 8 cells a pair on interval rows and 8 + M on others,
+    # the set-valued draws and the slack-row gather; each takes several
+    # blocks, at least one of them full, so the gather's meeting pairs
+    # overflow a sub-block
     assert len(sizes) == 3
-    assert propcheck._span_cells(spans, M) in sizes
+    assert (8 if intervals else 8 + M) in sizes
     for pair_cells, taken in sizes.items():
         assert len(taken) >= 3 and max(taken) == MID_BUDGET // pair_cells > 1
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from cconvex.costs import CostSpec, tabulate_cost
 from cconvex.grids import GridFunction, make_uniform_grid, sup_norm_diff
-from cconvex.subdiff import Analysis
+from cconvex.subdiff import Analysis, membership_slack
 from cconvex.transform import c_transform, double_c_transform, is_c_convex, to_concave_problem
 from oracles import brute_c_transform, brute_double_conjugate
 
@@ -77,6 +77,17 @@ class TestCTransform:
             values, argmax = brute_c_transform(f.values, cost.entries)
             assert np.array_equal(fc.values.values, values)
             assert np.array_equal(fc.argmax, argmax)
+
+    def test_infinite_values_raise_no_floating_point_flag(self):
+        # finite - (+inf) = -inf sets no flag, so neither c_transform nor
+        # membership_slack needs an errstate guard around it
+        g, cost = bilinear_on(31)
+        f = random_f(g, 3, inf_prob=0.3)
+        with np.errstate(all="raise"):
+            fc, slack = c_transform(f, cost), membership_slack(f, cost)
+        assert np.array_equal(fc.values.values, brute_c_transform(f.values, cost.entries)[0])
+        assert np.array_equal(np.isneginf(slack).all(axis=1), np.isinf(f.values))
+        assert np.isfinite(slack[np.isfinite(f.values)]).all()
 
     def test_grid_mismatch(self):
         g, cost = bilinear_on(11)
