@@ -3,8 +3,8 @@
 Jensen-type gap bounds, and machine-checked structural propositions.
 """
 
-from .costs import (CostDomainError, CostMatrix, CostSpec, StructureVerdict,
-                    check_structure, evaluate_cost, tabulate_cost)
+from .costs import (CostDomainError, CostMatrix, CostSpec, check_structure, evaluate_cost,
+                    tabulate_cost)
 from .grids import (DiscreteMeasure, Grid, GridFunction, Interval, barycenter,
                     make_uniform_grid, quadrature, sample_function, sup_norm_diff)
 from .jensen import (JensenReport, NoAdmissibleWitnessError, classical_reduction_check,

@@ -1,6 +1,6 @@
-"""Built-in cost families, tabulation onto product grids, and numerical
-detection of the structural properties (1/2-affine, 1/2-concave, 1-convex)
-that the structural checks hypothesize.
+"""Built-in cost families, tabulation onto product grids, and the one judge
+of the structural properties (1/2-affine, 1/2-concave, 1-convex, twisted,
+segment-concave) that the structural checks hypothesize.
 
 Families:
     bilinear        c(x, y) = x*y
@@ -20,6 +20,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .grids import Grid, csv_floats, csv_rows, grid_through
+from .verdicts import Verdict
 
 __all__ = [
     "COST_FAMILIES",
@@ -28,7 +29,6 @@ __all__ = [
     "CostDomainError",
     "CostSpec",
     "CostMatrix",
-    "StructureVerdict",
     "parse_cost_spec",
     "evaluate_cost",
     "twist_bound",
@@ -42,7 +42,8 @@ __all__ = [
 ]
 
 COST_FAMILIES = ("bilinear", "one_affine", "neg_quadratic", "reflector", "translation")
-STRUCTURE_PROPERTIES = ("one_affine", "two_affine", "one_concave", "one_convex", "two_concave")
+STRUCTURE_PROPERTIES = ("one_affine", "two_affine", "one_concave", "one_convex", "two_concave",
+                        "twisted", "segment_concave")
 
 
 class CostDomainError(ValueError):
@@ -85,7 +86,7 @@ def parse_cost_spec(family: str, params: tuple = ()) -> CostSpec:
     Parameters come either as text after a colon, the CLI's ``--cost``
     syntax (``neg_quadratic:2.5``, ``one_affine:a0,a1,...;b0,b1,...``), or
     as ``params``: ``(scale,)`` for neg_quadratic and ``(a_coeffs,
-    b_coeffs)`` for one_affine.
+    b_coeffs)`` for one_affine.  The other families take none, and reject any.
     """
     family, _, text = family.partition(":")
     if text:
@@ -105,6 +106,8 @@ def parse_cost_spec(family: str, params: tuple = ()) -> CostSpec:
         return CostSpec(family, a_coeffs=tuple(params[0]), b_coeffs=tuple(params[1]))
     if family == "translation":
         raise ValueError("the translation family needs a callable h; use the API")
+    if params and family in COST_FAMILIES:
+        raise ValueError(f"the {family} family takes no parameters, got {text or params!r}")
     return CostSpec(family)
 
 
@@ -280,42 +283,46 @@ def tabulate_callable(fn: Callable, grid_i: Grid, grid_j: Grid) -> CostMatrix:
     return CostMatrix(grid_i, grid_j, entries)
 
 
-@dataclass(frozen=True)
-class StructureVerdict:
-    property: str
-    holds: bool
-    max_violation: float
-    tol: float
-    witness: Optional[tuple] = None  # (stencil start, stencil end, fixed index)
+def check_structure(matrix: CostMatrix, property: str) -> Verdict:
+    """Judge a structural property of the table, with the one tolerance of
+    every cost hypothesis, tol = 1e-9 * (1 + max |c|).
 
-
-def check_structure(matrix: CostMatrix, property: str) -> StructureVerdict:
-    """Test a structural property via second differences along one axis,
-    with tol = 1e-9 * (1 + max |c|).
-
-    Affineness: |second difference| <= tol.  Concavity: second difference
-    <= tol.  Convexity: second difference >= -tol.
+    The axis properties read second differences d2 along x (``one_``) or y
+    (``two_``): affineness |d2| <= tol, concavity d2 <= tol, convexity
+    d2 >= -tol; a failure's witness is (stencil start, stencil end, fixed
+    index) of the first failing stencil.  ``twisted``: every mixed second
+    difference above tol, or every one below -tol; its excess is how far
+    they reach into [-tol, tol], edge included.  ``segment_concave``:
+    ``segment_concavity_excess`` <= tol.  ``max_violation`` is the excess
+    beyond tol, so the verdict holds iff the property does.
     """
     if property not in STRUCTURE_PROPERTIES:
         raise ValueError(f"unknown structural property {property!r}")
-    tol = 1e-9 * (1.0 + float(np.abs(matrix.entries).max()))
-    axis = 0 if property.startswith("one_") else 1
-    if matrix.entries.shape[axis] < 3:
-        raise ValueError(f"grid too small along axis {axis} for {property} (need >= 3 points)")
-    d2 = np.diff(matrix.entries, 2, axis=axis)
-    if property.endswith("affine"):
-        viol = np.abs(d2)
-    elif property.endswith("concave"):
-        viol = d2
-    else:  # convex
-        viol = -d2
-    max_violation = float(viol.max())
-    holds = max_violation <= tol
+    e = matrix.entries
+    tol = 1e-9 * (1.0 + max(float(e.max()), -float(e.min())))
     witness = None
-    if not holds:
-        i, j = map(int, np.argwhere(viol > tol)[0])
-        witness = (i, i + 2, j) if axis == 0 else (j, j + 2, i)
-    return StructureVerdict(property, holds, max_violation, float(tol), witness)
+    if property == "twisted":
+        mixed = e[1:, 1:] - e[1:, :-1]   # c_xy: one (n-1) x (m-1) array, built in place
+        mixed -= e[:-1, 1:]
+        mixed += e[:-1, :-1]
+        # the rule is strict: one ulp up makes an excess of exactly 0 a violation
+        excess = np.nextafter(min(tol - float(mixed.min()), float(mixed.max()) + tol), np.inf)
+    elif property == "segment_concave":
+        excess = segment_concavity_excess(matrix) - tol
+    else:
+        axis = 0 if property.startswith("one_") else 1
+        if e.shape[axis] < 3:
+            raise ValueError(f"grid too small along axis {axis} for {property} (need >= 3 points)")
+        d2 = np.diff(e, 2, axis=axis)
+        if property.endswith("affine"):
+            np.abs(d2, out=d2)
+        elif property.endswith("convex"):
+            np.negative(d2, out=d2)
+        excess = float(d2.max()) - tol
+        if excess > 0:
+            i, j = map(int, np.argwhere(d2 > tol)[0])
+            witness = (i, i + 2, j) if axis == 0 else (j, j + 2, i)
+    return Verdict(property, float(excess), witness, notes=f"tol={tol}")
 
 
 def segment_concavity_excess(matrix: CostMatrix) -> float:
@@ -325,15 +332,11 @@ def segment_concavity_excess(matrix: CostMatrix) -> float:
     and diagonal segment.  This does not certify full joint concavity.
     """
     e = matrix.entries
-    worst = -np.inf
-    if e.shape[0] >= 3:
-        worst = max(worst, float(np.diff(e, 2, axis=0).max()))
-    if e.shape[1] >= 3:
-        worst = max(worst, float(np.diff(e, 2, axis=1).max()))
-    if min(e.shape) >= 3:
-        diag = e[:-2, :-2] - 2.0 * e[1:-1, 1:-1] + e[2:, 2:]
-        anti = e[:-2, 2:] - 2.0 * e[1:-1, 1:-1] + e[2:, :-2]
-        worst = max(worst, float(diag.max()), float(anti.max()))
+    worst = max(float(np.diff(e, 2, axis=0).max(initial=-np.inf)),
+                float(np.diff(e, 2, axis=1).max(initial=-np.inf)))
+    mid = 2.0 * e[1:-1, 1:-1]   # both diagonals' stencils, one at a time
+    for a, b in ((e[:-2, :-2], e[2:, 2:]), (e[:-2, 2:], e[2:, :-2])):
+        worst = max(worst, float((a - mid + b).max(initial=-np.inf)))
     return worst
 
 

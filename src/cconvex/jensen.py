@@ -235,9 +235,9 @@ def classical_reduction_check(f: GridFunction, cost: CostSpec, grid_j: Grid,
     if not f.is_finite:
         raise ValueError("classical reduction needs an everywhere-finite f")
     matrix = tabulate_cost(cost, f.grid, grid_j)
-    sv = check_structure(matrix, "one_affine")
-    if not sv.holds:
-        raise ValueError(f"cost is not 1-affine (max second difference {sv.max_violation})")
+    affine = check_structure(matrix, "one_affine")
+    if not affine.holds:
+        raise ValueError(f"cost is not 1-affine (excess {affine.max_violation}, {affine.notes})")
     iv = f.grid.interval
     mid = (iv.lo + iv.hi) / 2.0
     idx = f.grid.nearest_index(mid)

@@ -51,7 +51,7 @@ from typing import Callable, Iterator, Optional, Sequence
 import numpy as np
 
 from .costs import (CostMatrix, CostSpec, check_structure, cost_dx, evaluate_cost,
-                    parse_cost_spec, segment_concavity_excess, tabulate_callable, tabulate_cost)
+                    parse_cost_spec, tabulate_callable, tabulate_cost)
 from .grids import Grid, GridFunction, check_index, check_tol, make_uniform_grid
 from .subdiff import Analysis, LocalWindow, local_double_conjugate, membership_slack
 from .transform import double_c_transform
@@ -103,6 +103,9 @@ class InstanceConfig:
         _check_seed(self.seed)
         if not np.isfinite(self.amplitude):
             raise ValueError(f"amplitude must be finite, got {self.amplitude}")
+        if self.f_family not in F_FAMILIES:
+            raise ValueError(f"unknown f family {self.f_family!r}")
+        parse_cost_spec(self.cost_family, self.cost_params)
 
 
 def _raw_function(cfg: InstanceConfig, grid: Grid, rng: np.random.Generator,
@@ -115,14 +118,13 @@ def _raw_function(cfg: InstanceConfig, grid: Grid, rng: np.random.Generator,
         knots[0], knots[-1] = lo, hi
         vals = rng.uniform(-amp, amp, k)
         return np.interp(grid.points, knots, vals)
-    if family == "random_smooth_fourier":
-        t = (grid.points - lo) / (hi - lo)
-        out = np.zeros(grid.n)
-        for k in range(1, 6):
-            a, b = rng.normal(size=2)
-            out += (amp / k**2) * (a * np.cos(np.pi * k * t) + b * np.sin(np.pi * k * t))
-        return out
-    raise ValueError(f"unknown f family {family!r}")
+    # random_smooth_fourier, the one other raw family
+    t = (grid.points - lo) / (hi - lo)
+    out = np.zeros(grid.n)
+    for k in range(1, 6):
+        a, b = rng.normal(size=2)
+        out += (amp / k**2) * (a * np.cos(np.pi * k * t) + b * np.sin(np.pi * k * t))
+    return out
 
 
 def _instance_function(cfg: InstanceConfig, cost: CostMatrix) -> GridFunction:
@@ -282,17 +284,30 @@ def _sample_pairs(rng: np.random.Generator, pool: np.ndarray,
     return i1[mask], i2[mask]
 
 
-def _hypothesis_verdict(check_id: str, reason: str) -> Verdict:
-    return Verdict(check_id, 0.0, notes=f"hypothesis-failed: {reason}; conclusion not judged",
-                   status="hypothesis_failed")
+def _failed_hypothesis(check_id: str, a: Analysis, *hypotheses: str) -> Optional[Verdict]:
+    """The ``hypothesis_failed`` verdict of the first of ``hypotheses`` that
+    fails, tried in order, or None when all hold.  A hypothesis is a
+    ``check_structure`` property of ``a.table``, ``convex`` (every second
+    difference of f >= -tol * (1 + max|f|)) or ``c_convex`` (``a.c_convex``)."""
+    for h in hypotheses:
+        if h == "convex":
+            fv = a.f.values
+            with np.errstate(invalid="ignore"):   # +inf - +inf is NaN: not convex
+                held = (np.diff(fv, 2) >= -a.tol * (1.0 + np.abs(fv).max())).all()
+            reason = "f not convex"
+        elif h == "c_convex":
+            held, reason = a.c_convex[0], f"f not c-convex (deviation {a.c_convex[1]})"
+        else:
+            v = check_structure(a.table, h)
+            held, reason = v.holds, f"cost not {h} (excess {v.max_violation})"
+        if not held:
+            notes = f"hypothesis-failed: {reason}; conclusion not judged"
+            return Verdict(check_id, 0.0, notes=notes, status="hypothesis_failed")
+    return None
 
 
 def _vacuous(check_id: str, notes: str = "vacuous: no qualifying cases") -> Verdict:
     return Verdict(check_id, 0.0, notes=notes, status="vacuous")
-
-
-def _is_convex_values(values: np.ndarray, tol: float) -> bool:
-    return bool((np.diff(values, 2) >= -tol * (1.0 + np.abs(values).max())).all())
 
 
 def _check_lambdas(lambdas: Sequence[float]):
@@ -390,26 +405,14 @@ def _subdiff_convexity_sweep(member: np.ndarray, spans: tuple, grid_j: Grid, tol
 
 
 def check_subdiff_convexity(a: Analysis, pair_cap: int = 10100, seed: int = 0) -> Verdict:
-    """Under a 2-affine, twisted cost (every mixed second difference of the
-    table above ``check_structure``'s tol, or every one below -tol) every
-    nonempty subdifferential is an interval of the y grid, and distinct
-    interior points share at most one subgradient (intersection diameter
-    <= y grid step + tol)."""
+    """Under a 2-affine, twisted cost (``check_structure``) every nonempty
+    subdifferential is an interval of the y grid, and distinct interior
+    points share at most one subgradient (intersection diameter <= y grid
+    step + tol)."""
     check_id = "subdiff_convexity"
     _check_sweep(pair_cap, seed)
-    e = a.table.entries
-    if not check_structure(a.table, "two_affine").holds:
-        return _hypothesis_verdict(check_id, "cost not two_affine")
-    mixed = e[1:, 1:] - e[1:, :-1]   # c_xy: one (n-1) x (m-1) array, built in place
-    mixed -= e[:-1, 1:]
-    mixed += e[:-1, :-1]
-    # check_structure's tol, taken without an |e| array
-    twist_tol = 1e-9 * (1.0 + max(float(e.max()), -float(e.min())))
-    if not (mixed.min() > twist_tol or mixed.max() < -twist_tol):
-        return _hypothesis_verdict(check_id, "cost not twisted")
-    del mixed   # freed before the sweep builds its blocks
-    if not a.c_convex[0]:
-        return _hypothesis_verdict(check_id, f"f not c-convex (deviation {a.c_convex[1]})")
+    if failed := _failed_hypothesis(check_id, a, "two_affine", "twisted", "c_convex"):
+        return failed
     if not a.spans[0].any():
         return _vacuous(check_id, "vacuous: every subdifferential empty")
     i1, i2 = _sample_pairs(np.random.default_rng(seed), np.arange(1, a.f.grid.n - 1), pair_cap)
@@ -468,17 +471,10 @@ def check_set_valued_convexity(a: Analysis, lambdas: Sequence[float] = DEFAULT_L
     check_id = "set_valued_convexity"
     _check_sweep(pair_cap, seed)
     _check_lambdas(lambdas)
+    if failed := _failed_hypothesis(check_id, a, "two_affine", "segment_concave", "convex",
+                                    "c_convex"):
+        return failed
     f, cost, tol = a.f, a.table, a.tol
-    if not check_structure(cost, "two_affine").holds:
-        return _hypothesis_verdict(check_id, "cost not two_affine")
-    seg = segment_concavity_excess(cost)
-    if seg > 1e-9 * (1.0 + float(np.abs(cost.entries).max())):
-        return _hypothesis_verdict(check_id, f"cost not segment-concave (excess {seg})")
-    if not _is_convex_values(f.values, tol):
-        return _hypothesis_verdict(check_id, "f not convex")
-    if not a.c_convex[0]:
-        return _hypothesis_verdict(check_id, f"f not c-convex (deviation {a.c_convex[1]})")
-
     dom = np.flatnonzero(a.spans[0])
     if dom.size < 2:
         return _vacuous(check_id, "vacuous: effective domain has fewer than two points")
@@ -533,14 +529,9 @@ def check_intersection_inclusion(a: Analysis, lambdas: Sequence[float] = DEFAULT
     check_id = "intersection_inclusion"
     _check_sweep(pair_cap, seed)
     _check_lambdas(lambdas)
+    if failed := _failed_hypothesis(check_id, a, "one_concave", "convex", "c_convex"):
+        return failed
     f, cost, tol = a.f, a.table, a.tol
-    if not check_structure(cost, "one_concave").holds:
-        return _hypothesis_verdict(check_id, "cost not one_concave")
-    if not _is_convex_values(f.values, tol):
-        return _hypothesis_verdict(check_id, "f not convex")
-    if not a.c_convex[0]:
-        return _hypothesis_verdict(check_id, f"f not c-convex (deviation {a.c_convex[1]})")
-
     interior = np.flatnonzero(a.spans[0][1:-1]) + 1   # the domain's interior points
     if interior.size < 2:
         return _vacuous(check_id)
@@ -576,11 +567,9 @@ def check_domain_interval(a: Analysis, pair_cap: int = 10100, seed: int = 0) -> 
     the allowance is 2*tol plus rounding."""
     check_id = "domain_interval"
     _check_sweep(pair_cap, seed)
+    if failed := _failed_hypothesis(check_id, a, "one_concave", "convex"):
+        return failed
     f, cost, tol = a.f, a.table, a.tol
-    if not check_structure(cost, "one_concave").holds:
-        return _hypothesis_verdict(check_id, "cost not one_concave")
-    if not _is_convex_values(f.values, tol):
-        return _hypothesis_verdict(check_id, "f not convex")
     allow = 2.0 * tol + _float_margin(cost.entries, f.values)
     dom_relaxed = (a.slack >= -allow).any(axis=1)
     idx = np.flatnonzero(a.spans[0])
@@ -603,9 +592,11 @@ def check_grad_inclusion(a: Analysis, cost_spec: CostSpec) -> Verdict:
 
     M2/M3 the max second/third difference quotients (f' estimated by
     central differences), times 4 for margin; dc/dx comes from ``cost_spec``,
-    which must give the cost table exactly at every member.
+    which must give the cost table exactly at every member; f must be finite.
     """
     check_id = "grad_inclusion"
+    if not a.f.is_finite:
+        raise ValueError("check_grad_inclusion requires an everywhere-finite f")
     f, cost, tol = a.f, a.table, a.tol
     h = f.grid.h
     interior = np.arange(1, f.grid.n - 1)

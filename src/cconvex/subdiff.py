@@ -215,7 +215,8 @@ class Analysis:
         2*eps + u*F of D, since eps >= u*C.  The engine maximises D~ for column
         j over [k_a, k_b], a < j < b being columns of earlier levels; for
         z > k_b, D(z, j) - D(k_b, j) <= D(z, b) - D(k_b, b) <= loss_b (Monge),
-        and alike below k_a, so by induction loss_j <= 2E(t + 1) at level t and
+        and alike below k_a, so by induction loss_j <= 2E(t + 1) at level t and,
+        as ``_monotone_argmax`` makes exactly m.bit_length() levels (t < that),
         every loss_j <= L = 2E * m.bit_length().  f^c_j = D~(k_j, j) is within
         E + L of M_j, so the computed slack fl(X), X = D~(i, j) - f^c_j, has
         |X - s(i, j)| <= d = 2E + L.  The search left of p_i keeps columns lo

@@ -83,7 +83,9 @@ def _monotone_argmax(score: Callable[[np.ndarray, np.ndarray], np.ndarray],
     ``score(out, cand)`` returns the entries at the index pairs.  Divide and
     conquer, one level per call: each segment's middle output is maximised
     over the candidates its segment allows, and its first maximiser k
-    leaves [lo, k] to the left half and [k, hi] to the right.  That is
+    leaves [lo, k] to the left half and [k, hi] to the right.  A segment of
+    L outputs leaves halves of at most L // 2: n_out.bit_length() levels in
+    all, one ``score`` call each, as ``Analysis.triples`` assumes.  That is
     O((n_out + n_cand) log n_out) evaluations in O(n_out + n_cand) memory.
     """
     values = np.empty(n_out)

@@ -254,6 +254,45 @@ def loop_cost_self_subdiff(cost, tol):
     return worst
 
 
+def separate_gate_holds(entries, property):
+    """A cost hypothesis decided as each gate decided it on its own, before
+    ``check_structure`` judged them all, each with its own copy of
+    tol = 1e-9 * (1 + max|c|): the axis rule of ``check_structure``, the
+    inline twist rule of ``check_subdiff_convexity`` and the segment rule of
+    ``check_set_valued_convexity``."""
+    tol = 1e-9 * (1.0 + float(np.abs(entries).max()))
+    if property == "twisted":
+        mixed = entries[1:, 1:] - entries[1:, :-1]
+        mixed -= entries[:-1, 1:]
+        mixed += entries[:-1, :-1]
+        return bool(mixed.min() > tol or mixed.max() < -tol)
+    if property == "segment_concave":
+        worst = -np.inf
+        if entries.shape[0] >= 3:
+            worst = max(worst, float(np.diff(entries, 2, axis=0).max()))
+        if entries.shape[1] >= 3:
+            worst = max(worst, float(np.diff(entries, 2, axis=1).max()))
+        if min(entries.shape) >= 3:
+            e = entries
+            diag = e[:-2, :-2] - 2.0 * e[1:-1, 1:-1] + e[2:, 2:]
+            anti = e[:-2, 2:] - 2.0 * e[1:-1, 1:-1] + e[2:, :-2]
+            worst = max(worst, float(diag.max()), float(anti.max()))
+        return not worst > tol
+    d2 = np.diff(entries, 2, axis=0 if property.startswith("one_") else 1)
+    if property.endswith("affine"):
+        viol = np.abs(d2)
+    elif property.endswith("concave"):
+        viol = d2
+    else:  # convex
+        viol = -d2
+    return bool(float(viol.max()) <= tol)
+
+
+def separate_convex_holds(values, tol):
+    """The f-convexity gate as the proposition checks each applied it."""
+    return bool((np.diff(values, 2) >= -tol * (1.0 + np.abs(values).max())).all())
+
+
 def loop_quadrature(f):
     """Composite trapezoid rule, one left-to-right Python sum."""
     if not f.is_finite:

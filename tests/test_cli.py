@@ -38,6 +38,27 @@ class TestParsing:
             with pytest.raises(SystemExit, match="^error: "):
                 run(["transform", "--cost", text, "--n", "5", "--m", "5"])
 
+    @pytest.mark.parametrize("family, text, params, shown", [
+        ("bilinear", "9", (), "'9'"),
+        ("reflector", "1,2;4", (), "'1,2;4'"),
+        ("bilinear", "", (9.0,), r"\(9.0,\)"),
+        ("reflector", "", ((1.0,), (2.0,)), r"\(\(1.0,\), \(2.0,\)\)"),
+    ])
+    def test_parameters_a_family_does_not_take(self, family, text, params, shown):
+        # these used to be dropped without a word: a plain bilinear or reflector
+        message = f"the {family} family takes no parameters, got {shown}$"
+        spelled = f"{family}:{text}" if text else family
+        with pytest.raises(ValueError, match="^" + message):
+            parse_cost_spec(spelled, params)
+        if text:
+            with pytest.raises(SystemExit, match="^error: " + message):
+                run(["transform", "--cost", spelled, "--n", "5", "--m", "5"])
+
+    def test_empty_parameter_text_is_no_parameters(self, tmp_path):
+        assert parse_cost_spec("bilinear:") == parse_cost_spec("bilinear")
+        assert run(["transform", "--cost", "bilinear:", "--n", "5", "--m", "5",
+                    "--out", str(tmp_path / "out.json")]) == 0
+
     def test_function_catalog(self):
         g = make_uniform_grid(-1, 1, 5)
         assert list(parse_function("parabola", g).values) == [1, 0.25, 0, 0.25, 1]

@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from cconvex import costs
-from cconvex.costs import (MAX_DENSE_CELLS, CostDomainError, CostSpec, check_structure,
-                           evaluate_cost, read_cost_csv, segment_concavity_excess,
-                           tabulate_callable, tabulate_cost, write_cost_csv)
+from cconvex.costs import (MAX_DENSE_CELLS, STRUCTURE_PROPERTIES, CostDomainError, CostSpec,
+                           check_structure, evaluate_cost, read_cost_csv,
+                           segment_concavity_excess, tabulate_callable, tabulate_cost,
+                           write_cost_csv)
 from cconvex.grids import make_uniform_grid
+from oracles import separate_gate_holds
 
 
 class TestEvaluate:
@@ -120,6 +122,17 @@ class TestTabulate:
             tabulate_cost(CostSpec("reflector"), g, g)
 
 
+def twist_edge_scale():
+    """The d for which c = d*x*y on {0, 1, 2}^2, whose mixed differences are
+    all d exactly and whose max|c| is 4d, has them on the edge of +-tol:
+    d = 1e-9 * (1 + 4d) in floating point."""
+    d = 1e-9
+    for _ in range(5):
+        d = 1e-9 * (1.0 + 4.0 * d)
+    assert d == 1e-9 * (1.0 + 4.0 * d)
+    return d
+
+
 class TestStructure:
     def setup_method(self):
         self.g = make_uniform_grid(-1, 1, 21)
@@ -179,6 +192,94 @@ class TestStructure:
         assert segment_concavity_excess(m) <= 1e-12
         m2 = tabulate_callable(lambda x, y: x**2 + y**2, self.g, self.g)
         assert segment_concavity_excess(m2) > 0
+
+    def test_verdict_reads_the_excess_beyond_tol(self):
+        m = tabulate_cost(CostSpec("neg_quadratic"), self.g, self.g)
+        tol = 1e-9 * (1 + float(np.abs(m.entries).max()))
+        d2 = np.diff(m.entries, 2, axis=0)
+        v = check_structure(m, "one_concave")
+        assert (v.check_id, v.status, v.witness, v.notes) == ("one_concave", "held", None,
+                                                              f"tol={tol}")
+        assert v.max_violation == float(d2.max()) - tol
+        v = check_structure(m, "one_convex")
+        assert (v.check_id, v.status, v.witness) == ("one_convex", "violated", (0, 2, 0))
+        assert v.max_violation == float((-d2).max()) - tol
+
+    @pytest.mark.parametrize("c, twisted", [
+        (lambda x, y: x * y, True),
+        (lambda x, y: -x * y, True),                       # every c_xy below -tol
+        (lambda x, y: np.sin(x) * y + x**2, True),
+        (lambda x, y: 0.4 * y + 0.25 * x + 0.1, False),    # affine: c_xy = 0
+        (lambda x, y: x**2 + y**2, False),
+        (lambda x, y: np.cos(3 * (x - y)), False),         # c_xy of both signs
+    ])
+    def test_twisted(self, c, twisted):
+        v = check_structure(tabulate_callable(c, self.g, self.g), "twisted")
+        assert (v.holds, v.witness) == (twisted, None)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_twist_rule_is_strict(self, sign):
+        d = twist_edge_scale()
+        g = make_uniform_grid(0, 2, 3)
+        m = tabulate_callable(lambda x, y: sign * d * x * y, g, g)
+        assert np.diff(np.diff(m.entries, axis=0), axis=1).tolist() == [[sign * d] * 2] * 2
+        v = check_structure(m, "twisted")
+        assert (v.status, v.max_violation, v.notes) == ("violated", 5e-324, f"tol={d}")
+        m = tabulate_callable(lambda x, y: sign * np.nextafter(d, 1.0) * x * y, g, g)
+        assert check_structure(m, "twisted").holds
+
+    def test_segment_concave_is_the_excess_within_tol(self):
+        m = tabulate_callable(lambda x, y: 0.4 * y - x**2, self.g, self.g)
+        v = check_structure(m, "segment_concave")
+        tol = 1e-9 * (1 + float(np.abs(m.entries).max()))
+        assert v.holds and v.max_violation == segment_concavity_excess(m) - tol
+        m = tabulate_callable(lambda x, y: x**2 + y**2, self.g, self.g)
+        assert check_structure(m, "segment_concave").status == "violated"
+
+
+def _gate_tables():
+    """The cost tables the suite gates, and the test tables of the
+    hypothesis checks, on their own grids."""
+    g, g33 = make_uniform_grid(-1, 1, 101), make_uniform_grid(-1, 1, 33)
+    gr = make_uniform_grid(0, 0.4, 101)
+    sq, d = make_uniform_grid(0, 2, 3), twist_edge_scale()
+    return {
+        "sinxy": tabulate_callable(lambda x, y: np.sin(x) * y + x**2, g, g),
+        "affine": tabulate_callable(lambda x, y: 0.4 * y + 0.25 * x + 0.1, g, g),
+        "bilinear": tabulate_cost(CostSpec("bilinear"), g, g),
+        "neg_quadratic": tabulate_cost(CostSpec("neg_quadratic"), g,
+                                       make_uniform_grid(-2.5, 2.5, 101)),
+        "reflector": tabulate_cost(CostSpec("reflector"), gr, gr),
+        "neg_twist": tabulate_callable(lambda x, y: -x * y, g33, g33),
+        "convex_in_x": tabulate_callable(lambda x, y: x**2 + x * y, g33, g33),
+        "one_affine": tabulate_cost(CostSpec("one_affine", (1.0, 0.0, 3.0), (0.0, 1.0)),
+                                    g33, g33),
+        "translation": tabulate_callable(lambda x, y: np.cos(3 * (x - y)), g33, g33),
+        "bowl": tabulate_callable(lambda x, y: x**2 + y**2, g33, g33),
+        "twist_edge": tabulate_callable(lambda x, y: d * x * y, sq, sq),
+        "neg_twist_edge": tabulate_callable(lambda x, y: -d * x * y, sq, sq),
+        "seeded": tabulate_callable(
+            lambda x, y: np.random.default_rng(7).normal(size=(x * y).shape), g33, g33),
+    }
+
+
+GATE_TABLES = _gate_tables()
+
+
+class TestOneJudge:
+    """``check_structure`` decides every cost hypothesis as the gates did
+    when each applied its own rule (``oracles.separate_gate_holds``)."""
+
+    @pytest.mark.parametrize("name", GATE_TABLES)
+    @pytest.mark.parametrize("prop", STRUCTURE_PROPERTIES)
+    def test_same_decision_as_the_separate_rules(self, name, prop):
+        entries = GATE_TABLES[name].entries
+        assert check_structure(GATE_TABLES[name], prop).holds == separate_gate_holds(entries, prop)
+
+    def test_the_tables_reach_both_decisions(self):
+        for prop in STRUCTURE_PROPERTIES:
+            seen = {separate_gate_holds(m.entries, prop) for m in GATE_TABLES.values()}
+            assert seen == {True, False}, prop
 
 
 class TestCostCsv:

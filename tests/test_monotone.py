@@ -95,6 +95,23 @@ class TestKernel:
             assert np.array_equal(values, d.max(axis=1))
             assert np.array_equal(argmax, d.argmax(axis=1))
 
+    @pytest.mark.parametrize("n_cand", [1, 2, 7, 64])
+    def test_one_score_call_per_level(self, n_cand):
+        # Analysis.triples' band margin assumes no more than n_out.bit_length()
+        # levels; each level makes one score call
+        rng = np.random.default_rng(n_cand)
+        t = np.sort(rng.integers(0, 4, n_cand)).astype(float)
+        for n_out in [*range(1, 70), 127, 128, 129, 255, 256, 257, 1023, 1024, 1025, 4097]:
+            d = np.outer(np.sort(rng.integers(0, 4, n_out)), t) + rng.integers(-3, 4, n_cand)
+            calls = []
+
+            def score(o, c):
+                calls.append(o.size)
+                return d[o, c]
+
+            _monotone_argmax(score, n_out, n_cand)
+            assert len(calls) == n_out.bit_length(), n_out
+
 
 class TestDifferential:
     @pytest.mark.parametrize("kind", F_KINDS)

@@ -20,7 +20,7 @@ from cconvex.propcheck import (InstanceConfig, check_cost_self_subdiff,
                                run_suite)
 from cconvex.subdiff import Analysis
 from cconvex.transform import is_c_convex
-from oracles import loop_order_propagation
+from oracles import loop_order_propagation, separate_convex_holds
 
 
 def bilinear_instance(seed=0, n=65):
@@ -208,6 +208,22 @@ class TestGenerateInstance:
     def test_unknown_family(self):
         with pytest.raises(ValueError, match="^unknown f family 'nope'$"):
             generate_instance(InstanceConfig(seed=0, f_family="nope"))
+
+    @pytest.mark.parametrize("fields, message", [
+        (dict(f_family="bogus"), "^unknown f family 'bogus'$"),
+        (dict(cost_family="bogus"), "^unknown cost family 'bogus'$"),
+        (dict(cost_family="bilinear", cost_params=(9.0,)),
+         r"^the bilinear family takes no parameters, got \(9.0,\)$"),
+        (dict(cost_family="one_affine"), "^one_affine needs params"),
+    ])
+    def test_rejected_before_any_tabulation(self, monkeypatch, fields, message):
+        # an unknown f family used to be found only after the cost was
+        # tabulated, 51 ms at n = m = 2049
+        def tabulate(*args):
+            raise AssertionError("tabulated")
+        monkeypatch.setattr(propcheck, "tabulate_cost", tabulate)
+        with pytest.raises(ValueError, match=message):
+            generate_instance(InstanceConfig(seed=0, n=2049, m=2049, **fields))
 
     @pytest.mark.parametrize("family", ["random_piecewise_linear", "random_smooth_fourier"])
     @pytest.mark.parametrize("amplitude", [math.inf, -math.inf, math.nan])
@@ -414,6 +430,19 @@ class TestGradInclusion:
                                  spec)
         assert v.status == "held"
 
+    @pytest.mark.parametrize("where", [0, 5, 10])
+    def test_infinite_f_rejected_before_any_work(self, where):
+        # f = +inf at a point used to be held, with max_violation -inf and
+        # threshold=inf: M2f is +inf, so nothing was tested
+        g = make_uniform_grid(-1, 1, 11)
+        values = g.points**2
+        values[where] = np.inf
+        a = Analysis(GridFunction(g, values), CostSpec("bilinear"), grid_j=g)
+        with pytest.raises(ValueError, match="^check_grad_inclusion requires an "
+                                             "everywhere-finite f$"):
+            check_grad_inclusion(a, CostSpec("bilinear"))
+        assert not {"table", "slack", "member"} & set(vars(a))
+
     @pytest.mark.parametrize("spec", [CostSpec("neg_quadratic", scale=0.5),
                                       CostSpec("bilinear")])
     def test_spec_of_another_cost_rejected(self, spec):
@@ -610,7 +639,7 @@ class TestVerdictBranches:
         # which used to be judged a violation (max_violation 1.98)
         (check_subdiff_convexity, "affine", lambda x: 0.25 * x, "cost not twisted"),
         (check_set_valued_convexity, "convex_in_x", np.zeros_like,
-         "cost not segment-concave (excess "),
+         "cost not segment_concave (excess "),
         (check_set_valued_convexity, "affine", np.square, "f not c-convex (deviation "),
         (check_intersection_inclusion, "convex_in_x", np.square, "cost not one_concave"),
         (check_domain_interval, "convex_in_x", np.square, "cost not one_concave"),
@@ -621,6 +650,31 @@ class TestVerdictBranches:
         assert (v.status, v.max_violation, v.witness) == ("hypothesis_failed", 0.0, None)
         assert v.notes.startswith(f"hypothesis-failed: {reason}")
         assert v.notes.endswith("; conclusion not judged")
+
+    @pytest.mark.parametrize("f", [np.square, np.abs, lambda x: -x**2, lambda x: np.sin(6 * x),
+                                   lambda x: 0.25 * x, lambda x: x**4 - x**2,
+                                   lambda x: np.where(x > 0.5, np.inf, x**2)])
+    @pytest.mark.parametrize("tol", [0.0, 1e-9, 1e-3])
+    def test_convex_gate_is_the_separate_rule(self, f, tol):
+        values = f(self.g.points)
+        a = Analysis(GridFunction(self.g, values), self.bilinear, tol)
+        failed = propcheck._failed_hypothesis("c", a, "convex")
+        with np.errstate(invalid="ignore"):
+            assert (failed is None) == separate_convex_holds(values, tol)
+
+    def test_gates_are_walked_in_order(self):
+        # x^2 + xy is two_affine but neither one_concave nor segment_concave,
+        # and -x^2 is not convex: the first failing gate names the verdict
+        a = on_grid(self.g, -self.g.points**2, self.convex_in_x)
+
+        def notes(*hypotheses):
+            return propcheck._failed_hypothesis("c", a, *hypotheses).notes
+
+        assert notes("one_concave", "convex").startswith(
+            "hypothesis-failed: cost not one_concave (excess ")
+        assert notes("two_affine", "convex", "segment_concave") == \
+            "hypothesis-failed: f not convex; conclusion not judged"
+        assert propcheck._failed_hypothesis("c", a, "two_affine") is None
 
     def test_intersection_inclusion_needs_a_c_convex_f(self):
         # x^2 is convex, but under -(x - y)^2 its subgradients y = 2x must lie
