@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .grids import Grid, csv_floats, csv_rows, grid_through
 from .verdicts import Verdict
@@ -112,7 +111,12 @@ def parse_cost_spec(family: str, params: tuple = ()) -> CostSpec:
 
 
 def _poly(y: np.ndarray, coeffs: tuple):
-    return npoly.polyval(y, coeffs) if coeffs else np.zeros_like(y)
+    """Ascending ``coeffs`` at y by Horner's rule in the operation order of
+    numpy's ``polyval``, so bit for bit its values."""
+    out = coeffs[-1] + y * 0 if coeffs else np.zeros_like(y)
+    for c in coeffs[-2::-1]:
+        out = c + out * y
+    return out
 
 
 def evaluate_cost(spec: CostSpec, x, y):
@@ -283,6 +287,7 @@ def tabulate_callable(fn: Callable, grid_i: Grid, grid_j: Grid) -> CostMatrix:
     return CostMatrix(grid_i, grid_j, entries)
 
 
+@np.errstate(over="ignore")   # a difference beyond the float range is an inf excess
 def check_structure(matrix: CostMatrix, property: str) -> Verdict:
     """Judge a structural property of the table, with the one tolerance of
     every cost hypothesis, tol = 1e-9 * (1 + max |c|).
@@ -325,6 +330,7 @@ def check_structure(matrix: CostMatrix, property: str) -> Verdict:
     return Verdict(property, float(excess), witness, notes=f"tol={tol}")
 
 
+@np.errstate(over="ignore")
 def segment_concavity_excess(matrix: CostMatrix) -> float:
     """Max second difference along rows, columns and both diagonals.
 

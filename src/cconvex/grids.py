@@ -12,6 +12,7 @@ import csv
 import math
 import numbers
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -122,27 +123,30 @@ class GridFunction:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
+        vals = np.array(self.values, dtype=float)   # copies: the function owns its values
         if vals.shape != (self.grid.n,):
             raise ValueError(f"expected {self.grid.n} values, got shape {vals.shape}")
-        if np.isnan(vals).any():
+        low = vals.min()   # one reduction: NaN if any is NaN, else -inf if any is -inf
+        if np.isnan(low):
             raise ValueError("NaN values are not allowed in a GridFunction")
-        if np.isneginf(vals).any():
+        if low == -np.inf:
             raise ValueError("-inf values are not allowed in a GridFunction")
-        if not np.isfinite(vals).any():
+        if low == np.inf:
             raise ValueError("improper function: no finite value on the grid")
-        vals = vals.copy()
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
-    @property
+    @cached_property   # the values are read-only: computed once
     def is_finite(self) -> bool:
         return bool(np.isfinite(self.values).all())
 
     def max_slope(self) -> float:
         """Max absolute first-difference quotient over finite neighbours."""
-        v = self.values
-        d = np.abs(np.diff(v)) / self.grid.h
+        return self._max_slope
+
+    @cached_property
+    def _max_slope(self) -> float:
+        d = np.abs(np.diff(self.values)) / self.grid.h
         d = d[np.isfinite(d)]
         return float(d.max()) if d.size else 0.0
 
@@ -207,22 +211,20 @@ class DiscreteMeasure:
     weights: np.ndarray
 
     def __post_init__(self):
-        pos = np.asarray(self.positions, dtype=float)
-        w = np.asarray(self.weights, dtype=float)
+        pos = np.array(self.positions, dtype=float)   # copies: the measure owns its atoms
+        w = np.array(self.weights, dtype=float)
         if pos.ndim != 1 or pos.shape != w.shape or pos.size < 1:
             raise ValueError("positions and weights must be equal-length 1-D arrays, n >= 1")
-        if not np.isfinite(pos).all() or not np.isfinite(w).all():
+        if not (np.isfinite(pos).all() and np.isfinite(w).all()):
             raise ValueError("atoms must be finite")
-        if (w <= 0).any():
+        if not w.min() > 0:
             raise ValueError("weights must be strictly positive")
-        total = float(_ordered_sum(np.r_[0.0, w]))
+        total = float(_ordered_sum(np.concatenate(([0.0], w))))
         if abs(total - 1.0) > _MEASURE_MASS_TOL:
             raise ValueError(f"weights must sum to 1 within {_MEASURE_MASS_TOL}, got {total}")
-        pos, w = pos.copy(), w.copy()
-        pos.flags.writeable = False
-        w.flags.writeable = False
-        object.__setattr__(self, "positions", pos)
-        object.__setattr__(self, "weights", w)
+        for name, a in (("positions", pos), ("weights", w)):
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
 
     @classmethod
     def from_atoms(cls, atoms: Sequence[tuple[float, float]]) -> "DiscreteMeasure":
@@ -231,7 +233,7 @@ class DiscreteMeasure:
 
 
 def barycenter(mu: DiscreteMeasure) -> float:
-    return float(_ordered_sum(np.r_[0.0, mu.weights * mu.positions]))
+    return float(_ordered_sum(np.concatenate(([0.0], mu.weights * mu.positions))))
 
 
 def csv_rows(path: str) -> Iterator[tuple[int, list[str]]]:

@@ -74,7 +74,8 @@ def _f_value(f: GridFunction, xs: np.ndarray, tol: float) -> tuple[np.ndarray, f
 
 
 # Cells of the grid x witness gap table evaluated at once: a searched witness
-# holds a few arrays of this many floats, never the whole table.
+# holds one block of this many floats, its gap table built in place (two for a
+# translation cost, whose h's array is never written into), never the whole table.
 WITNESS_BLOCK_CELLS = 2**16
 
 
@@ -92,7 +93,8 @@ def _witness_slack(f: GridFunction, cost: CostSpec, anchor: float, fb: float,
     slack = np.inf
     for lo in range(0, x.size, step):
         cols = evaluate_cost(cost, x[lo:lo + step, None], ys[None, :])
-        gaps = (f.values[lo:lo + step, None] - fb) - (cols - anchor_row[None, :])
+        gaps = np.subtract(cols, anchor_row, out=None if cost.family == "translation" else cols)
+        np.subtract(f.values[lo:lo + step, None] - fb, gaps, out=gaps)
         slack = np.minimum(slack, gaps.min(axis=0))
     return slack
 
@@ -125,8 +127,9 @@ def discrete_jensen_gap(f: GridFunction, cost: CostSpec, mu: DiscreteMeasure,
         raise ValueError(f"measure atom {mu.positions[outside.argmax()]} lies outside "
                          f"the interval [{iv.lo}, {iv.hi}]")
     b = barycenter(mu)
-    f_vals, eff_tol = _f_value(f, np.r_[b, mu.positions], tol)
-    fb = f_vals[0]
+    xs = np.concatenate((mu.positions, [b]))   # atoms, then b: a CostDomainError's order
+    f_vals, eff_tol = _f_value(f, xs, tol)
+    fb = f_vals[-1]
     notes = ["f interpolated at barycenter"]
     if b in (iv.lo, iv.hi):
         notes.append("barycenter at an endpoint")
@@ -134,10 +137,11 @@ def discrete_jensen_gap(f: GridFunction, cost: CostSpec, mu: DiscreteMeasure,
     if not hyp_ok:
         notes.append("hypothesis-unverified: y is not a subdifferential member at tol")
 
-    # the leading 0.0 keeps the signed zero of a sum started from 0.0
-    lhs = _ordered_sum(np.r_[0.0, mu.weights * f_vals[1:]]) - fb
-    c_atoms = evaluate_cost(cost, mu.positions, y)
-    rhs = _ordered_sum(np.r_[0.0, mu.weights * c_atoms]) - evaluate_cost(cost, b, y)
+    # the leading 0.0 column keeps the signed zero of a sum started from 0.0
+    vals = np.array((f_vals, evaluate_cost(cost, xs, y)))
+    terms = np.zeros_like(vals)
+    np.multiply(mu.weights, vals[:, :-1], out=terms[:, 1:])
+    lhs, rhs = _ordered_sum(terms, axis=1) - vals[:, -1]
     slack = lhs - rhs
     return JensenReport(lhs=float(lhs), rhs=float(rhs), y_witness=y,
                         holds=slack >= -eff_tol, slack=float(slack),
@@ -208,7 +212,7 @@ def integral_jensen_bound(f: GridFunction, cost: CostSpec, xi: Optional[float] =
 
     c_col = np.asarray(evaluate_cost(cost, f.grid.points, y), dtype=float)
     lhs = quadrature(f) - f_xi * iv.length
-    rhs = quadrature(GridFunction(f.grid, c_col - evaluate_cost(cost, xi, y)))
+    rhs = quadrature(GridFunction(f.grid, c_col - c_col[idx]))   # c(xi, y) is c_col[idx]
     eff_tol = _quadrature_tol(f, c_col, tol)
     slack = lhs - rhs
     return JensenReport(lhs=float(lhs), rhs=float(rhs), y_witness=y,

@@ -52,7 +52,7 @@ import numpy as np
 
 from .costs import (CostMatrix, CostSpec, check_structure, cost_dx, evaluate_cost,
                     parse_cost_spec, tabulate_callable, tabulate_cost)
-from .grids import Grid, GridFunction, check_index, check_tol, make_uniform_grid
+from .grids import Grid, GridFunction, _ordered_sum, check_index, check_tol, make_uniform_grid
 from .subdiff import Analysis, LocalWindow, local_double_conjugate, membership_slack
 from .transform import double_c_transform
 from .verdicts import Verdict
@@ -118,13 +118,14 @@ def _raw_function(cfg: InstanceConfig, grid: Grid, rng: np.random.Generator,
         knots[0], knots[-1] = lo, hi
         vals = rng.uniform(-amp, amp, k)
         return np.interp(grid.points, knots, vals)
-    # random_smooth_fourier, the one other raw family
-    t = (grid.points - lo) / (hi - lo)
-    out = np.zeros(grid.n)
-    for k in range(1, 6):
-        a, b = rng.normal(size=2)
-        out += (amp / k**2) * (a * np.cos(np.pi * k * t) + b * np.sin(np.pi * k * t))
-    return out
+    # random_smooth_fourier, the one other raw family: with t = (x - lo) / (hi - lo),
+    # (amp / k^2) (a_k cos(pi k t) + b_k sin(pi k t)), k = 1..5, added in turn onto 0.0
+    k = np.arange(1, 6)
+    a, b = rng.normal(size=(5, 2)).T
+    kt = np.multiply.outer((grid.points - lo) / (hi - lo), np.pi * k)
+    terms = np.zeros((grid.n, 6))
+    terms[:, 1:] = (amp / k**2) * (a * np.cos(kt) + b * np.sin(kt))
+    return _ordered_sum(terms, axis=1)
 
 
 def _instance_function(cfg: InstanceConfig, cost: CostMatrix) -> GridFunction:
@@ -287,13 +288,15 @@ def _sample_pairs(rng: np.random.Generator, pool: np.ndarray,
 def _failed_hypothesis(check_id: str, a: Analysis, *hypotheses: str) -> Optional[Verdict]:
     """The ``hypothesis_failed`` verdict of the first of ``hypotheses`` that
     fails, tried in order, or None when all hold.  A hypothesis is a
-    ``check_structure`` property of ``a.table``, ``convex`` (every second
-    difference of f >= -tol * (1 + max|f|)) or ``c_convex`` (``a.c_convex``)."""
+    ``check_structure`` property of ``a.table``, ``convex`` (f finite on one run
+    of grid points, its effective domain, with every second difference there
+    >= -tol * (1 + max|f| there)) or ``c_convex`` (``a.c_convex``)."""
     for h in hypotheses:
         if h == "convex":
-            fv = a.f.values
-            with np.errstate(invalid="ignore"):   # +inf - +inf is NaN: not convex
-                held = (np.diff(fv, 2) >= -a.tol * (1.0 + np.abs(fv).max())).all()
+            finite = np.flatnonzero(np.isfinite(a.f.values))
+            run = a.f.values[finite[0]:finite[-1] + 1]
+            held = run.size == finite.size and \
+                (np.diff(run, 2) >= -a.tol * (1.0 + np.abs(run).max())).all()
             reason = "f not convex"
         elif h == "c_convex":
             held, reason = a.c_convex[0], f"f not c-convex (deviation {a.c_convex[1]})"

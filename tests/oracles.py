@@ -289,8 +289,29 @@ def separate_gate_holds(entries, property):
 
 
 def separate_convex_holds(values, tol):
-    """The f-convexity gate as the proposition checks each applied it."""
-    return bool((np.diff(values, 2) >= -tol * (1.0 + np.abs(values).max())).all())
+    """The f-convexity gate on f's effective domain: the finite values form one
+    contiguous run, and each second difference in it, taken as np.diff takes
+    it, is >= -tol * (1 + max |f| on the run)."""
+    finite = [i for i, v in enumerate(values) if math.isfinite(v)]
+    if finite != list(range(finite[0], finite[-1] + 1)):
+        return False
+    run = [float(values[i]) for i in finite]
+    bound = -tol * (1.0 + max(abs(v) for v in run))
+    d1 = [run[i + 1] - run[i] for i in range(len(run) - 1)]
+    return all(d1[i + 1] - d1[i] >= bound for i in range(len(d1) - 1))
+
+
+def loop_raw_function(amplitude, grid, rng):
+    """A random_smooth_fourier draw, one term at a time: for k = 1..5 draw
+    (a, b), then add (amplitude / k^2) (a cos(pi k t) + b sin(pi k t)),
+    t = (x - lo) / (hi - lo), onto a sum that starts at 0.0."""
+    lo, hi = grid.interval.lo, grid.interval.hi
+    t = (grid.points - lo) / (hi - lo)
+    out = np.zeros(grid.n)
+    for k in range(1, 6):
+        a, b = rng.normal(size=2)
+        out += (amplitude / k**2) * (a * np.cos(np.pi * k * t) + b * np.sin(np.pi * k * t))
+    return out
 
 
 def loop_quadrature(f):

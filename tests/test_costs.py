@@ -3,6 +3,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.polynomial import polynomial as npoly
 
 from cconvex import costs
 from cconvex.costs import (MAX_DENSE_CELLS, STRUCTURE_PROPERTIES, CostDomainError, CostSpec,
@@ -59,6 +62,41 @@ class TestEvaluate:
         assert [evaluate_cost(spec, float(a), float(b)) for a, b in zip(x, y)] == row.tolist()
         assert [[evaluate_cost(spec, float(a), float(b)) for b in y[:40]]
                 for a in x[:40]] == table.tolist()
+
+
+def bytes_of(v) -> tuple:
+    """Shape and exact float64 bits, signed zeros and NaNs included."""
+    a = np.asarray(v, dtype=float)
+    return a.shape, a.tobytes()
+
+
+FLOATS = st.floats(allow_nan=False, width=64)
+COEFFS = st.one_of(st.lists(st.floats(allow_nan=False, allow_infinity=False, width=64),
+                            min_size=1, max_size=6),
+                   st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=6)).map(tuple)
+
+
+class TestPoly:
+    """``_poly`` is Horner's rule in numpy polyval's operation order, so bit
+    for bit its values, whatever the coefficients and the shape of y."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(COEFFS, st.lists(FLOATS | st.sampled_from([-0.0, math.inf, -math.inf, -1.0]),
+                            min_size=1, max_size=8))
+    def test_equals_polyval(self, coeffs, ys):
+        y = np.array(ys)
+        with np.errstate(all="ignore"):
+            for arg in (y, np.asarray(y[0]), y[:, None], y[None, :], np.tile(y, (3, 1))):
+                assert bytes_of(costs._poly(arg, coeffs)) == bytes_of(npoly.polyval(arg, coeffs))
+
+    def test_signed_zero_and_infinity(self):
+        y = np.array([-0.0, 0.0, math.inf, -math.inf, -2.0])
+        with np.errstate(invalid="ignore"):
+            for coeffs in ((0.0,), (-0.0,), (-0.0, 1.0), (1, -2, 0), (0.5, -0.0, 3.0)):
+                assert bytes_of(costs._poly(y, coeffs)) == bytes_of(npoly.polyval(y, coeffs))
+
+    def test_no_coefficients_is_zero(self):
+        assert bytes_of(costs._poly(np.array([1.0, -2.0]), ())) == bytes_of([0.0, 0.0])
 
 
 class TestCellBudget:
@@ -152,6 +190,16 @@ class TestStructure:
         assert v.holds
         d2 = np.diff(m.entries, 2, axis=0)
         assert np.allclose(d2, -2 * self.g.h**2, atol=1e-12)
+
+    def test_differences_beyond_the_float_range_are_an_inf_excess(self):
+        # second, mixed and diagonal differences of +-1.5e308 overflow; under
+        # the tests' warnings-as-errors that used to raise from inside the judge
+        g = make_uniform_grid(-1, 1, 5)
+        m = tabulate_callable(lambda x, y: 1.5e308 * np.sign(x * y + 0.1), g, g)
+        for prop in STRUCTURE_PROPERTIES:
+            v = check_structure(m, prop)
+            assert (v.status, v.max_violation) == ("violated", math.inf), prop
+        assert segment_concavity_excess(m) == math.inf
 
     def test_reflector_one_convex(self):
         g = make_uniform_grid(0, 0.5, 21)

@@ -112,6 +112,41 @@ class TestSampleFunction:
             sample_function(lambda x: math.inf, make_uniform_grid(0, 1, 3))
 
 
+NAN_MESSAGE = "^NaN values are not allowed in a GridFunction$"
+NEGINF_MESSAGE = "^-inf values are not allowed in a GridFunction$"
+IMPROPER_MESSAGE = "^improper function: no finite value on the grid$"
+
+
+class TestGridFunctionValidation:
+    """One reduction decides every rejection, in the order NaN, -inf, no
+    finite value, whatever else the values hold."""
+
+    @pytest.mark.parametrize("values, message", [
+        ([math.nan, -math.inf, math.inf, 0.0], NAN_MESSAGE),
+        ([-math.inf, math.nan, 1.0], NAN_MESSAGE),
+        ([math.inf, math.inf, math.nan], NAN_MESSAGE),
+        ([math.inf, -math.inf, math.inf], NEGINF_MESSAGE),
+        ([2.0, -math.inf, math.inf], NEGINF_MESSAGE),
+        ([-math.inf, -math.inf, -math.inf], NEGINF_MESSAGE),
+        ([math.inf, math.inf, math.inf], IMPROPER_MESSAGE),
+    ])
+    def test_first_failing_rule_names_the_error(self, values, message):
+        with pytest.raises(ValueError, match=message):
+            GridFunction(make_uniform_grid(0, 1, len(values)), values)
+
+    @pytest.mark.parametrize("values", [[math.inf, 0.0, math.inf], [-1e308, 1e308, 0.0],
+                                        [-0.0, 5e-324, math.inf]])
+    def test_proper_values_pass(self, values):
+        f = GridFunction(make_uniform_grid(0, 1, 3), values)
+        assert [bits(v) for v in f.values] == [bits(v) for v in values]
+
+    def test_derived_values_are_computed_once(self):
+        g = make_uniform_grid(0, 1, 3)
+        f, inf = GridFunction(g, [0.0, 2.0, 1.0]), GridFunction(g, [0.0, math.inf, 1.0])
+        assert (f.is_finite, f.max_slope(), inf.is_finite, inf.max_slope()) == (True, 4.0, False, 0.0)
+        assert vars(f)["is_finite"] is True and vars(f)["_max_slope"] == 4.0
+
+
 class TestSupNormDiff:
     def test_identity(self):
         f = sample_function(lambda x: x, make_uniform_grid(0, 1, 9))
@@ -195,6 +230,25 @@ class TestDiscreteMeasure:
     def test_positive_weights(self):
         with pytest.raises(ValueError, match="positive"):
             DiscreteMeasure.from_atoms([(0, 1.5), (1, -0.5)])
+
+    @pytest.mark.parametrize("atoms, message", [
+        ([(0, math.nan), (1, -0.5)], "^atoms must be finite$"),
+        ([(math.inf, 1.5), (1, -0.5)], "^atoms must be finite$"),
+        ([(0, -math.inf), (1, 0.5)], "^atoms must be finite$"),
+        ([(0, 0.0), (1, 1.0)], "^weights must be strictly positive$"),
+        ([(0, -0.0), (1, 1.0)], "^weights must be strictly positive$"),
+        ([(0, 0.5), (1, 0.25)], "^weights must sum to 1 within 1e-12, got 0.75$"),
+    ])
+    def test_first_failing_rule_names_the_error(self, atoms, message):
+        with pytest.raises(ValueError, match=message):
+            DiscreteMeasure.from_atoms(atoms)
+
+    def test_owns_read_only_copies(self):
+        xs, ps = np.array([0.0, 1.0]), np.array([0.5, 0.5])
+        mu = DiscreteMeasure(xs, ps)
+        xs[0], ps[0] = 9.0, 9.0
+        assert list(mu.positions) == [0.0, 1.0] and list(mu.weights) == [0.5, 0.5]
+        assert not (mu.positions.flags.writeable or mu.weights.flags.writeable)
 
     @given(st.integers(0, 10**6))
     @settings(max_examples=50)

@@ -20,7 +20,7 @@ from cconvex.propcheck import (InstanceConfig, check_cost_self_subdiff,
                                run_suite)
 from cconvex.subdiff import Analysis
 from cconvex.transform import is_c_convex
-from oracles import loop_order_propagation, separate_convex_holds
+from oracles import loop_order_propagation, loop_raw_function, separate_convex_holds
 
 
 def bilinear_instance(seed=0, n=65):
@@ -193,6 +193,19 @@ class TestGenerateInstance:
                              f_family="random_smooth_fourier")
         f, _ = generate_instance(cfg)
         assert not f.values.any()
+
+    @pytest.mark.parametrize("interval", [(-1.0, 1.0), (0.25, 7.0)])
+    @pytest.mark.parametrize("n", [2, 33, 65, 101])
+    @pytest.mark.parametrize("amplitude", [0.0, 1.0, 1e3])
+    def test_fourier_draw_is_the_term_by_term_loop(self, amplitude, n, interval):
+        grid = make_uniform_grid(*interval, n)
+        for seed in range(50):
+            cfg = InstanceConfig(seed=seed, n=n, amplitude=amplitude,
+                                 f_family="random_smooth_fourier")
+            got = propcheck._raw_function(cfg, grid, np.random.default_rng(seed),
+                                          "random_smooth_fourier")
+            want = loop_raw_function(amplitude, grid, np.random.default_rng(seed))
+            assert got.tobytes() == want.tobytes(), seed
 
     def test_cconvexified_output_is_c_convex(self):
         for seed in range(5):
@@ -389,6 +402,24 @@ class TestDomainInterval:
         f = GridFunction(gi, gi.points**2)
         v = check_domain_interval(Analysis(f, cost))
         assert v.status == "held"
+
+    @pytest.mark.parametrize("tol", [0.0, 1e-9, 1e-3])
+    def test_extended_valued_f_is_judged_on_its_domain(self, tol):
+        # x^2, +inf for x > 0.5: convex on its effective domain [-1, 0.5]
+        gi, gj = make_uniform_grid(-1, 1, 33), make_uniform_grid(-2.5, 2.5, 33)
+        cost = tabulate_cost(CostSpec("neg_quadratic"), gi, gj)
+        f = GridFunction(gi, np.where(gi.points > 0.5, np.inf, gi.points**2))
+        v = check_domain_interval(Analysis(f, cost, tol))
+        assert (v.status, v.max_violation) == ("held", 0.0)
+        assert v.notes.startswith("pairs=600;")
+
+    def test_interior_inf_gap_is_a_hypothesis_failure(self):
+        gi, gj = make_uniform_grid(-1, 1, 33), make_uniform_grid(-2.5, 2.5, 33)
+        cost = tabulate_cost(CostSpec("neg_quadratic"), gi, gj)
+        f = GridFunction(gi, np.where(np.abs(gi.points - 0.1) < 0.05, np.inf, gi.points**2))
+        v = check_domain_interval(Analysis(f, cost))
+        assert (v.status, v.notes) == (
+            "hypothesis_failed", "hypothesis-failed: f not convex; conclusion not judged")
 
     def test_nonconvex_f_is_a_hypothesis_failure(self):
         gi = make_uniform_grid(-1, 1, 33)
@@ -653,14 +684,16 @@ class TestVerdictBranches:
 
     @pytest.mark.parametrize("f", [np.square, np.abs, lambda x: -x**2, lambda x: np.sin(6 * x),
                                    lambda x: 0.25 * x, lambda x: x**4 - x**2,
-                                   lambda x: np.where(x > 0.5, np.inf, x**2)])
+                                   lambda x: np.where(x > 0.5, np.inf, x**2),
+                                   lambda x: np.where(np.abs(x - 0.1) < 0.05, np.inf, x**2),
+                                   lambda x: np.where(x < 0, np.inf, -x**2),
+                                   lambda x: np.where(x == 0, 0.0, np.inf)])
     @pytest.mark.parametrize("tol", [0.0, 1e-9, 1e-3])
     def test_convex_gate_is_the_separate_rule(self, f, tol):
         values = f(self.g.points)
         a = Analysis(GridFunction(self.g, values), self.bilinear, tol)
         failed = propcheck._failed_hypothesis("c", a, "convex")
-        with np.errstate(invalid="ignore"):
-            assert (failed is None) == separate_convex_holds(values, tol)
+        assert (failed is None) == separate_convex_holds(values, tol)
 
     def test_gates_are_walked_in_order(self):
         # x^2 + xy is two_affine but neither one_concave nor segment_concave,

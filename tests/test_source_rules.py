@@ -8,6 +8,9 @@ reported.  ROADMAP's standing rules require any BLAS call to be timed
 in-process without that cap; no module of the package makes one."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -60,3 +63,44 @@ def test_each_blas_use_is_found(source):
 def test_names_that_only_look_alike_pass():
     # a local array named ``inner`` (subdiff) and its methods are not BLAS
     assert blas_uses(ast.parse("inner = a - b\ninner.max()\nx = inner[0]")) == []
+
+
+def polynomial_imports(tree: ast.AST) -> list[str]:
+    """Line of each import that names ``numpy.polynomial`` or a module of it."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [f"{node.module}.{a.name}" for a in node.names]
+        else:
+            continue
+        if any(name.split(".")[:2] == ["numpy", "polynomial"] for name in names):
+            found.append(f"{node.lineno}: an import of numpy.polynomial")
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_numpy_polynomial(path):
+    found = polynomial_imports(ast.parse(path.read_text()))
+    assert found == [], (
+        f"{path.name} imports numpy.polynomial ({'; '.join(found)}).  The package "
+        "evaluates its polynomials with costs._poly, which matches polyval bit for bit "
+        "without the import's start-up cost.")
+
+
+@pytest.mark.parametrize("source", [
+    "from numpy.polynomial import polynomial as npoly",
+    "import numpy.polynomial.polynomial", "from numpy import polynomial",
+    "from numpy.polynomial.polynomial import polyval",
+])
+def test_each_polynomial_import_is_found(source):
+    assert len(polynomial_imports(ast.parse(source))) == 1
+
+
+def test_import_leaves_numpy_polynomial_unloaded():
+    code = "import sys, cconvex, cconvex.cli; print('numpy.polynomial' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60, check=True).stdout
+    assert out.strip() == "False"
