@@ -169,44 +169,54 @@ def cost_dx(spec: CostSpec, x, y):
     return out
 
 
-def twist_bound(spec: CostSpec, grid_i: Grid, grid_j: Grid) -> Optional[float]:
-    """A bound eps on the rounding of ``evaluate_cost`` on the grids when
-    c_xy >= 0 holds and every tabulated entry is finite and in the domain,
-    so that c(x_i, y_j) - f_i is a Monge matrix; None otherwise.
+def twist_bound(spec: CostSpec, grid_i: Grid, grid_j: Grid, fmax: float) -> Optional[float]:
+    """A bound E on the rounding of every computed entry of c - f and of
+    c - f^c on the grids, for any f with max |f| = ``fmax`` over its finite
+    values, when E is small enough that those computed matrices are strictly
+    Monge; None otherwise.
 
-    Certified for bilinear, neg_quadratic, reflector, and one_affine with
-    a(y) strictly increasing on grid_j's points.  O(n + m): rounding is
-    monotone, so the largest |c| (C) and the reflector's largest x*y (pmax)
-    and |x*y| (P) sit at the ends of the x range and, except for one_affine,
-    of the y range.  None means the cost must be tabulated, which raises any
-    domain or finiteness error.
+    Certified only for bilinear, neg_quadratic, reflector and one_affine, and
+    only where every tabulated entry is finite and in the domain.  O(n + m):
+    rounding is monotone, so the largest |c| (C) and the reflector's smallest
+    and largest x*y (pmin, pmax) and largest |x*y| (P) sit at the ends of the
+    x range and, except for one_affine, of the y range.  None means the cost
+    must be tabulated, which raises any domain or finiteness error.
 
     eps >= u * C (u = 2**-53) bounds |evaluate_cost(spec, x_i, y_j) -
     r(x_i, y_j)| on every grid pair, for a reference cost r whose mixed
-    differences are exactly >= 0:
+    difference on every pair of adjacent grid cells is at least mu (dx and
+    dy the smallest steps of the grid points):
 
-    * bilinear, r = x*y: one rounding, u*C.
+    * bilinear, r = x*y: one rounding, u*C; mu = dx*dy.
     * neg_quadratic, r = -s*(x - y)**2: a difference, a square and a
-      product, 4u*C.
+      product, 4u*C; mu = 2s*dx*dy.
     * reflector, r = -log(1 - x*y): the product's rounding u*|x*y| is
       amplified by d/dp[-log(1 - p)] = 1/(1 - p) <= 1/(1 - pmax - 2u) (the
       2u covers pmax being a rounded product), and log1p adds at most 4 ulp,
-      8u*C: u*P / (1 - pmax - 2u) + 8u*C.
+      8u*C: u*P / (1 - pmax - 2u) + 8u*C; r_xy = 1/(1 - x*y)**2, so
+      mu = dx*dy / (1 - pmin)**2.
     * one_affine, r = a~(y)*x + b~(y) with a~, b~ the computed polynomial
-      values, Monge because a~ is checked strictly increasing: a product
-      and a sum, u*(max|x| * max|a~| + C).  Where a~ is flat, c_xy = 0 and
-      every row ties across those columns up to rounding, which then picks
-      the maximisers, so a flat step is not certified.
+      values: a product and a sum, u*(max|x| * max|a~| + C); mu = min
+      diff(a~) * dx, which is <= 0 where a~ is flat or decreasing.
 
-    Each is doubled to cover the second-order terms, and the smallest
-    normal number is added for a product that underflows.
+    Each eps is doubled to cover the second-order terms, and the smallest
+    normal number is added for a product that underflows.  |f^c| <= C + fmax,
+    so the subtraction of f or of f^c rounds by at most u*(2C + fmax), and
+    E = 2*eps + tiny + u*(2C + fmax) bounds the error of every computed
+    entry.  A mixed difference of four computed entries is then at least
+    mu - 4E, and E is returned only when 8E < mu (the factor 2 covers the
+    rounding of mu; a NaN or inf fails the comparison).  So both computed
+    matrices are strictly Monge: the maximisers of a later column are never
+    below those of an earlier one, and ``transform._monotone_argmax``, which
+    evaluates the dense path's entries in its arithmetic and keeps the first
+    maximiser, returns the dense values and argmax.
     """
     fam, x, y = spec.family, grid_i.points, grid_j.points
+    dx, dy = float(np.diff(x).min()), float(np.diff(y).min())
     if fam == "one_affine":
         with np.errstate(over="ignore", invalid="ignore"):
             a = _poly(y, spec.a_coeffs)
-            if (np.diff(a) <= 0).any():
-                return None
+            mu = float(np.diff(a).min()) * dx
     elif fam not in ("bilinear", "neg_quadratic", "reflector"):
         return None
     else:
@@ -217,23 +227,25 @@ def twist_bound(spec: CostSpec, grid_i: Grid, grid_j: Grid) -> Optional[float]:
             edges = evaluate_cost(spec, xe, y[None, :])
     except CostDomainError:
         return None
-    u = np.finfo(float).eps / 2
+    u = float(np.finfo(float).eps) / 2   # Python floats: an overflow is inf, silently
     c = float(np.abs(edges).max())
     if fam == "bilinear":
-        eps = u * c
+        eps, mu = u * c, dx * dy
     elif fam == "neg_quadratic":
-        eps = 4 * u * c
+        eps, mu = 4 * u * c, 2 * spec.scale * dx * dy
     elif fam == "reflector":
         p = xe * y[None, :]
         den = 1.0 - float(p.max()) - 2 * u
         if not den > 0:
             return None
         eps = u * float(np.abs(p).max()) / den + 8 * u * c
+        q = 1.0 - float(p.min())
+        mu = dx * dy / (q * q)
     else:
         with np.errstate(over="ignore"):
             eps = u * (float(np.abs(xe).max() * np.abs(a).max()) + c)
-    eps = 2 * eps + np.finfo(float).tiny
-    return eps if np.isfinite(eps) else None
+    bound = 2 * eps + float(np.finfo(float).tiny) + u * (2 * c + fmax)
+    return bound if 8 * bound < mu else None
 
 
 @dataclass(frozen=True, eq=False)

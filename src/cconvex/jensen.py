@@ -188,8 +188,8 @@ def integral_jensen_bound(f: GridFunction, cost: CostSpec, xi: Optional[float] =
 
         int f - f(xi)(b - a)  >=  int [c(x, y) - c(xi, y)] dx.
 
-    xi defaults to the interval midpoint and is snapped to the nearest
-    grid point (with a note when the snap is nontrivial).
+    xi defaults to the interval midpoint; one in [a, b] is snapped to the
+    nearest grid point (with a note when the snap is nontrivial).
     """
     check_tol(tol)
     if not f.is_finite:
@@ -199,6 +199,8 @@ def integral_jensen_bound(f: GridFunction, cost: CostSpec, xi: Optional[float] =
         xi = (iv.lo + iv.hi) / 2.0
     elif not math.isfinite(xi):
         raise ValueError(f"xi must be finite, got {xi}")
+    elif not iv.lo <= xi <= iv.hi:
+        raise ValueError(f"xi = {float(xi)} lies outside the interval [{iv.lo}, {iv.hi}]")
     idx = f.grid.nearest_index(float(xi))
     snapped = float(f.grid.points[idx])
     notes = []

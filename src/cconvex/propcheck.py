@@ -290,7 +290,8 @@ def _failed_hypothesis(check_id: str, a: Analysis, *hypotheses: str) -> Optional
     fails, tried in order, or None when all hold.  A hypothesis is a
     ``check_structure`` property of ``a.table``, ``convex`` (f finite on one run
     of grid points, its effective domain, with every second difference there
-    >= -tol * (1 + max|f| there)) or ``c_convex`` (``a.c_convex``)."""
+    >= -tol * (1 + max|f| there)) or ``c_convex`` (``a.c_convex``; every
+    f^cc on a grid is finite, so an f that is +inf somewhere is not c-convex)."""
     for h in hypotheses:
         if h == "convex":
             finite = np.flatnonzero(np.isfinite(a.f.values))
@@ -298,6 +299,8 @@ def _failed_hypothesis(check_id: str, a: Analysis, *hypotheses: str) -> Optional
             held = run.size == finite.size and \
                 (np.diff(run, 2) >= -a.tol * (1.0 + np.abs(run).max())).all()
             reason = "f not convex"
+        elif h == "c_convex" and not a.f.is_finite:
+            held, reason = False, "f not c-convex (+inf at a grid point)"
         elif h == "c_convex":
             held, reason = a.c_convex[0], f"f not c-convex (deviation {a.c_convex[1]})"
         else:

@@ -49,9 +49,10 @@ class SubdifferentialSet:
     """Sorted y-grid indices forming a tolerance-qualified subdifferential.
 
     For a twisted cost (c_xy >= 0: bilinear, neg_quadratic, reflector,
-    one_affine with strictly increasing a(y)) each row of the exact slack is
-    unimodal, so the set is an interval (see ``Analysis.triples``);
-    rounding can still split it where c_xy is near 0, and other costs give any
+    one_affine with nondecreasing a(y)) each row of the exact slack is
+    unimodal, so the set is an interval, and on a spec with a ``twist_bound``
+    every computed row is one too (see ``Analysis.triples``).  The dense path
+    can still split a row where c_xy is near 0, and other costs give any
     index set.  So it is kept as an explicit index list: contiguity must
     not be baked into the type.
     """
@@ -146,7 +147,9 @@ class Analysis:
     @cached_property
     def twist(self) -> float | None:
         """The spec's ``twist_bound`` on the grids, the engine's certificate."""
-        return twist_bound(self.cost, self.f.grid, self.grid_j)
+        v = self.f.values
+        fmax = float(np.abs(v[np.isfinite(v)]).max())
+        return twist_bound(self.cost, self.f.grid, self.grid_j, fmax)
 
     @cached_property
     def table(self) -> CostMatrix:
@@ -204,48 +207,31 @@ class Analysis:
         nonincreasing likewise.  A minimum of a nondecreasing and a nonincreasing
         sequence is unimodal, so each of its superlevel sets is an interval.
 
-        Where the peak is.  The engine's first maximisers k_j are nondecreasing
-        in j; let loss_j = M_j - D(k_j, j) >= 0 and p_i = searchsorted(k, i).
-        For j < p_i, k_j < i, so G_i(j) - loss_j <= s(i, j) <= G_i(j): s(i, .)
-        is within loss_j of nondecreasing on [0, p_i), and within loss_j of the
-        nonincreasing H_i on [p_i, m).
-
-        The margin.  Let eps be the ``twist_bound``, C = max|c|, u = 2**-53 and
-        F = max|f|.  Each computed D~ = fl(c~ - f_i) is within E = eps + u*(C + F) <=
-        2*eps + u*F of D, since eps >= u*C.  The engine maximises D~ for column
-        j over [k_a, k_b], a < j < b being columns of earlier levels; for
-        z > k_b, D(z, j) - D(k_b, j) <= D(z, b) - D(k_b, b) <= loss_b (Monge),
-        and alike below k_a, so by induction loss_j <= 2E(t + 1) at level t and,
-        as ``_monotone_argmax`` makes exactly m.bit_length() levels (t < that),
-        every loss_j <= L = 2E * m.bit_length().  f^c_j = D~(k_j, j) is within
-        E + L of M_j, so the computed slack fl(X), X = D~(i, j) - f^c_j, has
-        |X - s(i, j)| <= d = 2E + L.  The search left of p_i keeps columns lo
-        with fl(X_lo) < -tol - margin, so X_lo < -tol - margin, and every
-        j <= lo has X_j <= s(j) + d <= G_i(lo) + d <= s(lo) + L + d
-        <= X_lo + L + 2d.  With margin = 2*(L + 2d) + 4u*tol =
-        E*(8 + 12 * m.bit_length()) + 4u*tol, the factor 2 covering the
-        rounding of -tol - margin, that is X_j < -tol*(1 + 2u), so
-        fl(X_j) < -tol: no column left of the band is a member, and by the
-        mirror argument none right of it.  This needs only that the final lo
-        is an evaluated failing column or the sentinel -1, whatever columns the
-        search probed, so the searches may gallop out from p_i before they
-        bisect.  The band pass then applies ``membership_slack``'s comparison,
-        so the triples equal the dense path's wherever the engine's f^c equals
-        the dense f^c.  margin / u exceeds |c| + |f|; where it overflows, the
-        dense path is taken.
+        The computed rows are exact intervals too.  The ``twist_bound``
+        certifies that the computed matrix D~ = fl(c~ - f) is strictly Monge,
+        so the engine's f^c_j = D~(k_j, j) is the dense maximum, its first
+        maximisers k_j are nondecreasing, and the computed slack is
+        fl(X(i, j)), X(i, j) = D~(i, j) - D~(k_j, j).  Let p_i =
+        searchsorted(k, i).  For j < j' < p_i, k_j <= k_j' < i, and strict
+        Monge gives D~(i, j') - D~(k_j', j') > D~(i, j) - D~(k_j', j) >=
+        D~(i, j) - D~(k_j, j): X(i, .) increases on [0, p_i).  For p_i <= j
+        < j', i <= k_j, and D~(i, j') - D~(k_j', j') <= D~(i, j') - D~(k_j, j')
+        <= D~(i, j) - D~(k_j, j): X(i, .) is nonincreasing on [p_i, m).
+        Rounding is monotone, so on each side the test fl(X) >= -tol changes
+        its outcome at most once, and a search on each side with the plain
+        threshold -tol finds exactly the members, whatever columns it probes:
+        it may gallop out from p_i before it bisects.  The band pass applies
+        ``membership_slack``'s arithmetic, so the triples equal the dense
+        path's.
         """
         f, tol = self.f, self.tol
         if not f.is_finite:
             raise ValueError("Analysis.triples requires an everywhere-finite f")
-        n, m = f.grid.n, self.grid_j.n
-        u = np.finfo(float).eps / 2
-        if self.twist is not None:
-            err = 2 * self.twist + u * float(np.abs(f.values).max())
-            margin = err * (8 + 12 * m.bit_length()) + 4 * u * tol
-        if self.twist is None or not np.isfinite(margin / u):
+        if self.twist is None:
             rows, cols = np.nonzero(self.member)
             return self.member.any(axis=1), rows, cols, self.slack[rows, cols]
 
+        n, m = f.grid.n, self.grid_j.n
         x, y, fv, fc = f.grid.points, self.grid_j.points, f.values, self.fc
         g = fc.values.values
 
@@ -256,11 +242,10 @@ class Analysis:
             return s
 
         # Per row, one search on [0, p) and one on [p, m): on the left lo fails
-        # the band threshold and hi passes, on the right the reverse; -1, p - 1,
+        # the membership test and hi passes, on the right the reverse; -1, p - 1,
         # p and m stand for columns never evaluated.  Each search gallops out
         # from p, 1, 2, 4, ... columns past its last passing probe, until a probe
         # fails or would reach the sentinel, then bisects.
-        threshold = -tol - margin
         p = np.searchsorted(fc.argmax, np.arange(n))
         row = np.tile(np.arange(n), 2)
         right = np.arange(2 * n) >= n
@@ -272,7 +257,7 @@ class Analysis:
             mid = np.where(right[act], lo[act] + s, hi[act] - s)
             gallop = (lo[act] < mid) & (mid < hi[act])
             mid = np.where(gallop, mid, (lo[act] + hi[act]) // 2)
-            passed = slack_at(row[act], mid) >= threshold
+            passed = slack_at(row[act], mid) >= -tol
             up = passed == right[act]
             lo[act[up]] = mid[up]
             hi[act[~up]] = mid[~up]
@@ -280,12 +265,7 @@ class Analysis:
         lens = hi[n:] - hi[:n]
         rows = np.repeat(np.arange(n), lens)
         cols = _index_ranges(hi[:n], lens)[1]
-        slack = slack_at(rows, cols)
-        keep = slack >= -tol
-        rows, cols = rows[keep], cols[keep]
-        dom = np.zeros(n, dtype=bool)
-        dom[rows] = True
-        return dom, rows, cols, slack[keep]
+        return lens > 0, rows, cols, slack_at(rows, cols)
 
 
 def c_subdifferential(f: GridFunction, cost: CostMatrix, x0_index: int,

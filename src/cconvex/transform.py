@@ -85,7 +85,7 @@ def _monotone_argmax(score: Callable[[np.ndarray, np.ndarray], np.ndarray],
     over the candidates its segment allows, and its first maximiser k
     leaves [lo, k] to the left half and [k, hi] to the right.  A segment of
     L outputs leaves halves of at most L // 2: n_out.bit_length() levels in
-    all, one ``score`` call each, as ``Analysis.triples`` assumes.  That is
+    all, one ``score`` call each.  That is
     O((n_out + n_cand) log n_out) evaluations in O(n_out + n_cand) memory.
     """
     values = np.empty(n_out)
@@ -119,12 +119,11 @@ def _engine_c_transform(spec: CostSpec, g: GridFunction, out: Grid,
     ``swap`` (f^cc is the transform of f^c with ``swap``).
 
     Entries come from ``evaluate_cost`` in the dense path's arithmetic and
-    ties keep the lowest index, so values and argmax equal those of
-    ``c_transform`` and ``_back_transform`` on the tabulated cost as long as
-    the computed matrix stays Monge; rounding can break that only between
-    entries tied to within an ulp or so.  A maximum that is a zero of both
-    signs takes the first maximiser's sign, where the dense reduction may
-    return the other.
+    ties keep the lowest index, and the ``twist_bound`` certifies the
+    computed matrix strictly Monge, so values and argmax equal those of
+    ``c_transform`` and ``_back_transform`` on the tabulated cost.  A maximum
+    that is a zero of both signs takes the first maximiser's sign, where the
+    dense reduction may return the other.
     """
     p, q, v = g.grid.points, out.points, g.values
 

@@ -238,6 +238,19 @@ class TestJensenCommand:
         with pytest.raises(SystemExit, match=f"^error: xi must be finite, got {value}$"):
             run(["jensen", "--form", "integral", "--n", "33", "--m", "33", f"--xi={value}"])
 
+    @pytest.mark.parametrize("value, shown", [("7", "7.0"), ("-1e9", "-1000000000.0")])
+    def test_xi_outside_the_interval_rejected_before_work(self, monkeypatch, value, shown):
+        # it used to be snapped to the nearest endpoint, with exit code 0
+        def no_work(*args, **kwargs):
+            raise AssertionError("computation started before the xi check")
+
+        monkeypatch.setattr("cconvex.jensen.evaluate_cost", no_work)
+        monkeypatch.setattr("cconvex.grids.Grid.nearest_index", no_work)
+        with pytest.raises(SystemExit, match=rf"^error: xi = {shown} lies outside the "
+                                             r"interval \[-1.0, 1.0\]$"):
+            run(["jensen", "--form", "integral", "--n", "33", "--m", "33",
+                 "--interval-i=-1,1", f"--xi={value}"])
+
     @pytest.mark.parametrize("rows, message", [
         ("x,p\n0,0.25\n0.25,O.3\n1,0.45\n", r"mu.csv:3: bad p value 'O.3'$"),
         ("0,0.25\nzero,0.3\n1,0.45\n", r"mu.csv:2: bad x value 'zero'$"),

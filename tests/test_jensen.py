@@ -305,6 +305,9 @@ class TestIntegralForm:
         (-np.inf, 1.0, "^xi must be finite, got -inf$"),
         (0.5, np.inf, "^witness y must be finite, got inf$"),
         (None, np.nan, "^witness y must be finite, got nan$"),
+        (5.0, 1.0, r"^xi = 5.0 lies outside the interval \[0.0, 1.0\]$"),
+        (-1e9, 1.0, r"^xi = -1000000000.0 lies outside the interval \[0.0, 1.0\]$"),
+        (np.nextafter(1.0, 2.0), 1.0, r"^xi = 1.0000000000000002 lies outside the interval"),
     ])
     def test_non_finite_xi_or_y(self, xi, y, message):
         g = make_uniform_grid(0, 1, 11)

@@ -4,8 +4,10 @@ and fallback to the dense path, byte identity of the CLI output with the
 dense public API, and its memory.
 """
 
+import ast
 import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,10 +29,31 @@ TWISTED = (
     ("reflector", (-0.9, 0.9), (-0.9, 0.9)),
     ("one_affine:0.2,0.8,0.3;0.1,-1", (-1.0, 1.0), (-1.0, 1.0)),
 )
-# one_affine costs the engine does not serve, so they are tabulated: a(y) = -y
-# decreases, and a(y) = 1 is flat (c_xy = 0: every row ties up to rounding)
+# costs the engine does not serve at n, m >= 129 for f of max |f| >= 0.5, so
+# they are tabulated: a(y) = -y decreases, a(y) = 1 is flat (c_xy = 0: every
+# row ties up to rounding), a(y) = 1 + 2**-36 y is within rounding of flat, and
+# on the narrow intervals the rounding of c - f swamps -(x - y)**2's mixed
+# differences
 DENSE_FALLBACK = (("one_affine:0,-1;0.1", (-1.0, 1.0), (-1.0, 1.0)),
-                  ("one_affine:1;0.3,1,0.7", (-1.0, 1.0), (-1.0, 1.0)))
+                  ("one_affine:1;0.3,1,0.7", (-1.0, 1.0), (-1.0, 1.0)),
+                  ("one_affine:1,1.4551915228366852e-11;0.3,1,0.7", (-1.0, 1.0), (-1.0, 1.0)),
+                  ("neg_quadratic", (5.0, 5.0000001), (5.0, 5.0000001)),
+                  ("neg_quadratic", (1.0, 1.000001), (1.0, 1.000001)))
+# (cost, interval of both grids, n = m) with f = x where an earlier certificate,
+# which counted only a rounding bound on c, let the engine differ from the
+# dense path, at the smallest 2**k + 1 where it did; on [5, 5 + 1e-4] it
+# never did, and 2200 is past the size where 8E reaches the mixed differences
+FOUND_INSTANCES = (("one_affine:1,1.4551915228366852e-11;0.3,1,0.7", (-1.0, 1.0), 2049),
+                   ("neg_quadratic", (5.0, 5.0000001), 17),
+                   ("neg_quadratic", (1.0, 1.000001), 257),
+                   ("neg_quadratic", (5.0, 5.0001), 2200))
+# the cost families of the benchmark's transform_large workload and the
+# catalog functions it draws, read from its source
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+BENCH_CONSTANTS = {t.id: ast.literal_eval(node.value)
+                   for node in ast.parse(WORKLOADS.read_text()).body
+                   if isinstance(node, ast.Assign) for t in node.targets
+                   if isinstance(t, ast.Name) and t.id in ("TRANSFORM_FAMILIES", "CATALOG")}
 # (command, f, n, m, family) where the engine's zero maximum, or zero slack,
 # has the other sign than the dense API's (at the parent of the n != m sizes too)
 SIGNED_ZERO_MAXIMA = {
@@ -73,6 +96,10 @@ def make_f(kind, gi, cost, rng):
     return GridFunction(gi, np.zeros(n))
 
 
+def fmax(f):
+    return float(np.abs(f.values[np.isfinite(f.values)]).max())
+
+
 def assert_same_transform(engine, dense):
     # == semantics: where a maximum is a zero reached with both signs the
     # sign may differ (TestSignedZero), every other value is bit-equal
@@ -97,8 +124,7 @@ class TestKernel:
 
     @pytest.mark.parametrize("n_cand", [1, 2, 7, 64])
     def test_one_score_call_per_level(self, n_cand):
-        # Analysis.triples' band margin assumes no more than n_out.bit_length()
-        # levels; each level makes one score call
+        # n_out.bit_length() levels, each of which makes one score call
         rng = np.random.default_rng(n_cand)
         t = np.sort(rng.integers(0, 4, n_cand)).astype(float)
         for n_out in [*range(1, 70), 127, 128, 129, 255, 256, 257, 1023, 1024, 1025, 4097]:
@@ -121,9 +147,9 @@ class TestDifferential:
         rng = np.random.default_rng(len(family) * 31 + F_KINDS.index(kind))
         for n, m in SIZES:
             gi, gj = make_uniform_grid(*iv_i, n), make_uniform_grid(*iv_j, m)
-            assert twist_bound(spec, gi, gj) is not None
             cost = tabulate_cost(spec, gi, gj)
             f = make_f(kind, gi, cost, rng)
+            assert twist_bound(spec, gi, gj, fmax(f)) is not None
             a = Analysis(f, spec, grid_j=gj)
             fc, fcc = a.fc, a.fcc
             assert_same_transform(fc, c_transform(f, cost))
@@ -168,27 +194,24 @@ class TestBandedTriples:
     @pytest.mark.parametrize("f_value", [lambda x: x, np.zeros_like, lambda x: np.full_like(x, 0.3)],
                              ids=["identity", "zero", "constant0.3"])
     def test_flat_rows_keep_every_member(self, tol, f_value):
-        # a(y) = 1 + 2**-36 y makes c_xy = 2**-36: the certified engine's
-        # cost is within rounding of flat, so the computed slack is rounding
-        # noise and member rows split on most sizes; only the margin keeps
-        # the band over every member
+        # a(y) = 1 + 2**-36 y makes c_xy = 2**-36: the computed cost is within
+        # rounding of flat, and no certificate holds but where the mixed
+        # differences still clear 8E (17 x 16 and 65 x 33); either way the
+        # triples are the dense path's
         spec = parse_cost_spec("one_affine:1,1.4551915228366852e-11;0.3,1,0.7")
-        splits = []
+        certified = []
         for n, m in ((17, 16), (40, 129), (129, 64), (65, 33), (129, 257), (257, 129)):
             gi, gj = make_uniform_grid(-1, 1, n), make_uniform_grid(-1, 1, m)
-            assert twist_bound(spec, gi, gj) is not None
             f = GridFunction(gi, f_value(gi.points))
-            fc = Analysis(f, spec, grid_j=gj).fc.values.values
-            blocks = (tabulate_cost(spec, gi, gj).entries - f.values[:, None]) - fc
-            member = blocks >= -tol
-            first, last = member.argmax(axis=1), m - 1 - member[:, ::-1].argmax(axis=1)
-            splits.append(bool((member.sum(axis=1) < last - first + 1).any()))
-            dom, rows, cols, slack = Analysis(f, spec, tol, gj).triples
-            want_rows, want_cols = np.nonzero(member)
+            a = Analysis(f, spec, tol, gj)
+            certified.append(a.twist is not None)
+            dense = membership_slack(f, tabulate_cost(spec, gi, gj))
+            dom, rows, cols, slack = a.triples
+            want_rows, want_cols = np.nonzero(dense >= -tol)
             assert np.array_equal(rows, want_rows) and np.array_equal(cols, want_cols)
-            assert np.array_equal(slack.view(np.int64), blocks[rows, cols].view(np.int64))
-            assert np.array_equal(dom, member.any(axis=1))
-        assert any(splits)
+            assert np.array_equal(slack.view(np.int64), dense[rows, cols].view(np.int64))
+            assert np.array_equal(dom, (dense >= -tol).any(axis=1))
+        assert certified == [True, False, False, True, False, False]
 
     # c_xy > 0 on these grids; with c_xy near 0 (test above) rounding noise
     # can split a computed row
@@ -204,6 +227,89 @@ class TestBandedTriples:
         for i, row in enumerate(member):
             js = np.flatnonzero(row)
             assert js.size == 0 or js[-1] - js[0] + 1 == js.size, f"row {i}: {js}"
+
+
+def fuzz_spec(kind, s):
+    """The twisted families and their variants scaled by s > 0."""
+    return {"bilinear": CostSpec("bilinear"),
+            "scaled_bilinear": CostSpec("one_affine", a_coeffs=(0.0, s)),
+            "neg_quadratic": CostSpec("neg_quadratic", scale=s),
+            "reflector": CostSpec("reflector"),
+            "one_affine": CostSpec("one_affine", a_coeffs=(0.2 * s, 0.8 * s, 0.3 * s),
+                                   b_coeffs=(0.1, -1.0))}[kind]
+
+
+class TestCertificate:
+    @pytest.mark.parametrize("family, iv, n", FOUND_INSTANCES)
+    def test_found_instances_go_dense(self, family, iv, n):
+        spec, g = parse_cost_spec(family), make_uniform_grid(*iv, n)
+        f = GridFunction(g, g.points)
+        cost = tabulate_cost(spec, g, g)
+        a = Analysis(f, spec, 0.0, g)
+        assert a.twist is None
+        assert_same_transform(a.fc, c_transform(f, cost))
+        assert_same_transform(a.fcc, double_c_transform(f, cost))
+        dom, rows, cols, slack = a.triples
+        assert np.array_equal(np.c_[rows, cols], np.argwhere(membership_slack(f, cost) >= 0.0))
+
+    # intervals centred at 0, 1, 5, 100 or -3 of half-width 1e-7 to 10, f of
+    # max |f| 1e-8 to 1e3, with exact ties (rounded, zero) and without
+    @settings(max_examples=250, deadline=None)
+    @given(kind=st.sampled_from(("bilinear", "scaled_bilinear", "neg_quadratic", "reflector",
+                                 "one_affine")),
+           scale=st.floats(-3, 3),
+           centres=st.tuples(*[st.sampled_from((0.0, 1.0, 5.0, 100.0, -3.0))] * 2),
+           widths=st.tuples(st.floats(-7, 1), st.floats(-7, 1)),
+           n=st.integers(2, 129), m=st.integers(2, 129),
+           f_kind=st.sampled_from(("normal", "rounded", "zero", "linear")),
+           f_scale=st.floats(-8, 3),
+           seed=st.integers(0, 2**32 - 1), tol=st.sampled_from(TOLS))
+    def test_certified_engine_equals_dense(self, kind, scale, centres, widths, n, m, f_kind,
+                                           f_scale, seed, tol):
+        spec = fuzz_spec(kind, 10.0**scale)
+        gi, gj = (make_uniform_grid(c - 10.0**w, c + 10.0**w, k)
+                  for c, w, k in zip(centres, widths, (n, m)))
+        z = np.random.default_rng(seed).normal(size=n)
+        values = {"normal": z, "rounded": np.round(4 * z) / 4, "zero": np.zeros(n),
+                  "linear": gi.points}[f_kind]
+        f = GridFunction(gi, 10.0**f_scale * values)
+        a = Analysis(f, spec, tol, gj)
+        if a.twist is None:
+            return
+        cost = tabulate_cost(spec, gi, gj)
+        assert_same_transform(a.fc, c_transform(f, cost))
+        assert_same_transform(a.fcc, double_c_transform(f, cost))
+        dense = membership_slack(f, cost)
+        member = dense >= -tol
+        dom, rows, cols, slack = a.triples
+        assert np.array_equal(np.c_[rows, cols], np.argwhere(member))
+        assert np.array_equal(dom, member.any(axis=1))
+        assert np.array_equal(slack, dense[rows, cols])   # == : a zero's sign may differ
+
+    def test_a_large_f_falls_back_to_dense(self):
+        # E grows with max|f|: from about 4.4e12 on, 8E passes the bilinear's
+        # mixed differences (1/16)**2, as the rounding of c - f (ulp(1e13) is
+        # about 2e-3) reaches them
+        g, spec = make_uniform_grid(-1, 1, 33), CostSpec("bilinear")
+        assert twist_bound(spec, g, g, 1e12) is not None
+        assert twist_bound(spec, g, g, 1e13) is None
+        f = GridFunction(g, g.points**2 + 1e13)
+        a = Analysis(f, spec, grid_j=g)
+        assert a.twist is None
+        cost = tabulate_cost(spec, g, g)
+        assert_same_transform(a.fc, c_transform(f, cost))
+        assert_same_transform(a.fcc, double_c_transform(f, cost))
+        assert "table" in vars(a)
+
+    @pytest.mark.parametrize("family, iv_i, iv_j", BENCH_CONSTANTS["TRANSFORM_FAMILIES"])
+    def test_transform_large_costs_stay_certified(self, family, iv_i, iv_j):
+        # a refused family would tabulate 4097 x 4097 cells (128 MB) per op;
+        # the piecewise-linear f there take values in [-1, 1], and E grows with max|f|
+        spec = parse_cost_spec(family)
+        gi, gj = make_uniform_grid(*iv_i, 4097), make_uniform_grid(*iv_j, 4097)
+        for name in BENCH_CONSTANTS["CATALOG"]:
+            assert twist_bound(spec, gi, gj, fmax(cli.parse_function(name, gi))) is not None, name
+        assert twist_bound(spec, gi, gj, 1.0) is not None
 
 
 class TestSignedZero:
@@ -230,7 +336,7 @@ class TestFallback:
     ], ids=["decreasing_a", "flat_a", "translation"])
     def test_dense_path_unchanged(self, spec):
         g = make_uniform_grid(-1, 1, 33)
-        assert twist_bound(spec, g, g) is None
+        assert twist_bound(spec, g, g, 1.0) is None
         cost = tabulate_cost(spec, g, g)
         for f in (GridFunction(g, g.points**2), GridFunction(g, np.zeros(33))):
             a = Analysis(f, spec, grid_j=g)
@@ -247,7 +353,7 @@ class TestFallback:
     def test_reflector_domain_violation_same_error(self, iv_i, iv_j):
         spec = CostSpec("reflector")
         gi, gj = make_uniform_grid(*iv_i, 9), make_uniform_grid(*iv_j, 9)
-        assert twist_bound(spec, gi, gj) is None
+        assert twist_bound(spec, gi, gj, 0.0) is None
         with pytest.raises(CostDomainError) as dense:
             tabulate_cost(spec, gi, gj)
         f = GridFunction(gi, np.zeros(9))
@@ -262,7 +368,7 @@ class TestFallback:
         # the rounding bound carries 1/(1 - max xy); within 2u of the pole
         # there is none, and the cost is tabulated like any uncertified one
         spec = CostSpec("reflector")
-        bound = {r: twist_bound(spec, make_uniform_grid(-r, r, 9), make_uniform_grid(-r, r, 9))
+        bound = {r: twist_bound(spec, make_uniform_grid(-r, r, 9), make_uniform_grid(-r, r, 9), 1.0)
                  for r in (0.9, 0.9999999, 1 - 2**-53)}
         assert bound[0.9999999] > 1e5 * bound[0.9] > 0
         assert bound[1 - 2**-53] is None
@@ -295,7 +401,7 @@ class TestFallback:
     ], ids=["bilinear", "neg_quadratic", "one_affine"])
     def test_overflow_same_error(self, spec, iv):
         g = make_uniform_grid(*iv, 5)
-        assert twist_bound(spec, g, g) is None
+        assert twist_bound(spec, g, g, 0.0) is None
         f = GridFunction(g, np.zeros(5))
         for call in (lambda: Analysis(f, spec, grid_j=g).fc,
                      lambda: Analysis(f, spec, grid_j=g).triples):
@@ -413,8 +519,9 @@ class TestCliByteIdentity:
     @pytest.mark.parametrize("family, iv_i, iv_j", TWISTED + DENSE_FALLBACK)
     def test_matches_dense_api(self, tmp_path, command, f, n, m, family, iv_i, iv_j):
         if (family, iv_i, iv_j) in DENSE_FALLBACK:
-            assert twist_bound(parse_cost_spec(family), make_uniform_grid(*iv_i, n),
-                               make_uniform_grid(*iv_j, m)) is None
+            gi = make_uniform_grid(*iv_i, n)
+            assert twist_bound(parse_cost_spec(family), gi, make_uniform_grid(*iv_j, m),
+                               fmax(cli.parse_function(f, gi))) is None
         argv = ["--n", str(n), "--m", str(m), "--cost", family, "--f", f,
                 f"--interval-i={iv_i[0]},{iv_i[1]}", f"--interval-j={iv_j[0]},{iv_j[1]}"]
         out = tmp_path / "out.json"

@@ -682,6 +682,24 @@ class TestVerdictBranches:
         assert v.notes.startswith(f"hypothesis-failed: {reason}")
         assert v.notes.endswith("; conclusion not judged")
 
+    @pytest.mark.parametrize("check, cost, f", [
+        (check_intersection_inclusion, "neg_quadratic", np.square),
+        (check_subdiff_convexity, "bilinear", lambda x: 0.5 * x**2),
+        (check_set_valued_convexity, "affine", lambda x: 0.25 * x),
+    ], ids=["intersection_inclusion", "subdiff_convexity", "set_valued_convexity"])
+    def test_infinite_f_is_not_c_convex(self, check, cost, f):
+        # f^cc is finite on a grid, so f = +inf for x > 0.5 is not c-convex;
+        # the gate used to raise Analysis.c_convex's finiteness error
+        x = self.g.points
+        a = on_grid(self.g, np.where(x > 0.5, np.inf, f(x)), getattr(self, cost))
+        v = check(a)
+        assert (v.status, v.max_violation, v.witness) == ("hypothesis_failed", 0.0, None)
+        assert v.notes == ("hypothesis-failed: f not c-convex (+inf at a grid point); "
+                           "conclusion not judged")
+        assert "fcc" not in vars(a)
+        if cost == "neg_quadratic":   # no c_convex gate: the proposition is judged
+            assert check_domain_interval(a).status == "held"
+
     @pytest.mark.parametrize("f", [np.square, np.abs, lambda x: -x**2, lambda x: np.sin(6 * x),
                                    lambda x: 0.25 * x, lambda x: x**4 - x**2,
                                    lambda x: np.where(x > 0.5, np.inf, x**2),
