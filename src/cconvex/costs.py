@@ -13,7 +13,7 @@ Families:
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -250,30 +250,37 @@ def twist_bound(spec: CostSpec, grid_i: Grid, grid_j: Grid, fmax: float) -> Opti
 
 @dataclass(frozen=True, eq=False)
 class CostMatrix:
-    """Tabulated cost on a product grid: entries[i, j] = c(x_i, y_j)."""
+    """Tabulated cost on a product grid: entries[i, j] = c(x_i, y_j).
+
+    The entries are a read-only copy of the array given, which its caller
+    may change later; the tabulating functions pass ``_fresh=True`` to hand
+    over, uncopied, a float array they just built and nothing else holds.
+    """
 
     grid_i: Grid
     grid_j: Grid
     entries: np.ndarray
+    _fresh: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, _fresh):
         e = np.asarray(self.entries, dtype=float)
         if e.shape != (self.grid_i.n, self.grid_j.n):
             raise ValueError(f"entries shape {e.shape} does not match grids "
                              f"({self.grid_i.n}, {self.grid_j.n})")
         if not np.isfinite(e).all():
             raise ValueError("cost matrix entries must all be finite")
-        e = e.copy()
+        if not _fresh:
+            e = e.copy()
         e.flags.writeable = False
         object.__setattr__(self, "entries", e)
 
     def negated(self) -> "CostMatrix":
-        return CostMatrix(self.grid_i, self.grid_j, -self.entries)
+        return CostMatrix(self.grid_i, self.grid_j, -self.entries, _fresh=True)
 
 
 # Largest n*m a dense table may have: 2**26 float64 cells are one 512 MiB
-# array, and a dense transform holds about three such arrays at once (the
-# evaluated entries, CostMatrix's copy and c - f), so about 1.5 GiB.
+# array, and a dense transform holds about two such arrays at once (the
+# evaluated entries and c - f), so about 1 GiB.
 MAX_DENSE_CELLS = 2**26
 
 
@@ -288,15 +295,18 @@ def tabulate_cost(spec: CostSpec, grid_i: Grid, grid_j: Grid) -> CostMatrix:
     _check_dense_cells(grid_i, grid_j)
     with np.errstate(over="ignore", invalid="ignore"):  # CostMatrix rejects what overflows
         entries = evaluate_cost(spec, grid_i.points[:, None], grid_j.points[None, :])
-    return CostMatrix(grid_i, grid_j, entries)
+    return CostMatrix(grid_i, grid_j, entries, _fresh=True)
 
 
 def tabulate_callable(fn: Callable, grid_i: Grid, grid_j: Grid) -> CostMatrix:
-    """Tabulate an arbitrary c(x, y) callable (broadcasting) on a product grid."""
+    """Tabulate an arbitrary c(x, y) callable (broadcasting) on a product grid.
+
+    The matrix takes over fn's result without a copy, so fn must return a
+    new array, as any arithmetic on x and y does, not one it keeps."""
     _check_dense_cells(grid_i, grid_j)
     with np.errstate(over="ignore", invalid="ignore"):
         entries = np.asarray(fn(grid_i.points[:, None], grid_j.points[None, :]), dtype=float)
-    return CostMatrix(grid_i, grid_j, entries)
+    return CostMatrix(grid_i, grid_j, entries, _fresh=True)
 
 
 @np.errstate(over="ignore")   # a difference beyond the float range is an inf excess
@@ -372,7 +382,7 @@ def read_cost_csv(path: str) -> CostMatrix:
     table = np.array([csv_floats(path, k, row, names, exact=True) for k, row in rows[1:]])
     return CostMatrix(grid_through(table[:, 0], f"{path}: x grid"),
                       grid_through(np.array(y), f"{path}: y grid"),
-                      table[:, 1:].copy())
+                      table[:, 1:])
 
 
 def write_cost_csv(path: str, matrix: CostMatrix) -> None:

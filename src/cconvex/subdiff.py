@@ -25,7 +25,7 @@ import numpy as np
 from .costs import CostMatrix, CostSpec, evaluate_cost, tabulate_cost, twist_bound
 from .grids import Grid, GridFunction, check_index, check_tol
 from .transform import (TransformResult, _back_transform, _check_input, _engine_c_transform,
-                        _index_ranges, c_convexity, c_transform)
+                        c_convexity, c_transform)
 
 __all__ = [
     "Analysis",
@@ -101,6 +101,12 @@ class LocalWindow:
         m = np.abs(grid.points - grid.points[self.x0_index]) < self.epsilon
         m[self.x0_index] = True
         return m
+
+
+# Triples whose columns and slack ``Analysis.triples`` fills at a time: their
+# temporaries, about 50 B a triple, stay small beside the searches' O(n)
+# arrays and the output's 25 B a triple.
+BAND_BLOCK = 4096
 
 
 def membership_slack(f: GridFunction, cost: CostMatrix) -> np.ndarray:
@@ -211,18 +217,29 @@ class Analysis:
         certifies that the computed matrix D~ = fl(c~ - f) is strictly Monge,
         so the engine's f^c_j = D~(k_j, j) is the dense maximum, its first
         maximisers k_j are nondecreasing, and the computed slack is
-        fl(X(i, j)), X(i, j) = D~(i, j) - D~(k_j, j).  Let p_i =
-        searchsorted(k, i).  For j < j' < p_i, k_j <= k_j' < i, and strict
-        Monge gives D~(i, j') - D~(k_j', j') > D~(i, j) - D~(k_j', j) >=
-        D~(i, j) - D~(k_j, j): X(i, .) increases on [0, p_i).  For p_i <= j
-        < j', i <= k_j, and D~(i, j') - D~(k_j', j') <= D~(i, j') - D~(k_j, j')
-        <= D~(i, j) - D~(k_j, j): X(i, .) is nonincreasing on [p_i, m).
-        Rounding is monotone, so on each side the test fl(X) >= -tol changes
-        its outcome at most once, and a search on each side with the plain
-        threshold -tol finds exactly the members, whatever columns it probes:
-        it may gallop out from p_i before it bisects.  The band pass applies
+        fl(X(i, j)), X(i, j) = D~(i, j) - D~(k_j, j).  Let [p_i, q_i) be the
+        run of columns whose first maximiser is i: p_i = searchsorted(k, i)
+        and q_i = searchsorted(k, i, "right").  For j < j' < p_i, k_j <= k_j'
+        < i, and strict Monge gives D~(i, j') - D~(k_j', j') > D~(i, j) -
+        D~(k_j', j) >= D~(i, j) - D~(k_j, j): X(i, .) increases on [0, p_i).
+        For p_i <= j < j', i <= k_j, and D~(i, j') - D~(k_j', j') <= D~(i, j')
+        - D~(k_j, j') <= D~(i, j) - D~(k_j, j): X(i, .) is nonincreasing on
+        [p_i, m).  Rounding is monotone, so on each side the test fl(X) >=
+        -tol changes its outcome at most once, and a search on each side with
+        the plain threshold -tol finds exactly the members, whatever columns
+        it probes: it may gallop out from the run before it bisects.
+
+        The run's columns need no probe: there k_j = i, and the engine's
+        f^c_j is D~(i, j) in the slack's own arithmetic, so the computed slack
+        is D~(i, j) - D~(i, j) = +0.0 exactly, a member at every tol >= 0.  So
+        the left search starts at p_i - 1, the column before the run, with
+        p_i standing for a passing column, and the right search starts at
+        q_i, the column after it, with q_i - 1 standing for one: a run column,
+        or where the run is empty (p_i = q_i) a bound never evaluated, which
+        the other side's result then replaces.  The band pass applies
         ``membership_slack``'s arithmetic, so the triples equal the dense
-        path's.
+        path's.  It fills the output arrays ``BAND_BLOCK`` triples at a time,
+        so past the O(n + m) searches the memory is the triples themselves.
         """
         f, tol = self.f, self.tol
         if not f.is_finite:
@@ -241,31 +258,35 @@ class Analysis:
             s -= g[j]
             return s
 
-        # Per row, one search on [0, p) and one on [p, m): on the left lo fails
-        # the membership test and hi passes, on the right the reverse; -1, p - 1,
-        # p and m stand for columns never evaluated.  Each search gallops out
-        # from p, 1, 2, 4, ... columns past its last passing probe, until a probe
-        # fails or would reach the sentinel, then bisects.
-        p = np.searchsorted(fc.argmax, np.arange(n))
-        row = np.tile(np.arange(n), 2)
-        right = np.arange(2 * n) >= n
-        lo = np.concatenate((np.full(n, -1), p - 1))
-        hi = np.concatenate((p, np.full(n, m)))
-        stride = np.ones(2 * n, dtype=np.int64)  # 0 once a search bisects
-        while (act := np.flatnonzero(hi - lo > 1)).size:
-            s = stride[act]
-            mid = np.where(right[act], lo[act] + s, hi[act] - s)
-            gallop = (lo[act] < mid) & (mid < hi[act])
-            mid = np.where(gallop, mid, (lo[act] + hi[act]) // 2)
-            passed = slack_at(row[act], mid) >= -tol
-            up = passed == right[act]
-            lo[act[up]] = mid[up]
-            hi[act[~up]] = mid[~up]
-            stride[act] = np.where(gallop & passed, 2 * s, 0)
-        lens = hi[n:] - hi[:n]
+        def search(lo, hi, right):
+            """Per row, the first column of (lo, hi] that passes (left side)
+            or fails (right side), where on the left lo fails and hi passes
+            and on the right the reverse.  It gallops out from the run, 1, 2,
+            4, ... columns past its last passing probe, until a probe fails
+            or would reach the bound, then bisects."""
+            stride = np.ones(n, dtype=np.int64)  # 0 once a search bisects
+            while (act := np.flatnonzero(hi - lo > 1)).size:
+                mid = lo[act] + stride[act] if right else hi[act] - stride[act]
+                bisect = (mid <= lo[act]) | (mid >= hi[act])
+                mid[bisect] = (lo[act[bisect]] + hi[act[bisect]]) // 2
+                passed = slack_at(act, mid) >= -tol
+                stride[act] = np.where(passed & ~bisect, 2 * stride[act], 0)
+                up = passed == right
+                lo[act[up]] = mid[up]
+                hi[act[~up]] = mid[~up]
+            return hi
+
+        k = fc.argmax
+        start = search(np.full(n, -1), np.searchsorted(k, np.arange(n)), False)
+        lens = search(np.searchsorted(k, np.arange(n), "right") - 1, np.full(n, m), True) - start
         rows = np.repeat(np.arange(n), lens)
-        cols = _index_ranges(hi[:n], lens)[1]
-        return lens > 0, rows, cols, slack_at(rows, cols)
+        start -= np.cumsum(lens) - lens  # now triple t of row i is column t + start_i
+        cols, slack = np.empty(rows.size, dtype=np.int64), np.empty(rows.size)
+        for a in range(0, rows.size, BAND_BLOCK):
+            r, c = rows[a:a + BAND_BLOCK], cols[a:a + BAND_BLOCK]
+            c[:] = np.arange(a, a + r.size) + start[r]
+            slack[a:a + BAND_BLOCK] = slack_at(r, c)
+        return lens > 0, rows, cols, slack
 
 
 def c_subdifferential(f: GridFunction, cost: CostMatrix, x0_index: int,

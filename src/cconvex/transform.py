@@ -80,36 +80,41 @@ def _monotone_argmax(score: Callable[[np.ndarray, np.ndarray], np.ndarray],
     """First maximum and maximiser over candidates 0..n_cand-1 of each
     output 0..n_out-1, given that the first maximiser is nondecreasing.
 
-    ``score(out, cand)`` returns the entries at the index pairs.  Divide and
-    conquer, one level per call: each segment's middle output is maximised
-    over the candidates its segment allows, and its first maximiser k
-    leaves [lo, k] to the left half and [k, hi] to the right.  A segment of
-    L outputs leaves halves of at most L // 2: n_out.bit_length() levels in
-    all, one ``score`` call each.  That is
+    ``score(out, cand)`` returns the entries at the index pairs.  A fixed
+    stride schedule, one level per call: the first level searches every
+    candidate for output 0 and, when n_out > 1, for output S, the largest
+    power of 2 below n_out; each later level halves the stride s and
+    searches the outputs j = s, 3s, 5s, ... between the first maximisers
+    k_{j-s} and k_{j+s} that earlier levels found (up to the last candidate
+    where j + s >= n_out).  Those are global first maximisers, and since the
+    first maximiser is nondecreasing (under a ``twist_bound``, because the
+    computed matrix is Monge) k_j lies between them; no candidate before k_j
+    reaches the maximum, so the first maximiser within [k_{j-s}, k_{j+s}]
+    is k_j, and its entry is the maximum.  The ranges of a level overlap
+    only at their ends, so a level makes at most 2 n_cand + n_out
+    evaluations, in max(1, (n_out - 1).bit_length()) levels: that is
     O((n_out + n_cand) log n_out) evaluations in O(n_out + n_cand) memory.
     """
+    s = 1 << max((n_out - 1).bit_length() - 1, 0)
     values = np.empty(n_out)
-    argmax = np.empty(n_out, dtype=np.int64)
-    # segments: outputs [jlo, jhi) whose first maximisers lie in [lo, hi]
-    jlo, jhi = np.array([0]), np.array([n_out])
-    lo, hi = np.array([0]), np.array([n_cand - 1])
-    while jlo.size:
-        mid = (jlo + jhi) // 2
-        lens = hi - lo + 1
+    # an output not searched yet, or past the end, bounds by the last candidate
+    argmax = np.full(n_out + s, n_cand - 1)
+    j = np.arange(0, n_out, s)
+    lo = np.zeros_like(j)
+    while True:
+        lens = argmax[j + s] - lo + 1
         starts, cand = _index_ranges(lo, lens)
-        vals = score(np.repeat(mid, lens), cand)
+        vals = score(np.repeat(j, lens), cand)
         best = np.maximum.reduceat(vals, starts)
         hits = np.flatnonzero(vals == np.repeat(best, lens))
         first = hits[np.searchsorted(hits, starts)]
-        k = cand[first]
-        values[mid] = vals[first]
-        argmax[mid] = k
-        left, right = jlo < mid, mid + 1 < jhi
-        jlo, jhi, lo, hi = (np.concatenate((jlo[left], mid[right] + 1)),
-                            np.concatenate((mid[left], jhi[right])),
-                            np.concatenate((lo[left], k[right])),
-                            np.concatenate((k[left], hi[right])))
-    return values, argmax
+        values[j] = vals[first]
+        argmax[j] = cand[first]
+        if s == 1:
+            return values, argmax[:n_out]
+        s //= 2
+        j = np.arange(s, n_out, 2 * s)
+        lo = argmax[j - s]
 
 
 def _engine_c_transform(spec: CostSpec, g: GridFunction, out: Grid,

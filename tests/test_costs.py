@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 
 from cconvex import costs
-from cconvex.costs import (MAX_DENSE_CELLS, STRUCTURE_PROPERTIES, CostDomainError, CostSpec,
-                           check_structure, evaluate_cost, read_cost_csv,
+from cconvex.costs import (MAX_DENSE_CELLS, STRUCTURE_PROPERTIES, CostDomainError, CostMatrix,
+                           CostSpec, check_structure, evaluate_cost, read_cost_csv,
                            segment_concavity_excess, tabulate_callable, tabulate_cost,
                            write_cost_csv)
 from cconvex.grids import make_uniform_grid
@@ -158,6 +158,34 @@ class TestTabulate:
         g = make_uniform_grid(0, 2, 5)
         with pytest.raises(CostDomainError, match=r"x\*y < 1"):
             tabulate_cost(CostSpec("reflector"), g, g)
+
+    def test_a_callers_array_is_copied(self):
+        g = make_uniform_grid(-1, 1, 3)
+        table = np.outer(g.points, g.points)
+        m = CostMatrix(g, g, table)
+        table[0, 0] = 7.0
+        assert m.entries[0, 0] == 1.0 and table.flags.writeable
+        assert not m.entries.flags.writeable
+        neg = m.negated()
+        assert neg.entries[0, 0] == -1.0 and not neg.entries.flags.writeable
+
+    @pytest.mark.parametrize("tabulate", [lambda g: tabulate_cost(CostSpec("bilinear"), g, g),
+                                          lambda g: tabulate_callable(np.multiply, g, g)],
+                             ids=["tabulate_cost", "tabulate_callable"])
+    def test_tabulation_holds_one_table(self, tabulate):
+        # the evaluated array becomes the matrix's entries, with no copy beside
+        # it; the finiteness check's mask is one byte a cell
+        n = 1025
+        g = make_uniform_grid(-1, 1, n)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            m = tabulate(g)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert m.entries.nbytes == n * n * 8 and not m.entries.flags.writeable
+        assert peak <= 1.2 * m.entries.nbytes, f"peak {peak / 1e6:.2f} MB"
 
 
 def twist_edge_scale():

@@ -108,7 +108,9 @@ def assert_same_transform(engine, dense):
 
 
 class TestKernel:
-    @pytest.mark.parametrize("n_out", [1, 2, 3, 8, 33])
+    # 2**k and 2**k + 1 outputs: the stride schedule's first level searches
+    # outputs 0 and 2**(k-1), or 0 and 2**k
+    @pytest.mark.parametrize("n_out", [1, 2, 3, 4, 5, 8, 9, 16, 17, 33, 64, 65, 256, 257])
     @pytest.mark.parametrize("n_cand", [1, 2, 5, 40])
     def test_exact_monge_matrices_with_ties(self, n_out, n_cand):
         # D[o, c] = s_o t_c + u_c + v_o with s, t nondecreasing is Monge;
@@ -124,7 +126,8 @@ class TestKernel:
 
     @pytest.mark.parametrize("n_cand", [1, 2, 7, 64])
     def test_one_score_call_per_level(self, n_cand):
-        # n_out.bit_length() levels, each of which makes one score call
+        # one level per stride, 2**(L-1) down to 1 with L = (n_out - 1).bit_length(),
+        # and one level for n_out = 1; each makes one score call
         rng = np.random.default_rng(n_cand)
         t = np.sort(rng.integers(0, 4, n_cand)).astype(float)
         for n_out in [*range(1, 70), 127, 128, 129, 255, 256, 257, 1023, 1024, 1025, 4097]:
@@ -136,7 +139,7 @@ class TestKernel:
                 return d[o, c]
 
             _monotone_argmax(score, n_out, n_cand)
-            assert len(calls) == n_out.bit_length(), n_out
+            assert len(calls) == max(1, (n_out - 1).bit_length()), n_out
 
 
 class TestDifferential:
@@ -212,6 +215,46 @@ class TestBandedTriples:
             assert np.array_equal(slack.view(np.int64), dense[rows, cols].view(np.int64))
             assert np.array_equal(dom, (dense >= -tol).any(axis=1))
         assert certified == [True, False, False, True, False, False]
+
+    # f = |x| under x*y: the middle row's run spans every column but the first,
+    # and every row right of it is a member at y = 1 by an exact tie; f = 0:
+    # two runs of half the columns, one at each end, and every row ties at
+    # y = 0; a steep |x| makes one run of all m columns
+    @pytest.mark.parametrize("family, iv_i, iv_j, f_value, exact_ties", [
+        ("bilinear", (-1.0, 1.0), (-1.0, 1.0), np.abs, True),
+        ("bilinear", (-1.0, 1.0), (-1.0, 1.0), np.zeros_like, True),
+        ("neg_quadratic", (-1.0, 1.0), (-1.5, 1.5), lambda x: 4 * np.abs(x), False),
+        ("reflector", (-0.9, 0.9), (-0.9, 0.9), lambda x: 3 * np.abs(x), False),
+        ("one_affine:0.2,0.8,0.3;0.1,-1", (-1.0, 1.0), (-1.0, 1.0),
+         lambda x: np.maximum(0, 2 * x), False),
+    ], ids=["bilinear_abs", "bilinear_zero", "neg_quadratic_steep", "reflector_steep",
+            "one_affine_hinge"])
+    def test_run_seeded_searches(self, family, iv_i, iv_j, f_value, exact_ties):
+        # each row's argmax run is taken as members unprobed and its searches
+        # start beside it: long runs, runs at column 0 and m - 1, and rows
+        # with no run whose members tie within tol (exactly, at tol 0)
+        spec = parse_cost_spec(family)
+        tied_tols, longest = set(), 0.0
+        for n, m in ((33, 33), (65, 129), (129, 64)):
+            gi, gj = make_uniform_grid(*iv_i, n), make_uniform_grid(*iv_j, m)
+            f = GridFunction(gi, f_value(gi.points))
+            for tol in (0.0, 1e-9, 0.1):
+                a = Analysis(f, spec, tol, gj)
+                assert a.twist is not None
+                member = Analysis(f, tabulate_cost(spec, gi, gj), tol).member
+                dom, rows, cols, slack = a.triples
+                assert np.array_equal(np.c_[rows, cols], np.argwhere(member))
+                assert np.array_equal(dom, member.any(axis=1))
+                # every (k_j, j) is a triple, with a slack of exactly 0
+                key, k = rows * m + cols, a.fc.argmax
+                at = np.searchsorted(key, k * m + np.arange(m))
+                assert np.array_equal(key[at], k * m + np.arange(m)) and (slack[at] == 0).all()
+                run = np.bincount(k, minlength=n)
+                if (member.any(axis=1) & (run == 0)).any():
+                    tied_tols.add(tol)
+                longest = max(longest, run.max() / m)
+        assert longest > 0.5 and 0.1 in tied_tols
+        assert (0.0 in tied_tols) == exact_ties
 
     # c_xy > 0 on these grids; with c_xy near 0 (test above) rounding noise
     # can split a computed row
@@ -581,10 +624,10 @@ class TestMemory:
         # transform keeps the two grids' point texts, about 75 B a point each
         # (a float repr's str and its list slot), one block of value texts
         # and their joined text, about 100 B a value of min(m, cli.BLOCK), and
-        # a few float arrays of 8 B a point: under 200 B a grid point at
-        # n = m <= cli.BLOCK, where the whole document held about 260-350;
-        # subdiff is banded: O(n + m) besides its output of about n triples
-        bound = (200 if command == "transform" else 1000) * (n + n)
+        # a few float arrays of 8 B a point: 112-166 B a grid point here,
+        # where the whole document held about 260-350; subdiff is banded,
+        # O(n + m) besides its output of 1-2 triples a row: 106-119 B a point
+        bound = (180 if command == "transform" else 140) * (n + n)
         assert peak < bound, f"peak {peak / 1e6:.1f} MB"
 
     def test_membership_slack_is_one_array(self):
@@ -617,4 +660,23 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert "table" not in vars(a)
-        assert peak < 1000 * (n + n), f"peak {peak / 1e6:.1f} MB"
+        # 77-85 B a grid point, where a 2n-wide band search held 99-128
+        assert peak < 100 * (n + n), f"peak {peak / 1e6:.1f} MB"
+
+    @pytest.mark.parametrize("family, iv_i, iv_j", TWISTED)
+    def test_band_search_peak(self, family, iv_i, iv_j):
+        # the two n-wide searches hold about 90 B a row, and the output 25 B
+        # a triple (1-1.5 a row here): 362-400 KB at n = m = 4097, where one
+        # 2n-wide search and its row and side arrays held 670-904 KB
+        n = 4097
+        gi, gj = make_uniform_grid(*iv_i, n), make_uniform_grid(*iv_j, n)
+        a = Analysis(GridFunction(gi, np.abs(gi.points)), parse_cost_spec(family), grid_j=gj)
+        a.fc
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            a.triples
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 120 * n, f"peak {peak / 1e6:.2f} MB"

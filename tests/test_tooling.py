@@ -1,11 +1,15 @@
-"""The test configuration itself: a failing property test must report its
-falsifying example and leave the session running."""
+"""The test configuration and the benchmark records: a failing property
+test must report its falsifying example and leave the session running, and
+every BENCH_<k>.json must parse, carry its own number and claim only what
+BENCHMARK.json measures."""
 
+import json
 import subprocess
 import sys
 from pathlib import Path
 
-PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+ROOT = Path(__file__).resolve().parents[1]
+PYPROJECT = ROOT / "pyproject.toml"
 
 FAILING_PROPERTY_THEN_PASSING = '''
 from hypothesis import given, settings
@@ -31,3 +35,18 @@ def test_failing_hypothesis_test_does_not_end_the_session(tmp_path):
     assert "INTERNALERROR" not in out.stdout + out.stderr
     assert "Falsifying example" in out.stdout
     assert out.stdout.rstrip().splitlines()[-1].startswith("1 failed, 1 passed"), out.stdout
+
+
+def test_bench_records_carry_their_number_and_a_measured_claim():
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    workloads = {w["name"] for w in spec["workloads"]}
+    metrics = {m["name"] for m in spec["end_to_end"]}
+    records = {int(path.stem.removeprefix("BENCH_")): json.loads(path.read_text())
+               for path in ROOT.glob("BENCH_*.json")}
+    assert len(records) >= 16
+    for k, record in records.items():
+        assert record["bench"] == k, k
+        if record.get("claim"):
+            claim = record["claim"]
+            assert claim["workload"] in workloads and claim["metric"] in metrics, k
+    assert records[24]["claim"]
