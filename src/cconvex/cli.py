@@ -14,6 +14,7 @@ import contextlib
 import csv
 import functools
 import hashlib
+import itertools
 import json
 import sys
 from collections.abc import Iterator
@@ -88,11 +89,8 @@ def _config_hash(payload: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
-# Values rendered per write of an output array: no array's texts but the
-# grids' are ever held whole.  A block's texts, list and joined text take
-# about 110 KB for 1024 float values and 240 KB for 1024 subdiff triples,
-# small beside the grid texts they sit with (about 80-100 B a point, so
-# 0.3-0.4 MB a grid at n = 4097).
+# Values rendered per write of an output array.  Only the grids' texts are held
+# whole, 24 B a point (``_float_texts``); a block's texts take about 0.15 MB.
 BLOCK = 1024
 
 
@@ -119,9 +117,9 @@ def _json_parts(value, parts: list):
 
 def _dump_json(path: Optional[str], payload: dict):
     """Write the payload's JSON and a newline to ``path``, or to stdout, an
-    array block by block.  Every text but the arrays' is rendered before the
-    file is opened, and callers check the arrays with ``_require_json_floats``,
-    so a value json rejects leaves an existing file as it was."""
+    array block by block, a text each.  Every text but the arrays' is rendered
+    before the file is opened, and callers check the arrays with
+    ``_require_json_floats``, so a value json rejects leaves a file as it was."""
     parts = []
     _json_parts(payload, parts)
     with open(path, "w") if path else contextlib.nullcontext(sys.stdout) as fh:
@@ -130,15 +128,19 @@ def _dump_json(path: Optional[str], payload: dict):
                 fh.write(part)
                 continue
             fh.write("[")
-            for k, texts in enumerate(part):
-                fh.write(("," if k else "") + ",".join(texts))
+            for k, text in enumerate(part):
+                fh.write("," + text if k else text)
             fh.write("]")
         fh.write("\n")
 
 
-def _float_texts(values: np.ndarray) -> list[str]:
-    """Each value's repr, the text json.dumps writes for a float."""
-    return list(map(repr, values.tolist()))
+def _float_texts(values: np.ndarray) -> np.ndarray:
+    """Each value's repr, the text json.dumps writes for a float, in one bytes
+    array: a repr has at most 24 characters (a sign, 17 digits, '.', 'e-308')."""
+    texts = np.empty(values.size, "S24")
+    for lo in range(0, values.size, BLOCK):
+        texts[lo:lo + BLOCK] = list(map(repr, values[lo:lo + BLOCK].tolist()))
+    return texts
 
 
 def _require_json_floats(*arrays: np.ndarray):
@@ -177,30 +179,31 @@ def cmd_transform(args) -> int:
     gi, fc, fcc = f.grid, a.fc, a.fcc
     holds, deviation = c_convexity(f, fcc.values, args.tol) if f.is_finite else (None, None)
     verdict = {"holds": holds, "deviation": deviation, "tol": args.tol}
-    # Only the grids' texts are kept whole, for the argmax points; the grids
-    # share text only when bitwise equal: a -0.0 and a 0.0 end point compare
-    # equal but print differently.
+    # Only the grids' texts are kept whole: each point is written in order and
+    # as an argmax.  The grids share texts only when bitwise equal: a -0.0 and
+    # a 0.0 end point compare equal but print differently.
     x = _float_texts(gi.points)
     y = x if gi.points.tobytes() == gj.points.tobytes() else _float_texts(gj.points)
 
-    def column(points, result, argmax_grid):
+    def column(points, result, argmax_grid):  # each key's blocks of texts
         v, k = result.values.values, result.argmax
         return {"points": _blocks(v.size, lambda lo, hi: points[lo:hi]),
                 "values": _blocks(v.size, lambda lo, hi: _float_texts(v[lo:hi])),
-                "argmax_points": _blocks(v.size, lambda lo, hi: [argmax_grid[j] for j in
-                                                                 k[lo:hi].tolist()])}
+                "argmax_points": _blocks(v.size, lambda lo, hi: argmax_grid[k[lo:hi]])}
 
     columns = {"f_c": column(y, fc, x), "f_cc": column(x, fcc, y)}
     if args.format == "json":
         _require_json_floats(gi.points, gj.points, fc.values.values, fcc.values.values)
-        payload = {"config": _common_config(args), "c_convex": verdict, **columns}
+        payload = {"config": _common_config(args), "c_convex": verdict,
+                   **{name: {key: (b",".join(t.tolist()).decode() for t in blocks)
+                             for key, blocks in col.items()} for name, col in columns.items()}}
         payload["config_hash"] = _config_hash(payload["config"])
         _dump_json(args.out, payload)
     else:
         prefix = args.out or "transform"
         for name, blocks in columns.items():
-            _write_csv(f"{prefix}_{name.replace('_', '')}.csv",
-                       ["point", name, "argmax_point"], map(zip, *blocks.values()))
+            _write_csv(f"{prefix}_{name.replace('_', '')}.csv", ["point", name, "argmax_point"],
+                       map(zip, *(map(np.char.decode, b) for b in blocks.values())))
         with open(prefix + "_verdict.json", "w") as fh:
             json.dump(verdict, fh, sort_keys=True, separators=(",", ":"))
             fh.write("\n")
@@ -211,14 +214,17 @@ def cmd_subdiff(args) -> int:
     f, spec, gj = _instance(args)
     dom, rows, cols, slack = Analysis(f, spec, args.tol, gj).triples
 
-    def triples(lo, hi):  # (x index, y index, slack text) of triples [lo, hi)
-        return zip(rows[lo:hi].tolist(), cols[lo:hi].tolist(), _float_texts(slack[lo:hi]))
+    def triples(lo, hi):  # (x index, y index, slack) of triples [lo, hi)
+        return zip(rows[lo:hi].tolist(), cols[lo:hi].tolist(), slack[lo:hi].tolist())
+
+    def triple_texts(lo, hi):  # the block's triples in one %-format
+        return (",".join(["[%d,%d,%r]"] * slack[lo:hi].size)
+                % tuple(itertools.chain.from_iterable(triples(lo, hi))))
 
     if args.format == "json":
         _require_json_floats(slack)
         payload = {"config": _common_config(args), "dom": dom.tolist(),
-                   "triples": _blocks(slack.size, lambda lo, hi: [f"[{i},{j},{s}]" for i, j, s
-                                                                  in triples(lo, hi)])}
+                   "triples": _blocks(slack.size, triple_texts)}
         payload["config_hash"] = _config_hash(payload["config"])
         _dump_json(args.out, payload)
     else:
@@ -364,8 +370,8 @@ def main(argv=None) -> int:
         if "tol" in vars(args):
             check_tol(args.tol)
         return args.fn(args)
-    except (ValueError, OSError) as e:
-        raise SystemExit(f"error: {e}")
+    except (ValueError, OSError, MemoryError) as e:  # numpy's MemoryError names the array
+        raise SystemExit(f"error: {str(e) or type(e).__name__}")
 
 
 if __name__ == "__main__":

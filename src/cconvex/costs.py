@@ -112,41 +112,48 @@ def parse_cost_spec(family: str, params: tuple = ()) -> CostSpec:
 
 def _poly(y: np.ndarray, coeffs: tuple):
     """Ascending ``coeffs`` at y by Horner's rule in the operation order of
-    numpy's ``polyval``, so bit for bit its values."""
-    out = coeffs[-1] + y * 0 if coeffs else np.zeros_like(y)
+    numpy's ``polyval``, so bit for bit its values, in place on one array."""
+    if not coeffs:
+        return np.zeros_like(y)
+    out = y * 0.0
+    out += coeffs[-1]
     for c in coeffs[-2::-1]:
-        out = c + out * y
+        out *= y
+        out += c
     return out
 
 
 def evaluate_cost(spec: CostSpec, x, y):
-    """Evaluate c(x, y); broadcasts over array arguments."""
+    """Evaluate c(x, y); broadcasts over array arguments (a Python float for
+    two scalars).  An analytic family makes one array at its first step and
+    finishes it in place in its formula's operation order, with its bits."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     fam = spec.family
     if fam == "bilinear":
         out = x * y
     elif fam == "one_affine":
-        out = _poly(y, spec.a_coeffs) * x + _poly(y, spec.b_coeffs)
+        out = _poly(y, spec.a_coeffs) * x
+        out += _poly(y, spec.b_coeffs)
     elif fam == "neg_quadratic":
         # d * d, not d ** 2: a float64 scalar ** 2 goes through pow and can
         # round one ulp away from the array square, which is d * d exactly
-        d = x - y
-        out = -spec.scale * (d * d)
+        out = x - y
+        out *= out
+        out *= -spec.scale
     elif fam == "reflector":
-        p = x * y
-        if np.any(p >= 1.0):
+        out = np.asarray(x * y)   # for two scalars a 0-d array, which ufuncs write into
+        bad = np.flatnonzero(out >= 1.0)
+        if bad.size:
             xb, yb = np.broadcast_arrays(x, y)
-            idx = tuple(np.argwhere(np.atleast_1d(p) >= 1.0)[0])
-            xv = float(np.atleast_1d(xb)[idx])
-            yv = float(np.atleast_1d(yb)[idx])
-            raise CostDomainError(xv, yv, "reflector cost requires x*y < 1")
-        out = -np.log1p(-p)
+            raise CostDomainError(float(xb.flat[bad[0]]), float(yb.flat[bad[0]]),
+                                  "reflector cost requires x*y < 1")
+        np.negative(out, out=out)
+        np.log1p(out, out=out)
+        np.negative(out, out=out)
     else:  # translation, the last family CostSpec admits
         out = np.asarray(spec.h(x - y), dtype=float)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return float(out) if out.ndim == 0 else out
 
 
 def cost_dx(spec: CostSpec, x, y):
@@ -279,8 +286,8 @@ class CostMatrix:
 
 
 # Largest n*m a dense table may have: 2**26 float64 cells are one 512 MiB
-# array, and a dense transform holds about two such arrays at once (the
-# evaluated entries and c - f), so about 1 GiB.
+# array, the one a spec's tabulation holds, and a dense transform holds two
+# at once (the table and c - f), so about 1 GiB.
 MAX_DENSE_CELLS = 2**26
 
 

@@ -69,12 +69,6 @@ def _back_transform(g: GridFunction, cost: CostMatrix) -> TransformResult:
     return TransformResult(GridFunction(cost.grid_i, d.max(axis=1)), d.argmax(axis=1))
 
 
-def _index_ranges(lo: np.ndarray, lens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The ranges [lo_s, lo_s + lens_s) concatenated, and where each starts."""
-    starts = np.cumsum(lens) - lens
-    return starts, np.arange(lens.sum()) - np.repeat(starts - lo, lens)
-
-
 def _monotone_argmax(score: Callable[[np.ndarray, np.ndarray], np.ndarray],
                      n_out: int, n_cand: int) -> tuple[np.ndarray, np.ndarray]:
     """First maximum and maximiser over candidates 0..n_cand-1 of each
@@ -103,7 +97,9 @@ def _monotone_argmax(score: Callable[[np.ndarray, np.ndarray], np.ndarray],
     lo = np.zeros_like(j)
     while True:
         lens = argmax[j + s] - lo + 1
-        starts, cand = _index_ranges(lo, lens)
+        starts = np.cumsum(lens) - lens
+        cand = np.repeat(lo - starts, lens)  # the ranges [lo, lo + lens), built in place
+        cand += np.arange(cand.size)
         vals = score(np.repeat(j, lens), cand)
         best = np.maximum.reduceat(vals, starts)
         hits = np.flatnonzero(vals == np.repeat(best, lens))
@@ -132,9 +128,10 @@ def _engine_c_transform(spec: CostSpec, g: GridFunction, out: Grid,
     """
     p, q, v = g.grid.points, out.points, g.values
 
-    def score(o, k):
-        x, y = (q[o], p[k]) if swap else (p[k], q[o])
-        return evaluate_cost(spec, x, y) - v[k]
+    def score(o, k):  # no gather outlives the cost evaluation
+        s = evaluate_cost(spec, *((q[o], p[k]) if swap else (p[k], q[o])))
+        s -= v[k]
+        return s
 
     values, argmax = _monotone_argmax(score, out.n, g.grid.n)
     return TransformResult(GridFunction(out, values), argmax)

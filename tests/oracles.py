@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from cconvex.costs import evaluate_cost
+from cconvex.costs import CostDomainError, evaluate_cost
 from cconvex.grids import GridFunction
 from cconvex.jensen import JensenReport, NoAdmissibleWitnessError
 from cconvex.subdiff import membership_slack
@@ -106,6 +106,40 @@ def chunked_bilinear_conjugate(x, f_vals, ys, chunk=512):
         values[start:start + chunk] = d.max(axis=0)
         argmax[start:start + chunk] = d.argmax(axis=0)
     return values, argmax
+
+
+def plain_evaluate_cost(spec, x, y):
+    """c(x, y) by the plain expressions, a new array at each step: the
+    reference for ``evaluate_cost``'s in-place evaluation of the four
+    analytic families.  A reflector pair with x*y >= 1 is searched for
+    in row-major order, one pair at a time."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+
+    def poly(coeffs):  # Horner, numpy polyval's operation order
+        out = coeffs[-1] + y * 0 if coeffs else np.zeros_like(y)
+        for c in coeffs[-2::-1]:
+            out = c + out * y
+        return out
+
+    if spec.family == "bilinear":
+        out = x * y
+    elif spec.family == "one_affine":
+        out = poly(spec.a_coeffs) * x + poly(spec.b_coeffs)
+    elif spec.family == "neg_quadratic":
+        d = x - y
+        out = -spec.scale * (d * d)
+    elif spec.family == "reflector":
+        p = x * y
+        xb, yb = np.broadcast_arrays(x, y)
+        for idx in np.ndindex(p.shape):
+            if p[idx] >= 1.0:
+                raise CostDomainError(float(xb[idx]), float(yb[idx]),
+                                      "reflector cost requires x*y < 1")
+        out = -np.log1p(-p)
+    else:
+        raise ValueError(f"no plain expression for {spec.family!r}")
+    return float(out) if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,12 @@ import csv
 import hashlib
 import json
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
 
-from cconvex import propcheck
+from cconvex import cli, grids, propcheck
 from cconvex.cli import (_build_grids, _common_config, _config_hash, build_parser, main,
                          parse_function)
 from cconvex.costs import parse_cost_spec, read_cost_csv, tabulate_cost
@@ -469,6 +470,59 @@ class TestRendering:
         assert run([command, *argv, "--out", str(out)]) == 0
         assert out.read_text() == dumped_payload(command, argv)
 
+    # writer edge cases: argv, the transform CSV digests (_fc.csv, _fcc.csv,
+    # _verdict.json) and the subdiff CSV digest, all recorded when the grids'
+    # texts were lists of str; n = 8 is BLOCK + 1 under the fixture
+    WRITER_CASES = {
+        "texts_3_to_24_chars": (
+            ["--n", "65", "--m", "33", "--interval-i=-1e-300,1e-300", "--f", "absolute_value"],
+            ("1be1063c93e3def5d9f32e2d4fa589b8427a3910ef69859a7f372145152062e0",
+             "2cee5642e9c6ef342b27245f9f42038c93455628155c5c4c4acae34ca75164bf",
+             "7c384c1270058e065291fe927d27134545a7ce1ed5c1057e5f23e7941bc69d7a"),
+            "23a08eb3c689b5e3ad407e3b5fc497db2ffca72735a8dc825d04fe264257489f"),
+        "n_2": (
+            ["--n", "2", "--m", "2"],
+            ("9c92d5824dd1c36fea24c6a659d0cd021441be5cc8e217d37e3d287084ce68a6",
+             "ce4a6a113e0b84fcb760bd1e86e16d3450957fa6487a6cf63fc5c55644da2687",
+             "7c384c1270058e065291fe927d27134545a7ce1ed5c1057e5f23e7941bc69d7a"),
+            "0462b5a02accb8763ffb805026ee2232190f9708d2ecfdba20902729e7fafd2f"),
+        "n_block_plus_1": (
+            ["--n", "8", "--m", "8", "--cost", "neg_quadratic:2.5", "--interval-j=-1.5,1.5"],
+            ("25bc94f676d5ceeb011b404724bd93a10a75f79aeed9c19828da6b3e5c8dae4e",
+             "7c0e0b746e191154d22f8a8fadbac63c279ddf44a25331081351eaf77102964a",
+             "ae944e8cf86a97244e13dd8e50cbcc294714d9f9abf290ef54a576e1fbf7e550"),
+            "eaa3faf30d35b8e06fd157fb873036103b0796a235b91f6241e1673c10526db3"),
+        "signed_zero_ends": (
+            ["--n", "65", "--m", "65", "--interval-i=-1,-0.0", "--interval-j=-1,0.0",
+             "--f", "piecewise_linear:-1,0.5;-0.25,-0.75;0.5,0.25;1,1"],
+            ("9a801b59609f064a249c00c2c215be731b22ffc96dec6aeccc0b42909103fa8a",
+             "ed64d341d546b8d28c65332dae72c0cf73320cc6cba467ab0c137ee6dae91dc1",
+             "96b39b1dc6e9676a934ae92858c24545ac38fb12a5b65a9e3bf2e1496e09922e"),
+            "5abf7a0b8b9cb85215898a02474b1f36c591e9e653c8e719fa3b9dc3e5bd521e"),
+    }
+
+    def test_writer_cases_reach_their_edges(self):
+        texts = [repr(x) for x in make_uniform_grid(-1e-300, 1e-300, 65).points.tolist()]
+        assert min(map(len, texts)) == 3 and max(map(len, texts)) == 24
+        assert cli.BLOCK + 1 == 8
+        assert str(make_uniform_grid(-1, -0.0, 3).points[-1]) == "-0.0"
+
+    @pytest.mark.parametrize("case", sorted(WRITER_CASES))
+    def test_writer_bytes(self, tmp_path, case):
+        argv, transform_digests, subdiff_digest = self.WRITER_CASES[case]
+        for command in ("transform", "subdiff"):
+            out = tmp_path / f"{command}.json"
+            assert run([command, *argv, "--out", str(out)]) == 0
+            assert out.read_text() == dumped_payload(command, argv)
+        prefix = str(tmp_path / "t")
+        assert run(["transform", *argv, "--format", "csv", "--out", prefix]) == 0
+        for suffix, digest in zip(("_fc.csv", "_fcc.csv", "_verdict.json"), transform_digests):
+            with open(prefix + suffix, "rb") as fh:
+                assert hashlib.sha256(fh.read()).hexdigest() == digest, suffix
+        out = tmp_path / "s.csv"
+        assert run(["subdiff", *argv, "--format", "csv", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == subdiff_digest
+
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_non_finite_value_keeps_the_json_error(self, tmp_path):
         # f^c overflows to +inf for the larger y: JSON refuses it, CSV writes it
@@ -685,6 +739,30 @@ class TestErrors:
             run([command, option, "--out", str(tmp_path / "out")])
         assert exit_.value.code == 2
         assert f"error: unrecognized arguments: {option}" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", [
+        ["transform", "--n", "100000000000", "--m", "5"],
+        ["subdiff", "--n", "100000000000", "--m", "5"],
+        ["jensen", "--n", "5", "--m", "100000000000"],
+        ["gen", "--n", "100000000000", "--m", "5"],
+    ], ids=lambda argv: argv[0])
+    def test_grid_too_large_for_memory(self, tmp_path, monkeypatch, argv):
+        # the grid's np.arange raises numpy's MemoryError; injected, since on a
+        # host that overcommits memory the real allocation can succeed
+        def arange(n, *args, **kwargs):
+            if n > 10**9:
+                raise MemoryError(f"Unable to allocate {8 * n / 2**30:.3g} GiB for an array "
+                                  f"with shape ({n},) and data type int64")
+            return np.arange(n, *args, **kwargs)
+
+        fake_np = types.ModuleType("numpy")
+        fake_np.__getattr__ = lambda name: getattr(np, name)
+        fake_np.arange = arange
+        monkeypatch.setattr(grids, "np", fake_np)
+        with pytest.raises(SystemExit, match=r"^error: Unable to allocate 745 GiB for an array "
+                                             r"with shape \(100000000000,\)"):
+            run([*argv, "--out", str(tmp_path / "out")])
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("command", ["transform", "subdiff"])

@@ -10,10 +10,22 @@ from numpy.polynomial import polynomial as npoly
 from cconvex import costs
 from cconvex.costs import (MAX_DENSE_CELLS, STRUCTURE_PROPERTIES, CostDomainError, CostMatrix,
                            CostSpec, check_structure, evaluate_cost, read_cost_csv,
-                           segment_concavity_excess, tabulate_callable, tabulate_cost,
-                           write_cost_csv)
+                           parse_cost_spec, segment_concavity_excess, tabulate_callable,
+                           tabulate_cost, write_cost_csv)
 from cconvex.grids import make_uniform_grid
-from oracles import separate_gate_holds
+from oracles import plain_evaluate_cost, separate_gate_holds
+
+
+# the analytic families on grids where each is defined, and a one_affine
+# with no b(y) coefficients
+SPECS_ON = (
+    (CostSpec("bilinear"), (-1.0, 1.0)),
+    (CostSpec("neg_quadratic", scale=2.5), (-1.5, 1.5)),
+    (CostSpec("reflector"), (-0.9, 0.9)),
+    (CostSpec("one_affine", a_coeffs=(0.2, 0.8, 0.3), b_coeffs=(0.1, -1.0)), (-1.0, 1.0)),
+    (CostSpec("one_affine", a_coeffs=(0.0, 1.0)), (-1.0, 1.0)),
+)
+SPEC_IDS = ["bilinear", "neg_quadratic", "reflector", "one_affine", "one_affine_no_b"]
 
 
 class TestEvaluate:
@@ -62,6 +74,48 @@ class TestEvaluate:
         assert [evaluate_cost(spec, float(a), float(b)) for a, b in zip(x, y)] == row.tolist()
         assert [[evaluate_cost(spec, float(a), float(b)) for b in y[:40]]
                 for a in x[:40]] == table.tolist()
+
+    @pytest.mark.parametrize("spec, interval", SPECS_ON, ids=SPEC_IDS)
+    def test_scalar_calls_return_a_python_float(self, spec, interval):
+        lo, hi = interval
+        for x, y in ((lo, hi), (np.float64(0.3), np.array(-0.2)), (np.array(-0.0), 0.5),
+                     (np.array(0.7), np.array(hi))):
+            got = evaluate_cost(spec, x, y)
+            assert type(got) is float
+            assert bytes_of(got) == bytes_of(plain_evaluate_cost(spec, x, y))
+
+    @pytest.mark.parametrize("spec, interval", SPECS_ON, ids=SPEC_IDS)
+    def test_broadcast_bits_match_the_plain_expressions(self, spec, interval):
+        rng = np.random.default_rng(5)
+        x = np.r_[make_uniform_grid(*interval, 33).points, -0.0, 0.0]
+        y = np.r_[make_uniform_grid(*interval, 17).points, -0.0, rng.uniform(*interval, 20)]
+        for a, b in ((x[:, None], y[None, :]), (y[:, None], x[None, :]), (x[:19], y[:19]),
+                     (x[:, None], y[:19]), (x[3], y), (x, y[5])):
+            got = evaluate_cost(spec, a, b)
+            assert bytes_of(got) == bytes_of(plain_evaluate_cost(spec, a, b))
+
+    def test_reflector_error_names_the_first_pair(self):
+        g = make_uniform_grid(-2, 2, 9).points
+        for x, y in ((g[:, None], g[None, :]), (g[None, :], g[:, None]), (g, g),
+                     (g[::-1, None], g[None, ::-1]), (1.5, g), (g[::-1], -1.0)):
+            with pytest.raises(CostDomainError) as want:
+                plain_evaluate_cost(CostSpec("reflector"), x, y)
+            with pytest.raises(CostDomainError) as got:
+                evaluate_cost(CostSpec("reflector"), x, y)
+            assert (got.value.x, got.value.y) == (want.value.x, want.value.y)
+            assert str(got.value) == str(want.value)
+
+    def test_no_coefficients_is_positive_zero(self):
+        # not y * 0, which is -0.0 where y < 0: b(y) = +0.0 keeps a(y)*x + b(y)
+        # at +0.0 where a(y)*x is -0.0
+        y = np.array([-2.0, -0.5, -0.0, 0.0, 3.0])
+        assert bytes_of(costs._poly(y, ())) == bytes_of(np.zeros(5))
+        assert bytes_of(costs._poly(y[:, None], ())) == bytes_of(np.zeros((5, 1)))
+        spec = CostSpec("one_affine", a_coeffs=(0.0, 1.0))
+        x = np.array([[-1.0], [-0.0], [0.0], [1.0]])
+        got = evaluate_cost(spec, x, y[None, :])
+        assert bytes_of(got) == bytes_of(plain_evaluate_cost(spec, x, y[None, :]))
+        assert not np.signbit(got[got == 0]).any()
 
 
 def bytes_of(v) -> tuple:
@@ -169,14 +223,19 @@ class TestTabulate:
         neg = m.negated()
         assert neg.entries[0, 0] == -1.0 and not neg.entries.flags.writeable
 
-    @pytest.mark.parametrize("tabulate", [lambda g: tabulate_cost(CostSpec("bilinear"), g, g),
-                                          lambda g: tabulate_callable(np.multiply, g, g)],
-                             ids=["tabulate_cost", "tabulate_callable"])
-    def test_tabulation_holds_one_table(self, tabulate):
-        # the evaluated array becomes the matrix's entries, with no copy beside
-        # it; the finiteness check's mask is one byte a cell
+    @pytest.mark.parametrize("tabulate, interval", [
+        (lambda g: tabulate_cost(CostSpec("bilinear"), g, g), (-1, 1)),
+        (lambda g: tabulate_callable(np.multiply, g, g), (-1, 1)),
+        (lambda g: tabulate_cost(CostSpec("neg_quadratic"), g, g), (-1, 1)),
+        (lambda g: tabulate_cost(CostSpec("reflector"), g, g), (-0.9, 0.9)),
+        (lambda g: tabulate_cost(parse_cost_spec("one_affine:0.2,0.8;0.1"), g, g), (-1, 1)),
+    ], ids=["tabulate_cost", "tabulate_callable", "neg_quadratic", "reflector", "one_affine"])
+    def test_tabulation_holds_one_table(self, tabulate, interval):
+        # the evaluated array, filled in place, becomes the matrix's entries with
+        # no copy beside it; the reflector's domain mask and the finiteness
+        # check's are one byte a cell
         n = 1025
-        g = make_uniform_grid(-1, 1, n)
+        g = make_uniform_grid(*interval, n)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]

@@ -614,6 +614,7 @@ class TestMemory:
         argv = [command, "--n", str(n), "--m", str(n), "--cost", family, "--f", "absolute_value",
                 f"--interval-i={iv_i[0]},{iv_i[1]}", f"--interval-j={iv_j[0]},{iv_j[1]}",
                 "--out", str(tmp_path / "out.json")]
+        cli._parser()  # built once a process, not part of the command's peak
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -621,13 +622,14 @@ class TestMemory:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        # transform keeps the two grids' point texts, about 75 B a point each
-        # (a float repr's str and its list slot), one block of value texts
-        # and their joined text, about 100 B a value of min(m, cli.BLOCK), and
-        # a few float arrays of 8 B a point: 112-166 B a grid point here,
-        # where the whole document held about 260-350; subdiff is banded,
-        # O(n + m) besides its output of 1-2 triples a row: 106-119 B a point
-        bound = (180 if command == "transform" else 140) * (n + n)
+        # transform keeps the grids' point texts, 24 B a point in one bytes
+        # array (one for both grids when they are equal), a block of texts and
+        # their joined text, about 0.2 MB at cli.BLOCK values, a few float
+        # arrays of 8 B a point, and the engine's level temporaries, about
+        # 40 B a pair for the 2 n pairs of its first level: 93-109 B a grid
+        # point here; subdiff is banded, O(n + m) besides its output of 1-2
+        # triples a row: 75-90 B a point
+        bound = (125 if command == "transform" else 100) * (n + n)
         assert peak < bound, f"peak {peak / 1e6:.1f} MB"
 
     def test_membership_slack_is_one_array(self):
