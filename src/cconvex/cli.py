@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import functools
 import hashlib
 import itertools
@@ -25,7 +24,7 @@ import numpy as np
 from . import propcheck
 from .costs import CostSpec, parse_cost_spec, write_cost_csv
 from .grids import (DiscreteMeasure, Grid, GridFunction, check_tol, make_uniform_grid,
-                    read_grid_function_csv, read_two_column_csv, write_grid_function_csv)
+                    read_grid_function_csv, read_two_column_csv, write_csv, write_grid_function_csv)
 from .jensen import discrete_jensen_gap, integral_jensen_bound, midpoint_bound, weighted_integral_bound
 from .subdiff import Analysis
 from .transform import c_convexity
@@ -152,14 +151,6 @@ def _require_json_floats(*arrays: np.ndarray):
             json.dumps(float(a[bad[0]]), allow_nan=False)
 
 
-def _write_csv(path: str, names: list[str], blocks: Iterator):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(names)
-        for rows in blocks:
-            w.writerows(rows)
-
-
 def _build_grids(args):
     gi = make_uniform_grid(*args.interval_i, args.n)
     gj = make_uniform_grid(*args.interval_j, args.m)
@@ -201,12 +192,11 @@ def cmd_transform(args) -> int:
         _dump_json(args.out, payload)
     else:
         prefix = args.out or "transform"
+        _dump_json(prefix + "_verdict.json", verdict)   # first: it refuses a non-finite deviation
         for name, blocks in columns.items():
-            _write_csv(f"{prefix}_{name.replace('_', '')}.csv", ["point", name, "argmax_point"],
-                       map(zip, *(map(np.char.decode, b) for b in blocks.values())))
-        with open(prefix + "_verdict.json", "w") as fh:
-            json.dump(verdict, fh, sort_keys=True, separators=(",", ":"))
-            fh.write("\n")
+            write_csv(f"{prefix}_{name.replace('_', '')}.csv", ["point", name, "argmax_point"],
+                      itertools.chain.from_iterable(
+                          map(zip, *(map(np.char.decode, b) for b in blocks.values()))))
     return 0
 
 
@@ -228,8 +218,8 @@ def cmd_subdiff(args) -> int:
         payload["config_hash"] = _config_hash(payload["config"])
         _dump_json(args.out, payload)
     else:
-        _write_csv(args.out or "subdiff.csv", ["x_index", "y_index", "slack"],
-                   _blocks(slack.size, triples))
+        write_csv(args.out or "subdiff.csv", ["x_index", "y_index", "slack"],
+                  itertools.chain.from_iterable(_blocks(slack.size, triples)))
     return 0
 
 

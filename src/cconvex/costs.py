@@ -12,13 +12,12 @@ Families:
 
 from __future__ import annotations
 
-import csv
 from dataclasses import InitVar, dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .grids import Grid, csv_floats, csv_rows, grid_through
+from .grids import Grid, csv_floats, csv_rows, grid_through, write_csv
 from .verdicts import Verdict
 
 __all__ = [
@@ -261,7 +260,8 @@ class CostMatrix:
 
     The entries are a read-only copy of the array given, which its caller
     may change later; the tabulating functions pass ``_fresh=True`` to hand
-    over, uncopied, a float array they just built and nothing else holds.
+    over, uncopied, a float array they just built and nothing else holds
+    (not a translation's: h may return an array it keeps).
     """
 
     grid_i: Grid
@@ -302,7 +302,7 @@ def tabulate_cost(spec: CostSpec, grid_i: Grid, grid_j: Grid) -> CostMatrix:
     _check_dense_cells(grid_i, grid_j)
     with np.errstate(over="ignore", invalid="ignore"):  # CostMatrix rejects what overflows
         entries = evaluate_cost(spec, grid_i.points[:, None], grid_j.points[None, :])
-    return CostMatrix(grid_i, grid_j, entries, _fresh=True)
+    return CostMatrix(grid_i, grid_j, entries, _fresh=spec.family != "translation")
 
 
 def tabulate_callable(fn: Callable, grid_i: Grid, grid_j: Grid) -> CostMatrix:
@@ -393,8 +393,5 @@ def read_cost_csv(path: str) -> CostMatrix:
 
 
 def write_cost_csv(path: str, matrix: CostMatrix) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow([""] + [repr(float(v)) for v in matrix.grid_j.points])
-        for xi, row in zip(matrix.grid_i.points, matrix.entries):
-            w.writerow([repr(float(xi))] + [repr(float(v)) for v in row])
+    write_csv(path, ["", *matrix.grid_j.points.tolist()],
+              ([x, *row.tolist()] for x, row in zip(matrix.grid_i.points.tolist(), matrix.entries)))

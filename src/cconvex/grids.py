@@ -13,7 +13,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -34,6 +34,7 @@ __all__ = [
     "csv_floats",
     "read_two_column_csv",
     "read_grid_function_csv",
+    "write_csv",
     "write_grid_function_csv",
 ]
 
@@ -146,7 +147,8 @@ class GridFunction:
 
     @cached_property
     def _max_slope(self) -> float:
-        d = np.abs(np.diff(self.values)) / self.grid.h
+        with np.errstate(over="ignore", invalid="ignore"):   # an inf or NaN slope is dropped
+            d = np.abs(np.diff(self.values)) / self.grid.h
         d = d[np.isfinite(d)]
         return float(d.max()) if d.size else 0.0
 
@@ -164,7 +166,8 @@ def sup_norm_diff(f: GridFunction, g: GridFunction) -> float:
         raise ValueError("grid mismatch between grid functions")
     if not (f.is_finite and g.is_finite):
         raise ValueError("sup_norm_diff requires everywhere-finite functions")
-    return float(np.abs(f.values - g.values).max())
+    with np.errstate(over="ignore"):   # an overflowing difference is an infinite deviation
+        return float(np.abs(f.values - g.values).max())
 
 
 def check_tol(tol: float) -> float:
@@ -295,9 +298,13 @@ def read_grid_function_csv(path: str) -> GridFunction:
     return GridFunction(grid_through(xs, f"{path}: x column"), vs)
 
 
-def write_grid_function_csv(path: str, f: GridFunction) -> None:
+def write_csv(path: str, header: Sequence, rows: Iterable[Sequence]) -> None:
+    """The package's one CSV writer: ``header``, then ``rows`` as they arrive."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(("x", "f"))
-        for x, v in zip(f.grid.points, f.values):
-            w.writerow([repr(float(x)), "inf" if math.isinf(v) else repr(float(v))])
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def write_grid_function_csv(path: str, f: GridFunction) -> None:
+    write_csv(path, ("x", "f"), zip(f.grid.points.tolist(), f.values.tolist()))

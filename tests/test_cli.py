@@ -539,6 +539,17 @@ class TestRendering:
         with open(prefix + "_fc.csv", newline="") as fh:
             assert [row[1] for row in csv.reader(fh)][-1] == "inf"
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_non_finite_deviation_writes_no_file(self, tmp_path, fmt):
+        # f^c = 1e308 and f^cc = |x| - 1e308 are finite, but f - f^cc overflows:
+        # both formats refuse the verdict's deviation before opening a file
+        (tmp_path / "f.csv").write_text("x,f\n-1.0,1e308\n0.0,-1e308\n1.0,1e308\n")
+        with pytest.raises(SystemExit,
+                           match="^error: Out of range float values are not JSON compliant$"):
+            run(["transform", "--n", "3", "--m", "3", f"--f=csv:{tmp_path / 'f.csv'}",
+                 "--format", fmt, "--out", str(tmp_path / "t")])
+        assert [p.name for p in tmp_path.iterdir()] == ["f.csv"]
+
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_non_finite_report_value_leaves_the_file(self, tmp_path):
         # lhs = 1e308 - (-1e308) overflows: a scalar, not an array, is refused

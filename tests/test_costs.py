@@ -223,6 +223,15 @@ class TestTabulate:
         neg = m.negated()
         assert neg.entries[0, 0] == -1.0 and not neg.entries.flags.writeable
 
+    def test_a_translation_table_is_copied(self):
+        # h may return an array it keeps: the matrix copies it, as a caller's
+        g = make_uniform_grid(-1, 1, 3)
+        cache = np.zeros((3, 3))
+        m = tabulate_cost(CostSpec("translation", h=lambda d: cache), g, g)
+        assert not np.shares_memory(m.entries, cache) and cache.flags.writeable
+        cache[0, 0] = 7.0
+        assert m.entries[0, 0] == 0.0 and not m.entries.flags.writeable
+
     @pytest.mark.parametrize("tabulate, interval", [
         (lambda g: tabulate_cost(CostSpec("bilinear"), g, g), (-1, 1)),
         (lambda g: tabulate_callable(np.multiply, g, g), (-1, 1)),

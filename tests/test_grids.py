@@ -172,6 +172,18 @@ class TestSupNormDiff:
         with pytest.raises(ValueError, match="finite"):
             sup_norm_diff(f, GridFunction(g, [0, 0, 0]))
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflow_is_an_infinite_deviation_and_slope(self):
+        # 1e308 - (-1e308) and 1e308 / 0.5 overflow and inf - inf is NaN,
+        # without a warning: the deviation is inf, and the slope drops the
+        # quotients that are not finite
+        g, h = make_uniform_grid(-1, 1, 3), make_uniform_grid(-1, 1, 5)
+        f = GridFunction(g, [1e308, -1e308, 1e308])
+        assert sup_norm_diff(f, GridFunction(g, [0.0, 1e308, 0.0])) == math.inf
+        assert f.max_slope() == 0.0
+        assert GridFunction(h, [1e308, 0.0, 0.0, 0.0, 1.0]).max_slope() == 2.0
+        assert GridFunction(h, [0.0, math.inf, math.inf, 1.0, 2.0]).max_slope() == 2.0
+
     @given(st.integers(0, 10**6))
     @settings(max_examples=50)
     def test_triangle_inequality(self, seed):

@@ -6,6 +6,7 @@ dense public API, and its memory.
 
 import ast
 import json
+import math
 import tracemalloc
 from pathlib import Path
 
@@ -353,6 +354,97 @@ class TestCertificate:
         for name in BENCH_CONSTANTS["CATALOG"]:
             assert twist_bound(spec, gi, gj, fmax(cli.parse_function(name, gi))) is not None, name
         assert twist_bound(spec, gi, gj, 1.0) is not None
+
+
+def smallest_mixed_difference(d):
+    """The least d[i+1, j+1] - d[i+1, j] - d[i, j+1] + d[i, j] over adjacent
+    cells, each summed exactly (``math.fsum``), so its sign is the true one."""
+    rows = d.tolist()
+    return min(math.fsum((r1[j + 1], -r1[j], -r0[j + 1], r0[j]))
+               for r0, r1 in zip(rows, rows[1:]) for j in range(len(r0) - 1))
+
+
+def certified_mixed_difference(spec, gi, gj, values):
+    """None if ``twist_bound`` refuses the spec on the grids for f = values,
+    else the smallest exact mixed difference of the computed c - f and c - f^c,
+    in the dense path's arithmetic, which the engine's entries share."""
+    f = GridFunction(gi, values)
+    a = Analysis(f, spec, grid_j=gj)
+    if a.twist is None:
+        return None
+    c = tabulate_cost(spec, gi, gj).entries
+    return min(smallest_mixed_difference(c - f.values[:, None]),
+               smallest_mixed_difference(c - a.fc.values.values[None, :]))
+
+
+class TestCertificateClaim:
+    # twist_bound's claim itself, not only its consequence engine = dense:
+    # the computed matrices it certifies are strictly Monge
+    @settings(max_examples=120, deadline=None)
+    @given(kind=st.sampled_from(("bilinear", "scaled_bilinear", "neg_quadratic", "reflector",
+                                 "one_affine")),
+           scale=st.floats(-3, 3),
+           centres=st.tuples(*[st.sampled_from((0.0, 1.0, 5.0, 100.0, -3.0))] * 2),
+           widths=st.tuples(st.floats(-7, 1), st.floats(-7, 1)),
+           n=st.integers(2, 65), m=st.integers(2, 65), f_scale=st.floats(-8, 3),
+           seed=st.integers(0, 2**32 - 1))
+    def test_certified_matrices_are_strictly_monge(self, kind, scale, centres, widths, n, m,
+                                                   f_scale, seed):
+        gi, gj = (make_uniform_grid(c - 10.0**w, c + 10.0**w, k)
+                  for c, w, k in zip(centres, widths, (n, m)))
+        values = 10.0**f_scale * np.random.default_rng(seed).normal(size=n)
+        mixed = certified_mixed_difference(fuzz_spec(kind, 10.0**scale), gi, gj, values)
+        assert mixed is None or mixed > 0
+
+    @pytest.mark.parametrize("spec, grid, sizes", [
+        # -(x - y)**2 on [5, 5 + w]: mixed differences 2(w/32)**2 against the
+        # rounding of entries near -w**2 and of f
+        (lambda t: CostSpec("neg_quadratic"), lambda t: make_uniform_grid(5, 5 + t, 33),
+         10.0 ** np.arange(-1, -8, -0.5)),
+        # a(y) = 1 + t*y, within rounding of flat as t falls
+        (lambda t: CostSpec("one_affine", a_coeffs=(1.0, t), b_coeffs=(0.3, 1.0, 0.7)),
+         lambda t: make_uniform_grid(-1, 1, 33), 2.0 ** np.arange(-10, -50, -4)),
+    ], ids=["narrow_neg_quadratic", "flat_one_affine"])
+    def test_near_the_refusal_edge(self, spec, grid, sizes):
+        values = np.random.default_rng(1).normal(size=33)
+        mixed = [certified_mixed_difference(spec(t), grid(t), grid(t), values) for t in sizes]
+        certified = [d for d in mixed if d is not None]
+        assert 0 < len(certified) < len(mixed)   # the sweep crosses the edge
+        assert min(certified) > 0
+
+
+class TestClosedForm:
+    # engine values against closed forms past the dense limit of 8193 points
+    @staticmethod
+    def neg_quadratic_errors(n):
+        # c - f = -2 (x - y/2)**2 - y**2/2 for c = -(x - y)**2 and f = x**2, so
+        # f^c(y) = -y**2/2 at x = y/2 in I for |y| <= 2, and the I grid,
+        # within h/2 of y/2, misses it by at most 2 (h/2)**2 = h**2/2
+        gi, gj = make_uniform_grid(-1, 1, n), make_uniform_grid(-3, 3, n)
+        a = Analysis(GridFunction(gi, gi.points**2), CostSpec("neg_quadratic"), grid_j=gj)
+        assert a.twist is not None
+        y = gj.points[np.abs(gj.points) <= 2]
+        return -y**2 / 2 - a.fc.values.values[np.abs(gj.points) <= 2], gi.h
+
+    @pytest.mark.parametrize("n", [257, 4097, 65537, 262145])
+    def test_neg_quadratic_within_half_h_squared(self, n):
+        errors, h = self.neg_quadratic_errors(n)
+        assert errors.min() >= 0
+        assert errors.max() <= h**2 / 2 + 4 * np.spacing(2.0)
+
+    def test_neg_quadratic_converges_at_second_order(self):
+        coarse, fine = (self.neg_quadratic_errors(n)[0].max() for n in (4097, 8193))
+        assert coarse / fine == pytest.approx(4, abs=0.1)
+
+    @pytest.mark.parametrize("n", [4097, 65537])
+    def test_bilinear_half_square_is_exact(self, n):
+        # max_x x*y - x**2/2 is y**2/2 at x = y, a grid point of equal grids
+        g = make_uniform_grid(-1, 1, n)
+        f = GridFunction(g, g.points**2 / 2)
+        a = Analysis(f, CostSpec("bilinear"), grid_j=g)
+        assert a.twist is not None
+        assert np.array_equal(a.fc.values.values, f.values)
+        assert np.array_equal(a.fcc.values.values, f.values)
 
 
 class TestSignedZero:

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from cconvex.costs import CostSpec, tabulate_cost
 from cconvex.grids import GridFunction, make_uniform_grid, sup_norm_diff
 from cconvex.subdiff import Analysis, membership_slack
-from cconvex.transform import c_transform, double_c_transform, is_c_convex, to_concave_problem
+from cconvex.transform import (c_convexity, c_transform, double_c_transform, is_c_convex,
+                               to_concave_problem)
 from oracles import brute_c_transform, brute_double_conjugate
 
 
@@ -224,6 +225,15 @@ class TestIsCConvex:
         holds, dev = is_c_convex(GridFunction(g, -g.points**2), cost)
         assert not holds
         assert dev == pytest.approx(1.0, abs=2 * g.h)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_deviation_is_infinite(self):
+        # f^cc = |x| - 1e308, so f - f^cc = 1e308 + 1e308 overflows at x = +-1
+        g = make_uniform_grid(-1, 1, 3)
+        f = GridFunction(g, [1e308, -1e308, 1e308])
+        fcc = Analysis(f, CostSpec("bilinear"), grid_j=g).fcc.values
+        assert fcc.values.tolist() == [-1e308] * 3
+        assert c_convexity(f, fcc) == (False, math.inf)
 
     def test_requires_finite(self):
         g, cost = bilinear_on(11)
