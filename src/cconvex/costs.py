@@ -12,6 +12,7 @@ Families:
 
 from __future__ import annotations
 
+import sys
 from dataclasses import InitVar, dataclass
 from typing import Callable, Optional
 
@@ -308,12 +309,13 @@ def tabulate_cost(spec: CostSpec, grid_i: Grid, grid_j: Grid) -> CostMatrix:
 def tabulate_callable(fn: Callable, grid_i: Grid, grid_j: Grid) -> CostMatrix:
     """Tabulate an arbitrary c(x, y) callable (broadcasting) on a product grid.
 
-    The matrix takes over fn's result without a copy, so fn must return a
-    new array, as any arithmetic on x and y does, not one it keeps."""
+    The matrix takes over fn's result uncopied when, as any arithmetic on x and y
+    returns, it is a new array that nothing else holds (CPython reference count)."""
     _check_dense_cells(grid_i, grid_j)
     with np.errstate(over="ignore", invalid="ignore"):
         entries = np.asarray(fn(grid_i.points[:, None], grid_j.points[None, :]), dtype=float)
-    return CostMatrix(grid_i, grid_j, entries, _fresh=True)
+    fresh = entries.base is None and sys.getrefcount(entries) == 2   # entries and the argument
+    return CostMatrix(grid_i, grid_j, entries, _fresh=fresh)
 
 
 @np.errstate(over="ignore")   # a difference beyond the float range is an inf excess

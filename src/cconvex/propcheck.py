@@ -6,7 +6,7 @@ Conventions shared by all checks:
 
 * A check reads its (f, cost) instance through an ``Analysis``'s
   ``table`` and ``grid_j``, so a spec serves as its table does, and reads
-  its slack or members only after the hypotheses pass.  The two-function
+  its ``members`` or ``slack_at`` only after the hypotheses pass.  The two-function
   checks need one cost object, tol and pair of I and J grids; mixture
   weights must be a nonempty sequence of numbers in [0, 1].
 * ``max_violation`` is the excess beyond the check's documented
@@ -31,15 +31,10 @@ position of the maximum excess, set only when that maximum is positive,
 whatever the block size.  All lambdas of a block are snapped in one pass,
 with the arithmetic of one lambda at a time.
 
-Row-span rule: each member row has a count and a first and last member
-column, whose only source is ``Analysis.spans``, as is a check's effective
-domain (the rows with a member).  The rule lives only in ``_meeting``,
-which gives a sweep only the pairs whose rows share a member: when every
-nonempty row is one interval (last - first + 1 == count), two rows share
-the columns from the larger first to the smaller last, read from the
-spans alone in O(1) per pair; otherwise the rows are intersected column by
-column.  The rule picks only how the meeting pairs are found, never which
-pairs or members are drawn, so every verdict byte is the same on both.
+Row-span rule: a member row's count, first and last member column, and a
+check's effective domain (the rows with a member), come only from
+``Analysis.spans``; only ``_meeting`` finds the pairs whose rows share a member,
+and how it finds them decides no drawn pair or member, and no verdict byte.
 """
 
 from __future__ import annotations
@@ -80,7 +75,7 @@ F_FAMILIES = ("random_piecewise_linear", "random_smooth_fourier", "cconvexified_
 # whatever the pair cap.  A sweep's blocks get PAIR_BLOCK_CELLS // (cells one
 # pair holds on its path) pairs: 8 on ``_meeting``'s row-span path (2048
 # pairs), 8 + m with an m-wide row intersection (150 pairs at m = 101); 2m + 8
-# a lambda to gather slack rows (72 pairs at m = 101 and three lambdas); 8 a
+# a lambda for common members and their slack (72 at m = 101, three lambdas); 8 a
 # lambda and 24 for the set-valued sweep's member draws (256 at five lambdas).
 PAIR_BLOCK_CELLS = 2**14
 
@@ -155,12 +150,12 @@ def _float_margin(*arrays: np.ndarray) -> float:
     return 1e-12 * (1.0 + scale)
 
 
-def _lipschitz(f: GridFunction, cost: CostMatrix) -> tuple[float, float, float]:
+def _lipschitz(a: Analysis) -> tuple[float, float, float]:
     """Max difference quotients of f, and of the cost along x and along y:
     the slopes that scale the grid-snapping allowances."""
-    lcx = float(np.abs(np.diff(cost.entries, axis=0)).max()) / f.grid.h
-    lcy = float(np.abs(np.diff(cost.entries, axis=1)).max()) / cost.grid_j.h
-    return f.max_slope(), lcx, lcy
+    lcx = float(np.abs(np.diff(a.table.entries, axis=0)).max()) / a.f.grid.h
+    lcy = float(np.abs(np.diff(a.table.entries, axis=1)).max()) / a.grid_j.h
+    return a.f.max_slope(), lcx, lcy
 
 
 def _nearest_indices(grid: Grid, x: np.ndarray) -> np.ndarray:
@@ -206,31 +201,42 @@ def _pair_blocks(i1: np.ndarray, i2: np.ndarray,
     return ((i1[s:s + step], i2[s:s + step]) for s in range(0, i1.size, step))
 
 
-def _meeting(member: np.ndarray, spans: tuple, i1: np.ndarray,
-             i2: np.ndarray) -> Iterator[tuple[np.ndarray, ...]]:
-    """The pairs (i1[k], i2[k]) whose member rows meet, in order, with their
-    first and last shared column, yielded per ``_pair_blocks`` block that
-    holds any.  Interval rows (per ``spans``) meet from the larger first to
+def _meeting(a: Analysis, i1: np.ndarray, i2: np.ndarray) -> Iterator[tuple[np.ndarray, ...]]:
+    """The pairs (i1[k], i2[k]) whose member rows of ``a`` meet, in order, with
+    their first and last shared column, yielded per ``_pair_blocks`` block that
+    holds any.  Interval rows (per ``a.spans``) meet from the larger first to
     the smaller last, 8 cells a pair; others are intersected, 8 + m cells."""
-    counts, first, last, intervals = spans
-    for a, b in _pair_blocks(i1, i2, 8 if intervals else 8 + member.shape[1]):
+    counts, first, last, intervals = a.spans
+    for x1, x2 in _pair_blocks(i1, i2, 8 if intervals else 8 + a.grid_j.n):
         if intervals:
-            lo, hi = first[a], last[a]
-            np.maximum(lo, first[b], out=lo)
-            np.minimum(hi, last[b], out=hi)
+            lo, hi = first[x1], last[x1]
+            np.maximum(lo, first[x2], out=lo)
+            np.minimum(hi, last[x2], out=hi)
             meet = lo <= hi
-            meet &= counts[a] > 0
-            meet &= counts[b] > 0
+            meet &= counts[x1] > 0
+            meet &= counts[x2] > 0
         else:
-            both = member[a] & member[b]
+            both = a.member_rows(x1) & a.member_rows(x2)
             meet, lo = both.any(axis=1), both.argmax(axis=1)
-            hi = member.shape[1] - 1 - both[:, ::-1].argmax(axis=1)
+            hi = a.grid_j.n - 1 - both[:, ::-1].argmax(axis=1)
             del both
         if meet.any():
             # drop the block's full-size arrays before the caller builds its own
-            a, b, lo, hi = a[meet], b[meet], lo[meet], hi[meet]
+            x1, x2, lo, hi = x1[meet], x2[meet], lo[meet], hi[meet]
             del meet
-            yield a, b, lo, hi
+            yield x1, x2, lo, hi
+
+
+def _regrouped(blocks: Iterator, pair_cells: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The pairs (x1, x2) that ``blocks`` yield, in order, in ``_pair_blocks``
+    blocks of their own: as few as the pairs fill, however they spread."""
+    step, x1, x2 = max(1, PAIR_BLOCK_CELLS // pair_cells), np.empty(0, int), np.empty(0, int)
+    for b1, b2, *_ in blocks:
+        x1, x2 = np.concatenate((x1, b1)), np.concatenate((x2, b2))
+        full = x1.size - x1.size % step
+        yield from _pair_blocks(x1[:full], x2[:full], pair_cells)
+        x1, x2 = x1[full:], x2[full:]
+    yield from _pair_blocks(x1, x2, pair_cells)
 
 
 def _fold(worst: float, witness: Optional[tuple], excess: np.ndarray,
@@ -343,25 +349,26 @@ def check_mixture(a: Analysis, b: Analysis,
     check_id = "mixture"
     _check_lambdas(lambdas)
     cost, tol, f, g = _shared_cost(a, b), a.tol, a.f, b.f
-    inter = a.member & b.member
-    if not inter.any():
+    marked = np.zeros((f.grid.n, a.grid_j.n), dtype=bool)   # common: b's members a's mark
+    marked[np.repeat(np.arange(f.grid.n), a.members[0]), a.members[1]] = True
+    rows, cols = np.repeat(np.arange(f.grid.n), b.members[0]), b.members[1]
+    common = marked[rows, cols]
+    rows, cols = rows[common], cols[common]
+    if not rows.size:
         return _vacuous(check_id)
     margin = _float_margin(cost.entries, f.values, g.values)
-    outside = ~inter
     worst, witness = -np.inf, None
     for lam in lambdas:
         mix = GridFunction(f.grid, _scaled(1.0 - lam, f.values) + _scaled(lam, g.values))
-        # exact arithmetic gives slack_mix >= (1-l) slack_f + l slack_g >= -tol;
-        # the excess reuses the slack's array: one n x m float array, not three
-        excess = membership_slack(mix, cost)
+        # exact arithmetic gives slack_mix >= (1-l) slack_f + l slack_g >= -tol
+        excess = membership_slack(mix, cost)[rows, cols]
         np.negative(excess, out=excess)
-        excess[outside] = -np.inf
         excess -= tol + margin
         val = float(excess.max())
         if val > worst:
             worst = val
-            i, j = map(int, np.unravel_index(np.argmax(excess), excess.shape))
-            witness = (i, j, float(lam))
+            k = int(np.argmax(excess))
+            witness = (int(rows[k]), int(cols[k]), float(lam))
     return Verdict(check_id, worst, witness, notes=f"lambdas={list(lambdas)}; tol={tol}")
 
 
@@ -382,31 +389,32 @@ def check_order_propagation(a: Analysis, b: Analysis) -> Verdict:
         u_mask = g.values - f.values > 4.0 * tol
     if not u_mask.any():
         return _vacuous(check_id)
-    v_mask = a.member.any(axis=1, where=b.member.any(axis=0, where=u_mask[:, None]))
+    fm, gm = a.member_rows(), b.member_rows()
+    v_mask = fm.any(axis=1, where=gm.any(axis=0, where=u_mask[:, None]))
     if not v_mask.any():
         return _vacuous(check_id)
     excess = np.subtract(f.values, g.values, out=np.full(v_mask.size, -np.inf), where=v_mask)
     top = excess == excess.max()
-    cols = a.member.any(axis=0, where=top[:, None])
-    u = int(np.argmax(u_mask & b.member.any(axis=1, where=cols)))
-    v = int(np.argmax(top & a.member.any(axis=1, where=b.member[u])))
+    cols = fm.any(axis=0, where=top[:, None])
+    u = int(np.argmax(u_mask & gm.any(axis=1, where=cols)))
+    v = int(np.argmax(top & fm.any(axis=1, where=gm[u])))
     return Verdict(check_id, float(excess.max()), (u, v), notes=f"u-gap=4*tol; tol={tol}")
 
 
-def _subdiff_convexity_sweep(member: np.ndarray, spans: tuple, grid_j: Grid, tol: float,
-                             i1: np.ndarray, i2: np.ndarray) -> tuple[float, Optional[tuple]]:
-    """Gaps inside each nonempty row of ``member``, then the y diameter of
+def _subdiff_convexity_sweep(a: Analysis, i1: np.ndarray,
+                             i2: np.ndarray) -> tuple[float, Optional[tuple]]:
+    """Gaps inside each nonempty member row of ``a``, then the y diameter of
     the common members of each pair (i1[k], i2[k]) beyond one step."""
-    counts, first, last, _ = spans
+    counts, first, last, _ = a.spans
     gaps = np.where(counts > 0, (last - first + 1 - counts).astype(float), -np.inf)
     worst, witness = _fold(-np.inf, None, gaps,
                            lambda i: (i, int(first[i]), int(last[i])))
-    yv = grid_j.points
-    for a, b, lo, hi in _meeting(member, spans, i1, i2):
+    yv = a.grid_j.points
+    for x1, x2, lo, hi in _meeting(a, i1, i2):
         excess = yv[hi]
         excess -= yv[lo]
-        excess -= grid_j.h + tol
-        worst, witness = _fold(worst, witness, excess, lambda q: (int(a[q]), int(b[q])))
+        excess -= a.grid_j.h + a.tol
+        worst, witness = _fold(worst, witness, excess, lambda q: (int(x1[q]), int(x2[q])))
     return worst, witness
 
 
@@ -419,48 +427,46 @@ def check_subdiff_convexity(a: Analysis, pair_cap: int = 10100, seed: int = 0) -
     _check_sweep(pair_cap, seed)
     if failed := _failed_hypothesis(check_id, a, "two_affine", "twisted", "c_convex"):
         return failed
+    # the row gaps test the contiguity that a band search assumes: judge the table's rows
+    a = a if a.twist is None else Analysis(a.f, a.table, a.tol)
     if not a.spans[0].any():
         return _vacuous(check_id, "vacuous: every subdifferential empty")
     i1, i2 = _sample_pairs(np.random.default_rng(seed), np.arange(1, a.f.grid.n - 1), pair_cap)
-    worst, witness = _subdiff_convexity_sweep(a.member, a.spans, a.grid_j, a.tol, i1, i2)
+    worst, witness = _subdiff_convexity_sweep(a, i1, i2)
     return Verdict(check_id, float(worst), witness, notes=f"pairs={i1.size}; tol={a.tol}")
 
 
-def _set_valued_sweep(slack: np.ndarray, member: np.ndarray, spans: tuple, grid_i: Grid,
-                      grid_j: Grid, lambdas: Sequence[float], tol: float,
+def _set_valued_sweep(a: Analysis, lambdas: Sequence[float],
                       lipschitz: tuple[float, float, float], rng: np.random.Generator,
                       i1s: np.ndarray, i2s: np.ndarray) -> tuple[float, Optional[tuple]]:
     """Snap each mixture of a drawn member at x1 and one at x2 to the grids
     and measure its non-membership beyond the snapping allowance."""
     lf, lcx, lcy = lipschitz
-    xv, yv = grid_i.points, grid_j.points
+    xv, yv = a.f.grid.points, a.grid_j.points
     lams = np.asarray(lambdas, dtype=float)
-    counts = spans[0]
-    # ys[starts[x] + r] is the column of row x's r-th member
-    starts = np.cumsum(counts) - counts
-    ys = np.flatnonzero(member)
-    ys %= member.shape[1]
+    counts, ys = a.members
+    starts = np.cumsum(counts) - counts   # ys[starts[x] + r] is row x's r-th member
     worst, witness = -np.inf, None
     for x1, x2 in _pair_blocks(i1s, i2s, 8 * (lams.size + 3)):
         highs = np.empty(2 * x1.size, dtype=np.int64)
         highs[0::2] = counts[x1]
         highs[1::2] = counts[x2]
         draws = rng.integers(0, highs)
-        a = ys[starts[x1] + draws[0::2]]
-        b = ys[starts[x2] + draws[1::2]]
+        y1 = ys[starts[x1] + draws[0::2]]
+        y2 = ys[starts[x2] + draws[1::2]]
         # allow = tol + 2(lf + lcx)|dx| + 2 lcy |dy|, summed left to right
-        im, allow = _snap(grid_i, _mixtures(xv[x1], xv[x2], lams), 2.0 * (lf + lcx))
-        allow += tol
-        jm, dy = _snap(grid_j, _mixtures(yv[a], yv[b], lams), 2.0 * lcy)
+        im, allow = _snap(a.f.grid, _mixtures(xv[x1], xv[x2], lams), 2.0 * (lf + lcx))
+        allow += a.tol
+        jm, dy = _snap(a.grid_j, _mixtures(yv[y1], yv[y2], lams), 2.0 * lcy)
         allow += dy
-        excess = slack[im, jm]
+        excess = a.slack_at(im, jm)
         np.negative(excess, out=excess)
         excess -= allow
         worst, witness = _fold(worst, witness, excess, lambda q: (
             int(x1[q // len(lambdas)]), int(x2[q // len(lambdas)]),
             float(lambdas[q % len(lambdas)])))
         # free this block's arrays before the next block builds its own
-        del highs, draws, a, b, im, allow, jm, dy, excess
+        del highs, draws, y1, y2, im, allow, jm, dy, excess
     return worst, witness
 
 
@@ -480,7 +486,6 @@ def check_set_valued_convexity(a: Analysis, lambdas: Sequence[float] = DEFAULT_L
     if failed := _failed_hypothesis(check_id, a, "two_affine", "segment_concave", "convex",
                                     "c_convex"):
         return failed
-    f, cost, tol = a.f, a.table, a.tol
     dom = np.flatnonzero(a.spans[0])
     if dom.size < 2:
         return _vacuous(check_id, "vacuous: effective domain has fewer than two points")
@@ -488,43 +493,35 @@ def check_set_valued_convexity(a: Analysis, lambdas: Sequence[float] = DEFAULT_L
     i1s, i2s = _sample_pairs(rng, dom, pair_cap)
     if i1s.size == 0:
         return _vacuous(check_id, "vacuous: no distinct pairs sampled")
-    worst, witness = _set_valued_sweep(a.slack, a.member, a.spans, f.grid, cost.grid_j, lambdas,
-                                       tol, _lipschitz(f, cost), rng, i1s, i2s)
+    worst, witness = _set_valued_sweep(a, lambdas, _lipschitz(a), rng, i1s, i2s)
     return Verdict(check_id, float(worst), witness,
-                   notes=f"pairs={i1s.size}; concavity=segment-tested; tol={tol}")
+                   notes=f"pairs={i1s.size}; concavity=segment-tested; tol={a.tol}")
 
 
-def _intersection_sweep(slack: np.ndarray, member: np.ndarray, spans: tuple, grid_i: Grid,
-                        lambdas: Sequence[float], tol: float,
+def _intersection_sweep(a: Analysis, lambdas: Sequence[float],
                         lipschitz: tuple[float, float, float], i1s: np.ndarray,
                         i2s: np.ndarray) -> tuple[float, Optional[tuple], bool]:
     """Worst non-membership of a common member of x1 and x2 at the snapped
     mixture points; also reports whether any pair had a common member."""
     lf, lcx, _ = lipschitz
-    xv = grid_i.points
-    lams = np.asarray(lambdas, dtype=float)
-    m = member.shape[1]
+    xv, lams = a.f.grid.points, np.asarray(lambdas, dtype=float)
     worst, witness, any_intersection = -np.inf, None, False
-    for a, b, _, _ in _meeting(member, spans, i1s, i2s):
+    # the meeting pairs, in sub-blocks of their own, read slack at common members only
+    for x1, x2 in _regrouped(_meeting(a, i1s, i2s), 2 * a.grid_j.n + 8 * lams.size):
         any_intersection = True
-        # the meeting pairs gather slack rows in sub-blocks of their own
-        for x1, x2 in _pair_blocks(a, b, 2 * m + 8 * lams.size):
-            outside = ~(member[x1] & member[x2])
-            im, allow = _snap(grid_i, _mixtures(xv[x1], xv[x2], lams), 2.0 * (lf + lcx))
-            allow += tol   # no dy term: the common member is not mixed
-            excess = np.empty_like(allow)
-            rows = np.empty((x1.size, m))
-            for k in range(lams.size):
-                # snapped indices are in range; "clip" skips the copy that
-                # the default mode makes of ``out``
-                np.take(slack, im[:, k], axis=0, out=rows, mode="clip")
-                np.negative(rows, out=rows)
-                rows[outside] = -np.inf   # only common members count
-                rows.max(axis=1, out=excess[:, k])
-            excess -= allow
-            worst, witness = _fold(worst, witness, excess, lambda q: (
-                int(x1[q // len(lambdas)]), int(x2[q // len(lambdas)]),
-                float(lambdas[q % len(lambdas)])))
+        pairs, cols = np.nonzero(a.member_rows(x1) & a.member_rows(x2))
+        firsts = np.searchsorted(pairs, np.arange(x1.size))   # every pair has one
+        im, allow = _snap(a.f.grid, _mixtures(xv[x1], xv[x2], lams), 2.0 * (lf + lcx))
+        allow += a.tol   # no dy term: the common member is not mixed
+        excess = np.empty_like(allow)
+        for k in range(lams.size):
+            s = a.slack_at(im[pairs, k], cols)
+            np.negative(s, out=s)
+            excess[:, k] = np.maximum.reduceat(s, firsts)
+        excess -= allow
+        worst, witness = _fold(worst, witness, excess, lambda q: (
+            int(x1[q // len(lambdas)]), int(x2[q // len(lambdas)]),
+            float(lambdas[q % len(lambdas)])))
     return worst, witness, any_intersection
 
 
@@ -537,28 +534,26 @@ def check_intersection_inclusion(a: Analysis, lambdas: Sequence[float] = DEFAULT
     _check_lambdas(lambdas)
     if failed := _failed_hypothesis(check_id, a, "one_concave", "convex", "c_convex"):
         return failed
-    f, cost, tol = a.f, a.table, a.tol
     interior = np.flatnonzero(a.spans[0][1:-1]) + 1   # the domain's interior points
     if interior.size < 2:
         return _vacuous(check_id)
     i1s, i2s = _sample_pairs(np.random.default_rng(seed), interior, pair_cap)
-    worst, witness, any_intersection = _intersection_sweep(
-        a.slack, a.member, a.spans, f.grid, lambdas, tol, _lipschitz(f, cost), i1s, i2s)
+    worst, witness, any_intersection = _intersection_sweep(a, lambdas, _lipschitz(a), i1s, i2s)
     if not any_intersection:
         return _vacuous(check_id, "vacuous: no intersecting pairs found")
-    return Verdict(check_id, float(worst), witness, notes=f"pairs={i1s.size}; tol={tol}")
+    return Verdict(check_id, float(worst), witness, notes=f"pairs={i1s.size}; tol={a.tol}")
 
 
-def _domain_interval_sweep(member: np.ndarray, spans: tuple, dom_relaxed: np.ndarray,
-                           i1s: np.ndarray, i2s: np.ndarray) -> tuple[float, Optional[tuple], bool]:
+def _domain_interval_sweep(a: Analysis, dom_relaxed: np.ndarray, i1s: np.ndarray,
+                           i2s: np.ndarray) -> tuple[float, Optional[tuple], bool]:
     """Count the grid points outside ``dom_relaxed`` between each pair with
-    a common member; also reports whether any pair had one."""
+    a common member of ``a``; also reports whether any pair had one."""
     # float counts, exact below 2**53, so a block's differences need no cast
     missing_below = np.concatenate(([0.0], np.cumsum(~dom_relaxed)))
     worst, witness, any_intersection = -np.inf, None, False
-    for a, b, _, _ in _meeting(member, spans, i1s, i2s):
+    for x1, x2, _, _ in _meeting(a, i1s, i2s):
         any_intersection = True
-        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        lo, hi = np.minimum(x1, x2), np.maximum(x1, x2)
         excess = missing_below[hi + 1]
         excess -= missing_below[lo]
         worst, witness = _fold(worst, witness, excess, lambda q: (
@@ -575,19 +570,19 @@ def check_domain_interval(a: Analysis, pair_cap: int = 10100, seed: int = 0) -> 
     _check_sweep(pair_cap, seed)
     if failed := _failed_hypothesis(check_id, a, "one_concave", "convex"):
         return failed
-    f, cost, tol = a.f, a.table, a.tol
-    allow = 2.0 * tol + _float_margin(cost.entries, f.values)
-    dom_relaxed = (a.slack >= -allow).any(axis=1)
     idx = np.flatnonzero(a.spans[0])
     if idx.size < 2:
         return _vacuous(check_id)
+    allow = 2.0 * a.tol + _float_margin(a.table.entries, a.f.values)
+    dom_relaxed = a.spans[0] > 0   # a member is a relaxed member: only other rows read slack
+    if (rest := np.flatnonzero(~dom_relaxed)).size:
+        dom_relaxed[rest] = (a.slack_at(rest[:, None], np.arange(a.grid_j.n)) >= -allow).any(axis=1)
     i1s, i2s = _sample_pairs(np.random.default_rng(seed), idx, pair_cap)
-    worst, witness, any_intersection = _domain_interval_sweep(
-        a.member, a.spans, dom_relaxed, i1s, i2s)
+    worst, witness, any_intersection = _domain_interval_sweep(a, dom_relaxed, i1s, i2s)
     if not any_intersection:
         return _vacuous(check_id, "vacuous: no intersecting pairs found")
     return Verdict(check_id, float(worst), witness,
-                   notes=f"pairs={i1s.size}; allowance=2*tol; tol={tol}")
+                   notes=f"pairs={i1s.size}; allowance=2*tol; tol={a.tol}")
 
 
 def check_grad_inclusion(a: Analysis, cost_spec: CostSpec) -> Verdict:
@@ -605,11 +600,11 @@ def check_grad_inclusion(a: Analysis, cost_spec: CostSpec) -> Verdict:
         raise ValueError("check_grad_inclusion requires an everywhere-finite f")
     f, cost, tol = a.f, a.table, a.tol
     h = f.grid.h
-    interior = np.arange(1, f.grid.n - 1)
-    pairs = np.argwhere(a.member[interior])
-    if pairs.size == 0:
+    rows, cols = np.repeat(np.arange(f.grid.n), a.members[0]), a.members[1]
+    interior = (rows > 0) & (rows < f.grid.n - 1)
+    rows, cols = rows[interior], cols[interior]
+    if rows.size == 0:
         return _vacuous(check_id, "vacuous: no interior members")
-    rows, cols = interior[pairs[:, 0]], pairs[:, 1]
     xs, ys = f.grid.points[rows], cost.grid_j.points[cols]
     if not np.array_equal(evaluate_cost(cost_spec, xs, ys), cost.entries[rows, cols]):
         raise ValueError(f"cost_spec {cost_spec} does not give the cost table at its members")
@@ -619,10 +614,10 @@ def check_grad_inclusion(a: Analysis, cost_spec: CostSpec) -> Verdict:
     threshold = 4.0 * ((0.5 * (m2f + m2c) + h * m3f / 6.0) * h + tol / h)
     fprime = (f.values[2:] - f.values[:-2]) / (2.0 * h)
     dc = np.asarray(cost_dx(cost_spec, xs, ys), dtype=float)
-    mismatch = np.abs(dc - fprime[pairs[:, 0]])
+    mismatch = np.abs(dc - fprime[rows - 1])
     k = int(np.argmax(mismatch))
     return Verdict(check_id, float(mismatch[k] - threshold), (int(rows[k]), int(cols[k])),
-                   notes=f"threshold={threshold}; members={pairs.shape[0]}; tol={tol}")
+                   notes=f"threshold={threshold}; members={rows.size}; tol={tol}")
 
 
 def check_cost_self_subdiff(cost: CostMatrix, tol: float = 0.0) -> Verdict:

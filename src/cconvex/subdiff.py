@@ -6,7 +6,7 @@ Membership at x0 is a tolerance-qualified grid sweep: y is a member when
 
     min_z { f(z) - f(x0) - c(z, y) + c(x0, y) } >= -tol.
 
-All membership queries reduce to the slack matrix
+All membership queries reduce to the slack
 
     slack[i, j] = (c(x_i, y_j) - f_i) - max_z (c(x_z, y_j) - f_z),
 
@@ -51,7 +51,7 @@ class SubdifferentialSet:
     For a twisted cost (c_xy >= 0: bilinear, neg_quadratic, reflector,
     one_affine with nondecreasing a(y)) each row of the exact slack is
     unimodal, so the set is an interval, and on a spec with a ``twist_bound``
-    every computed row is one too (see ``Analysis.triples``).  The dense path
+    every computed row is one too (see ``Analysis.members``).  The dense path
     can still split a row where c_xy is near 0, and other costs give any
     index set.  So it is kept as an explicit index list: contiguity must
     not be baked into the type.
@@ -103,9 +103,8 @@ class LocalWindow:
         return m
 
 
-# Triples whose columns and slack ``Analysis.triples`` fills at a time: their
-# temporaries, about 50 B a triple, stay small beside the searches' O(n)
-# arrays and the output's 25 B a triple.
+# Band columns and triple slacks filled at a time: their temporaries, about 50 B
+# a member, stay small beside the searches' O(n) arrays and 25 B a triple.
 BAND_BLOCK = 4096
 
 
@@ -117,22 +116,14 @@ def membership_slack(f: GridFunction, cost: CostMatrix) -> np.ndarray:
     return d
 
 
-def _row_spans(member: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
-    """Member count, first and last member column of each row (0 and m-1
-    for an empty row), and whether every nonempty row is one interval."""
-    counts, first = member.sum(axis=1), member.argmax(axis=1)
-    last = member.shape[1] - 1 - member[:, ::-1].argmax(axis=1)
-    return counts, first, last, bool(((counts == 0) | (last - first + 1 == counts)).all())
-
-
 @dataclass(frozen=True, eq=False)
 class Analysis:
     """One (f, cost) instance at one validated membership ``tol``, each of whose
     parts is built once, on first use.  ``cost`` is a ``CostMatrix`` or a
     ``CostSpec`` on f's grid and ``grid_j``.  A spec with a ``twist_bound`` on
-    the grids takes ``fc``, ``fcc`` and ``triples`` from the engine, without
-    an n x m array, and ``c_convex`` judges that ``fcc``; all else reads
-    ``table``, the matrix or the tabulated spec.
+    the grids takes ``fc``, ``fcc`` and, for a finite f, ``members`` from the
+    engine, without an n x m array; all else reads ``table``.  ``members`` is
+    the one membership product, and ``slack_at`` the one reader of slack.
     """
 
     f: GridFunction
@@ -173,36 +164,23 @@ class Analysis:
             return _back_transform(self.fc.values, self.table)
         return _engine_c_transform(self.cost, self.fc.values, self.f.grid, swap=True)
 
-    @cached_property
-    def slack(self) -> np.ndarray:
-        return membership_slack(self.f, self.table)
+    def slack_at(self, i, j) -> np.ndarray:
+        """(c(x_i, y_j) - f_i) - f^c(y_j), ``membership_slack``'s arithmetic, at
+        index pairs that broadcast; c from ``table``, or ``evaluate_cost`` if certified."""
+        s = self.table.entries[i, j] if self.twist is None else \
+            evaluate_cost(self.cost, self.f.grid.points[i], self.grid_j.points[j])
+        s -= self.f.values[i]
+        s -= self.fc.values.values[j]
+        return s
 
     @cached_property
-    def member(self) -> np.ndarray:
-        return self.slack >= -self.tol
-
-    @cached_property
-    def spans(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
-        """(counts, first, last, intervals) of ``member``'s rows: see ``_row_spans``."""
-        return _row_spans(self.member)
-
-    @cached_property
-    def c_convex(self) -> tuple[bool, float]:
-        if not self.f.is_finite:
-            raise ValueError("Analysis.c_convex requires an everywhere-finite f")
-        return c_convexity(self.f, self.fcc.values)
-
-    @cached_property
-    def triples(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(dom, rows, cols, slack) of every pair with membership slack >= -tol,
-        in row-major order, computing the slack once.
-
-        Without a ``twist_bound`` they are read from ``slack``.  With one, the
-        slack (c(x_i, y_j) - f_i) - f^c(y_j), in that arithmetic and against
-        the engine's ``fc``, is evaluated only on a band of columns per row
-        that binary searches find, batched over the rows: O((n + m) log m)
-        cost evaluations plus the band, in memory O(n + m) plus the band,
-        never an n x m array.
+    def members(self) -> tuple[np.ndarray, np.ndarray]:
+        """(counts, cols): each row's member count, and the member columns of the
+        rows in turn, ascending; y_j is a member at x_i iff ``slack_at(i, j) >=
+        -tol``.  A table's come from one ``membership_slack`` pass, thresholded.  A spec
+        with a ``twist_bound`` and a finite f evaluates ``slack_at`` only on a
+        band of columns per row that binary searches find, batched over the rows:
+        O((n + m) log m) cost evaluations in O(n + m) memory plus the band.
 
         Each row's exact members form one interval.  Write D(i, j) = c(x_i, y_j) - f_i
         and M_j = max_z D(z, j); the slack s(i, j) = D(i, j) - M_j is
@@ -236,27 +214,13 @@ class Analysis:
         p_i standing for a passing column, and the right search starts at
         q_i, the column after it, with q_i - 1 standing for one: a run column,
         or where the run is empty (p_i = q_i) a bound never evaluated, which
-        the other side's result then replaces.  The band pass applies
-        ``membership_slack``'s arithmetic, so the triples equal the dense
-        path's.  It fills the output arrays ``BAND_BLOCK`` triples at a time,
-        so past the O(n + m) searches the memory is the triples themselves.
+        the other side's result then replaces.  The columns are filled
+        ``BAND_BLOCK`` at a time: past the searches, the memory is theirs.
         """
-        f, tol = self.f, self.tol
-        if not f.is_finite:
-            raise ValueError("Analysis.triples requires an everywhere-finite f")
-        if self.twist is None:
-            rows, cols = np.nonzero(self.member)
-            return self.member.any(axis=1), rows, cols, self.slack[rows, cols]
-
-        n, m = f.grid.n, self.grid_j.n
-        x, y, fv, fc = f.grid.points, self.grid_j.points, f.values, self.fc
-        g = fc.values.values
-
-        def slack_at(i, j):  # membership_slack's arithmetic at index pairs
-            s = evaluate_cost(self.cost, x[i], y[j])
-            s -= fv[i]
-            s -= g[j]
-            return s
+        f, tol, n, m = self.f, self.tol, self.f.grid.n, self.grid_j.n
+        if self.twist is None or not f.is_finite:
+            member = membership_slack(f, self.table) >= -tol   # the n x m slack is freed here
+            return member.sum(axis=1), np.broadcast_to(np.arange(m), member.shape)[member]
 
         def search(lo, hi, right):
             """Per row, the first column of (lo, hi] that passes (left side)
@@ -269,24 +233,60 @@ class Analysis:
                 mid = lo[act] + stride[act] if right else hi[act] - stride[act]
                 bisect = (mid <= lo[act]) | (mid >= hi[act])
                 mid[bisect] = (lo[act[bisect]] + hi[act[bisect]]) // 2
-                passed = slack_at(act, mid) >= -tol
+                passed = self.slack_at(act, mid) >= -tol
                 stride[act] = np.where(passed & ~bisect, 2 * stride[act], 0)
                 up = passed == right
                 lo[act[up]] = mid[up]
                 hi[act[~up]] = mid[~up]
             return hi
 
-        k = fc.argmax
+        k = self.fc.argmax
         start = search(np.full(n, -1), np.searchsorted(k, np.arange(n)), False)
-        lens = search(np.searchsorted(k, np.arange(n), "right") - 1, np.full(n, m), True) - start
-        rows = np.repeat(np.arange(n), lens)
-        start -= np.cumsum(lens) - lens  # now triple t of row i is column t + start_i
-        cols, slack = np.empty(rows.size, dtype=np.int64), np.empty(rows.size)
+        counts = search(np.searchsorted(k, np.arange(n), "right") - 1, np.full(n, m), True) - start
+        cols = np.repeat(start - (np.cumsum(counts) - counts), counts)   # start_i - t_i
+        for a in range(0, cols.size, BAND_BLOCK):
+            cols[a:a + BAND_BLOCK] += np.arange(a, min(a + BAND_BLOCK, cols.size))
+        return counts, cols
+
+    def member_rows(self, rows: np.ndarray | None = None) -> np.ndarray:
+        """Rows ``rows`` (by default all) of the member matrix, from ``members``."""
+        counts, cols = self.members
+        rows = np.arange(counts.size) if rows is None else rows
+        k = counts[rows]   # member t of the gather is cols[at[t]]
+        at = np.repeat(np.cumsum(counts)[rows] - np.cumsum(k), k) + np.arange(k.sum())
+        out = np.zeros((rows.size, self.grid_j.n), dtype=bool)
+        out[np.repeat(np.arange(rows.size), k), cols[at]] = True
+        return out
+
+    @cached_property
+    def spans(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
+        """Each row's member count, first and last member column (0 and m - 1
+        if empty), and whether every nonempty row is one interval."""
+        counts, cols = self.members
+        end, hit = np.cumsum(counts), counts > 0
+        first, last = np.zeros_like(counts), np.full_like(counts, self.grid_j.n - 1)
+        first[hit], last[hit] = cols[end[hit] - counts[hit]], cols[end[hit] - 1]
+        return counts, first, last, bool((last - first + 1 == counts)[hit].all())
+
+    @cached_property
+    def c_convex(self) -> tuple[bool, float]:
+        if not self.f.is_finite:
+            raise ValueError("Analysis.c_convex requires an everywhere-finite f")
+        return c_convexity(self.f, self.fcc.values)
+
+    @cached_property
+    def triples(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(dom, rows, cols, slack): the rows with a member, and each member's
+        row, column and ``slack_at`` in row-major order, the slack filled
+        ``BAND_BLOCK`` at a time."""
+        if not self.f.is_finite:
+            raise ValueError("Analysis.triples requires an everywhere-finite f")
+        counts, cols = self.members
+        rows = np.repeat(np.arange(counts.size), counts)
+        slack = np.empty(rows.size)
         for a in range(0, rows.size, BAND_BLOCK):
-            r, c = rows[a:a + BAND_BLOCK], cols[a:a + BAND_BLOCK]
-            c[:] = np.arange(a, a + r.size) + start[r]
-            slack[a:a + BAND_BLOCK] = slack_at(r, c)
-        return lens > 0, rows, cols, slack
+            slack[a:a + BAND_BLOCK] = self.slack_at(rows[a:a + BAND_BLOCK], cols[a:a + BAND_BLOCK])
+        return counts > 0, rows, cols, slack
 
 
 def c_subdifferential(f: GridFunction, cost: CostMatrix, x0_index: int,
@@ -294,7 +294,8 @@ def c_subdifferential(f: GridFunction, cost: CostMatrix, x0_index: int,
     a = Analysis(f, cost, tol)
     if not np.isfinite(f.values[check_index(x0_index, f.grid)]):
         raise ValueError(f"f is +inf at grid index {x0_index}")
-    return SubdifferentialSet(int(x0_index), np.flatnonzero(a.slack[x0_index] >= -tol), tol)
+    row = a.slack_at(x0_index, np.arange(a.grid_j.n))
+    return SubdifferentialSet(int(x0_index), np.flatnonzero(row >= -tol), tol)
 
 
 def subdifferential_map(f: GridFunction, cost: CostMatrix,
@@ -303,8 +304,9 @@ def subdifferential_map(f: GridFunction, cost: CostMatrix,
     a = Analysis(f, cost, tol)
     if not f.is_finite:
         raise ValueError("subdifferential_map requires an everywhere-finite f")
-    sets = [SubdifferentialSet(i, np.flatnonzero(a.member[i]), tol) for i in range(f.grid.n)]
-    return sets, a.member.any(axis=1)
+    counts, cols = a.members
+    rows = np.split(cols, np.cumsum(counts)[:-1])
+    return [SubdifferentialSet(i, row, tol) for i, row in enumerate(rows)], counts > 0
 
 
 def lateral_c_derivatives(s: SubdifferentialSet, grid_j: Grid) -> tuple[float, float]:
@@ -342,11 +344,11 @@ def envelope_reconstruct(f: GridFunction, cost: CostMatrix, selection: np.ndarra
     ts = np.flatnonzero(sel >= 0)
     if ts.size == 0:
         raise ValueError("selection is empty")
-    bad = ts[a.slack[ts, sel[ts]] < -tol]
+    bad = ts[a.slack_at(ts, sel[ts]) < -tol]
     if bad.size:
         t = int(bad[0])
         raise ValueError(f"selection[{t}]={int(sel[t])} is not a subdifferential member "
-                         f"at tol={tol} (slack={a.slack[t, sel[t]]})")
+                         f"at tol={tol} (slack={a.slack_at(t, sel[t])})")
     # curves[k, i] = f(t_k) + c(x_i, y_sel) - c(t_k, y_sel)
     cols = cost.entries[:, sel[ts]]                    # (n, k)
     curves = f.values[ts][None, :] + cols - cols[ts, np.arange(ts.size)][None, :]

@@ -7,6 +7,7 @@ independent route.
 """
 
 import math
+import types
 
 import numpy as np
 
@@ -144,9 +145,34 @@ def plain_evaluate_cost(spec, x, y):
 
 # ---------------------------------------------------------------------------
 # Reference pair sweeps of the proposition checks: one Python iteration per
-# sampled pair, with the same signatures and results as the blocked sweeps
-# in ``cconvex.propcheck``.  They read the member rows themselves and ignore
+# sampled pair, with the results of the blocked sweeps in ``cconvex.propcheck``.
+# They take the dense member and slack matrices that the input adapters below
+# build from an ``Analysis``, read the member rows themselves and ignore
 # ``spans``.
+
+def members_of(member):
+    """The ``Analysis.members`` (counts, cols) of a dense member matrix."""
+    return member.sum(axis=1), np.nonzero(member)[1]
+
+
+def dense_member(a):
+    """The n x m member matrix of an ``Analysis``, built from its ``members``."""
+    counts, cols = a.members
+    member = np.zeros((a.f.grid.n, a.grid_j.n), dtype=bool)
+    member[np.repeat(np.arange(counts.size), counts), cols] = True
+    return member
+
+
+def dense_slack(a):
+    """The n x m slack matrix of an ``Analysis``, read through its ``slack_at``."""
+    return a.slack_at(np.arange(a.f.grid.n)[:, None], np.arange(a.grid_j.n))
+
+
+def dense_view(a):
+    """An ``Analysis``'s f and tol with its dense ``member`` matrix, the
+    input of ``loop_order_propagation``."""
+    return types.SimpleNamespace(f=a.f, tol=a.tol, member=dense_member(a))
+
 
 def loop_row_spans(member):
     """Member count, first and last member column of each row (0 and m - 1

@@ -232,6 +232,30 @@ class TestTabulate:
         cache[0, 0] = 7.0
         assert m.entries[0, 0] == 0.0 and not m.entries.flags.writeable
 
+    def test_a_callables_kept_array_is_copied(self):
+        # fn may return an array it keeps, or a view of one: the matrix copies
+        # either, and leaves it writeable
+        g = make_uniform_grid(-1, 1, 3)
+        cache, big = np.zeros((3, 3)), np.zeros((5, 5))
+        for fn, held in ((lambda x, y: cache, cache), (lambda x, y: big[1:4, :3], big)):
+            m = tabulate_callable(fn, g, g)
+            assert not np.shares_memory(m.entries, held) and held.flags.writeable
+            held[1, 1] = 7.0
+            assert m.entries[1, 1] == 0.0 and not m.entries.flags.writeable
+
+    def test_a_callables_new_array_is_taken_over(self):
+        # an array that only fn's return holds becomes the entries uncopied
+        g = make_uniform_grid(-1, 1, 3)
+        made = []
+
+        def fn(x, y):
+            out = x * y
+            made.append(id(out))   # the id, not a reference that would keep it
+            return out
+
+        m = tabulate_callable(fn, g, g)
+        assert id(m.entries) == made[0] and not m.entries.flags.writeable
+
     @pytest.mark.parametrize("tabulate, interval", [
         (lambda g: tabulate_cost(CostSpec("bilinear"), g, g), (-1, 1)),
         (lambda g: tabulate_callable(np.multiply, g, g), (-1, 1)),

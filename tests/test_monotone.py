@@ -20,7 +20,7 @@ from cconvex.costs import CostDomainError, CostSpec, parse_cost_spec, tabulate_c
 from cconvex.grids import GridFunction, make_uniform_grid
 from cconvex.subdiff import Analysis, membership_slack, subdifferential_map
 from cconvex.transform import _monotone_argmax, c_transform, double_c_transform, is_c_convex
-from oracles import brute_c_transform
+from oracles import brute_c_transform, dense_member
 
 # cost, I interval, J interval; the reflector needs x*y < 1 on I x J, and
 # the one_affine a(y) = 0.2 + 0.8y + 0.3y^2 increases on [-1, 1]
@@ -242,7 +242,7 @@ class TestBandedTriples:
             for tol in (0.0, 1e-9, 0.1):
                 a = Analysis(f, spec, tol, gj)
                 assert a.twist is not None
-                member = Analysis(f, tabulate_cost(spec, gi, gj), tol).member
+                member = dense_member(Analysis(f, tabulate_cost(spec, gi, gj), tol))
                 dom, rows, cols, slack = a.triples
                 assert np.array_equal(np.c_[rows, cols], np.argwhere(member))
                 assert np.array_equal(dom, member.any(axis=1))
@@ -295,6 +295,7 @@ class TestCertificate:
         assert_same_transform(a.fcc, double_c_transform(f, cost))
         dom, rows, cols, slack = a.triples
         assert np.array_equal(np.c_[rows, cols], np.argwhere(membership_slack(f, cost) >= 0.0))
+        assert_same_membership(a, Analysis(f, cost, 0.0))
 
     # intervals centred at 0, 1, 5, 100 or -3 of half-width 1e-7 to 10, f of
     # max |f| 1e-8 to 1e3, with exact ties (rounded, zero) and without
@@ -411,6 +412,56 @@ class TestCertificateClaim:
         certified = [d for d in mixed if d is not None]
         assert 0 < len(certified) < len(mixed)   # the sweep crosses the edge
         assert min(certified) > 0
+
+
+def assert_same_membership(a, dense):
+    """``a``'s members and spans equal those of ``dense``, the same f and tol on
+    the tabulated cost, and so do its triples, or their refusal of an f that is
+    +inf somewhere."""
+    assert all(np.array_equal(got, want) for got, want in zip(a.members, dense.members))
+    assert all(np.array_equal(got, want) for got, want in zip(a.spans, dense.spans))
+    if not a.f.is_finite:
+        for an in (a, dense):
+            with pytest.raises(ValueError, match="^Analysis.triples requires an everywhere-finite f$"):
+                an.triples
+        return
+    # == on the slack: a zero's sign may differ (TestSignedZero)
+    assert all(np.array_equal(got, want) for got, want in zip(a.triples, dense.triples))
+
+
+class TestOneMembershipProduct:
+    # a spec's members, from the band search when certified and f is finite,
+    # else from the table, are the table's own, and a certified spec's rows are
+    # intervals; on the twisted families and on the refused costs
+    @settings(max_examples=100, deadline=None)
+    @given(case=st.sampled_from(TWISTED + DENSE_FALLBACK), n=st.integers(2, 65),
+           m=st.integers(2, 65), tol=st.sampled_from(TOLS),
+           f_kind=st.sampled_from(("normal", "rounded", "linear", "with_inf")),
+           seed=st.integers(0, 2**32 - 1))
+    def test_spec_members_are_the_tables(self, case, n, m, tol, f_kind, seed):
+        family, iv_i, iv_j = case
+        spec, rng = parse_cost_spec(family), np.random.default_rng(seed)
+        gi, gj = make_uniform_grid(*iv_i, n), make_uniform_grid(*iv_j, m)
+        z = rng.normal(size=n)
+        values = {"normal": z, "rounded": np.round(4 * z) / 4, "linear": gi.points.copy(),
+                  "with_inf": np.where(rng.random(n) < 0.4, np.inf, z)}[f_kind]
+        values[rng.integers(0, n)] = 0.5   # keep f proper
+        f = GridFunction(gi, values)
+        a = Analysis(f, spec, tol, gj)
+        assert_same_membership(a, Analysis(f, tabulate_cost(spec, gi, gj), tol))
+        if a.twist is not None:
+            assert a.spans[3]
+
+    @pytest.mark.parametrize("family, iv_i, iv_j", TWISTED)
+    def test_certified_members_build_no_table(self, monkeypatch, family, iv_i, iv_j):
+        def no_table(*args):
+            raise AssertionError("a certified spec with a finite f tabulated its members")
+
+        gi, gj = make_uniform_grid(*iv_i, 65), make_uniform_grid(*iv_j, 33)
+        monkeypatch.setattr("cconvex.subdiff.tabulate_cost", no_table)
+        a = Analysis(GridFunction(gi, np.abs(gi.points)), parse_cost_spec(family), grid_j=gj)
+        a.members, a.spans, a.triples
+        assert a.twist is not None and a.spans[3] and "table" not in vars(a)
 
 
 class TestClosedForm:
@@ -573,7 +624,7 @@ class TestAnalysis:
         assert_same_transform(a.fc, c_transform(f, cost))
         assert_same_transform(a.fcc, double_c_transform(f, cost))
         dom, rows, cols, slack = a.triples
-        assert np.array_equal(np.c_[rows, cols], np.argwhere(a.member))
+        assert np.array_equal(np.c_[rows, cols], np.argwhere(membership_slack(f, cost) >= -a.tol))
 
     @pytest.mark.parametrize("family, iv_i, iv_j", TWISTED)
     def test_certified_c_convex_builds_no_table(self, monkeypatch, family, iv_i, iv_j):
@@ -774,3 +825,21 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert peak < 120 * n, f"peak {peak / 1e6:.2f} MB"
+
+    def test_certified_spans_peak(self):
+        # the spans of a certified spec come from the band search's members,
+        # 4,915 here, with the twist bound and the engine's f^c: about 0.5 MB,
+        # where the table, the slack matrix and the member matrix took 302 MB
+        n = 4097
+        gi, gj = make_uniform_grid(-1, 1, n), make_uniform_grid(-2.5, 2.5, n)
+        f = GridFunction(gi, np.abs(gi.points))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            a = Analysis(f, CostSpec("neg_quadratic"), grid_j=gj)
+            counts, _, _, intervals = a.spans
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert counts.sum() == 4915 and intervals and "table" not in vars(a)
+        assert peak < 2e6, f"peak {peak / 1e6:.2f} MB"

@@ -1,7 +1,9 @@
 """The blocked pair sweeps of ``cconvex.propcheck`` against the loop oracles.
 
 Every field of every verdict must match: the sampled pairs, the member
-draws, the float arithmetic and the witness.
+draws, the float arithmetic and the witness.  A sweep reads an ``Analysis``;
+its loop oracle reads the dense member and slack matrices, which the
+adapters of ``LOOP_SWEEPS`` build from the same ``Analysis``.
 """
 
 import collections
@@ -10,19 +12,26 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cconvex import propcheck, subdiff
+from cconvex import propcheck
 from cconvex.costs import CostSpec, tabulate_callable, tabulate_cost
 from cconvex.grids import GridFunction, make_uniform_grid
-from cconvex.subdiff import Analysis, _row_spans
-from oracles import (loop_cost_self_subdiff, loop_domain_interval_sweep,
-                     loop_intersection_sweep, loop_order_propagation, loop_row_spans,
-                     loop_set_valued_sweep, loop_subdiff_convexity_sweep)
+from cconvex.subdiff import Analysis
+from oracles import (dense_member, dense_slack, dense_view, loop_cost_self_subdiff,
+                     loop_domain_interval_sweep, loop_intersection_sweep, loop_order_propagation,
+                     loop_row_spans, loop_set_valued_sweep, loop_subdiff_convexity_sweep,
+                     members_of)
 
+# each sweep's loop oracle on the dense matrices of the sweep's Analysis
 LOOP_SWEEPS = {
-    "_subdiff_convexity_sweep": loop_subdiff_convexity_sweep,
-    "_set_valued_sweep": loop_set_valued_sweep,
-    "_intersection_sweep": loop_intersection_sweep,
-    "_domain_interval_sweep": loop_domain_interval_sweep,
+    "_subdiff_convexity_sweep": lambda a, i1, i2: loop_subdiff_convexity_sweep(
+        dense_member(a), a.spans, a.grid_j, a.tol, i1, i2),
+    "_set_valued_sweep": lambda a, lambdas, lipschitz, rng, i1s, i2s: loop_set_valued_sweep(
+        dense_slack(a), dense_member(a), a.spans, a.f.grid, a.grid_j, lambdas, a.tol,
+        lipschitz, rng, i1s, i2s),
+    "_intersection_sweep": lambda a, lambdas, lipschitz, i1s, i2s: loop_intersection_sweep(
+        dense_slack(a), dense_member(a), a.spans, a.f.grid, lambdas, a.tol, lipschitz, i1s, i2s),
+    "_domain_interval_sweep": lambda a, dom_relaxed, i1s, i2s: loop_domain_interval_sweep(
+        dense_member(a), a.spans, dom_relaxed, i1s, i2s),
 }
 TOLS = (1e-9, float("nan"))  # NaN makes every pair excess NaN, which never wins
 
@@ -48,7 +57,8 @@ def test_suite_verdicts_match_loop_sweeps(monkeypatch, seed, falsify, pair_cap):
 @pytest.mark.parametrize("seed", range(10))
 def test_suite_verdicts_match_loop_order_propagation(monkeypatch, seed, falsify):
     fast = propcheck.run_suite(seed=seed, falsify=falsify)
-    monkeypatch.setattr(propcheck, "check_order_propagation", loop_order_propagation)
+    monkeypatch.setattr(propcheck, "check_order_propagation",
+                        lambda a, b: loop_order_propagation(dense_view(a), dense_view(b)))
     slow = propcheck.run_suite(seed=seed, falsify=falsify)
     assert [fields(v) for v in fast] == [fields(v) for v in slow]
 
@@ -82,6 +92,20 @@ def budget(request, monkeypatch):
     monkeypatch.setattr(propcheck, "PAIR_BLOCK_CELLS", request.param)
 
 
+def planted(member, slack=None, tol=1e-9, grid_i=None, grid_j=None):
+    """An ``Analysis`` of f = 0 whose ``members`` are ``member``'s rows and
+    whose ``slack_at`` reads ``slack``, at ``tol`` (set unchecked, so it may
+    be NaN), on the grids given or on [-1, 1]."""
+    n, m = member.shape
+    gi = make_uniform_grid(-1, 1, n) if grid_i is None else grid_i
+    gj = make_uniform_grid(-1, 1, m) if grid_j is None else grid_j
+    a = Analysis(GridFunction(gi, np.zeros(n)), tabulate_cost(CostSpec("bilinear"), gi, gj))
+    vars(a).update(tol=tol, members=members_of(member))
+    if slack is not None:
+        vars(a)["slack_at"] = lambda i, j: slack[i, j]
+    return a
+
+
 def random_member(rng, density=0.3):
     member = rng.random((N, M)) < density
     member[np.arange(N), rng.integers(0, M, N)] = True  # no empty row
@@ -113,11 +137,11 @@ def interval_pairs(rng):
 
 def test_interval_member_rows():
     member = interval_member(np.random.default_rng(0))
-    counts, first, last, intervals = _row_spans(member)
+    counts, first, last, intervals = planted(member).spans
     assert intervals
     assert (counts[:4] == (5, 4, 1, 0)).all() and (counts == 0).sum() > 1
     assert last[0] == first[1] == 9   # rows 0 and 1 share exactly column 9
-    assert not _row_spans(random_member(np.random.default_rng(0)))[3]
+    assert not planted(random_member(np.random.default_rng(0))).spans[3]
 
 
 def with_empty_rows(rng, member):
@@ -144,13 +168,9 @@ MEMBERS = {
 
 @pytest.mark.parametrize("kind", MEMBERS)
 @pytest.mark.parametrize("seed", range(3))
-def test_analysis_spans_match_the_row_loop(monkeypatch, kind, seed):
+def test_analysis_spans_match_the_row_loop(kind, seed):
     member = MEMBERS[kind](np.random.default_rng(seed))
-    gi, gj = make_uniform_grid(-1, 1, N), make_uniform_grid(-1, 1, M)
-    a = Analysis(GridFunction(gi, np.zeros(N)), tabulate_cost(CostSpec("bilinear"), gi, gj))
-    vars(a)["member"] = member
-    calls = []
-    monkeypatch.setattr(subdiff, "_row_spans", lambda m: calls.append(m) or _row_spans(m))
+    a = planted(member)
     counts, first, last, intervals = a.spans
     want = loop_row_spans(member)
     for got, expected in zip((counts, first, last), want[:3]):
@@ -161,7 +181,7 @@ def test_analysis_spans_match_the_row_loop(monkeypatch, kind, seed):
     assert (first[empty] == 0).all() and (last[empty] == M - 1).all()
     assert empty.any() == (kind in ("random_with_empty_rows", "intervals",
                                     "intervals_but_one_gap", "empty"))
-    assert a.spans is a.spans and len(calls) == 1   # cached
+    assert a.spans is a.spans   # cached
 
 
 @pytest.mark.parametrize("kind", MEMBERS)
@@ -169,7 +189,8 @@ def test_analysis_spans_match_the_row_loop(monkeypatch, kind, seed):
 def test_meeting_yields_the_meeting_pairs_in_order(budget, kind, seed):
     rng = np.random.default_rng(seed)
     member = MEMBERS[kind](rng)
-    spans = _row_spans(member)
+    an = planted(member)
+    spans = an.spans
     i1, i2 = interval_pairs(rng)
     want, blocks = [], set()
     step = max(1, propcheck.PAIR_BLOCK_CELLS // (8 if spans[3] else 8 + M))
@@ -178,8 +199,10 @@ def test_meeting_yields_the_meeting_pairs_in_order(budget, kind, seed):
         if shared.size:
             want.append((int(a), int(b), int(shared[0]), int(shared[-1])))
             blocks.add(k // step)
-    # interval rows are met from the spans alone: ``member`` is never read
-    yielded = list(propcheck._meeting(None if spans[3] else member, spans, i1, i2))
+    # interval rows are met from the spans alone: ``members`` is never read
+    if spans[3]:
+        vars(an)["members"] = None
+    yielded = list(propcheck._meeting(an, i1, i2))
     got = [tuple(map(int, pair)) for block in yielded for pair in zip(*block)]
     assert got == want
     # one block per pair block that holds a meeting pair, none for the rest
@@ -195,10 +218,10 @@ def test_subdiff_convexity_sweep_on_intervals(budget, seed, y_half_width, tol):
     member = interval_member(rng)
     grid_j = make_uniform_grid(-y_half_width, y_half_width, M)
     i1, i2 = interval_pairs(rng)
-    args = (member, _row_spans(member), grid_j, tol, i1, i2)
-    got = propcheck._subdiff_convexity_sweep(*args)
+    a = planted(member, tol=tol, grid_j=grid_j)
+    got = propcheck._subdiff_convexity_sweep(a, i1, i2)
     assert (got[0] > 0) == (tol == tol)   # pairs share more than two columns
-    assert got == loop_subdiff_convexity_sweep(*args)
+    assert got == loop_subdiff_convexity_sweep(member, a.spans, grid_j, tol, i1, i2)
 
 
 def test_subdiff_convexity_sweep_touching_intervals():
@@ -209,9 +232,9 @@ def test_subdiff_convexity_sweep_touching_intervals():
     grid_j = make_uniform_grid(-1, 1, M)
     tol = -(grid_j.h + 1.0)
     i1, i2 = np.array([2, 3, 0, 1]), np.array([0, 0, 1, 0])
-    args = (member, _row_spans(member), grid_j, tol, i1, i2)
-    got = propcheck._subdiff_convexity_sweep(*args)
-    assert got == loop_subdiff_convexity_sweep(*args)
+    a = planted(member, tol=tol, grid_j=grid_j)
+    got = propcheck._subdiff_convexity_sweep(a, i1, i2)
+    assert got == loop_subdiff_convexity_sweep(member, a.spans, grid_j, tol, i1, i2)
     assert got[1] == (0, 1) and got[0] == pytest.approx(1.0)
 
 
@@ -221,14 +244,14 @@ def test_domain_interval_sweep_on_intervals(budget, seed):
     member = interval_member(rng)
     dom_relaxed = rng.random(N) < 0.8
     i1, i2 = interval_pairs(rng)
-    spans = _row_spans(member)
-    got = propcheck._domain_interval_sweep(member, spans, dom_relaxed, i1, i2)
+    a = planted(member)
+    got = propcheck._domain_interval_sweep(a, dom_relaxed, i1, i2)
     assert got[0] > 0
-    assert got == loop_domain_interval_sweep(member, spans, dom_relaxed, i1, i2)
+    assert got == loop_domain_interval_sweep(member, a.spans, dom_relaxed, i1, i2)
     # only the touching pair meets: its one shared column counts
     pair = (np.array([3, 0, 2]), np.array([0, 1, 0]))
-    assert propcheck._domain_interval_sweep(member, spans, dom_relaxed, *pair) \
-        == loop_domain_interval_sweep(member, spans, dom_relaxed, *pair)
+    assert propcheck._domain_interval_sweep(a, dom_relaxed, *pair) \
+        == loop_domain_interval_sweep(member, a.spans, dom_relaxed, *pair)
 
 
 @pytest.mark.parametrize("tol", TOLS)
@@ -239,10 +262,10 @@ def test_subdiff_convexity_sweep_witness(budget, seed, y_half_width, tol):
     member = random_member(rng)
     grid_j = make_uniform_grid(-y_half_width, y_half_width, M)
     i1, i2 = random_pairs(rng)
-    args = (member, _row_spans(member), grid_j, tol, i1, i2)
-    got = propcheck._subdiff_convexity_sweep(*args)
+    a = planted(member, tol=tol, grid_j=grid_j)
+    got = propcheck._subdiff_convexity_sweep(a, i1, i2)
     assert got[0] > 0
-    assert got == loop_subdiff_convexity_sweep(*args)
+    assert got == loop_subdiff_convexity_sweep(member, a.spans, grid_j, tol, i1, i2)
 
 
 LAMBDA_SETS = ((0.5,), (0.25, 0.5, 0.75), propcheck.DEFAULT_LAMBDAS)
@@ -255,15 +278,15 @@ LAMBDA_SETS = ((0.5,), (0.25, 0.5, 0.75), propcheck.DEFAULT_LAMBDAS)
 def test_set_valued_sweep_witness(budget, seed, tol, lambdas, intervals):
     rng = np.random.default_rng(seed)
     member = interval_member(rng, min_len=1) if intervals else random_member(rng)
-    spans = _row_spans(member)
-    assert spans[3] == intervals
     slack = rng.normal(size=(N, M))
     gi, gj = make_uniform_grid(0, N - 1, N), make_uniform_grid(-3, M - 4, M)
+    a = planted(member, slack, tol, gi, gj)
+    assert a.spans[3] == intervals
     i1, i2 = random_pairs(rng)
-    args = (slack, member, spans, gi, gj, lambdas, tol, (0.5, 0.25, 0.125))
     fast_rng, loop_rng = np.random.default_rng(seed + 10), np.random.default_rng(seed + 10)
-    got = propcheck._set_valued_sweep(*args, fast_rng, i1, i2)
-    assert got == loop_set_valued_sweep(*args, loop_rng, i1, i2)
+    got = propcheck._set_valued_sweep(a, lambdas, (0.5, 0.25, 0.125), fast_rng, i1, i2)
+    assert got == loop_set_valued_sweep(slack, member, a.spans, gi, gj, lambdas, tol,
+                                        (0.5, 0.25, 0.125), loop_rng, i1, i2)
     assert (got[0] > 0) == (tol == tol)
     assert fast_rng.random() == loop_rng.random()  # same draws consumed
 
@@ -277,10 +300,11 @@ def test_intersection_sweep_witness(budget, seed, tol, lambdas, intervals):
     member = interval_member(rng) if intervals else random_member(rng)
     slack = rng.normal(size=(N, M))
     i1, i2 = interval_pairs(rng) if intervals else random_pairs(rng)
-    args = (slack, member, _row_spans(member), make_uniform_grid(0, N - 1, N), lambdas, tol,
-            (0.5, 0.25, 0.125), i1, i2)
-    got = propcheck._intersection_sweep(*args)
-    assert got == loop_intersection_sweep(*args)
+    gi = make_uniform_grid(0, N - 1, N)
+    a = planted(member, slack, tol, gi)
+    got = propcheck._intersection_sweep(a, lambdas, (0.5, 0.25, 0.125), i1, i2)
+    assert got == loop_intersection_sweep(slack, member, a.spans, gi, lambdas, tol,
+                                          (0.5, 0.25, 0.125), i1, i2)
     assert got[2] and (got[0] > 0) == (tol == tol)
 
 
@@ -290,10 +314,10 @@ def test_domain_interval_sweep_witness(budget, seed):
     member = random_member(rng)
     dom_relaxed = rng.random(N) < 0.8
     i1, i2 = random_pairs(rng)
-    args = (member, _row_spans(member), dom_relaxed, i1, i2)
-    got = propcheck._domain_interval_sweep(*args)
+    a = planted(member)
+    got = propcheck._domain_interval_sweep(a, dom_relaxed, i1, i2)
     assert got[0] > 0
-    assert got == loop_domain_interval_sweep(*args)
+    assert got == loop_domain_interval_sweep(member, a.spans, dom_relaxed, i1, i2)
 
 
 def test_sweeps_without_common_members():
@@ -301,14 +325,14 @@ def test_sweeps_without_common_members():
     member[::2, 0] = True
     member[1::2, 1] = True
     i1, i2 = np.array([0, 1, 2]), np.array([1, 2, 3])
-    slack, spans = np.zeros((N, M)), _row_spans(member)
-    args = (slack, member, spans, make_uniform_grid(-1, 1, N), (0.5,), 1e-9, (1.0, 1.0, 1.0),
-            i1, i2)
-    assert propcheck._intersection_sweep(*args) == loop_intersection_sweep(*args) \
-        == (-np.inf, None, False)
-    args = (member, spans, np.ones(N, dtype=bool), i1, i2)
-    assert propcheck._domain_interval_sweep(*args) == loop_domain_interval_sweep(*args) \
-        == (-np.inf, None, False)
+    slack = np.zeros((N, M))
+    a = planted(member, slack)
+    assert propcheck._intersection_sweep(a, (0.5,), (1.0, 1.0, 1.0), i1, i2) \
+        == loop_intersection_sweep(slack, member, a.spans, a.f.grid, (0.5,), 1e-9,
+                                   (1.0, 1.0, 1.0), i1, i2) == (-np.inf, None, False)
+    dom = np.ones(N, dtype=bool)
+    assert propcheck._domain_interval_sweep(a, dom, i1, i2) \
+        == loop_domain_interval_sweep(member, a.spans, dom, i1, i2) == (-np.inf, None, False)
 
 
 @pytest.mark.parametrize("intervals", [False, True])
@@ -327,12 +351,11 @@ def test_mid_budget_takes_several_blocks_on_every_path(monkeypatch, intervals):
     slack = rng.normal(size=(N, M))
     gi, gj = make_uniform_grid(0, N - 1, N), make_uniform_grid(-3, M - 4, M)
     i1, i2 = random_pairs(rng)
-    lambdas, lipschitz, spans = (0.25, 0.5, 0.75), (0.5, 0.25, 0.125), _row_spans(member)
-    propcheck._subdiff_convexity_sweep(member, spans, gj, 1e-9, i1, i2)
-    propcheck._domain_interval_sweep(member, spans, np.ones(N, dtype=bool), i1, i2)
-    propcheck._set_valued_sweep(slack, member, spans, gi, gj, lambdas, 1e-9, lipschitz, rng,
-                                i1, i2)
-    propcheck._intersection_sweep(slack, member, spans, gi, lambdas, 1e-9, lipschitz, i1, i2)
+    lambdas, lipschitz, a = (0.25, 0.5, 0.75), (0.5, 0.25, 0.125), planted(member, slack, 1e-9, gi, gj)
+    propcheck._subdiff_convexity_sweep(a, i1, i2)
+    propcheck._domain_interval_sweep(a, np.ones(N, dtype=bool), i1, i2)
+    propcheck._set_valued_sweep(a, lambdas, lipschitz, rng, i1, i2)
+    propcheck._intersection_sweep(a, lambdas, lipschitz, i1, i2)
     # three footprints: ``_meeting``'s walk over the rows (subdiff, domain
     # and intersection), 8 cells a pair on interval rows and 8 + M on others,
     # the set-valued draws and the slack-row gather; each takes several
@@ -362,19 +385,18 @@ def test_sweep_memory_is_bounded_by_the_budget(sweep, intervals):
         member = (cols >= first[:, None]) & (cols < (first + length)[:, None])
     else:
         member = rng.random((n, m)) < 0.3
-    spans = _row_spans(member)
-    assert spans[3] == intervals
     slack = rng.normal(size=(n, m))
     grid = make_uniform_grid(-1, 1, n)
+    an = planted(member, slack, 1e-9, grid, grid)
+    assert an.spans[3] == intervals   # members and spans cached before the measurement
     a, b = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
     i1, i2 = a.ravel()[a.ravel() != b.ravel()], b.ravel()[a.ravel() != b.ravel()]
     lambdas, lipschitz = propcheck.DEFAULT_LAMBDAS, (0.5, 0.25, 0.125)
     args = {
-        "_subdiff_convexity_sweep": (member, spans, grid, 1e-9, i1, i2),
-        "_set_valued_sweep": (slack, member, spans, grid, grid, lambdas, 1e-9, lipschitz,
-                              np.random.default_rng(1), i1, i2),
-        "_intersection_sweep": (slack, member, spans, grid, lambdas, 1e-9, lipschitz, i1, i2),
-        "_domain_interval_sweep": (member, spans, np.ones(n, dtype=bool), i1, i2),
+        "_subdiff_convexity_sweep": (an, i1, i2),
+        "_set_valued_sweep": (an, lambdas, lipschitz, np.random.default_rng(1), i1, i2),
+        "_intersection_sweep": (an, lambdas, lipschitz, i1, i2),
+        "_domain_interval_sweep": (an, np.ones(n, dtype=bool), i1, i2),
     }[sweep]
     tracemalloc.start()
     try:

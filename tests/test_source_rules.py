@@ -9,7 +9,11 @@ in-process without that cap; no module of the package makes one.
 
 Each output format has one writer, so a file's bytes have one source:
 every CSV goes through ``grids.write_csv``, every JSON file through
-``cli._dump_json``, and no other function opens a file for writing."""
+``cli._dump_json``, and no other function opens a file for writing.
+
+``Analysis`` caches one membership product, ``members``: its cached
+properties are a fixed list, so no second n x m slack or member matrix
+comes back beside it."""
 
 import ast
 import os
@@ -202,3 +206,39 @@ def test_reads_and_texts_pass():
 def test_a_write_names_its_function():
     source = "class A:\n    def f(self):\n        open(p, 'w')\n"
     assert file_writes(ast.parse(source)) == [("A.f", 3, "an open for writing")]
+
+
+# the parts an ``Analysis`` caches: one membership product, ``members``, and
+# what derives from it, besides the instance's cost, transforms and verdict
+ANALYSIS_CACHES = {"twist", "table", "fc", "fcc", "members", "spans", "c_convex", "triples"}
+
+
+def cached_properties(tree: ast.AST, cls: str) -> set[str]:
+    """Names of the methods of class ``cls`` in ``tree`` decorated with
+    ``cached_property`` or ``functools.cached_property``."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and node.name == cls:
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                        (d.id if isinstance(d, ast.Name) else getattr(d, "attr", None))
+                        == "cached_property" for d in item.decorator_list):
+                    found.add(item.name)
+    return found
+
+
+def test_analysis_caches_one_membership_product():
+    found = cached_properties(ast.parse((SRC / "subdiff.py").read_text()), "Analysis")
+    assert found == ANALYSIS_CACHES, (
+        f"Analysis caches {sorted(found - ANALYSIS_CACHES)} beyond its list, or lost "
+        f"{sorted(ANALYSIS_CACHES - found)}.  Membership is cached once, as "
+        "Analysis.members, and slack is read through Analysis.slack_at: an n x m slack "
+        "or member matrix cached beside them holds what the band search never builds.")
+
+
+def test_each_cached_property_is_found():
+    source = ("import functools\nclass Analysis:\n    @cached_property\n    def slack(self): pass\n"
+              "    @functools.cached_property\n    def member(self): pass\n"
+              "    @property\n    def plain(self): pass\n    def slack_at(self, i, j): pass\n"
+              "class Other:\n    @cached_property\n    def other(self): pass\n")
+    assert cached_properties(ast.parse(source), "Analysis") == {"slack", "member"}

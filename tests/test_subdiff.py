@@ -243,7 +243,7 @@ class TestEnvelopeReconstruct:
         sel = np.full(21, -1, dtype=np.int64)
         sel[3] = 4
         sel[t] = entry
-        monkeypatch.setattr(subdiff, "membership_slack", None)  # any call would fail
+        monkeypatch.setattr(subdiff.Analysis, "slack_at", None)  # any slack read would fail
         with pytest.raises(ValueError, match=rf"^selection\[{t}\]={entry} is outside \[-1, 9\)$"):
             envelope_reconstruct(f, cost, sel)
 
@@ -252,7 +252,7 @@ class TestEnvelopeReconstruct:
         # 10.7 used to be cast to 10, and NaN to -2**63 with a RuntimeWarning
         g, cost = bilinear_on(21)
         f = GridFunction(g, np.abs(g.points))
-        monkeypatch.setattr(subdiff, "membership_slack", None)  # any call would fail
+        monkeypatch.setattr(subdiff.Analysis, "slack_at", None)  # any slack read would fail
         for sel in (np.full(21, -1.0), [-1] * 21):
             sel[10] = entry
             with pytest.raises(ValueError, match=r"^selection must be an integer array, "
