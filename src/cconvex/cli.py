@@ -29,9 +29,6 @@ from .jensen import discrete_jensen_gap, integral_jensen_bound, midpoint_bound, 
 from .subdiff import Analysis
 from .transform import c_convexity
 
-FUNCTION_CATALOG = ("parabola", "half_parabola", "absolute_value", "neg_parabola",
-                    "neg_absolute_value", "constant", "zero", "piecewise_linear")
-
 
 def _parse_interval(text: str) -> tuple[float, float]:
     try:
@@ -39,6 +36,34 @@ def _parse_interval(text: str) -> tuple[float, float]:
     except ValueError:
         raise SystemExit(f"error: expected interval as 'a,b', got {text!r}")
     return lo, hi
+
+
+def _constant(x: np.ndarray, params: str) -> np.ndarray:
+    try:
+        return np.full(x.size, float(params) if params else 0.0)
+    except ValueError:
+        raise SystemExit(f"error: constant needs a number as its param, got {params!r}")
+
+
+def _piecewise_linear(x: np.ndarray, params: str) -> np.ndarray:
+    try:
+        pts = [tuple(float(v) for v in pair.split(",")) for pair in params.split(";")]
+        xs, ys = zip(*pts)
+    except ValueError:
+        raise SystemExit("error: piecewise_linear needs params 'x0,y0;x1,y1;...'")
+    for k in range(1, len(xs)):
+        if not xs[k] >= xs[k - 1]:  # np.interp needs knots in ascending x
+            raise SystemExit(f"error: piecewise_linear knots need ascending x, "
+                             f"got x{k}={xs[k]} after x{k - 1}={xs[k - 1]}")
+    return np.interp(x, xs, ys)
+
+
+# Each catalog function's values at the grid points x, given its ':params' text.
+_FUNCTIONS = {"parabola": lambda x, p: x**2, "half_parabola": lambda x, p: 0.5 * x**2,
+              "absolute_value": lambda x, p: np.abs(x), "neg_parabola": lambda x, p: -(x**2),
+              "neg_absolute_value": lambda x, p: -np.abs(x), "constant": _constant,
+              "zero": lambda x, p: np.zeros(x.size), "piecewise_linear": _piecewise_linear}
+FUNCTION_CATALOG = tuple(_FUNCTIONS)
 
 
 def parse_function(text: str, grid) -> GridFunction:
@@ -49,38 +74,9 @@ def parse_function(text: str, grid) -> GridFunction:
             raise SystemExit("error: CSV function grid does not match --interval-i/--n")
         return f
     name, _, params = text.partition(":")
-    x = grid.points
-    if name == "parabola":
-        vals = x**2
-    elif name == "half_parabola":
-        vals = 0.5 * x**2
-    elif name == "absolute_value":
-        vals = np.abs(x)
-    elif name == "neg_parabola":
-        vals = -(x**2)
-    elif name == "neg_absolute_value":
-        vals = -np.abs(x)
-    elif name == "constant":
-        try:
-            vals = np.full(grid.n, float(params) if params else 0.0)
-        except ValueError:
-            raise SystemExit(f"error: constant needs a number as its param, got {params!r}")
-    elif name == "zero":
-        vals = np.zeros(grid.n)
-    elif name == "piecewise_linear":
-        try:
-            pts = [tuple(float(v) for v in pair.split(",")) for pair in params.split(";")]
-            xs, ys = zip(*pts)
-        except ValueError:
-            raise SystemExit("error: piecewise_linear needs params 'x0,y0;x1,y1;...'")
-        for k in range(1, len(xs)):
-            if not xs[k] >= xs[k - 1]:  # np.interp needs knots in ascending x
-                raise SystemExit(f"error: piecewise_linear knots need ascending x, "
-                                 f"got x{k}={xs[k]} after x{k - 1}={xs[k - 1]}")
-        vals = np.interp(x, xs, ys)
-    else:
+    if name not in _FUNCTIONS:
         raise SystemExit(f"error: unknown function {name!r}; catalog: {FUNCTION_CATALOG}")
-    return GridFunction(grid, vals)
+    return GridFunction(grid, _FUNCTIONS[name](grid.points, params))
 
 
 def _config_hash(payload: dict) -> str:

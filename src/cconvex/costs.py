@@ -125,8 +125,9 @@ def _poly(y: np.ndarray, coeffs: tuple):
 
 def evaluate_cost(spec: CostSpec, x, y):
     """Evaluate c(x, y); broadcasts over array arguments (a Python float for
-    two scalars).  An analytic family makes one array at its first step and
-    finishes it in place in its formula's operation order, with its bits."""
+    two scalars), an array that nothing else holds.  An analytic family makes
+    one array at its first step and finishes it in place in its formula's
+    operation order, with its bits; a translation copies h's result."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     fam = spec.family
@@ -152,7 +153,7 @@ def evaluate_cost(spec: CostSpec, x, y):
         np.log1p(out, out=out)
         np.negative(out, out=out)
     else:  # translation, the last family CostSpec admits
-        out = np.asarray(spec.h(x - y), dtype=float)
+        out = np.array(spec.h(x - y), dtype=float)
     return float(out) if out.ndim == 0 else out
 
 
@@ -261,8 +262,7 @@ class CostMatrix:
 
     The entries are a read-only copy of the array given, which its caller
     may change later; the tabulating functions pass ``_fresh=True`` to hand
-    over, uncopied, a float array they just built and nothing else holds
-    (not a translation's: h may return an array it keeps).
+    over, uncopied, a float array they just built and nothing else holds.
     """
 
     grid_i: Grid
@@ -303,7 +303,7 @@ def tabulate_cost(spec: CostSpec, grid_i: Grid, grid_j: Grid) -> CostMatrix:
     _check_dense_cells(grid_i, grid_j)
     with np.errstate(over="ignore", invalid="ignore"):  # CostMatrix rejects what overflows
         entries = evaluate_cost(spec, grid_i.points[:, None], grid_j.points[None, :])
-    return CostMatrix(grid_i, grid_j, entries, _fresh=spec.family != "translation")
+    return CostMatrix(grid_i, grid_j, entries, _fresh=True)
 
 
 def tabulate_callable(fn: Callable, grid_i: Grid, grid_j: Grid) -> CostMatrix:

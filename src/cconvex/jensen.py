@@ -15,7 +15,7 @@ failure mode of the bound stays observable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -53,16 +53,7 @@ class JensenReport:
     notes: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "y_witness": self.y_witness,
-            "holds": bool(self.holds),
-            "slack": self.slack,
-            "hypothesis_verified": bool(self.hypothesis_verified),
-            "tol": self.tol,
-            "notes": self.notes,
-        }
+        return asdict(self)
 
 
 def _f_value(f: GridFunction, xs: np.ndarray, tol: float) -> tuple[np.ndarray, float]:
@@ -74,8 +65,8 @@ def _f_value(f: GridFunction, xs: np.ndarray, tol: float) -> tuple[np.ndarray, f
 
 
 # Cells of the grid x witness gap table evaluated at once: a searched witness
-# holds one block of this many floats, its gap table built in place (two for a
-# translation cost, whose h's array is never written into), never the whole table.
+# holds one block of this many floats, its gap table built in place, never the
+# whole table.
 WITNESS_BLOCK_CELLS = 2**16
 
 
@@ -92,8 +83,8 @@ def _witness_slack(f: GridFunction, cost: CostSpec, anchor: float, fb: float,
     x, step = f.grid.points, max(1, WITNESS_BLOCK_CELLS // ys.size)
     slack = np.inf
     for lo in range(0, x.size, step):
-        cols = evaluate_cost(cost, x[lo:lo + step, None], ys[None, :])
-        gaps = np.subtract(cols, anchor_row, out=None if cost.family == "translation" else cols)
+        gaps = evaluate_cost(cost, x[lo:lo + step, None], ys[None, :])
+        gaps -= anchor_row
         np.subtract(f.values[lo:lo + step, None] - fb, gaps, out=gaps)
         slack = np.minimum(slack, gaps.min(axis=0))
     return slack
@@ -144,7 +135,7 @@ def discrete_jensen_gap(f: GridFunction, cost: CostSpec, mu: DiscreteMeasure,
     lhs, rhs = _ordered_sum(terms, axis=1) - vals[:, -1]
     slack = lhs - rhs
     return JensenReport(lhs=float(lhs), rhs=float(rhs), y_witness=y,
-                        holds=slack >= -eff_tol, slack=float(slack),
+                        holds=bool(slack >= -eff_tol), slack=float(slack),
                         hypothesis_verified=hyp_ok, tol=eff_tol, notes="; ".join(notes))
 
 
@@ -218,7 +209,7 @@ def integral_jensen_bound(f: GridFunction, cost: CostSpec, xi: Optional[float] =
     eff_tol = _quadrature_tol(f, c_col, tol)
     slack = lhs - rhs
     return JensenReport(lhs=float(lhs), rhs=float(rhs), y_witness=y,
-                        holds=slack >= -eff_tol, slack=float(slack),
+                        holds=bool(slack >= -eff_tol), slack=float(slack),
                         hypothesis_verified=hyp_ok, tol=eff_tol, notes="; ".join(notes))
 
 

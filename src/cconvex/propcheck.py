@@ -48,7 +48,7 @@ import numpy as np
 from .costs import (CostMatrix, CostSpec, check_structure, cost_dx, evaluate_cost,
                     parse_cost_spec, tabulate_callable, tabulate_cost)
 from .grids import Grid, GridFunction, _ordered_sum, check_index, check_tol, make_uniform_grid
-from .subdiff import Analysis, LocalWindow, local_double_conjugate, membership_slack
+from .subdiff import Analysis, LocalWindow, local_double_conjugate
 from .transform import double_c_transform
 from .verdicts import Verdict
 
@@ -201,13 +201,21 @@ def _pair_blocks(i1: np.ndarray, i2: np.ndarray,
     return ((i1[s:s + step], i2[s:s + step]) for s in range(0, i1.size, step))
 
 
-def _meeting(a: Analysis, i1: np.ndarray, i2: np.ndarray) -> Iterator[tuple[np.ndarray, ...]]:
+def _meeting(a: Analysis, i1: np.ndarray, i2: np.ndarray,
+             pair_cells: int) -> Iterator[tuple[np.ndarray, ...]]:
     """The pairs (i1[k], i2[k]) whose member rows of ``a`` meet, in order, with
-    their first and last shared column, yielded per ``_pair_blocks`` block that
-    holds any.  Interval rows (per ``a.spans``) meet from the larger first to
-    the smaller last, 8 cells a pair; others are intersected, 8 + m cells."""
+    their first and last shared column.  Interval rows (per ``a.spans``) meet
+    from the larger first to the smaller last, 8 cells a pair; others are
+    intersected, 8 + m cells.  The pairs come in blocks of
+    PAIR_BLOCK_CELLS // max(``pair_cells``, those cells) pairs, all full but
+    the last, so a block stays within the budget of the caller, whose pairs
+    hold ``pair_cells`` cells each, and of the path that found them.  Between
+    blocks only the meeting pairs' positions are held, 1 cell a pair: a
+    block's shared columns are found again when it is yielded."""
     counts, first, last, intervals = a.spans
-    for x1, x2 in _pair_blocks(i1, i2, 8 if intervals else 8 + a.grid_j.n):
+    path_cells = 8 if intervals else 8 + a.grid_j.n
+
+    def shared(x1, x2):   # whether each pair's rows meet, and the first and last shared column
         if intervals:
             lo, hi = first[x1], last[x1]
             np.maximum(lo, first[x2], out=lo)
@@ -215,28 +223,17 @@ def _meeting(a: Analysis, i1: np.ndarray, i2: np.ndarray) -> Iterator[tuple[np.n
             meet = lo <= hi
             meet &= counts[x1] > 0
             meet &= counts[x2] > 0
-        else:
-            both = a.member_rows(x1) & a.member_rows(x2)
-            meet, lo = both.any(axis=1), both.argmax(axis=1)
-            hi = a.grid_j.n - 1 - both[:, ::-1].argmax(axis=1)
-            del both
-        if meet.any():
-            # drop the block's full-size arrays before the caller builds its own
-            x1, x2, lo, hi = x1[meet], x2[meet], lo[meet], hi[meet]
-            del meet
-            yield x1, x2, lo, hi
+            return meet, lo, hi
+        both = a.member_rows(x1) & a.member_rows(x2)
+        return both.any(axis=1), both.argmax(axis=1), a.grid_j.n - 1 - both[:, ::-1].argmax(axis=1)
 
-
-def _regrouped(blocks: Iterator, pair_cells: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The pairs (x1, x2) that ``blocks`` yield, in order, in ``_pair_blocks``
-    blocks of their own: as few as the pairs fill, however they spread."""
-    step, x1, x2 = max(1, PAIR_BLOCK_CELLS // pair_cells), np.empty(0, int), np.empty(0, int)
-    for b1, b2, *_ in blocks:
-        x1, x2 = np.concatenate((x1, b1)), np.concatenate((x2, b2))
-        full = x1.size - x1.size % step
-        yield from _pair_blocks(x1[:full], x2[:full], pair_cells)
-        x1, x2 = x1[full:], x2[full:]
-    yield from _pair_blocks(x1, x2, pair_cells)
+    step, held, done = max(1, PAIR_BLOCK_CELLS // max(pair_cells, path_cells)), np.empty(0, int), 0
+    for x1, x2 in _pair_blocks(i1, i2, path_cells):
+        held = np.concatenate((held, np.flatnonzero(shared(x1, x2)[0]) + done))
+        done += x1.size
+        while held.size >= step or (done == i1.size and held.size):
+            x1, x2, held = i1[held[:step]], i2[held[:step]], held[step:]
+            yield x1, x2, *shared(x1, x2)[1:]
 
 
 def _fold(worst: float, witness: Optional[tuple], excess: np.ndarray,
@@ -331,12 +328,11 @@ def _check_lambdas(lambdas: Sequence[float]):
             raise ValueError(f"lambdas[{k}] must be a finite number in [0, 1], got {lam!r}")
 
 
-def _shared_cost(a: Analysis, b: Analysis) -> CostMatrix:
-    """The cost table of two analyses, rejected unless they share cost, grids and tol."""
+def _shared_cost(a: Analysis, b: Analysis):
+    """Reject two analyses unless they share cost, grids and tol."""
     if a.cost is not b.cost or a.tol != b.tol or (a.f.grid, a.grid_j) != (b.f.grid, b.grid_j):
         raise ValueError("the two analyses must have the same cost object and the same tol, "
                          "on the same I and J grids")
-    return a.table
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +344,8 @@ def check_mixture(a: Analysis, b: Analysis,
     y in the sets of f = a.f and g = b.f at x is in that of (1-l)f + l g."""
     check_id = "mixture"
     _check_lambdas(lambdas)
-    cost, tol, f, g = _shared_cost(a, b), a.tol, a.f, b.f
+    _shared_cost(a, b)
+    cost, tol, f, g = a.table, a.tol, a.f, b.f
     marked = np.zeros((f.grid.n, a.grid_j.n), dtype=bool)   # common: b's members a's mark
     marked[np.repeat(np.arange(f.grid.n), a.members[0]), a.members[1]] = True
     rows, cols = np.repeat(np.arange(f.grid.n), b.members[0]), b.members[1]
@@ -361,7 +358,7 @@ def check_mixture(a: Analysis, b: Analysis,
     for lam in lambdas:
         mix = GridFunction(f.grid, _scaled(1.0 - lam, f.values) + _scaled(lam, g.values))
         # exact arithmetic gives slack_mix >= (1-l) slack_f + l slack_g >= -tol
-        excess = membership_slack(mix, cost)[rows, cols]
+        excess = Analysis(mix, cost, tol).slack_at(rows, cols)
         np.negative(excess, out=excess)
         excess -= tol + margin
         val = float(excess.max())
@@ -381,23 +378,28 @@ def check_order_propagation(a: Analysis, b: Analysis) -> Verdict:
     must then hold outright.  v qualifies iff f's member row v meets the
     columns of g's member rows at the qualifying u; f(v) - g(v) does not
     depend on u, and the witness is the first qualifying (u, v), in
-    row-major order, at the maximum.  No (u, v) table is built.
+    row-major order, at the maximum.  No (u, v) table and no member matrix is
+    built: rows and columns of members meet through n- and m-length masks.
     """
     check_id = "order_propagation"
-    _, tol, f, g = _shared_cost(a, b), a.tol, a.f, b.f
+    _shared_cost(a, b)
+    tol, f, g, n, m = a.tol, a.f, b.f, a.f.grid.n, a.grid_j.n
     with np.errstate(invalid="ignore"):   # +inf - +inf is NaN: not a gap
         u_mask = g.values - f.values > 4.0 * tol
     if not u_mask.any():
         return _vacuous(check_id)
-    fm, gm = a.member_rows(), b.member_rows()
-    v_mask = fm.any(axis=1, where=gm.any(axis=0, where=u_mask[:, None]))
+    (nf, cf), (ng, cg) = a.members, b.members   # each row's count, then the member columns
+    rf, rg = np.repeat(np.arange(n), nf), np.repeat(np.arange(n), ng)   # and their rows
+    gcols = np.bincount(cg, u_mask[rg], m) > 0   # g's member columns at a qualifying u
+    v_mask = np.bincount(rf, gcols[cf], n) > 0
     if not v_mask.any():
         return _vacuous(check_id)
-    excess = np.subtract(f.values, g.values, out=np.full(v_mask.size, -np.inf), where=v_mask)
+    excess = np.subtract(f.values, g.values, out=np.full(n, -np.inf), where=v_mask)
     top = excess == excess.max()
-    cols = fm.any(axis=0, where=top[:, None])
-    u = int(np.argmax(u_mask & gm.any(axis=1, where=cols)))
-    v = int(np.argmax(top & fm.any(axis=1, where=gm[u])))
+    fcols = np.bincount(cf, top[rf], m) > 0   # f's member columns at the maximum
+    u = int(np.argmax(u_mask & (np.bincount(rg, fcols[cg], n) > 0)))
+    gcols = np.bincount(cg, rg == u, m) > 0
+    v = int(np.argmax(top & (np.bincount(rf, gcols[cf], n) > 0)))
     return Verdict(check_id, float(excess.max()), (u, v), notes=f"u-gap=4*tol; tol={tol}")
 
 
@@ -410,7 +412,7 @@ def _subdiff_convexity_sweep(a: Analysis, i1: np.ndarray,
     worst, witness = _fold(-np.inf, None, gaps,
                            lambda i: (i, int(first[i]), int(last[i])))
     yv = a.grid_j.points
-    for x1, x2, lo, hi in _meeting(a, i1, i2):
+    for x1, x2, lo, hi in _meeting(a, i1, i2, 8):
         excess = yv[hi]
         excess -= yv[lo]
         excess -= a.grid_j.h + a.tol
@@ -506,8 +508,8 @@ def _intersection_sweep(a: Analysis, lambdas: Sequence[float],
     lf, lcx, _ = lipschitz
     xv, lams = a.f.grid.points, np.asarray(lambdas, dtype=float)
     worst, witness, any_intersection = -np.inf, None, False
-    # the meeting pairs, in sub-blocks of their own, read slack at common members only
-    for x1, x2 in _regrouped(_meeting(a, i1s, i2s), 2 * a.grid_j.n + 8 * lams.size):
+    # the meeting pairs, in blocks of their own, read slack at common members only
+    for x1, x2, _, _ in _meeting(a, i1s, i2s, 2 * a.grid_j.n + 8 * lams.size):
         any_intersection = True
         pairs, cols = np.nonzero(a.member_rows(x1) & a.member_rows(x2))
         firsts = np.searchsorted(pairs, np.arange(x1.size))   # every pair has one
@@ -551,7 +553,7 @@ def _domain_interval_sweep(a: Analysis, dom_relaxed: np.ndarray, i1s: np.ndarray
     # float counts, exact below 2**53, so a block's differences need no cast
     missing_below = np.concatenate(([0.0], np.cumsum(~dom_relaxed)))
     worst, witness, any_intersection = -np.inf, None, False
-    for x1, x2, _, _ in _meeting(a, i1s, i2s):
+    for x1, x2, _, _ in _meeting(a, i1s, i2s, 8):
         any_intersection = True
         lo, hi = np.minimum(x1, x2), np.maximum(x1, x2)
         excess = missing_below[hi + 1]

@@ -24,7 +24,7 @@ import numpy as np
 
 from .costs import CostMatrix, CostSpec, evaluate_cost, tabulate_cost, twist_bound
 from .grids import Grid, GridFunction, check_index, check_tol
-from .transform import (TransformResult, _back_transform, _check_input, _engine_c_transform,
+from .transform import (TransformResult, _back_transform, _check_input, _monotone_argmax,
                         c_convexity, c_transform)
 
 __all__ = [
@@ -121,9 +121,9 @@ class Analysis:
     """One (f, cost) instance at one validated membership ``tol``, each of whose
     parts is built once, on first use.  ``cost`` is a ``CostMatrix`` or a
     ``CostSpec`` on f's grid and ``grid_j``.  A spec with a ``twist_bound`` on
-    the grids takes ``fc``, ``fcc`` and, for a finite f, ``members`` from the
-    engine, without an n x m array; all else reads ``table``.  ``members`` is
-    the one membership product, and ``slack_at`` the one reader of slack.
+    the grids takes ``fc``, ``fcc`` and ``members`` from the engine, without an
+    n x m array; all else reads ``table``.  ``members`` is the one membership
+    product, and ``slack_at`` the one reader of slack.
     """
 
     f: GridFunction
@@ -136,6 +136,7 @@ class Analysis:
         if isinstance(self.cost, CostMatrix):
             if self.grid_j not in (None, self.cost.grid_j):
                 raise ValueError("grid_j must be omitted or the cost matrix's own J grid")
+            _check_input(self.f, self.cost)
             # a matrix is its own table and goes to no engine
             vars(self).update(grid_j=self.cost.grid_j, table=self.cost, twist=None)
         elif self.grid_j is None:
@@ -152,24 +153,39 @@ class Analysis:
     def table(self) -> CostMatrix:
         return tabulate_cost(self.cost, self.f.grid, self.grid_j)
 
+    def _c_minus(self, i, j, v: np.ndarray, at) -> np.ndarray:
+        """c(x_i, y_j) - v[at] at index pairs that broadcast, c from ``table``, or from
+        ``evaluate_cost`` if certified; v is gathered once c is evaluated."""
+        s = self.table.entries[i, j] if self.twist is None else \
+            evaluate_cost(self.cost, self.f.grid.points[i], self.grid_j.points[j])
+        s -= v[at]
+        return s
+
     @cached_property
     def fc(self) -> TransformResult:
+        """Certified: ``_monotone_argmax`` on c - f through ``_c_minus`` (``fcc``: on c - f^c),
+        strictly Monge under the ``twist_bound``, so values and argmax are the dense path's,
+        but a maximum that is a zero of both signs takes the first maximiser's sign, where
+        the dense reduction may return the other."""
         if self.twist is None:
             return c_transform(self.f, self.table)
-        return _engine_c_transform(self.cost, self.f, self.grid_j)
+        values, argmax = _monotone_argmax(lambda j, i: self._c_minus(i, j, self.f.values, i),
+                                          self.grid_j.n, self.f.grid.n)
+        return TransformResult(GridFunction(self.grid_j, values), argmax)
 
     @cached_property
     def fcc(self) -> TransformResult:
         if self.twist is None:
             return _back_transform(self.fc.values, self.table)
-        return _engine_c_transform(self.cost, self.fc.values, self.f.grid, swap=True)
+        g = self.fc.values.values
+        values, argmax = _monotone_argmax(lambda i, j: self._c_minus(i, j, g, j),
+                                          self.f.grid.n, self.grid_j.n)
+        return TransformResult(GridFunction(self.f.grid, values), argmax)
 
     def slack_at(self, i, j) -> np.ndarray:
         """(c(x_i, y_j) - f_i) - f^c(y_j), ``membership_slack``'s arithmetic, at
-        index pairs that broadcast; c from ``table``, or ``evaluate_cost`` if certified."""
-        s = self.table.entries[i, j] if self.twist is None else \
-            evaluate_cost(self.cost, self.f.grid.points[i], self.grid_j.points[j])
-        s -= self.f.values[i]
+        index pairs that broadcast, c - f read through ``_c_minus`` as ``fc`` reads it."""
+        s = self._c_minus(i, j, self.f.values, i)
         s -= self.fc.values.values[j]
         return s
 
@@ -177,9 +193,9 @@ class Analysis:
     def members(self) -> tuple[np.ndarray, np.ndarray]:
         """(counts, cols): each row's member count, and the member columns of the
         rows in turn, ascending; y_j is a member at x_i iff ``slack_at(i, j) >=
-        -tol``.  A table's come from one ``membership_slack`` pass, thresholded.  A spec
-        with a ``twist_bound`` and a finite f evaluates ``slack_at`` only on a
-        band of columns per row that binary searches find, batched over the rows:
+        -tol``.  A table's come from one ``membership_slack`` pass, thresholded.  A
+        spec with a ``twist_bound`` evaluates ``slack_at`` only on a band of columns
+        per row that binary searches find, batched over the rows:
         O((n + m) log m) cost evaluations in O(n + m) memory plus the band.
 
         Each row's exact members form one interval.  Write D(i, j) = c(x_i, y_j) - f_i
@@ -205,10 +221,12 @@ class Analysis:
         [p_i, m).  Rounding is monotone, so on each side the test fl(X) >=
         -tol changes its outcome at most once, and a search on each side with
         the plain threshold -tol finds exactly the members, whatever columns
-        it probes: it may gallop out from the run before it bisects.
+        it probes: it may gallop out from the run before it bisects.  An f that
+        is +inf somewhere is no exception: such a row has slack -inf at every column
+        and is no first maximiser, and the bound certifies the finite rows' submatrix.
 
-        The run's columns need no probe: there k_j = i, and the engine's
-        f^c_j is D~(i, j) in the slack's own arithmetic, so the computed slack
+        The run's columns need no probe: there k_j = i, and ``fc``'s f^c_j is
+        D~(i, j), read through ``_c_minus`` as the slack reads it, so the computed slack
         is D~(i, j) - D~(i, j) = +0.0 exactly, a member at every tol >= 0.  So
         the left search starts at p_i - 1, the column before the run, with
         p_i standing for a passing column, and the right search starts at
@@ -218,7 +236,7 @@ class Analysis:
         ``BAND_BLOCK`` at a time: past the searches, the memory is theirs.
         """
         f, tol, n, m = self.f, self.tol, self.f.grid.n, self.grid_j.n
-        if self.twist is None or not f.is_finite:
+        if self.twist is None:
             member = membership_slack(f, self.table) >= -tol   # the n x m slack is freed here
             return member.sum(axis=1), np.broadcast_to(np.arange(m), member.shape)[member]
 
@@ -248,10 +266,9 @@ class Analysis:
             cols[a:a + BAND_BLOCK] += np.arange(a, min(a + BAND_BLOCK, cols.size))
         return counts, cols
 
-    def member_rows(self, rows: np.ndarray | None = None) -> np.ndarray:
-        """Rows ``rows`` (by default all) of the member matrix, from ``members``."""
+    def member_rows(self, rows: np.ndarray) -> np.ndarray:
+        """Rows ``rows`` of the member matrix, from ``members``."""
         counts, cols = self.members
-        rows = np.arange(counts.size) if rows is None else rows
         k = counts[rows]   # member t of the gather is cols[at[t]]
         at = np.repeat(np.cumsum(counts)[rows] - np.cumsum(k), k) + np.arange(k.sum())
         out = np.zeros((rows.size, self.grid_j.n), dtype=bool)

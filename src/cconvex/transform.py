@@ -12,8 +12,8 @@ from typing import Callable
 
 import numpy as np
 
-from .costs import CostMatrix, CostSpec, evaluate_cost
-from .grids import Grid, GridFunction, check_tol, sup_norm_diff
+from .costs import CostMatrix
+from .grids import GridFunction, check_tol, sup_norm_diff
 
 __all__ = [
     "TransformResult",
@@ -111,30 +111,6 @@ def _monotone_argmax(score: Callable[[np.ndarray, np.ndarray], np.ndarray],
         s //= 2
         j = np.arange(s, n_out, 2 * s)
         lo = argmax[j - s]
-
-
-def _engine_c_transform(spec: CostSpec, g: GridFunction, out: Grid,
-                        swap: bool = False) -> TransformResult:
-    """g^c on the grid ``out`` for a cost with a ``twist_bound`` on the grids,
-    without the n x m matrix; c(x, y) takes x on g's grid, or on ``out`` with
-    ``swap`` (f^cc is the transform of f^c with ``swap``).
-
-    Entries come from ``evaluate_cost`` in the dense path's arithmetic and
-    ties keep the lowest index, and the ``twist_bound`` certifies the
-    computed matrix strictly Monge, so values and argmax equal those of
-    ``c_transform`` and ``_back_transform`` on the tabulated cost.  A maximum
-    that is a zero of both signs takes the first maximiser's sign, where the
-    dense reduction may return the other.
-    """
-    p, q, v = g.grid.points, out.points, g.values
-
-    def score(o, k):  # no gather outlives the cost evaluation
-        s = evaluate_cost(spec, *((q[o], p[k]) if swap else (p[k], q[o])))
-        s -= v[k]
-        return s
-
-    values, argmax = _monotone_argmax(score, out.n, g.grid.n)
-    return TransformResult(GridFunction(out, values), argmax)
 
 
 def default_cconvexity_tol(f: GridFunction) -> float:

@@ -202,6 +202,24 @@ class TestMidpointForm:
         r2 = discrete_jensen_gap(f, BILINEAR, mu, y=1.0)
         assert (r1.lhs, r1.rhs, r1.slack) == (r2.lhs, r2.rhs, r2.slack)
 
+    def test_a_translations_kept_arrays_are_left_alone(self):
+        # h may keep the arrays it returns: neither the table nor a searched
+        # witness's blocks write into one, and each stays writeable
+        kept = []
+
+        def h(d):
+            kept.append((out := -(d * d), out.copy()))
+            return out
+
+        g = make_uniform_grid(-1, 1, 33)
+        spec = CostSpec("translation", h=h)
+        tabulate_cost(spec, g, g)
+        r = midpoint_bound(GridFunction(g, g.points**2), spec, -0.5, 0.5, grid_j=g)
+        assert r.hypothesis_verified and len(kept) > 2
+        for out, before in kept:
+            assert out.flags.writeable and np.array_equal(out, before)
+        assert type(r.holds) is bool and r.to_dict() == dataclasses.asdict(r)
+
     @given(st.integers(0, 10**6))
     @settings(max_examples=40, deadline=None)
     def test_slack_mirrors_support_concavity_excess(self, seed):

@@ -85,6 +85,21 @@ class TestAnalysis:
         with pytest.raises(ValueError, match="tol must be finite and >= 0"):
             INSTANCE_CHECKS[check](Analysis(f, cost, tol))
 
+    @pytest.mark.parametrize("check", INSTANCE_CHECKS)
+    def test_a_cost_on_another_i_grid_is_rejected_before_any_gate(self, monkeypatch, check):
+        # the gates read the table, so a matrix on another I grid used to pass
+        # to a hypothesis verdict ("cost not one_concave") before any grid check
+        def no_gate(*args):
+            raise AssertionError("a gate judged a cost on another I grid")
+
+        monkeypatch.setattr(propcheck, "check_structure", no_gate)
+        g = make_uniform_grid(-1, 1, 21)
+        cost = tabulate_callable(lambda x, y: np.sin(3 * x) * y, make_uniform_grid(0, 2, 21),
+                                 make_uniform_grid(0, 2, 21))
+        with pytest.raises(ValueError, match="^cost grid does not match the function's grid "
+                                             "on the I side$"):
+            INSTANCE_CHECKS[check](Analysis(GridFunction(g, g.points**2), cost))
+
     @pytest.mark.parametrize("check", [check_mixture, check_order_propagation])
     def test_pair_checks_need_one_cost_and_one_tol(self, check):
         f, cost = bilinear_instance(2)
@@ -801,6 +816,26 @@ class TestOrderPropagationLoop:
             tracemalloc.stop()
         assert v.status != "vacuous"
         assert peak < 8 * 1025 * 1025, f"peak {peak} B"
+
+    def test_certified_specs_meet_through_column_masks(self):
+        # two certified specs with their members cached: the check reads the
+        # members through n- and m-length masks, builds no table and no member
+        # matrix (two 2049 x 2049 bool arrays are 8.4 MB, the table 33.6 MB)
+        gi, gj = make_uniform_grid(-1, 1, 2049), make_uniform_grid(-2.5, 2.5, 2049)
+        x, spec = gi.points, CostSpec("neg_quadratic")
+        a = Analysis(GridFunction(gi, np.abs(x)), spec, grid_j=gj)
+        b = Analysis(GridFunction(gi, np.abs(x) + 0.1 * x**2 + 1e-3), spec, grid_j=gj)
+        assert a.twist is not None and b.twist is not None
+        assert a.members[0].any() and b.members[0].any()   # both cached before the measurement
+        tracemalloc.start()
+        try:
+            v = check_order_propagation(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert v.status != "vacuous"
+        assert "table" not in vars(a) and "table" not in vars(b)
+        assert peak < 1_000_000, f"peak {peak} B"
 
 
 class TestSuite:

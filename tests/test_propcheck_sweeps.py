@@ -184,29 +184,30 @@ def test_analysis_spans_match_the_row_loop(kind, seed):
     assert a.spans is a.spans   # cached
 
 
+@pytest.mark.parametrize("pair_cells", [8, 3 * M])   # below or above the paths' cells
 @pytest.mark.parametrize("kind", MEMBERS)
 @pytest.mark.parametrize("seed", range(3))
-def test_meeting_yields_the_meeting_pairs_in_order(budget, kind, seed):
+def test_meeting_yields_the_meeting_pairs_in_order(budget, kind, seed, pair_cells):
     rng = np.random.default_rng(seed)
     member = MEMBERS[kind](rng)
     an = planted(member)
     spans = an.spans
     i1, i2 = interval_pairs(rng)
-    want, blocks = [], set()
-    step = max(1, propcheck.PAIR_BLOCK_CELLS // (8 if spans[3] else 8 + M))
-    for k, (a, b) in enumerate(zip(i1, i2)):
+    want = []
+    for a, b in zip(i1, i2):
         shared = np.flatnonzero(member[a] & member[b])
         if shared.size:
             want.append((int(a), int(b), int(shared[0]), int(shared[-1])))
-            blocks.add(k // step)
     # interval rows are met from the spans alone: ``members`` is never read
     if spans[3]:
         vars(an)["members"] = None
-    yielded = list(propcheck._meeting(an, i1, i2))
+    yielded = list(propcheck._meeting(an, i1, i2, pair_cells))
     got = [tuple(map(int, pair)) for block in yielded for pair in zip(*block)]
     assert got == want
-    # one block per pair block that holds a meeting pair, none for the rest
-    assert len(yielded) == len(blocks)
+    # blocks within the caller's budget and the path's, all full but the last
+    step = max(1, propcheck.PAIR_BLOCK_CELLS // max(pair_cells, 8 if spans[3] else 8 + M))
+    sizes = [block[0].size for block in yielded]
+    assert sizes == [step] * (len(want) // step) + [len(want) % step] * (len(want) % step > 0)
     assert all(len({x.size for x in block}) == 1 for block in yielded)
 
 
@@ -345,7 +346,14 @@ def test_mid_budget_takes_several_blocks_on_every_path(monkeypatch, intervals):
             sizes[pair_cells].append(a.size)
             yield a, b
 
+    def recorded_meeting(a, i1, i2, pair_cells):
+        for block in meeting(a, i1, i2, pair_cells):
+            sizes["meeting", pair_cells].append(block[0].size)
+            yield block
+
+    meeting = propcheck._meeting
     monkeypatch.setattr(propcheck, "_pair_blocks", recorded)
+    monkeypatch.setattr(propcheck, "_meeting", recorded_meeting)
     rng = np.random.default_rng(0)
     member = interval_member(rng, min_len=1) if intervals else random_member(rng)
     slack = rng.normal(size=(N, M))
@@ -356,15 +364,16 @@ def test_mid_budget_takes_several_blocks_on_every_path(monkeypatch, intervals):
     propcheck._domain_interval_sweep(a, np.ones(N, dtype=bool), i1, i2)
     propcheck._set_valued_sweep(a, lambdas, lipschitz, rng, i1, i2)
     propcheck._intersection_sweep(a, lambdas, lipschitz, i1, i2)
-    # three footprints: ``_meeting``'s walk over the rows (subdiff, domain
-    # and intersection), 8 cells a pair on interval rows and 8 + M on others,
-    # the set-valued draws and the slack-row gather; each takes several
-    # blocks, at least one of them full, so the gather's meeting pairs
-    # overflow a sub-block
-    assert len(sizes) == 3
-    assert (8 if intervals else 8 + M) in sizes
-    for pair_cells, taken in sizes.items():
-        assert len(taken) >= 3 and max(taken) == MID_BUDGET // pair_cells > 1
+    # two footprints of pair blocks: ``_meeting``'s walk over the rows, 8
+    # cells a pair on interval rows and 8 + M on others, and the set-valued
+    # draws; and ``_meeting``'s blocks of meeting pairs for the subdiff and
+    # domain sweeps (8 cells a pair) and the slack-row gather, within the
+    # path's budget too.  Each takes several blocks, at least one of them full
+    path = 8 if intervals else 8 + M
+    assert set(sizes) == {path, 8 * 6, ("meeting", 8), ("meeting", 2 * M + 24)}
+    for key, taken in sizes.items():
+        cells = key if key in (path, 8 * 6) else max(key[1], path)
+        assert len(taken) >= 3 and max(taken) == MID_BUDGET // cells > 1
 
 
 @pytest.mark.parametrize("intervals", [False, True])
